@@ -58,6 +58,7 @@ from .envelope import (
     GlobalEnvelope,
     center_function,
     envelope_test,
+    global_envelope,
     mad_envelope,
     studentized_mad_envelope,
 )

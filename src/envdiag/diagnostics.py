@@ -28,8 +28,7 @@ from .envelope import (
     EnvelopeMode,
     FunctionEnsemble,
     GlobalEnvelope,
-    mad_envelope,
-    studentized_mad_envelope,
+    global_envelope,
 )
 from .fitters import refit, simulate_response
 from .residuals import residuals_for
@@ -89,24 +88,49 @@ def default_capability() -> ModelCapability:
 # ---------------------------------------------------------------------
 
 
-def qq_grid(n: int) -> np.ndarray:
-    """Theoretical normal quantiles Phi^-1((i - 0.5) / n); depends on n only."""
-    if n < 3:
-        raise ValueError("need n >= 3")
-    return ndtri((np.arange(1, n + 1) - 0.5) / n)
-
-
-def qq_function(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted residuals over their theoretical normal quantiles."""
-    e = np.asarray(e, dtype=float)
-    return qq_grid(e.size), np.sort(e)
-
-
 def pp_grid(n: int) -> np.ndarray:
     """Uniform plotting positions (i - 0.5) / n."""
     if n < 3:
         raise ValueError("need n >= 3")
     return (np.arange(1, n + 1) - 0.5) / n
+
+
+def qq_grid(n: int) -> np.ndarray:
+    """Theoretical normal quantiles Phi^-1((i - 0.5) / n); depends on n only."""
+    return ndtri(pp_grid(n))
+
+
+def _plot_functional(kind: PlotKind, E: np.ndarray, eta,
+                     m_grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Grid, values and scatter points of one plot kind; its one definition.
+
+    Row r of the values is the plot of residual row ``E[r]``; the points
+    overlay row 0.  Smoother kinds use ``m_grid`` equispaced points
+    spanning the linear predictors ``eta``; sorted kinds ignore both.
+    """
+    if kind in (PlotKind.QQ, PlotKind.PP):
+        grid = qq_grid(E.shape[1]) if kind is PlotKind.QQ else pp_grid(E.shape[1])
+        values = np.sort(E, axis=1)
+        if kind is PlotKind.PP:
+            values = ndtr(values)
+        return grid, values, np.column_stack([grid, values[0]])
+    if kind is PlotKind.SCALE_LOCATION:
+        E = np.abs(E)
+    grid = np.linspace(np.min(eta), np.max(eta), m_grid)
+    values = PSplineDesign(eta).smooth_matrix(E, grid)
+    return grid, values, np.column_stack([eta, E[0]])
+
+
+def _single_row(kind: PlotKind, e, eta=None,
+                m_grid: int = DEFAULT_GRID) -> tuple[np.ndarray, np.ndarray]:
+    E = np.asarray(e, dtype=float)[None, :]
+    grid, values, _ = _plot_functional(kind, E, eta, m_grid)
+    return grid, values[0]
+
+
+def qq_function(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted residuals over their theoretical normal quantiles."""
+    return _single_row(PlotKind.QQ, e)
 
 
 def pp_function(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -116,25 +140,21 @@ def pp_function(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     why the quantile-scale plot tends to detect more; this variant exists
     for comparison studies.
     """
-    e = np.asarray(e, dtype=float)
-    return pp_grid(e.size), ndtr(np.sort(e))
+    return _single_row(PlotKind.PP, e)
 
 
 def resfit_function(
     eta: np.ndarray, e: np.ndarray, m_grid: int = DEFAULT_GRID
 ) -> tuple[np.ndarray, np.ndarray]:
     """Smoother of residuals against linear predictors, on an even grid."""
-    eta = np.asarray(eta, dtype=float)
-    design = PSplineDesign(eta)
-    grid = np.linspace(eta.min(), eta.max(), m_grid)
-    return grid, design.fit(np.asarray(e, dtype=float))(grid)
+    return _single_row(PlotKind.RES_VS_FITS, e, eta, m_grid)
 
 
 def scalelocation_function(
     eta: np.ndarray, e: np.ndarray, m_grid: int = DEFAULT_GRID
 ) -> tuple[np.ndarray, np.ndarray]:
     """Smoother of absolute residuals against linear predictors."""
-    return resfit_function(eta, np.abs(np.asarray(e, dtype=float)), m_grid)
+    return _single_row(PlotKind.SCALE_LOCATION, e, eta, m_grid)
 
 
 # ---------------------------------------------------------------------
@@ -197,44 +217,6 @@ def simulate_replicates(
                                n_failed=failed)
 
 
-def _functional_ensemble(
-    kind: PlotKind,
-    eta: np.ndarray,
-    e_obs: np.ndarray,
-    replicate_resids: np.ndarray,
-    m_grid: int,
-) -> tuple[FunctionEnsemble, Optional[np.ndarray]]:
-    """Rows of the ensemble for one plot kind; observed row first."""
-    n = e_obs.size
-    if kind is PlotKind.QQ:
-        grid = qq_grid(n)
-        rows = np.sort(np.vstack([e_obs, replicate_resids]), axis=1)
-        points = np.column_stack([grid, np.sort(e_obs)])
-    elif kind is PlotKind.PP:
-        grid = pp_grid(n)
-        rows = ndtr(np.sort(np.vstack([e_obs, replicate_resids]), axis=1))
-        points = np.column_stack([grid, ndtr(np.sort(e_obs))])
-    else:
-        design = PSplineDesign(eta)
-        grid = np.linspace(eta.min(), eta.max(), m_grid)
-        if kind is PlotKind.SCALE_LOCATION:
-            obs = np.abs(e_obs)
-            reps = np.abs(replicate_resids)
-        else:
-            obs = e_obs
-            reps = replicate_resids
-        rows = design.smooth_matrix(np.vstack([obs, reps]), grid)
-        points = np.column_stack([eta, obs])
-    return FunctionEnsemble(grid=grid, values=rows), points
-
-
-def _envelope_for(ensemble: FunctionEnsemble, alpha: float,
-                  mode: EnvelopeMode) -> GlobalEnvelope:
-    if mode is EnvelopeMode.MAD:
-        return mad_envelope(ensemble, alpha)
-    return studentized_mad_envelope(ensemble, alpha)
-
-
 def plot_envelope(
     m: FittedModel,
     kind: PlotKind,
@@ -251,37 +233,9 @@ def plot_envelope(
     from the parametric bootstrap.  Smoother functionals are evaluated
     against the observed linear predictors for every replicate.
     """
-    cap = capability or default_capability()
-    reps = simulate_replicates(m, B, seed, cap)
-    return _result_for_kind(m, kind, reps, alpha, seed, m_grid, mode, cap)
-
-
-def _result_for_kind(
-    m: FittedModel,
-    kind: PlotKind,
-    reps: BootstrapReplicates,
-    alpha: float,
-    seed: int,
-    m_grid: int,
-    mode: EnvelopeMode,
-    cap: ModelCapability,
-) -> DiagnosticResult:
-    e_obs = cap.residuals(m)
-    eta = cap.predict(m)
-    ensemble, points = _functional_ensemble(kind, eta, e_obs,
-                                            reps.residuals, m_grid)
-    env = _envelope_for(ensemble, alpha, mode)
-    return DiagnosticResult(
-        kind=kind,
-        grid=ensemble.grid,
-        observed=ensemble.values[0],
-        envelope=env,
-        reject=env.observed_outside,
-        p_value=env.p_value,
-        B=reps.residuals.shape[0] + 1,
-        seed=seed,
-        points=points,
-    )
+    results, _ = diagnose_model(m, kinds=(kind,), B=B, alpha=alpha, seed=seed,
+                                m_grid=m_grid, mode=mode, capability=capability)
+    return results[kind]
 
 
 def loglik_gof_test(
@@ -297,9 +251,9 @@ def loglik_gof_test(
     the reference; an observed value in the low tail indicates lack of
     fit.  ``p = (1 + #{loglik_b <= loglik_obs}) / B``.
     """
-    cap = capability or default_capability()
-    reps = simulate_replicates(m, B, seed, cap)
-    return _gof_from_logliks(m.loglik, reps.logliks, alpha)
+    _, gof = diagnose_model(m, kinds=(), B=B, alpha=alpha, seed=seed,
+                            capability=capability, with_gof=True)
+    return gof
 
 
 def _gof_from_logliks(observed: float, null_logliks: np.ndarray,
@@ -329,9 +283,25 @@ def diagnose_model(
     """
     cap = capability or default_capability()
     reps = simulate_replicates(m, B, seed, cap)
-    results = {
-        kind: _result_for_kind(m, kind, reps, alpha, seed, m_grid, mode, cap)
-        for kind in kinds
-    }
+    results = {}
+    if kinds:
+        # row 0 is the observed residual vector, the rest the replicates
+        E = np.vstack([cap.residuals(m), reps.residuals])
+        eta = cap.predict(m)
+        for kind in kinds:
+            grid, values, points = _plot_functional(kind, E, eta, m_grid)
+            ensemble = FunctionEnsemble(grid=grid, values=values)
+            env = global_envelope(ensemble, alpha, mode)
+            results[kind] = DiagnosticResult(
+                kind=kind,
+                grid=ensemble.grid,
+                observed=ensemble.values[0],
+                envelope=env,
+                reject=env.observed_outside,
+                p_value=env.p_value,
+                B=E.shape[0],
+                seed=seed,
+                points=points,
+            )
     gof = _gof_from_logliks(m.loglik, reps.logliks, alpha) if with_gof else None
     return results, gof

@@ -107,28 +107,28 @@ def _critical_index(alpha: float, B: int) -> int:
     return k
 
 
-def _assemble(
+def _band(
     e: FunctionEnsemble,
     alpha: float,
     mode: EnvelopeMode,
     center: np.ndarray,
     stats: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    critical: float,
-    sd: Optional[np.ndarray],
-    degenerate: Optional[np.ndarray],
+    scale: float | np.ndarray,
+    sd: Optional[np.ndarray] = None,
+    degenerate: Optional[np.ndarray] = None,
 ) -> GlobalEnvelope:
-    p_value = float(np.count_nonzero(stats >= stats[0])) / e.B
+    """The band ``center +/- critical * scale`` and the test it implies."""
+    critical = float(np.sort(stats)[_critical_index(alpha, e.B) - 1])
+    half = critical * scale
     return GlobalEnvelope(
         center=center,
-        lower=lower,
-        upper=upper,
+        lower=center - half,
+        upper=center + half,
         critical=critical,
         stats=stats,
         alpha=alpha,
         mode=mode,
-        p_value=p_value,
+        p_value=float(np.count_nonzero(stats >= stats[0])) / e.B,
         observed_outside=bool(stats[0] > critical),
         pointwise_sd=sd,
         degenerate_points=degenerate,
@@ -141,14 +141,9 @@ def mad_envelope(e: FunctionEnsemble, alpha: float) -> GlobalEnvelope:
     ``u_b = max_r |T_b(r) - T0(r)|``; the band is the mean plus/minus the
     ceil((1-alpha) B)-th smallest u.
     """
-    k = _critical_index(alpha, e.B)
     center = center_function(e)
     stats = np.max(np.abs(e.values - center[None, :]), axis=1)
-    critical = float(np.sort(stats)[k - 1])
-    lower = center - critical
-    upper = center + critical
-    return _assemble(e, alpha, EnvelopeMode.MAD, center, stats, lower, upper,
-                     critical, None, None)
+    return _band(e, alpha, EnvelopeMode.MAD, center, stats, 1.0)
 
 
 def studentized_mad_envelope(e: FunctionEnsemble, alpha: float) -> GlobalEnvelope:
@@ -161,7 +156,6 @@ def studentized_mad_envelope(e: FunctionEnsemble, alpha: float) -> GlobalEnvelop
     """
     if e.B < 3:
         raise ValueError("Studentized envelope needs B >= 3")
-    k = _critical_index(alpha, e.B)
     center = center_function(e)
     dev = e.values - center[None, :]
     var = np.sum(dev * dev, axis=0) / (e.B - 1)
@@ -172,10 +166,16 @@ def studentized_mad_envelope(e: FunctionEnsemble, alpha: float) -> GlobalEnvelop
     else:
         scaled = np.abs(dev[:, ~degenerate]) / sd[None, ~degenerate]
         stats = np.max(scaled, axis=1)
-    critical = float(np.sort(stats)[k - 1])
-    half = critical * np.where(degenerate, 0.0, sd)
-    return _assemble(e, alpha, EnvelopeMode.STUDENTIZED_MAD, center, stats,
-                     center - half, center + half, critical, sd, degenerate)
+    return _band(e, alpha, EnvelopeMode.STUDENTIZED_MAD, center, stats,
+                 np.where(degenerate, 0.0, sd), sd, degenerate)
+
+
+def global_envelope(e: FunctionEnsemble, alpha: float,
+                    mode: EnvelopeMode) -> GlobalEnvelope:
+    """The envelope of the given mode at level alpha."""
+    if mode is EnvelopeMode.MAD:
+        return mad_envelope(e, alpha)
+    return studentized_mad_envelope(e, alpha)
 
 
 def envelope_test(
@@ -188,8 +188,5 @@ def envelope_test(
     Returns ``(reject, p_value)`` where ``reject`` is exactly equivalent
     to the observed row escaping the band at some grid point.
     """
-    if mode is EnvelopeMode.MAD:
-        env = mad_envelope(e, alpha)
-    else:
-        env = studentized_mad_envelope(e, alpha)
+    env = global_envelope(e, alpha, mode)
     return env.observed_outside, env.p_value

@@ -70,6 +70,8 @@ class ScenarioSpec:
             raise ValueError("random-intercept scenarios need n >= 10")
         if self.n < 3:
             raise ValueError("n must be at least 3")
+        if self.m_grid < 1:
+            raise ValueError("m_grid must be positive")
         if self.x_design not in ("equispaced", "uniform"):
             raise ValueError(f"unknown x_design {self.x_design!r}")
         if self.alpha * self.B < 1.0:

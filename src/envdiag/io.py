@@ -26,6 +26,7 @@ from .harness import (
     Violation,
     resolve_workers,
     run_grid,
+    scenario_grid,
 )
 from .svg import render_diagnostic
 
@@ -254,59 +255,72 @@ def run_diagnose(config: RunConfig) -> list[PlotArtifact]:
 # ---------------------------------------------------------------------
 
 
+_CELL_AXES = ("model", "violation", "n")
+# the other ScenarioSpec fields, which a power-study config may set
+_SETTING_TYPES = {
+    f.name: type(f.default) for f in fields(ScenarioSpec)
+    if f.name not in _CELL_AXES
+}
+
+
+def _value(raw: dict, key: str, convert, where: str):
+    """``convert(raw[key])``, or ValueError naming a missing key or bad value."""
+    if key not in raw:
+        raise ValueError(f"{where} is missing {key!r}")
+    try:
+        return convert(raw[key])
+    except (KeyError, TypeError, ValueError):
+        raise ValueError(f"bad {key} {raw[key]!r} in {where}") from None
+
+
+def _settings(raw: dict, where: str) -> dict:
+    return {k: _value(raw, k, kind, where)
+            for k, kind in _SETTING_TYPES.items() if k in raw}
+
+
 def _specs_from_config(cfg: dict) -> list[ScenarioSpec]:
-    common = {
-        "n_datasets": int(cfg.get("n_datasets", 200)),
-        "B": int(cfg.get("B", 99)),
-        "alpha": float(cfg.get("alpha", 0.05)),
-        "seed": int(cfg.get("seed", 0)),
-        "x_design": cfg.get("x_design", "equispaced"),
-        "m_grid": int(cfg.get("m_grid", 64)),
-    }
-    if "scenarios" in cfg:
-        specs = []
-        for cell in cfg["scenarios"]:
-            params = dict(common)
-            params.update(
-                {k: v for k, v in cell.items()
-                 if k not in ("model", "violation", "n")}
-            )
-            specs.append(
-                ScenarioSpec(
-                    model=_MODEL_NAMES[cell["model"]],
-                    violation=_VIOLATION_NAMES[cell["violation"]],
-                    n=int(cell["n"]),
-                    **params,
-                )
-            )
-        return specs
-    models = [_MODEL_NAMES[m] for m in cfg["models"]]
-    violations = [_VIOLATION_NAMES[v] for v in cfg["violations"]]
-    sizes = [int(n) for n in cfg["sample_sizes"]]
-    return [
-        ScenarioSpec(model=m, violation=v, n=n, **common)
-        for m in models
-        for v in violations
-        for n in sizes
-    ]
+    """Scenarios of a power-study config; unset settings keep their defaults.
+
+    A malformed config raises ValueError naming the bad value, field or
+    missing key.
+    """
+    common = _settings(cfg, "config")
+    if "scenarios" not in cfg:
+        return scenario_grid(
+            _value(cfg, "models", lambda ms: [_MODEL_NAMES[m] for m in ms],
+                   "config"),
+            _value(cfg, "violations",
+                   lambda vs: [_VIOLATION_NAMES[v] for v in vs], "config"),
+            _value(cfg, "sample_sizes", lambda ns: [int(n) for n in ns],
+                   "config"),
+            **common,
+        )
+    specs = []
+    for i, cell in enumerate(cfg["scenarios"]):
+        where = f"scenario {i}"
+        unknown = sorted(set(cell) - set(_CELL_AXES) - set(_SETTING_TYPES))
+        if unknown:
+            raise ValueError(f"unknown fields in {where}: {unknown}")
+        specs += scenario_grid(
+            [_value(cell, "model", _MODEL_NAMES.__getitem__, where)],
+            [_value(cell, "violation", _VIOLATION_NAMES.__getitem__, where)],
+            [_value(cell, "n", int, where)],
+            **{**common, **_settings(cell, where)},
+        )
+    return specs
 
 
 def run_power_study(
-    config: dict | str,
+    config: dict,
     out_dir: str,
     workers: Optional[int] = None,
 ) -> tuple[str, str]:
     """Run a scenario grid; write rates.csv and manifest.json.
 
-    ``config`` is a dict or a path to a JSON file, either listing
-    explicit ``scenarios`` cells or giving the cross product of
-    ``models`` x ``violations`` x ``sample_sizes``.
+    ``config`` either lists explicit ``scenarios`` cells or gives the
+    cross product of ``models`` x ``violations`` x ``sample_sizes``.
     """
-    if isinstance(config, str):
-        with open(config, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    else:
-        cfg = dict(config)
+    cfg = dict(config)
     specs = _specs_from_config(cfg)
     table, results = run_grid(specs, workers=workers)
 

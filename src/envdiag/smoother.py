@@ -52,15 +52,13 @@ class SmoothFit:
     knots: np.ndarray            # interior knot locations
     x_lo: float
     x_hi: float
+    _design: "PSplineDesign"
     fallback_linear: bool = False
     lam_at_bound: bool = False
-    _bspline: Optional[BSpline] = None
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if self.fallback_linear:
-            return self.coefs[0] + self.coefs[1] * x
-        return self._bspline(np.clip(x, self.x_lo, self.x_hi))
+        return (self._design.grid_design(x.ravel()) @ self.coefs).reshape(x.shape)
 
 
 def _golden_max_vec(f, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
@@ -165,9 +163,13 @@ class PSplineDesign:
         U_pen = V[:, 2:] / np.sqrt(w[2:])[None, :]
         self.Xf = B @ U_null
         Z = B @ U_pen
-        U, s, _ = np.linalg.svd(Z, full_matrices=False)
+        U, s, Vt = np.linalg.svd(Z, full_matrices=False)
         self._U = U
+        self._s = s
         self._s2 = s * s
+        # coefficients from fixed effects and from scaled SVD components
+        self._U_null = U_null
+        self._pen_map = U_pen @ Vt.T
         self._UtXf = U.T @ self.Xf
         self._XfXf = self.Xf.T @ self.Xf
 
@@ -180,6 +182,23 @@ class PSplineDesign:
         yy = np.einsum("bn,bn->b", Y, Y)
         return UtY, XfY, yy
 
+    def _fixed_effects(self, lam: np.ndarray, UtY, XfY):
+        """Fixed effects of row b at lambda lam[b]: the 2x2 generalized
+        least squares solve, with its right-hand sides and ``d * U'y``.
+        """
+        d = self._s2[:, None] / (lam[None, :] + self._s2[:, None])   # (q, B)
+        dUy = d * UtY
+        A = self._XfXf[None, :, :] - np.einsum(
+            "qi,qb,qj->bij", self._UtXf, d, self._UtXf
+        )
+        rhs = XfY.T - np.einsum("qi,qb->bi", self._UtXf, dUy)
+        det = A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0]
+        beta = np.column_stack([
+            (A[:, 1, 1] * rhs[:, 0] - A[:, 0, 1] * rhs[:, 1]) / det,
+            (A[:, 0, 0] * rhs[:, 1] - A[:, 1, 0] * rhs[:, 0]) / det,
+        ])
+        return beta, rhs, dUy
+
     def _profile_at(self, u: np.ndarray, UtY, XfY, yy) -> np.ndarray:
         """Profile log-likelihood of row b at log10-lambda u[b].
 
@@ -189,18 +208,9 @@ class PSplineDesign:
         """
         lam = 10.0 ** u                        # (B,)
         n = self.x.size
-        d = self._s2[:, None] / (lam[None, :] + self._s2[:, None])   # (q, B)
-        dUy = d * UtY
-        # 2x2 generalized-least-squares blocks per row
-        A = self._XfXf[None, :, :] - np.einsum(
-            "qi,qb,qj->bij", self._UtXf, d, self._UtXf
-        )
-        rhs = XfY.T - np.einsum("qi,qb->bi", self._UtXf, dUy)
-        det = A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0]
-        a0 = (A[:, 1, 1] * rhs[:, 0] - A[:, 0, 1] * rhs[:, 1]) / det
-        a1 = (A[:, 0, 0] * rhs[:, 1] - A[:, 1, 0] * rhs[:, 0]) / det
+        beta, rhs, dUy = self._fixed_effects(lam, UtY, XfY)
         rss = yy - np.einsum("qb,qb->b", UtY, dUy) - (
-            a0 * rhs[:, 0] + a1 * rhs[:, 1]
+            beta[:, 0] * rhs[:, 0] + beta[:, 1] * rhs[:, 1]
         )
         sig2 = np.maximum(rss, 1e-300) / n
         logdet_v = np.sum(np.log1p(self._s2[:, None] / lam[None, :]), axis=0)
@@ -240,48 +250,51 @@ class PSplineDesign:
 
     # -- fitting -------------------------------------------------------
 
-    def _coefs_for(self, y: np.ndarray, lam: float) -> np.ndarray:
-        # penalized least squares as a stacked system (stable at large lam)
-        aug = np.vstack([self.B, math.sqrt(lam) * self.D])
-        rhs = np.concatenate([y, np.zeros(self.basis_dim - 2)])
-        coefs, _, _, _ = np.linalg.lstsq(aug, rhs, rcond=None)
-        return coefs
+    def coefs(self, Y: np.ndarray, lams: Optional[np.ndarray]) -> np.ndarray:
+        """Penalized least squares coefficients of every row of Y.
+
+        Row b is fitted at smoothing parameter ``lams[b]`` in closed form
+        in the mixed-model basis: the fixed effects are the generalized
+        least squares estimate, the random effects their ridge solution
+        ``Vt' diag(s / (s^2 + lambda)) U' (y - Xf beta)``.  Returns
+        ``(rows, basis_dim)``; the linear fallback ignores ``lams`` and
+        returns least squares (intercept, slope) rows.
+        """
+        Y = np.asarray(Y, dtype=float)
+        if self.fallback:
+            return np.linalg.lstsq(self._line_design, Y.T, rcond=None)[0].T
+        lams = np.asarray(lams, dtype=float)
+        UtY, XfY, _ = self._profile_terms(Y)
+        beta, _, _ = self._fixed_effects(lams, UtY, XfY)
+        shrink = self._s[:, None] / (self._s2[:, None] + lams[None, :])
+        b = shrink * (UtY - self._UtXf @ beta.T)
+        return (self._U_null @ beta.T + self._pen_map @ b).T
 
     def fit(self, y: np.ndarray, lam: Optional[float] = None) -> SmoothFit:
         """Fit to a response vector; ``lam=None`` selects it by ML."""
         y = np.asarray(y, dtype=float)
         if y.shape != self.x.shape:
             raise ValueError("x and y must have the same length")
-        if self.fallback:
-            coefs, _, _, _ = np.linalg.lstsq(self._line_design, y, rcond=None)
-            return SmoothFit(
-                basis_dim=2,
-                coefs=coefs,
-                lam=math.nan,
-                knots=np.empty(0),
-                x_lo=self.x_lo,
-                x_hi=self.x_hi,
-                fallback_linear=True,
-            )
-
         at_bound = False
-        if lam is None:
+        if self.fallback:
+            lam = math.nan
+        elif lam is None:
             u_hat, bound_mask = self._select_lams(y[None, :])
             lam = 10.0 ** float(u_hat[0])
             at_bound = bool(bound_mask[0])
         elif not (LAM_LO <= lam <= LAM_HI):
             raise ValueError(f"lam must lie in [{LAM_LO}, {LAM_HI}]")
 
-        coefs = self._coefs_for(y, lam)
         return SmoothFit(
             basis_dim=self.basis_dim,
-            coefs=coefs,
+            coefs=self.coefs(y[None, :], np.full(1, float(lam)))[0],
             lam=float(lam),
             knots=self.interior.copy(),
             x_lo=self.x_lo,
             x_hi=self.x_hi,
+            _design=self,
+            fallback_linear=self.fallback,
             lam_at_bound=at_bound,
-            _bspline=BSpline(self.t, coefs, 3, extrapolate=False),
         )
 
     def grid_design(self, grid: np.ndarray) -> np.ndarray:
@@ -295,21 +308,14 @@ class PSplineDesign:
         """Fit every row of Y and evaluate each fit on the grid.
 
         Smoothing parameters are selected per row, exactly as
-        :meth:`fit` would, but the likelihood search runs for all rows
-        at once.  This is the bootstrap hot path.
+        :meth:`fit` would, but the likelihood search and the coefficient
+        solve run for all rows at once.  This is the bootstrap hot path.
         """
         Y = np.asarray(Y, dtype=float)
         if Y.ndim != 2 or Y.shape[1] != self.x.size:
             raise ValueError(f"Y must be B x {self.x.size}")
-        G = self.grid_design(grid)
-        if self.fallback:
-            coefs, _, _, _ = np.linalg.lstsq(self._line_design, Y.T, rcond=None)
-            return (G @ coefs).T
-        u_hat, _ = self._select_lams(Y)
-        out = np.empty((Y.shape[0], G.shape[0]))
-        for b in range(Y.shape[0]):
-            out[b] = G @ self._coefs_for(Y[b], 10.0 ** float(u_hat[b]))
-        return out
+        lams = None if self.fallback else 10.0 ** self._select_lams(Y)[0]
+        return self.coefs(Y, lams) @ self.grid_design(grid).T
 
 
 def fit_smoother(x: np.ndarray, y: np.ndarray,

@@ -131,6 +131,12 @@ def test_glmm_needs_ten_observations():
         _spec(model=ModelKind.GLMM_POISSON_RI, n=8)
 
 
+def test_m_grid_must_be_positive():
+    with pytest.raises(ValueError, match="m_grid"):
+        _spec(m_grid=0)
+    assert _spec(m_grid=1).m_grid == 1
+
+
 def test_resolve_workers_env(monkeypatch):
     monkeypatch.delenv("ENVDIAG_THREADS", raising=False)
     assert resolve_workers(None) == 1

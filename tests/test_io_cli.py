@@ -291,6 +291,49 @@ def test_cli_power_study(tmp_path, capsys):
     assert (tmp_path / "pow" / "rates.csv").exists()
 
 
+@pytest.mark.parametrize("cfg, named", [
+    ({"scenarios": [{"model": "lmm", "violation": "null", "n": 10}]}, "'lmm'"),
+    ({"models": ["lm"], "violations": ["null"]}, "'sample_sizes'"),
+    ({"scenarios": [{"model": "lm", "violation": "null", "n": 10,
+                     "bogus": 1}]}, "'bogus'"),
+    ({"scenarios": [{"model": "lm", "violation": "null", "n": 10}],
+      "m_grid": 0}, "m_grid"),
+], ids=["unknown-model", "missing-sample-sizes", "unknown-field", "m-grid-0"])
+def test_cli_power_study_malformed_config(tmp_path, capsys, cfg, named):
+    cfg_path = _write(tmp_path / "grid.json", json.dumps(cfg))
+    rc = main(["power-study", "--config", cfg_path,
+               "--out", str(tmp_path / "pow")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("envdiag: error:") and named in err, err
+    assert not (tmp_path / "pow").exists()
+
+
+def _assert_exit_contract(prefix: list[str], tmp_path: Path) -> None:
+    """Run ``prefix`` + arguments as a process importing this ``envdiag``.
+
+    ``fit`` exits 0 with a JSON summary; a missing data file exits 1.
+    """
+    package_root = str(Path(envdiag.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p
+    )
+
+    def run(*args):
+        return subprocess.run([*prefix, *args], capture_output=True,
+                              text=True, env=env, cwd=tmp_path)
+
+    data = _null_lm_csv(tmp_path / "d.csv")
+    proc = run("fit", "--data", data, "--model", "lm")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["model"] == "lm", proc.stderr
+
+    proc = run("fit", "--data", str(tmp_path / "missing.csv"), "--model", "lm")
+    assert proc.returncode == 1, proc.stderr
+    assert "envdiag: error:" in proc.stderr, proc.stderr
+
+
 def _declared_console_script(name: str) -> tuple[str, str]:
     """(module, function) of ``name`` in this checkout's [project.scripts]."""
     try:
@@ -329,26 +372,12 @@ def test_console_script_installed(tmp_path):
         f"    sys.exit({func}())\n",
         encoding="utf-8",
     )
-    package_root = str(Path(envdiag.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (package_root, env.get("PYTHONPATH")) if p
-    )
+    _assert_exit_contract([sys.executable, str(launcher)], tmp_path)
 
-    def run(*args):
-        return subprocess.run(
-            [sys.executable, str(launcher), *args],
-            capture_output=True, text=True, env=env, cwd=tmp_path,
-        )
 
-    data = _null_lm_csv(tmp_path / "d.csv")
-    proc = run("fit", "--data", data, "--model", "lm")
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["model"] == "lm", proc.stderr
-
-    proc = run("fit", "--data", str(tmp_path / "missing.csv"), "--model", "lm")
-    assert proc.returncode == 1, proc.stderr
-    assert "envdiag: error:" in proc.stderr, proc.stderr
+def test_python_dash_m_runs_cli(tmp_path):
+    """``python -m envdiag`` runs the same command line as its own process."""
+    _assert_exit_contract([sys.executable, "-m", "envdiag"], tmp_path)
 
 
 def test_cli_random_intercept_roundtrip(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -144,3 +146,30 @@ def test_lambda_bound_flag(rng):
     y = rng.normal(0, 1.0, 40)
     f = fit_smoother(x, y)
     assert 1e-8 <= f.lam <= 1e8
+
+
+def _pls_reference(design, y, lam):
+    """Penalized least squares as one stacked least squares system."""
+    aug = np.vstack([design.B, math.sqrt(lam) * design.D])
+    rhs = np.concatenate([y, np.zeros(design.basis_dim - 2)])
+    return np.linalg.lstsq(aug, rhs, rcond=None)[0]
+
+
+@pytest.mark.parametrize("n", [10, 20, 40, 80])
+def test_closed_form_coefs_match_stacked_least_squares(rng, n):
+    x = np.sort(rng.uniform(0, 1, n))
+    design = PSplineDesign(x)
+    assert design.basis_dim == min(10, n - 2)
+    Y = np.vstack([
+        np.sin(5 * x) + rng.normal(0, 0.2, n),
+        rng.normal(0, 1.0, n),
+        1.0 + 2.0 * x + rng.normal(0, 0.05, n),
+    ])
+    G = design.grid_design(np.linspace(x.min(), x.max(), 64))
+    ml_lams = np.array([design.fit(y).lam for y in Y])
+    for lams in [np.full(len(Y), lam) for lam in LAMBDAS] + [ml_lams]:
+        C = design.coefs(Y, lams)
+        assert C.shape == (len(Y), design.basis_dim)
+        for c, y, lam in zip(C, Y, lams):
+            ref = _pls_reference(design, y, lam)
+            assert np.max(np.abs(G @ c - G @ ref)) < 1e-8
