@@ -127,10 +127,10 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
 def _cmd_power_study(args: argparse.Namespace) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.B is not None:
-        cfg["B"] = args.B
+    overrides = {k: v for k, v in (("seed", args.seed), ("B", args.B))
+                 if v is not None}
+    if isinstance(cfg, dict):  # run_power_study rejects any other config
+        cfg.update(overrides)
     csv_path, manifest_path = run_power_study(cfg, args.out)
     print(f"rates -> {csv_path}")
     print(f"manifest -> {manifest_path}")

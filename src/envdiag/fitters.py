@@ -6,7 +6,9 @@
 * Poisson log-linear model with a random intercept per group, solved by
   quasi-Newton optimization of an adaptive Gauss-Hermite approximation to
   the marginal likelihood (nodes recentred at each group's conditional
-  mode).
+  mode).  One kernel returns the approximation and its exact gradient,
+  differentiated through the modes and curvatures (Pinheiro & Bates
+  1995); bootstrap refits start from the parent fit.
 
 All fitters return an immutable :class:`~envdiag.data.FittedModel`;
 ``simulate_response`` / ``refit`` / ``log_likelihood`` complete the
@@ -15,6 +17,7 @@ capability contract consumed by the bootstrap engine.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -98,6 +101,11 @@ def _poisson_loglik(y: np.ndarray, eta: np.ndarray) -> float:
     return float(np.sum(y * eta - np.exp(eta) - gammaln(y + 1.0)))
 
 
+def _check_counts(y: np.ndarray) -> None:
+    if np.any(y < 0) or np.any(y != np.floor(y)):
+        raise ValueError("Poisson response must be nonnegative integers")
+
+
 def _poisson_deviance(y: np.ndarray, mu: np.ndarray) -> float:
     return float(2.0 * np.sum(xlogy(y, y / mu) - (y - mu)))
 
@@ -121,17 +129,20 @@ def glmm_marginal_loglik(
     """
     if omega < 0:
         raise ValueError("omega must be nonnegative")
-    eta = X @ beta
     if omega == 0.0:
-        return _poisson_loglik(y, eta)
-    G = int(group.max()) + 1
-    # Per-group sufficient statistics: the group contribution reduces to
-    #   h_g(t) = A_g + S_g t - E_g e^t - t^2/(2 w^2) - log(w sqrt(2 pi))
-    A = np.bincount(group, weights=y * eta - gammaln(y + 1.0), minlength=G)
-    S = np.bincount(group, weights=y, minlength=G)
-    E = np.bincount(group, weights=np.exp(eta), minlength=G)
+        return _poisson_loglik(y, X @ beta)
+    return _glmm_loglik_grad(beta, omega, X, y, group, quad_points)[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_hermite(quad_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled nodes ``sqrt(2) x_k`` and ``log w_k + x_k^2`` (read-only)."""
     nodes, weights = np.polynomial.hermite.hermgauss(quad_points)
-    return _aghq_sum(A, S, E, omega, nodes, weights)
+    z = math.sqrt(2.0) * nodes
+    log_wx = np.log(weights) + nodes**2
+    z.setflags(write=False)
+    log_wx.setflags(write=False)
+    return z, log_wx
 
 
 def _group_modes(
@@ -157,33 +168,82 @@ def _group_modes(
     return u, curv
 
 
-def _aghq_sum(
-    A: np.ndarray,
-    S: np.ndarray,
-    E: np.ndarray,
+def _glmm_loglik_grad(
+    beta: np.ndarray,
     omega: float,
-    nodes: np.ndarray,
-    weights: np.ndarray,
+    X: np.ndarray,
+    y: np.ndarray,
+    group: np.ndarray,
+    quad_points: int,
     u0: Optional[np.ndarray] = None,
-) -> float:
-    u, curv = _group_modes(S, E, omega, u0)
+) -> tuple[float, np.ndarray]:
+    """Adaptive Gauss-Hermite log-likelihood and its exact gradient in
+    ``(beta, log omega)``, for ``omega > 0``.
+
+    Group g contributes ``l_g = log int exp(h_g(t)) dt`` with
+      h_g(t) = A_g + S_g t - E_g e^t - c t^2/2 - log(w sqrt(2 pi)),
+    c = 1/w^2, approximated at the mode u_g (h_g'(u_g) = 0) with scale
+    sigma_g = K_g^(-1/2), K_g = E_g e^u_g + c.  Both u_g and sigma_g move
+    with E_g and c, so the derivatives add their paths (implicit
+    differentiation of h_g'(u_g) = 0: du/dE = -e^u/K, du/dc = -u/K) to
+    the softmax-weighted node terms.  With dl_g/dA_g = 1, the beta
+    gradient is ``X'y + X'(exp(eta) * dl/dE[group])``.  Nodes whose
+    weight underflows to zero carry no gradient, even where ``e^t``
+    overflows.  ``u0``, if given, warm-starts the mode search and
+    receives the new modes.
+    """
+    eta = X @ beta
+    G = int(group.max()) + 1
+    mu = np.exp(eta)
+    A = np.bincount(group, weights=y * eta - gammaln(y + 1.0), minlength=G)
+    S = np.bincount(group, weights=y, minlength=G)
+    E = np.bincount(group, weights=mu, minlength=G)
+    z, log_wx = _gauss_hermite(quad_points)
+
+    u, K = _group_modes(S, E, omega, u0)
     if u0 is not None:
         u0[:] = u  # warm start for the next objective evaluation
-    sig = 1.0 / np.sqrt(curv)
-    t = u[:, None] + math.sqrt(2.0) * sig[:, None] * nodes[None, :]
+    c = 1.0 / (omega * omega)
+    sig = 1.0 / np.sqrt(K)
+    t = u[:, None] + sig[:, None] * z[None, :]
     with np.errstate(over="ignore"):
+        et = np.exp(t)
         h = (
             A[:, None]
             + S[:, None] * t
-            - E[:, None] * np.exp(t)
+            - E[:, None] * et
             - t * t / (2.0 * omega * omega)
             - math.log(omega)
             - 0.5 * math.log(2.0 * math.pi)
         )
-        logw = np.log(weights)[None, :] + nodes[None, :] ** 2 + h
+        logw = log_wx[None, :] + h
         top = np.max(logw, axis=1)
-        contrib = top + np.log(np.sum(np.exp(logw - top[:, None]), axis=1))
-    return float(np.sum(contrib + 0.5 * math.log(2.0) + np.log(sig)))
+        p = np.exp(logw - top[:, None])
+        total = np.sum(p, axis=1)
+        contrib = top + np.log(total)
+    value = float(np.sum(contrib + 0.5 * math.log(2.0) + np.log(sig)))
+    if not math.isfinite(value):
+        return value, np.zeros(beta.size + 1)
+
+    p /= total[:, None]
+    et[p == 0.0] = 0.0
+    dh = S[:, None] - E[:, None] * et - c * t            # h'(t) at the nodes
+    p_et = np.sum(p * et, axis=1)
+    p_dh = np.sum(p * dh, axis=1)
+    p_dhz = np.sum(p * dh * z[None, :], axis=1)
+    p_t2 = np.sum(p * t * t, axis=1)
+    eu = np.exp(u)
+    # t_k = u + sigma z_k; d log sigma = -dK / (2K), d sigma = sigma d log sigma
+    du_dE = -eu / K
+    dlogsig_dE = -0.5 * eu * c / (K * K)
+    dl_dE = (-p_et + du_dE * p_dh + sig * dlogsig_dE * p_dhz + dlogsig_dE)
+    # log omega: dc = -2c, dh/d log w = c t^2 - 1 at fixed t
+    du_ds = 2.0 * c * u / K
+    dlogsig_ds = c * (1.0 - E * eu * u / K) / K
+    dl_ds = (c * p_t2 - 1.0 + du_ds * p_dh + sig * dlogsig_ds * p_dhz
+             + dlogsig_ds)
+    grad_beta = X.T @ (y + mu * dl_dE[group])
+    return value, np.append(grad_beta, np.sum(dl_ds))
 
 
 # ---------------------------------------------------------------------
@@ -241,8 +301,7 @@ def fit_glm_poisson(d: Dataset, control: Optional[FitControl] = None) -> FittedM
     """
     control = control or _DEFAULT_CONTROL
     y, X = d.y, d.X
-    if np.any(y < 0) or np.any(y != np.floor(y)):
-        raise ValueError("Poisson response must be nonnegative integers")
+    _check_counts(y)
     n, p = X.shape
 
     beta = _irls_start(y, p)
@@ -321,8 +380,12 @@ def _glmm_start(d: Dataset, control: FitControl) -> np.ndarray:
     E = np.bincount(d.group, weights=np.exp(glm.eta), minlength=G)
     u_hat = np.log((S + 0.5) / (E + 0.5))
     omega0 = float(np.std(u_hat, ddof=1)) if G > 1 else 0.5
-    omega0 = min(max(omega0, 0.05), 3.0)
-    return np.append(glm.beta, math.log(omega0))
+    return np.append(glm.beta, _log_omega_start(omega0))
+
+
+def _log_omega_start(omega: float) -> float:
+    # away from the floor, where the omega gradient vanishes
+    return math.log(min(max(omega, 0.05), 3.0))
 
 
 def fit_glmm_poisson_ri(
@@ -331,42 +394,47 @@ def fit_glmm_poisson_ri(
     """Random-intercept Poisson fit by quasi-Newton over (beta, log omega).
 
     The objective is the adaptive Gauss-Hermite marginal log-likelihood
-    with ``control.quad_points`` nodes.  ``omega`` is optimized on the log
-    scale with a floor at 1e-6; a fit pinned at the floor is returned with
-    ``boundary_omega=True`` (the model then coincides with the plain GLM
-    up to the floor).
+    with ``control.quad_points`` nodes; L-BFGS-B gets its exact gradient
+    (differentiated through each group's conditional mode and curvature),
+    so each iteration costs one objective evaluation.  The start is the
+    Poisson GLM fit plus a moment guess for omega; bootstrap refits
+    (:func:`refit`) start from the parent fit instead.  ``omega`` is
+    optimized on the log scale with a floor at 1e-6; a fit pinned at the
+    floor is returned with ``boundary_omega=True`` (the model then
+    coincides with the plain GLM up to the floor).
     """
     control = control or _DEFAULT_CONTROL
     if d.group is None:
         raise ValueError("random-intercept fit requires grouping labels")
+    _check_counts(d.y)
+    return _maximize_glmm(d, control, _glmm_start(d, control))
+
+
+def _maximize_glmm(d: Dataset, control: FitControl,
+                   x0: np.ndarray) -> FittedModel:
+    """L-BFGS-B over (beta, log omega) from ``x0``."""
     y, X, group = d.y, d.X, d.group
-    if np.any(y < 0) or np.any(y != np.floor(y)):
-        raise ValueError("Poisson response must be nonnegative integers")
-    G = d.n_groups
-    nodes, weights = np.polynomial.hermite.hermgauss(control.quad_points)
-    logyfac = gammaln(y + 1.0)
-    mode_cache = np.zeros(G)
+    mode_cache = np.zeros(d.n_groups)
+    failed = (1e12, np.zeros(d.p + 1))
 
-    def nll(params: np.ndarray) -> float:
+    def nll(params: np.ndarray) -> tuple[float, np.ndarray]:
         beta = params[:-1]
-        omega = math.exp(params[-1])
-        eta = X @ beta
-        if np.max(eta) > 500.0:
-            return 1e12
-        A = np.bincount(group, weights=y * eta - logyfac, minlength=G)
-        S = np.bincount(group, weights=y, minlength=G)
-        E = np.bincount(group, weights=np.exp(eta), minlength=G)
-        value = _aghq_sum(A, S, E, omega, nodes, weights, u0=mode_cache)
+        if np.max(X @ beta) > 500.0:
+            return failed
+        value, grad = _glmm_loglik_grad(beta, math.exp(params[-1]), X, y,
+                                        group, control.quad_points,
+                                        u0=mode_cache)
         if not math.isfinite(value):
-            return 1e12
-        return -value
+            return failed
+        return -value, -grad
 
-    x0 = _glmm_start(d, control)
-    bounds = [(None, None)] * (d.p) + [(math.log(_OMEGA_FLOOR), math.log(_OMEGA_CEIL))]
+    log_floor = math.log(_OMEGA_FLOOR)
+    bounds = [(None, None)] * (d.p) + [(log_floor, math.log(_OMEGA_CEIL))]
     res = minimize(
         nll,
         x0,
         method="L-BFGS-B",
+        jac=True,
         bounds=bounds,
         options={"maxiter": 2 * control.max_iter, "ftol": control.tol,
                  "gtol": 1e-7},
@@ -375,9 +443,17 @@ def fit_glmm_poisson_ri(
         raise NonConvergence("quasi-Newton exceeded its iteration budget",
                              beta=res.x[:-1])
 
-    beta = res.x[:-1]
-    omega = math.exp(res.x[-1])
-    boundary = bool(res.x[-1] <= math.log(_OMEGA_FLOOR) + 1e-8)
+    x = res.x
+    if res.jac[-1] > 0.0 and x[-1] > log_floor:
+        # Near the floor the objective flattens like omega^2, so the
+        # relative-reduction stop can come well above it while it still
+        # descends; the floor itself is one evaluation away.
+        at_floor = np.append(x[:-1], log_floor)
+        if nll(at_floor)[0] <= res.fun:
+            x = at_floor
+    beta = x[:-1]
+    omega = math.exp(x[-1])
+    boundary = bool(x[-1] <= log_floor + 1e-8)
     eta = X @ beta
     loglik = glmm_marginal_loglik(beta, omega, X, y, group, control.quad_points)
     if not math.isfinite(loglik):
@@ -434,10 +510,22 @@ def simulate_response(m: FittedModel, stream: np.random.Generator) -> np.ndarray
 
 
 def refit(m: FittedModel, y_new: np.ndarray) -> FittedModel:
-    """Fit the same model class to a new response, keeping X and group."""
+    """Fit the same model class to a new response, keeping X and group.
+
+    A random-intercept refit starts from the parent's ``(beta, log
+    omega)`` (omega clamped as in the top-level start) instead of a fresh
+    GLM fit.  An all-zero response still raises :class:`Separation`, as
+    the GLM start would: its estimate lies on the boundary.
+    """
     d_new = Dataset(y=np.asarray(y_new, dtype=float), X=m.dataset.X,
                     group=m.dataset.group)
-    return fit_model(d_new, m.kind, m.control)
+    if m.kind is not ModelKind.GLMM_POISSON_RI:
+        return fit_model(d_new, m.kind, m.control)
+    _check_counts(d_new.y)
+    if not np.any(d_new.y):
+        raise Separation("all-zero response; estimate on the boundary")
+    x0 = np.append(m.beta, _log_omega_start(m.omega))
+    return _maximize_glmm(d_new, m.control or _DEFAULT_CONTROL, x0)
 
 
 def log_likelihood(m: FittedModel, y: np.ndarray) -> float:

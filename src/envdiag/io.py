@@ -295,9 +295,13 @@ def _specs_from_config(cfg: dict) -> list[ScenarioSpec]:
                    "config"),
             **common,
         )
+    if not isinstance(cfg["scenarios"], list):
+        raise ValueError("config scenarios must be a list of objects")
     specs = []
     for i, cell in enumerate(cfg["scenarios"]):
         where = f"scenario {i}"
+        if not isinstance(cell, dict):
+            raise ValueError(f"{where} is not an object: {cell!r}")
         unknown = sorted(set(cell) - set(_CELL_AXES) - set(_SETTING_TYPES))
         if unknown:
             raise ValueError(f"unknown fields in {where}: {unknown}")
@@ -320,6 +324,9 @@ def run_power_study(
     ``config`` either lists explicit ``scenarios`` cells or gives the
     cross product of ``models`` x ``violations`` x ``sample_sizes``.
     """
+    if not isinstance(config, dict):
+        raise ValueError(
+            f"power-study config must be a JSON object, not {config!r}")
     cfg = dict(config)
     specs = _specs_from_config(cfg)
     table, results = run_grid(specs, workers=workers)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,9 @@ from envdiag import (
     refit,
     simulate_response,
 )
+from envdiag.diagnostics import simulate_replicates
+from envdiag.fitters import _glmm_loglik_grad
+from envdiag.harness import ScenarioSpec, Violation, generate_dataset
 
 # ------------------------------------------------------------------ #
 # independent oracles
@@ -197,6 +201,111 @@ def test_glmm_collapse_at_zero_omega_is_exact(rng):
     beta = np.array([0.3, 0.1])
     glm_ll = float(np.sum(y * (X @ beta) - np.exp(X @ beta) - gammaln(y + 1)))
     assert glmm_marginal_loglik(beta, 0.0, X, y, group, 15) == glm_ll
+
+
+def _central_differences(f, theta, rel_step=1e-5):
+    grad = np.empty(theta.size)
+    for j in range(theta.size):
+        h = rel_step * max(1.0, abs(theta[j]))
+        e = np.zeros(theta.size)
+        e[j] = h
+        grad[j] = (f(theta + e) - f(theta - e)) / (2.0 * h)
+    return grad
+
+
+def test_glmm_gradient_matches_central_differences(rng):
+    """Exact (beta, log omega) gradient of the quadrature kernel.
+
+    Relative error (absolute below magnitude 1) at most 1e-4 over 240
+    random points: omega free, at the floor and at the ceiling, crossed
+    with several groups, one group and single-observation groups.  At the
+    ceiling the widest nodes overflow e^t and carry zero weight.
+    """
+    log_omegas = ("free", math.log(1e-6), math.log(1e4))
+    layouts = ("groups", "one-group", "singletons")
+    points = 0
+    for trial in range(240):
+        n = int(rng.integers(2, 40))
+        layout = layouts[trial % 3]
+        G = {"groups": int(rng.integers(2, n + 1)), "one-group": 1,
+             "singletons": n}[layout]
+        group = np.arange(n) % G
+        X = np.column_stack([np.ones(n), rng.uniform(-1.0, 1.0, n)])
+        beta = rng.uniform(-2.0, 2.0, 2)
+        log_omega = log_omegas[(trial // 3) % 3]
+        if log_omega == "free":
+            log_omega = rng.uniform(-4.0, 3.0)
+        eps = rng.normal(0.0, 1.0, G)[group]
+        y = rng.poisson(np.exp(X @ beta + eps)).astype(float)
+        theta = np.append(beta, log_omega)
+
+        def value(th):
+            return _glmm_loglik_grad(th[:-1], math.exp(th[-1]), X, y, group,
+                                     15)[0]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            v, grad = _glmm_loglik_grad(beta, math.exp(log_omega), X, y,
+                                        group, 15)
+        assert v == glmm_marginal_loglik(beta, math.exp(log_omega), X, y,
+                                         group, 15)
+        fd = _central_differences(value, theta)
+        err = np.abs(grad - fd) / np.maximum(1.0, np.abs(fd))
+        assert np.all(np.isfinite(grad)) and np.all(err <= 1e-4), (
+            trial, layout, theta, grad, fd)
+        points += 1
+    assert points == 240
+
+
+def _glmm_refit_case(dataset: int, child: int):
+    """Parent fit and one bootstrap response of the glmm-refit data
+    stream (poisson-ri, null, n=40) at seed 1, as a power study draws them.
+    """
+    spec = ScenarioSpec(model=ModelKind.GLMM_POISSON_RI,
+                        violation=Violation.NULL_OK, n=40)
+    d = generate_dataset(
+        spec, np.random.default_rng(np.random.SeedSequence((1, dataset, 0))))
+    boot = np.random.SeedSequence((1, dataset, 1)).generate_state(1, np.uint64)
+    stream = np.random.default_rng(
+        np.random.SeedSequence(int(boot[0])).spawn(child + 1)[child])
+    m = fit_glmm_poisson_ri(d)
+    return m, simulate_response(m, stream)
+
+
+def test_glmm_warm_refit_does_not_stop_early():
+    """Warm-started refit reaches the cold-start optimum.
+
+    At this child some quadrature nodes overflow e^t while their weight
+    underflows; a 0 * inf in the gradient once stopped L-BFGS-B at a point
+    2.0 lower in log-likelihood.
+    """
+    m, y = _glmm_refit_case(dataset=31, child=35)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        warm = refit(m, y)
+    cold = fit_glmm_poisson_ri(Dataset(y=y, X=m.dataset.X,
+                                       group=m.dataset.group))
+    assert abs(warm.loglik - cold.loglik) <= 1e-6
+
+
+def test_glmm_refit_all_zero_response_raises_separation():
+    """An all-zero response has its estimate on the boundary, as the GLM
+    start used to report; so the replaced bootstrap draws of a sparse
+    random-intercept model are exactly its all-zero draws."""
+    n = 12
+    X = np.column_stack([np.ones(n), np.linspace(0.0, 1.0, n)])
+    d = Dataset(y=[0, 1, 0, 0, 0, 0, 1, 0, 0, 1, 0, 1], X=X,
+                group=np.arange(n) % 3)
+    m = fit_glmm_poisson_ri(d)
+    with pytest.raises(Separation):
+        refit(m, np.zeros(n))
+    B, seed = 99, 4
+    reps = simulate_replicates(m, B, seed)
+    children = np.random.SeedSequence(seed).spawn(B - 1 + reps.n_failed)
+    zero = [not np.any(simulate_response(m, np.random.default_rng(c)))
+            for c in children]
+    assert reps.n_failed == sum(zero) > 0
+    assert not zero[-1]  # the last child drawn filled the last slot
 
 
 # ------------------------------------------------------------------ #

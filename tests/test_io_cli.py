@@ -298,7 +298,12 @@ def test_cli_power_study(tmp_path, capsys):
                      "bogus": 1}]}, "'bogus'"),
     ({"scenarios": [{"model": "lm", "violation": "null", "n": 10}],
       "m_grid": 0}, "m_grid"),
-], ids=["unknown-model", "missing-sample-sizes", "unknown-field", "m-grid-0"])
+    ([1, 2], "must be a JSON object"),
+    ({"scenarios": ["lm"]}, "scenario 0 is not an object"),
+    ({"scenarios": {"model": "lm", "violation": "null", "n": 10}},
+     "scenarios must be a list"),
+], ids=["unknown-model", "missing-sample-sizes", "unknown-field", "m-grid-0",
+        "top-level-list", "scenario-not-object", "scenarios-not-list"])
 def test_cli_power_study_malformed_config(tmp_path, capsys, cfg, named):
     cfg_path = _write(tmp_path / "grid.json", json.dumps(cfg))
     rc = main(["power-study", "--config", cfg_path,
