@@ -20,7 +20,6 @@ from .data import (
     validate_dataset,
 )
 from .fitters import (
-    FitControl,
     NonConvergence,
     Separation,
     fit_glm_poisson,

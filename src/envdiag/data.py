@@ -1,7 +1,8 @@
 """Core data model and the capability contract shared by all model classes.
 
-A fitted model of any class is reduced to four capabilities (simulate,
-refit, residuals, predict).  The bootstrap engine only ever talks to a
+A fitted model of any class is reduced to three capabilities (simulate,
+refit, residuals); the plot x-axis is always its marginal linear
+predictors.  The bootstrap engine only ever talks to a
 ``ModelCapability``, so new model classes can be plugged in without
 touching the envelope machinery.
 """
@@ -9,13 +10,10 @@ touching the envelope machinery.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .fitters import FitControl
 
 
 class EnvdiagError(Exception):
@@ -150,7 +148,6 @@ class FittedModel:
     dataset: Dataset
     sigma: Optional[float] = None   # residual sd, LM only
     omega: Optional[float] = None   # random-intercept sd, GLMM only
-    control: Optional["FitControl"] = None
     degenerate: bool = False        # LM fit with zero residual variance
     boundary_omega: bool = False    # GLMM omega pinned at the optimizer floor
 
@@ -188,17 +185,15 @@ def linear_predictors(m: FittedModel) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModelCapability:
-    """The four operations the bootstrap engine needs from a model class.
+    """The three operations the bootstrap engine needs from a model class.
 
     ``simulate`` draws one response vector from the fitted model given a
     random generator; ``refit`` re-estimates on a new response, keeping
-    kind, design and grouping; ``residuals`` and ``predict`` are pure
-    functions of a fitted model.
+    kind, design and grouping; ``residuals`` is a pure function of a
+    fitted model.  Smoother plots put the residuals against
+    :func:`linear_predictors`.
     """
 
     simulate: Callable[[FittedModel, np.random.Generator], np.ndarray]
     refit: Callable[[FittedModel, np.ndarray], FittedModel]
     residuals: Callable[[FittedModel], np.ndarray]
-    predict: Callable[[FittedModel], np.ndarray] = field(
-        default_factory=lambda: linear_predictors
-    )

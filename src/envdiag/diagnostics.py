@@ -74,12 +74,11 @@ class GofResult(NamedTuple):
 
 
 def default_capability() -> ModelCapability:
-    """The built-in model classes' simulate / refit / residuals / predict."""
+    """The built-in model classes' simulate / refit / residuals."""
     return ModelCapability(
         simulate=simulate_response,
         refit=refit,
         residuals=residuals_for,
-        predict=linear_predictors,
     )
 
 
@@ -287,7 +286,7 @@ def diagnose_model(
     if kinds:
         # row 0 is the observed residual vector, the rest the replicates
         E = np.vstack([cap.residuals(m), reps.residuals])
-        eta = cap.predict(m)
+        eta = linear_predictors(m)
         for kind in kinds:
             grid, values, points = _plot_functional(kind, E, eta, m_grid)
             ensemble = FunctionEnsemble(grid=grid, values=values)

@@ -17,9 +17,7 @@ capability contract consumed by the bootstrap engine.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -41,6 +39,11 @@ _VAR_FLOOR = np.finfo(float).tiny
 # the boundary of the parameter space (some fitted means -> 0).
 _WEIGHT_UNDERFLOW = 1e-10
 
+# Below this linear predictor a fitted mean exp(eta) underflows (to a
+# subnormal, then to 0): the iterates are running off to an estimate on
+# the boundary, where the likelihood has no finite maximizer.
+_ETA_UNDERFLOW = math.log(np.finfo(float).tiny)
+
 _OMEGA_FLOOR = 1e-6
 _OMEGA_CEIL = 1e4
 
@@ -54,7 +57,7 @@ class NonConvergence(EnvdiagError):
 
 
 class Separation(EnvdiagError):
-    """IRLS weights underflowed while the deviance was still decreasing.
+    """The fitted means are running off to zero while the fit improves.
 
     The maximum-likelihood estimate lies on the boundary (some fitted
     means are numerically zero).  The last iterate is attached.
@@ -65,24 +68,18 @@ class Separation(EnvdiagError):
         self.beta = beta
 
 
-@dataclass(frozen=True)
-class FitControl:
-    """Iteration limits and tolerances shared by the iterative fitters."""
+# Iteration budget (IRLS iterations; twice as many quasi-Newton ones) and
+# relative change in the objective at which the iterative fitters stop.
+_MAX_ITER = 100
+_TOL = 1e-9
 
-    max_iter: int = 100
-    tol: float = 1e-9            # relative change in the objective
-    quad_points: int = 15        # adaptive Gauss-Hermite nodes (odd)
-
-    def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if self.quad_points < 3 or self.quad_points % 2 == 0:
-            raise ValueError("quad_points must be an odd integer >= 3")
-
-
-_DEFAULT_CONTROL = FitControl()
+# The 15-node Gauss-Hermite rule behind the random-intercept likelihood:
+# scaled nodes sqrt(2) x_k and log w_k + x_k^2 (read-only).
+_GH_X, _GH_W = np.polynomial.hermite.hermgauss(15)
+_GH_Z = math.sqrt(2.0) * _GH_X
+_GH_LOG_WX = np.log(_GH_W) + _GH_X**2
+_GH_Z.setflags(write=False)
+_GH_LOG_WX.setflags(write=False)
 
 
 # ---------------------------------------------------------------------
@@ -116,7 +113,6 @@ def glmm_marginal_loglik(
     X: np.ndarray,
     y: np.ndarray,
     group: np.ndarray,
-    quad_points: int = 15,
 ) -> float:
     """Adaptive Gauss-Hermite marginal log-likelihood of the
     random-intercept Poisson model.
@@ -131,18 +127,7 @@ def glmm_marginal_loglik(
         raise ValueError("omega must be nonnegative")
     if omega == 0.0:
         return _poisson_loglik(y, X @ beta)
-    return _glmm_loglik_grad(beta, omega, X, y, group, quad_points)[0]
-
-
-@functools.lru_cache(maxsize=None)
-def _gauss_hermite(quad_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled nodes ``sqrt(2) x_k`` and ``log w_k + x_k^2`` (read-only)."""
-    nodes, weights = np.polynomial.hermite.hermgauss(quad_points)
-    z = math.sqrt(2.0) * nodes
-    log_wx = np.log(weights) + nodes**2
-    z.setflags(write=False)
-    log_wx.setflags(write=False)
-    return z, log_wx
+    return _glmm_loglik_grad(beta, omega, X, y, group)[0]
 
 
 def _group_modes(
@@ -174,7 +159,6 @@ def _glmm_loglik_grad(
     X: np.ndarray,
     y: np.ndarray,
     group: np.ndarray,
-    quad_points: int,
     u0: Optional[np.ndarray] = None,
 ) -> tuple[float, np.ndarray]:
     """Adaptive Gauss-Hermite log-likelihood and its exact gradient in
@@ -198,14 +182,13 @@ def _glmm_loglik_grad(
     A = np.bincount(group, weights=y * eta - gammaln(y + 1.0), minlength=G)
     S = np.bincount(group, weights=y, minlength=G)
     E = np.bincount(group, weights=mu, minlength=G)
-    z, log_wx = _gauss_hermite(quad_points)
 
     u, K = _group_modes(S, E, omega, u0)
     if u0 is not None:
         u0[:] = u  # warm start for the next objective evaluation
     c = 1.0 / (omega * omega)
     sig = 1.0 / np.sqrt(K)
-    t = u[:, None] + sig[:, None] * z[None, :]
+    t = u[:, None] + sig[:, None] * _GH_Z[None, :]
     with np.errstate(over="ignore"):
         et = np.exp(t)
         h = (
@@ -216,7 +199,7 @@ def _glmm_loglik_grad(
             - math.log(omega)
             - 0.5 * math.log(2.0 * math.pi)
         )
-        logw = log_wx[None, :] + h
+        logw = _GH_LOG_WX[None, :] + h
         top = np.max(logw, axis=1)
         p = np.exp(logw - top[:, None])
         total = np.sum(p, axis=1)
@@ -230,7 +213,7 @@ def _glmm_loglik_grad(
     dh = S[:, None] - E[:, None] * et - c * t            # h'(t) at the nodes
     p_et = np.sum(p * et, axis=1)
     p_dh = np.sum(p * dh, axis=1)
-    p_dhz = np.sum(p * dh * z[None, :], axis=1)
+    p_dhz = np.sum(p * dh * _GH_Z[None, :], axis=1)
     p_t2 = np.sum(p * t * t, axis=1)
     eu = np.exp(u)
     # t_k = u + sigma z_k; d log sigma = -dK / (2K), d sigma = sigma d log sigma
@@ -251,7 +234,7 @@ def _glmm_loglik_grad(
 # ---------------------------------------------------------------------
 
 
-def fit_lm(d: Dataset, control: Optional[FitControl] = None) -> FittedModel:
+def fit_lm(d: Dataset) -> FittedModel:
     """Least-squares fit of the Gaussian linear model.
 
     ``sigma`` is the unbiased estimate ``sqrt(RSS / (n - p))`` (the value
@@ -260,7 +243,6 @@ def fit_lm(d: Dataset, control: Optional[FitControl] = None) -> FittedModel:
     ``(beta, sigma)``.  A zero-residual fit is returned with
     ``degenerate=True`` and ``sigma=0``.
     """
-    control = control or _DEFAULT_CONTROL
     y, X = d.y, d.X
     n, p = X.shape
     beta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
@@ -279,7 +261,6 @@ def fit_lm(d: Dataset, control: Optional[FitControl] = None) -> FittedModel:
         loglik=loglik,
         dataset=d,
         sigma=sigma,
-        control=control,
         degenerate=degenerate,
     )
 
@@ -291,15 +272,17 @@ def _irls_start(y: np.ndarray, p: int) -> np.ndarray:
     return beta
 
 
-def fit_glm_poisson(d: Dataset, control: Optional[FitControl] = None) -> FittedModel:
+def fit_glm_poisson(d: Dataset) -> FittedModel:
     """Poisson log-linear fit by iteratively reweighted least squares.
 
     Convergence is declared when the relative deviance change drops below
-    ``control.tol``; one extra Newton step is then taken so the returned
-    estimate is accurate to machine precision rather than to the stopping
-    tolerance.  Step halving keeps the deviance non-increasing.
+    1e-9, within 100 iterations; one extra Newton step is then taken so
+    the returned estimate is accurate to machine precision rather than to
+    the stopping tolerance.  Step halving keeps the deviance
+    non-increasing.  A step on which a fitted mean underflows raises
+    :class:`Separation` with the last iterate: the estimate is on the
+    boundary.
     """
-    control = control or _DEFAULT_CONTROL
     y, X = d.y, d.X
     _check_counts(y)
     n, p = X.shape
@@ -310,7 +293,7 @@ def fit_glm_poisson(d: Dataset, control: Optional[FitControl] = None) -> FittedM
     dev = _poisson_deviance(y, mu)
 
     converged = False
-    for _ in range(control.max_iter):
+    for _ in range(_MAX_ITER):
         if np.max(mu) < _WEIGHT_UNDERFLOW:
             raise Separation(
                 "all IRLS weights underflowed; estimate on the boundary",
@@ -329,7 +312,11 @@ def fit_glm_poisson(d: Dataset, control: Optional[FitControl] = None) -> FittedM
             eta_new = X @ (beta + step)
             with np.errstate(over="ignore"):
                 mu_new = np.exp(eta_new)
-            if np.all(np.isfinite(mu_new)):
+            if mu_new.max() < math.inf:  # all finite; a NaN fails too
+                if eta_new.min() < _ETA_UNDERFLOW:
+                    raise Separation(
+                        "a fitted mean underflowed to 0; estimate on the "
+                        "boundary", beta=beta)
                 dev_new = _poisson_deviance(y, mu_new)
                 if dev_new <= dev:
                     break
@@ -343,12 +330,12 @@ def fit_glm_poisson(d: Dataset, control: Optional[FitControl] = None) -> FittedM
         mu = np.exp(eta)
         assert dev_new <= dev  # deviance is non-increasing per iteration
         dev_prev, dev = dev, dev_new
-        if abs(dev_prev - dev) < control.tol * (abs(dev) + 0.1):
+        if abs(dev_prev - dev) < _TOL * (abs(dev) + 0.1):
             converged = True
             break
     if not converged:
         raise NonConvergence(
-            f"IRLS did not converge in {control.max_iter} iterations", beta=beta
+            f"IRLS did not converge in {_MAX_ITER} iterations", beta=beta
         )
 
     # one polishing Newton step (quadratic convergence squares the error),
@@ -368,13 +355,12 @@ def fit_glm_poisson(d: Dataset, control: Optional[FitControl] = None) -> FittedM
         eta=eta,
         loglik=_poisson_loglik(y, eta),
         dataset=d,
-        control=control,
     )
 
 
-def _glmm_start(d: Dataset, control: FitControl) -> np.ndarray:
+def _glmm_start(d: Dataset) -> np.ndarray:
     """GLM coefficients plus a moment-style guess for log omega."""
-    glm = fit_glm_poisson(d, control)
+    glm = fit_glm_poisson(d)
     G = d.n_groups
     S = np.bincount(d.group, weights=d.y, minlength=G)
     E = np.bincount(d.group, weights=np.exp(glm.eta), minlength=G)
@@ -388,13 +374,11 @@ def _log_omega_start(omega: float) -> float:
     return math.log(min(max(omega, 0.05), 3.0))
 
 
-def fit_glmm_poisson_ri(
-    d: Dataset, control: Optional[FitControl] = None
-) -> FittedModel:
+def fit_glmm_poisson_ri(d: Dataset) -> FittedModel:
     """Random-intercept Poisson fit by quasi-Newton over (beta, log omega).
 
     The objective is the adaptive Gauss-Hermite marginal log-likelihood
-    with ``control.quad_points`` nodes; L-BFGS-B gets its exact gradient
+    with 15 nodes; L-BFGS-B gets its exact gradient
     (differentiated through each group's conditional mode and curvature),
     so each iteration costs one objective evaluation.  The start is the
     Poisson GLM fit plus a moment guess for omega; bootstrap refits
@@ -403,15 +387,13 @@ def fit_glmm_poisson_ri(
     floor is returned with ``boundary_omega=True`` (the model then
     coincides with the plain GLM up to the floor).
     """
-    control = control or _DEFAULT_CONTROL
     if d.group is None:
         raise ValueError("random-intercept fit requires grouping labels")
     _check_counts(d.y)
-    return _maximize_glmm(d, control, _glmm_start(d, control))
+    return _maximize_glmm(d, _glmm_start(d))
 
 
-def _maximize_glmm(d: Dataset, control: FitControl,
-                   x0: np.ndarray) -> FittedModel:
+def _maximize_glmm(d: Dataset, x0: np.ndarray) -> FittedModel:
     """L-BFGS-B over (beta, log omega) from ``x0``."""
     y, X, group = d.y, d.X, d.group
     mode_cache = np.zeros(d.n_groups)
@@ -422,8 +404,7 @@ def _maximize_glmm(d: Dataset, control: FitControl,
         if np.max(X @ beta) > 500.0:
             return failed
         value, grad = _glmm_loglik_grad(beta, math.exp(params[-1]), X, y,
-                                        group, control.quad_points,
-                                        u0=mode_cache)
+                                        group, u0=mode_cache)
         if not math.isfinite(value):
             return failed
         return -value, -grad
@@ -436,8 +417,7 @@ def _maximize_glmm(d: Dataset, control: FitControl,
         method="L-BFGS-B",
         jac=True,
         bounds=bounds,
-        options={"maxiter": 2 * control.max_iter, "ftol": control.tol,
-                 "gtol": 1e-7},
+        options={"maxiter": 2 * _MAX_ITER, "ftol": _TOL, "gtol": 1e-7},
     )
     if not res.success and res.status == 1:  # iteration/funcall budget
         raise NonConvergence("quasi-Newton exceeded its iteration budget",
@@ -455,7 +435,7 @@ def _maximize_glmm(d: Dataset, control: FitControl,
     omega = math.exp(x[-1])
     boundary = bool(x[-1] <= log_floor + 1e-8)
     eta = X @ beta
-    loglik = glmm_marginal_loglik(beta, omega, X, y, group, control.quad_points)
+    loglik = glmm_marginal_loglik(beta, omega, X, y, group)
     if not math.isfinite(loglik):
         raise NonConvergence("marginal likelihood not finite at the optimum",
                              beta=beta)
@@ -466,19 +446,17 @@ def _maximize_glmm(d: Dataset, control: FitControl,
         loglik=loglik,
         dataset=d,
         omega=omega,
-        control=control,
         boundary_omega=boundary,
     )
 
 
-def fit_model(d: Dataset, kind: ModelKind,
-              control: Optional[FitControl] = None) -> FittedModel:
+def fit_model(d: Dataset, kind: ModelKind) -> FittedModel:
     """Dispatch to the fitter for ``kind``."""
     if kind is ModelKind.LM:
-        return fit_lm(d, control)
+        return fit_lm(d)
     if kind is ModelKind.GLM_POISSON:
-        return fit_glm_poisson(d, control)
-    return fit_glmm_poisson_ri(d, control)
+        return fit_glm_poisson(d)
+    return fit_glmm_poisson_ri(d)
 
 
 # ---------------------------------------------------------------------
@@ -514,18 +492,20 @@ def refit(m: FittedModel, y_new: np.ndarray) -> FittedModel:
 
     A random-intercept refit starts from the parent's ``(beta, log
     omega)`` (omega clamped as in the top-level start) instead of a fresh
-    GLM fit.  An all-zero response still raises :class:`Separation`, as
-    the GLM start would: its estimate lies on the boundary.
+    GLM fit.  Only when the rows with positive counts do not pin down
+    beta (fewer than ``p`` independent rows, as in an all-zero response)
+    can the estimate lie on the boundary; the GLM fit then runs first and
+    raises :class:`Separation` as it does for a top-level fit.
     """
     d_new = Dataset(y=np.asarray(y_new, dtype=float), X=m.dataset.X,
                     group=m.dataset.group)
     if m.kind is not ModelKind.GLMM_POISSON_RI:
-        return fit_model(d_new, m.kind, m.control)
+        return fit_model(d_new, m.kind)
     _check_counts(d_new.y)
-    if not np.any(d_new.y):
-        raise Separation("all-zero response; estimate on the boundary")
+    if np.linalg.matrix_rank(d_new.X[d_new.y > 0]) < d_new.p:
+        fit_glm_poisson(d_new)
     x0 = np.append(m.beta, _log_omega_start(m.omega))
-    return _maximize_glmm(d_new, m.control or _DEFAULT_CONTROL, x0)
+    return _maximize_glmm(d_new, x0)
 
 
 def log_likelihood(m: FittedModel, y: np.ndarray) -> float:
@@ -542,6 +522,5 @@ def log_likelihood(m: FittedModel, y: np.ndarray) -> float:
         return _gaussian_loglik(y, m.eta, m.sigma)
     if m.kind is ModelKind.GLM_POISSON:
         return _poisson_loglik(y, m.eta)
-    qp = (m.control or _DEFAULT_CONTROL).quad_points
     return glmm_marginal_loglik(m.beta, m.omega, m.dataset.X, y,
-                                m.dataset.group, qp)
+                                m.dataset.group)

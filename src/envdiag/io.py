@@ -46,6 +46,10 @@ class EmptyFile(EnvdiagError):
     pass
 
 
+class RaggedRow(EnvdiagError):
+    pass
+
+
 _MODEL_NAMES = {k.value: k for k in ModelKind}
 _PLOT_NAMES = {k.value: k for k in PlotKind}
 _VIOLATION_NAMES = {v.value: v for v in Violation}
@@ -53,6 +57,37 @@ _VIOLATION_NAMES = {v.value: v for v in Violation}
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
+
+
+def _of_type(*types):
+    """``_value`` converter accepting only values of exactly ``types``."""
+    def check(v):
+        if type(v) not in types:
+            raise TypeError(v)
+        return v
+    return check
+
+
+def _names(v):
+    if type(v) is not list or any(type(s) is not str for s in v):
+        raise TypeError(v)
+    return v
+
+
+# what each JSON field of RunConfig may hold
+_RUN_FIELD_TYPES = {
+    "data": _of_type(str),
+    "response": _of_type(str),
+    "predictors": lambda v: None if v is None else _names(v),
+    "group": _of_type(str, type(None)),
+    "model": _of_type(str),
+    "plots": _names,
+    "B": _of_type(int),
+    "alpha": _of_type(float),
+    "seed": _of_type(int),
+    "m_grid": _of_type(int),
+    "out": _of_type(str),
+}
 
 
 @dataclass
@@ -75,11 +110,15 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
+        """Config from JSON fields; ValueError names a bad or unknown field."""
+        if not isinstance(raw, dict):
+            raise ValueError(
+                f"diagnose config must be a JSON object, not {raw!r}")
+        unknown = set(raw) - set(_RUN_FIELD_TYPES)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        return cls(**raw)
+        return cls(**{k: _value(raw, k, _RUN_FIELD_TYPES[k], "config")
+                      for k in raw})
 
     def merged(self, overrides: dict) -> "RunConfig":
         """New config with non-None override values taking precedence."""
@@ -113,7 +152,9 @@ def load_csv(
     """Read a header CSV into a Dataset, prepending the intercept column.
 
     Group labels may be arbitrary strings; they are re-encoded to
-    contiguous integers in order of first appearance.
+    contiguous integers in order of first appearance.  Blank lines are
+    skipped; a row with fewer cells than the header raises
+    :class:`RaggedRow`.  Errors name rows by their line in the file.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -122,7 +163,8 @@ def load_csv(
         except StopIteration:
             raise EmptyFile(f"{path} has no header row") from None
         header = [h.strip() for h in header]
-        rows = [r for r in reader if r and any(cell.strip() for cell in r)]
+        rows = [(reader.line_num, r) for r in reader
+                if r and any(cell.strip() for cell in r)]
     if not rows:
         raise EmptyFile(f"{path} has no data rows")
 
@@ -159,8 +201,11 @@ def load_csv(
     labels: dict[str, int] = {}
     if group:
         grp = np.empty(n, dtype=int)
-    for i, row in enumerate(rows):
-        line = i + 2  # 1-based, after the header
+    for i, (line, row) in enumerate(rows):
+        if len(row) < len(header):
+            raise RaggedRow(
+                f"row {line} of {path} has {len(row)} cells but the header "
+                f"has {len(header)}")
         y[i] = parse(row[idx[response]].strip(), line, response)
         for j, col in enumerate(predictors):
             X[i, 1 + j] = parse(row[idx[col]].strip(), line, col)

@@ -17,6 +17,7 @@ import numpy as np
 from scipy.special import xlogy
 
 from .data import EnvdiagError, FittedModel, ModelKind
+from .fitters import _group_modes
 
 
 class LeverageOne(EnvdiagError):
@@ -62,8 +63,6 @@ def fitted_means(m: FittedModel) -> np.ndarray:
         raise ValueError("Poisson residuals require a Poisson model kind")
     if m.kind is ModelKind.GLM_POISSON or m.omega == 0.0:
         return np.exp(m.eta)
-    from .fitters import _group_modes
-
     d = m.dataset
     G = d.n_groups
     S = np.bincount(d.group, weights=d.y, minlength=G)

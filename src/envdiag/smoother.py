@@ -24,10 +24,10 @@ from scipy.interpolate import BSpline
 
 from .data import EnvdiagError
 
-LAM_LO = 1e-8
-LAM_HI = 1e8
 _LOG10_LO = -8.0
 _LOG10_HI = 8.0
+LAM_LO = 10.0 ** _LOG10_LO
+LAM_HI = 10.0 ** _LOG10_HI
 # fine enough that fits are insensitive to the remaining quantization of
 # the selected smoothing parameter (affine-invariance holds below 1e-6)
 _GOLDEN_TOL = 1e-5
@@ -46,7 +46,6 @@ class OutOfRange(EnvdiagError):
 class SmoothFit:
     """A fitted smoother, callable at any point of the data range."""
 
-    basis_dim: int
     coefs: np.ndarray
     lam: float
     knots: np.ndarray            # interior knot locations
@@ -55,6 +54,10 @@ class SmoothFit:
     _design: "PSplineDesign"
     fallback_linear: bool = False
     lam_at_bound: bool = False
+
+    @property
+    def basis_dim(self) -> int:
+        return self.coefs.size
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -99,7 +102,7 @@ class PSplineDesign:
     observed linear predictors as their x.
     """
 
-    def __init__(self, x: np.ndarray, basis_dim: Optional[int] = None):
+    def __init__(self, x: np.ndarray):
         x = np.asarray(x, dtype=float)
         if x.ndim != 1 or x.size < 4:
             raise ValueError("x must be a vector with at least 4 entries")
@@ -112,7 +115,7 @@ class PSplineDesign:
         self.x = x
         self.x_lo = float(distinct[0])
         self.x_hi = float(distinct[-1])
-        k = min(10, n - 2) if basis_dim is None else int(basis_dim)
+        k = min(10, n - 2)
         # fewer than 4 distinct x values, or too few points for a cubic
         # basis: fit a straight line instead
         self.fallback = distinct.size < 4 or k < 4
@@ -286,7 +289,6 @@ class PSplineDesign:
             raise ValueError(f"lam must lie in [{LAM_LO}, {LAM_HI}]")
 
         return SmoothFit(
-            basis_dim=self.basis_dim,
             coefs=self.coefs(y[None, :], np.full(1, float(lam)))[0],
             lam=float(lam),
             knots=self.interior.copy(),

@@ -158,7 +158,7 @@ def test_criterion_3_fitter_oracles():
             [np.full(len(g), i, dtype=int) for i, g in enumerate(groups)]
         )
         X = np.ones((ys.size, 1))
-        ours = glmm_marginal_loglik(np.array([beta0]), omega, X, ys, labels, 15)
+        ours = glmm_marginal_loglik(np.array([beta0]), omega, X, ys, labels)
         oracle = gh_fixed_loglik(beta0, omega, groups)
         worst_glmm = max(worst_glmm, abs(ours - oracle))
 

@@ -7,7 +7,6 @@ from scipy.special import gammaln
 
 from envdiag import (
     Dataset,
-    FitControl,
     FittedModel,
     ModelKind,
     Separation,
@@ -168,7 +167,7 @@ def test_glmm_single_observation_matches_fixed_quadrature():
     y = np.array([2.0])
     group = np.array([0])
     for beta0 in (0.0, 0.5, math.log(2.0)):
-        ours = glmm_marginal_loglik(np.array([beta0]), 1.0, X, y, group, 15)
+        ours = glmm_marginal_loglik(np.array([beta0]), 1.0, X, y, group)
         oracle = gh_fixed_loglik(beta0, 1.0, [[2.0]])
         assert abs(ours - oracle) < 1e-6
 
@@ -178,7 +177,7 @@ def test_glmm_two_groups_matches_grid_search_oracle():
     m = fit_glmm_poisson_ri(d)
 
     def objective(b0, om):
-        return glmm_marginal_loglik(np.array([b0]), om, d.X, d.y, d.group, 15)
+        return glmm_marginal_loglik(np.array([b0]), om, d.X, d.y, d.group)
 
     b_lo, b_hi, w_lo, w_hi = -1.0, 3.0, 0.05, 3.0
     for _ in range(3):
@@ -200,7 +199,7 @@ def test_glmm_collapse_at_zero_omega_is_exact(rng):
     group = np.arange(n) % 4
     beta = np.array([0.3, 0.1])
     glm_ll = float(np.sum(y * (X @ beta) - np.exp(X @ beta) - gammaln(y + 1)))
-    assert glmm_marginal_loglik(beta, 0.0, X, y, group, 15) == glm_ll
+    assert glmm_marginal_loglik(beta, 0.0, X, y, group) == glm_ll
 
 
 def _central_differences(f, theta, rel_step=1e-5):
@@ -240,15 +239,15 @@ def test_glmm_gradient_matches_central_differences(rng):
         theta = np.append(beta, log_omega)
 
         def value(th):
-            return _glmm_loglik_grad(th[:-1], math.exp(th[-1]), X, y, group,
-                                     15)[0]
+            return _glmm_loglik_grad(th[:-1], math.exp(th[-1]), X, y,
+                                     group)[0]
 
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             v, grad = _glmm_loglik_grad(beta, math.exp(log_omega), X, y,
-                                        group, 15)
+                                        group)
         assert v == glmm_marginal_loglik(beta, math.exp(log_omega), X, y,
-                                         group, 15)
+                                         group)
         fd = _central_differences(value, theta)
         err = np.abs(grad - fd) / np.maximum(1.0, np.abs(fd))
         assert np.all(np.isfinite(grad)) and np.all(err <= 1e-4), (
@@ -306,6 +305,28 @@ def test_glmm_refit_all_zero_response_raises_separation():
             for c in children]
     assert reps.n_failed == sum(zero) > 0
     assert not zero[-1]  # the last child drawn filled the last slot
+
+
+def test_poisson_response_without_finite_mle_raises_separation():
+    """Positive counts only at the largest x: the likelihood keeps rising
+    as the slope grows, so the estimate lies on the boundary.  The GLM,
+    the random-intercept fit and a warm refit from any parent report it,
+    with the last IRLS iterate, instead of returning a diverged slope."""
+    n = 40
+    X = np.column_stack([np.ones(n), (np.arange(1, n + 1) - 0.5) / n])
+    y = np.zeros(n)
+    y[-1] = 3.0
+    d = Dataset(y=y, X=X, group=np.arange(n) % 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for fit in (fit_glm_poisson, fit_glmm_poisson_ri):
+            with pytest.raises(Separation) as err:
+                fit(d)
+            assert err.value.beta[1] > 100.0
+        for dataset in range(4):
+            m, _ = _glmm_refit_case(dataset=dataset, child=0)
+            with pytest.raises(Separation):
+                refit(m, y)
 
 
 # ------------------------------------------------------------------ #
@@ -407,10 +428,3 @@ def test_refit_reproduces_fit_on_same_data(rng):
     m2 = refit(m, y)
     assert np.max(np.abs(m2.beta - m.beta)) < 1e-12
 
-
-def test_fit_control_validation():
-    with pytest.raises(ValueError):
-        FitControl(quad_points=4)
-    with pytest.raises(ValueError):
-        FitControl(tol=0.0)
-    assert FitControl().quad_points == 15

@@ -314,6 +314,30 @@ def test_cli_power_study_malformed_config(tmp_path, capsys, cfg, named):
     assert not (tmp_path / "pow").exists()
 
 
+@pytest.mark.parametrize("cfg, named", [
+    ({"data": "d.csv", "B": "199"}, "bad B '199'"),
+    (["data"], "config must be a JSON object"),
+    ({"data": "d.csv", "plots": "qq"}, "bad plots 'qq'"),
+], ids=["B-string", "top-level-list", "plots-string"])
+def test_cli_diagnose_malformed_config(tmp_path, capsys, cfg, named):
+    cfg_path = _write(tmp_path / "cfg.json", json.dumps(cfg))
+    rc = main(["diagnose", "--config", cfg_path,
+               "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("envdiag: error:") and named in err, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_fit_ragged_row(tmp_path, capsys):
+    # the short row is on line 4 of the file, after a blank line
+    data = _write(tmp_path / "d.csv", "y,x\n1,2\n\n3\n4,5\n6,7\n")
+    rc = main(["fit", "--data", data, "--model", "lm"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("envdiag: error:") and "row 4 " in err, err
+
+
 def _assert_exit_contract(prefix: list[str], tmp_path: Path) -> None:
     """Run ``prefix`` + arguments as a process importing this ``envdiag``.
 
