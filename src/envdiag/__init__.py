@@ -33,12 +33,10 @@ from .fitters import (
 )
 from .residuals import (
     LeverageOne,
-    ResidualKind,
     deviance_residuals,
     fitted_means,
     hat_diagonals,
     pearson_residuals,
-    residuals_by_kind,
     residuals_for,
     standardized_residuals,
 )

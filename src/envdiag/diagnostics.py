@@ -223,7 +223,6 @@ def plot_envelope(
     alpha: float = DEFAULT_ALPHA,
     seed: int = 0,
     m_grid: int = DEFAULT_GRID,
-    mode: EnvelopeMode = EnvelopeMode.STUDENTIZED_MAD,
     capability: Optional[ModelCapability] = None,
 ) -> DiagnosticResult:
     """Global simulation envelope around one diagnostic plot.
@@ -233,7 +232,7 @@ def plot_envelope(
     against the observed linear predictors for every replicate.
     """
     results, _ = diagnose_model(m, kinds=(kind,), B=B, alpha=alpha, seed=seed,
-                                m_grid=m_grid, mode=mode, capability=capability)
+                                m_grid=m_grid, capability=capability)
     return results[kind]
 
 
@@ -269,16 +268,15 @@ def diagnose_model(
     alpha: float = DEFAULT_ALPHA,
     seed: int = 0,
     m_grid: int = DEFAULT_GRID,
-    mode: EnvelopeMode = EnvelopeMode.STUDENTIZED_MAD,
     capability: Optional[ModelCapability] = None,
     with_gof: bool = False,
 ) -> tuple[dict[PlotKind, DiagnosticResult], Optional[GofResult]]:
     """All requested diagnostics from a single set of bootstrap replicates.
 
-    Sharing the replicate residuals across plot kinds (and the
-    goodness-of-fit baseline) gives results identical to calling
-    :func:`plot_envelope` per kind with the same seed, at a fraction of
-    the cost.
+    Every band is the Studentized MAD global envelope.  Sharing the
+    replicate residuals across plot kinds (and the goodness-of-fit
+    baseline) gives results identical to calling :func:`plot_envelope`
+    per kind with the same seed, at a fraction of the cost.
     """
     cap = capability or default_capability()
     reps = simulate_replicates(m, B, seed, cap)
@@ -290,7 +288,8 @@ def diagnose_model(
         for kind in kinds:
             grid, values, points = _plot_functional(kind, E, eta, m_grid)
             ensemble = FunctionEnsemble(grid=grid, values=values)
-            env = global_envelope(ensemble, alpha, mode)
+            env = global_envelope(ensemble, alpha,
+                                  EnvelopeMode.STUDENTIZED_MAD)
             results[kind] = DiagnosticResult(
                 kind=kind,
                 grid=ensemble.grid,

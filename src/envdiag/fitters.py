@@ -11,7 +11,8 @@
   1995); bootstrap refits start from the parent fit.
 
 All fitters return an immutable :class:`~envdiag.data.FittedModel`;
-``simulate_response`` / ``refit`` / ``log_likelihood`` complete the
+``simulate_response`` and ``refit``, with the residuals of
+:mod:`envdiag.residuals`, complete the simulate / refit / residuals
 capability contract consumed by the bootstrap engine.
 """
 
@@ -21,7 +22,7 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import linprog, minimize
 from scipy.special import gammaln, xlogy
 
 from .data import (
@@ -35,14 +36,8 @@ from .data import (
 # Variance floor keeping log-densities finite for zero-residual fits.
 _VAR_FLOOR = np.finfo(float).tiny
 
-# IRLS working weights below this level mean the fit is collapsing onto
-# the boundary of the parameter space (some fitted means -> 0).
-_WEIGHT_UNDERFLOW = 1e-10
-
-# Below this linear predictor a fitted mean exp(eta) underflows (to a
-# subnormal, then to 0): the iterates are running off to an estimate on
-# the boundary, where the likelihood has no finite maximizer.
-_ETA_UNDERFLOW = math.log(np.finfo(float).tiny)
+# Machine epsilon, for rank tolerances as in numpy.linalg.matrix_rank.
+_EPS = np.finfo(float).eps
 
 _OMEGA_FLOOR = 1e-6
 _OMEGA_CEIL = 1e4
@@ -57,15 +52,17 @@ class NonConvergence(EnvdiagError):
 
 
 class Separation(EnvdiagError):
-    """The fitted means are running off to zero while the fit improves.
+    """The Poisson likelihood has no finite maximizer.
 
-    The maximum-likelihood estimate lies on the boundary (some fitted
-    means are numerically zero).  The last iterate is attached.
+    ``direction`` is the certificate: a unit vector d with X_i d = 0 on
+    every row with a positive count, X_i d <= 0 on every zero row and
+    X_i d < 0 on at least one.  The likelihood rises without bound along
+    d, so the estimate lies on the boundary (some fitted means are 0).
     """
 
-    def __init__(self, msg: str, beta: Optional[np.ndarray] = None):
+    def __init__(self, msg: str, direction: np.ndarray):
         super().__init__(msg)
-        self.beta = beta
+        self.direction = direction
 
 
 # Iteration budget (IRLS iterations; twice as many quasi-Newton ones) and
@@ -98,9 +95,38 @@ def _poisson_loglik(y: np.ndarray, eta: np.ndarray) -> float:
     return float(np.sum(y * eta - np.exp(eta) - gammaln(y + 1.0)))
 
 
-def _check_counts(y: np.ndarray) -> None:
+def _check_poisson_response(X: np.ndarray, y: np.ndarray) -> None:
+    """Raise unless ``y`` is a count vector with a finite Poisson MLE on ``X``.
+
+    The estimate exists if and only if no b != 0 has X_i b = 0 on every
+    row with y_i > 0 and X_i b <= 0 on every row with y_i = 0 (Haberman
+    1974; Santos Silva & Tenreyro 2010).  Positive rows of full column
+    rank rule such b out.  Otherwise one linear program over their null
+    space N minimizes sum X_i N c over the zero rows subject to
+    -1 <= X_i N c <= 0.  Its optimum is 0 or at most -1 (scaling a
+    separating direction reaches the bound); a negative optimum raises
+    :class:`Separation` with the direction N c.
+    """
     if np.any(y < 0) or np.any(y != np.floor(y)):
         raise ValueError("Poisson response must be nonnegative integers")
+    pos = y > 0
+    Xp = X[pos]
+    s = np.linalg.svd(Xp, compute_uv=False)
+    rank = int(np.count_nonzero(s > s.max(initial=0.0) * max(Xp.shape) * _EPS))
+    if rank == X.shape[1]:
+        return
+    null = np.linalg.svd(Xp)[2][rank:].T   # null space of the positive rows
+    A = X[~pos] @ null
+    lp = linprog(A.sum(axis=0), A_ub=np.vstack([A, -A]),
+                 b_ub=np.repeat([0.0, 1.0], len(A)), bounds=(None, None))
+    if lp.status != 0:
+        raise NonConvergence(f"existence check failed: {lp.message}")
+    if lp.fun < -0.5:
+        d = null @ lp.x
+        raise Separation(
+            "no finite maximum-likelihood estimate: the zero counts are "
+            "separated; estimate on the boundary",
+            direction=d / np.linalg.norm(d))
 
 
 def _poisson_deviance(y: np.ndarray, mu: np.ndarray) -> float:
@@ -279,12 +305,11 @@ def fit_glm_poisson(d: Dataset) -> FittedModel:
     1e-9, within 100 iterations; one extra Newton step is then taken so
     the returned estimate is accurate to machine precision rather than to
     the stopping tolerance.  Step halving keeps the deviance
-    non-increasing.  A step on which a fitted mean underflows raises
-    :class:`Separation` with the last iterate: the estimate is on the
-    boundary.
+    non-increasing.  A response with no finite estimate raises
+    :class:`Separation` before any iteration.
     """
     y, X = d.y, d.X
-    _check_counts(y)
+    _check_poisson_response(X, y)
     n, p = X.shape
 
     beta = _irls_start(y, p)
@@ -294,11 +319,6 @@ def fit_glm_poisson(d: Dataset) -> FittedModel:
 
     converged = False
     for _ in range(_MAX_ITER):
-        if np.max(mu) < _WEIGHT_UNDERFLOW:
-            raise Separation(
-                "all IRLS weights underflowed; estimate on the boundary",
-                beta=beta,
-            )
         z = eta + (y - mu) / mu
         w = np.sqrt(mu)
         beta_new, _, rank, _ = np.linalg.lstsq(X * w[:, None], z * w, rcond=None)
@@ -313,10 +333,6 @@ def fit_glm_poisson(d: Dataset) -> FittedModel:
             with np.errstate(over="ignore"):
                 mu_new = np.exp(eta_new)
             if mu_new.max() < math.inf:  # all finite; a NaN fails too
-                if eta_new.min() < _ETA_UNDERFLOW:
-                    raise Separation(
-                        "a fitted mean underflowed to 0; estimate on the "
-                        "boundary", beta=beta)
                 dev_new = _poisson_deviance(y, mu_new)
                 if dev_new <= dev:
                     break
@@ -389,7 +405,7 @@ def fit_glmm_poisson_ri(d: Dataset) -> FittedModel:
     """
     if d.group is None:
         raise ValueError("random-intercept fit requires grouping labels")
-    _check_counts(d.y)
+    _check_poisson_response(d.X, d.y)
     return _maximize_glmm(d, _glmm_start(d))
 
 
@@ -492,18 +508,14 @@ def refit(m: FittedModel, y_new: np.ndarray) -> FittedModel:
 
     A random-intercept refit starts from the parent's ``(beta, log
     omega)`` (omega clamped as in the top-level start) instead of a fresh
-    GLM fit.  Only when the rows with positive counts do not pin down
-    beta (fewer than ``p`` independent rows, as in an all-zero response)
-    can the estimate lie on the boundary; the GLM fit then runs first and
-    raises :class:`Separation` as it does for a top-level fit.
+    GLM fit.  A Poisson response with no finite estimate raises
+    :class:`Separation`, as it does for a top-level fit.
     """
     d_new = Dataset(y=np.asarray(y_new, dtype=float), X=m.dataset.X,
                     group=m.dataset.group)
     if m.kind is not ModelKind.GLMM_POISSON_RI:
         return fit_model(d_new, m.kind)
-    _check_counts(d_new.y)
-    if np.linalg.matrix_rank(d_new.X[d_new.y > 0]) < d_new.p:
-        fit_glm_poisson(d_new)
+    _check_poisson_response(d_new.X, d_new.y)
     x0 = np.append(m.beta, _log_omega_start(m.omega))
     return _maximize_glmm(d_new, x0)
 

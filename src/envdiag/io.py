@@ -68,20 +68,23 @@ def _of_type(*types):
     return check
 
 
-def _names(v):
-    if type(v) is not list or any(type(s) is not str for s in v):
-        raise TypeError(v)
-    return v
+def _list_of(t):
+    """``_value`` converter accepting only a list of values of exactly ``t``."""
+    def check(v):
+        if type(v) is not list or any(type(x) is not t for x in v):
+            raise TypeError(v)
+        return v
+    return check
 
 
 # what each JSON field of RunConfig may hold
 _RUN_FIELD_TYPES = {
     "data": _of_type(str),
     "response": _of_type(str),
-    "predictors": lambda v: None if v is None else _names(v),
+    "predictors": lambda v: None if v is None else _list_of(str)(v),
     "group": _of_type(str, type(None)),
     "model": _of_type(str),
-    "plots": _names,
+    "plots": _list_of(str),
     "B": _of_type(int),
     "alpha": _of_type(float),
     "seed": _of_type(int),
@@ -153,7 +156,7 @@ def load_csv(
 
     Group labels may be arbitrary strings; they are re-encoded to
     contiguous integers in order of first appearance.  Blank lines are
-    skipped; a row with fewer cells than the header raises
+    skipped; a row with fewer or more cells than the header raises
     :class:`RaggedRow`.  Errors name rows by their line in the file.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -202,7 +205,7 @@ def load_csv(
     if group:
         grp = np.empty(n, dtype=int)
     for i, (line, row) in enumerate(rows):
-        if len(row) < len(header):
+        if len(row) != len(header):
             raise RaggedRow(
                 f"row {line} of {path} has {len(row)} cells but the header "
                 f"has {len(header)}")
@@ -301,9 +304,10 @@ def run_diagnose(config: RunConfig) -> list[PlotArtifact]:
 
 
 _CELL_AXES = ("model", "violation", "n")
-# the other ScenarioSpec fields, which a power-study config may set
+# the other ScenarioSpec fields, which a power-study config may set, each
+# checked by the exact JSON type of its default (a bool is not an int)
 _SETTING_TYPES = {
-    f.name: type(f.default) for f in fields(ScenarioSpec)
+    f.name: _of_type(type(f.default)) for f in fields(ScenarioSpec)
     if f.name not in _CELL_AXES
 }
 
@@ -336,8 +340,7 @@ def _specs_from_config(cfg: dict) -> list[ScenarioSpec]:
                    "config"),
             _value(cfg, "violations",
                    lambda vs: [_VIOLATION_NAMES[v] for v in vs], "config"),
-            _value(cfg, "sample_sizes", lambda ns: [int(n) for n in ns],
-                   "config"),
+            _value(cfg, "sample_sizes", _list_of(int), "config"),
             **common,
         )
     if not isinstance(cfg["scenarios"], list):
@@ -353,7 +356,7 @@ def _specs_from_config(cfg: dict) -> list[ScenarioSpec]:
         specs += scenario_grid(
             [_value(cell, "model", _MODEL_NAMES.__getitem__, where)],
             [_value(cell, "violation", _VIOLATION_NAMES.__getitem__, where)],
-            [_value(cell, "n", int, where)],
+            [_value(cell, "n", _of_type(int), where)],
             **{**common, **_settings(cell, where)},
         )
     return specs

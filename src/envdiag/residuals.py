@@ -11,8 +11,6 @@ plot x-axis (the linear predictor) stays marginal either way.
 
 from __future__ import annotations
 
-import enum
-
 import numpy as np
 from scipy.special import xlogy
 
@@ -22,12 +20,6 @@ from .fitters import _group_modes
 
 class LeverageOne(EnvdiagError):
     """A hat-matrix diagonal is numerically one; the residual is undefined."""
-
-
-class ResidualKind(enum.Enum):
-    STANDARDIZED = "standardized"
-    DEVIANCE = "deviance"
-    PEARSON = "pearson"
 
 
 def hat_diagonals(X: np.ndarray) -> np.ndarray:
@@ -97,12 +89,3 @@ def residuals_for(m: FittedModel) -> np.ndarray:
     if m.kind is ModelKind.LM:
         return standardized_residuals(m)
     return deviance_residuals(m)
-
-
-def residuals_by_kind(m: FittedModel, kind: ResidualKind) -> np.ndarray:
-    """Explicit residual choice; STANDARDIZED is valid for LM fits only."""
-    if kind is ResidualKind.STANDARDIZED:
-        return standardized_residuals(m)
-    if kind is ResidualKind.DEVIANCE:
-        return deviance_residuals(m)
-    return pearson_residuals(m)

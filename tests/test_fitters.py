@@ -115,11 +115,23 @@ def test_glm_intercept_only_is_log_mean():
     assert abs(m.beta[0] - math.log(2.0)) < 1e-10
 
 
+def assert_separation_certificate(X, y, direction):
+    """``direction`` proves that no finite Poisson MLE exists: a unit
+    vector d with X_i d = 0 on positive counts, X_i d <= 0 on zeros and
+    X_i d < 0 on at least one row."""
+    X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
+    assert abs(np.linalg.norm(direction) - 1.0) <= 1e-12
+    v = X @ direction
+    assert np.all(np.abs(v[y > 0]) <= 1e-9)
+    assert np.all(v[y == 0] <= 1e-9)
+    assert v.min() < 0.0
+
+
 def test_glm_all_zero_response_reports_boundary():
     d = Dataset(y=[0.0, 0.0, 0.0], X=np.ones((3, 1)))
     with pytest.raises(Separation) as exc:
         fit_glm_poisson(d)
-    assert exc.value.beta is not None
+    assert_separation_certificate(d.X, d.y, exc.value.direction)
 
 
 def test_glm_matches_newton_oracle_small_example():
@@ -256,12 +268,13 @@ def test_glmm_gradient_matches_central_differences(rng):
     assert points == 240
 
 
-def _glmm_refit_case(dataset: int, child: int):
-    """Parent fit and one bootstrap response of the glmm-refit data
-    stream (poisson-ri, null, n=40) at seed 1, as a power study draws them.
+def _glmm_refit_case(dataset: int, child: int, n: int = 40):
+    """Parent fit and one bootstrap response of the poisson-ri null data
+    stream at seed 1 (n=40: the glmm-refit stream), as a power study
+    draws them.
     """
     spec = ScenarioSpec(model=ModelKind.GLMM_POISSON_RI,
-                        violation=Violation.NULL_OK, n=40)
+                        violation=Violation.NULL_OK, n=n)
     d = generate_dataset(
         spec, np.random.default_rng(np.random.SeedSequence((1, dataset, 0))))
     boot = np.random.SeedSequence((1, dataset, 1)).generate_state(1, np.uint64)
@@ -311,7 +324,7 @@ def test_poisson_response_without_finite_mle_raises_separation():
     """Positive counts only at the largest x: the likelihood keeps rising
     as the slope grows, so the estimate lies on the boundary.  The GLM,
     the random-intercept fit and a warm refit from any parent report it,
-    with the last IRLS iterate, instead of returning a diverged slope."""
+    with a separating direction, instead of returning a diverged slope."""
     n = 40
     X = np.column_stack([np.ones(n), (np.arange(1, n + 1) - 0.5) / n])
     y = np.zeros(n)
@@ -322,11 +335,61 @@ def test_poisson_response_without_finite_mle_raises_separation():
         for fit in (fit_glm_poisson, fit_glmm_poisson_ri):
             with pytest.raises(Separation) as err:
                 fit(d)
-            assert err.value.beta[1] > 100.0
+            assert_separation_certificate(X, y, err.value.direction)
         for dataset in range(4):
             m, _ = _glmm_refit_case(dataset=dataset, child=0)
             with pytest.raises(Separation):
                 refit(m, y)
+
+
+def test_separation_with_positive_counts_on_one_covariate_level():
+    """Design ``[1, 1{i >= 20}]`` with counts positive only where the
+    indicator is 1: sending its coefficient to +inf and the intercept to
+    -inf drives the zero rows' means to 0 and leaves the others fixed.
+    IRLS meets its deviance tolerance long before any mean underflows,
+    so only the exact rule catches this in the GLM, the random-intercept
+    fit and a warm refit from a parent fitted on the same design."""
+    n = 40
+    X = np.column_stack([np.ones(n), (np.arange(n) >= n // 2).astype(float)])
+    rng = np.random.default_rng(7)
+    y = np.where(X[:, 1] > 0, rng.poisson(3.0, size=n), 0).astype(float)
+    assert np.any(y[n // 2:] > 0)
+    group = np.arange(n) % 5
+    parent = fit_glmm_poisson_ri(
+        Dataset(y=rng.poisson(2.0, size=n).astype(float), X=X, group=group))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for fit in (fit_glm_poisson, fit_glmm_poisson_ri,
+                    lambda d: refit(parent, d.y)):
+            with pytest.raises(Separation) as err:
+                fit(Dataset(y=y, X=X, group=group))
+            assert_separation_certificate(X, y, err.value.direction)
+
+
+def test_small_n_bootstrap_draw_without_mle_raises_separation():
+    """Child 56 of dataset 18 in the n=10 poisson-ri null stream is
+    y = (0, ..., 0, 6): its refit once ran off to a slope near 250 with
+    an overflow warning and joined the null ensemble."""
+    m, y = _glmm_refit_case(dataset=18, child=56, n=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(Separation) as err:
+            refit(m, y)
+    assert_separation_certificate(m.dataset.X, y, err.value.direction)
+
+
+def test_rank_deficient_positive_rows_with_finite_mle_fit():
+    """One positive count in the middle of x: the positive rows do not
+    pin down beta, yet zero rows on both sides bound the likelihood, so
+    the estimate exists and IRLS finds it."""
+    x = (np.arange(10) + 0.5) / 10
+    X = np.column_stack([np.ones(10), x])
+    y = np.zeros(10)
+    y[4] = 3.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        m = fit_glm_poisson(Dataset(y=y, X=X))
+    assert np.max(np.abs(m.beta - newton_poisson_mle(X, y))) < 1e-8
 
 
 # ------------------------------------------------------------------ #

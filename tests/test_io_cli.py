@@ -16,6 +16,7 @@ from envdiag.io import (
     MissingColumn,
     NonNumericCell,
     RunConfig,
+    _specs_from_config,
     load_csv,
     run_diagnose,
     run_power_study,
@@ -224,6 +225,16 @@ def test_power_study_grid_row_count(tmp_path):
     assert len(lines) == 1 + 2 * 5
 
 
+def test_shipped_power_study_presets_build():
+    """Every JSON preset in scripts/ is a valid nine-scenario grid."""
+    scripts = Path(__file__).resolve().parents[1] / "scripts"
+    presets = sorted(scripts.glob("*.json"))
+    assert presets
+    for path in presets:
+        specs = _specs_from_config(json.loads(path.read_text()))
+        assert len({(s.model, s.violation) for s in specs}) == 9, path.name
+
+
 # ------------------------------------------------------------------ #
 # command line
 # ------------------------------------------------------------------ #
@@ -302,8 +313,15 @@ def test_cli_power_study(tmp_path, capsys):
     ({"scenarios": ["lm"]}, "scenario 0 is not an object"),
     ({"scenarios": {"model": "lm", "violation": "null", "n": 10}},
      "scenarios must be a list"),
+    ({"scenarios": [{"model": "lm", "violation": "null", "n": 10}],
+      "n_datasets": 2.7}, "bad n_datasets 2.7"),
+    ({"scenarios": [{"model": "lm", "violation": "null", "n": 10}],
+      "B": "39"}, "bad B '39'"),
+    ({"scenarios": [{"model": "lm", "violation": "null", "n": "10"}]},
+     "bad n '10' in scenario 0"),
 ], ids=["unknown-model", "missing-sample-sizes", "unknown-field", "m-grid-0",
-        "top-level-list", "scenario-not-object", "scenarios-not-list"])
+        "top-level-list", "scenario-not-object", "scenarios-not-list",
+        "n_datasets-float", "B-string", "n-string"])
 def test_cli_power_study_malformed_config(tmp_path, capsys, cfg, named):
     cfg_path = _write(tmp_path / "grid.json", json.dumps(cfg))
     rc = main(["power-study", "--config", cfg_path,
@@ -336,6 +354,16 @@ def test_cli_fit_ragged_row(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("envdiag: error:") and "row 4 " in err, err
+
+
+def test_cli_fit_long_row(tmp_path, capsys):
+    # a row with more cells than the header is not truncated silently
+    data = _write(tmp_path / "d.csv", "y,x\n1,2\n3,4,9\n5,6\n")
+    rc = main(["fit", "--data", data, "--model", "lm"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("envdiag: error:") and "row 3 " in err, err
+    assert "has 3 cells but the header has 2" in err, err
 
 
 def _assert_exit_contract(prefix: list[str], tmp_path: Path) -> None:

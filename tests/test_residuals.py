@@ -147,15 +147,3 @@ def test_standardized_requires_lm():
     m = _poisson_model([1.0, 2.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         standardized_residuals(m)
-
-
-def test_residuals_by_kind_dispatch(rng):
-    from envdiag import ResidualKind, residuals_by_kind
-
-    m = _poisson_model([3.0, 0.0, 2.0], [1.0, 1.0, 4.0])
-    assert np.array_equal(residuals_by_kind(m, ResidualKind.DEVIANCE),
-                          deviance_residuals(m))
-    assert np.array_equal(residuals_by_kind(m, ResidualKind.PEARSON),
-                          pearson_residuals(m))
-    with pytest.raises(ValueError):
-        residuals_by_kind(m, ResidualKind.STANDARDIZED)
