@@ -37,6 +37,7 @@ from .residuals import (
     fitted_means,
     hat_diagonals,
     pearson_residuals,
+    refit_many,
     residuals_for,
     standardized_residuals,
 )

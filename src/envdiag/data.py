@@ -1,10 +1,10 @@
 """Core data model and the capability contract shared by all model classes.
 
 A fitted model of any class is reduced to three capabilities (simulate,
-refit, residuals); the plot x-axis is always its marginal linear
-predictors.  The bootstrap engine only ever talks to a
-``ModelCapability``, so new model classes can be plugged in without
-touching the envelope machinery.
+refit, residuals), plus an optional batched refit; the plot x-axis is
+always its marginal linear predictors.  The bootstrap engine only ever
+talks to a ``ModelCapability``, so new model classes can be plugged in
+without touching the envelope machinery.
 """
 
 from __future__ import annotations
@@ -183,17 +183,51 @@ def linear_predictors(m: FittedModel) -> np.ndarray:
     return np.array(m.dataset.X @ m.beta)
 
 
+RefitRows = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
 @dataclass(frozen=True)
 class ModelCapability:
-    """The three operations the bootstrap engine needs from a model class.
+    """The operations the bootstrap engine needs from a model class.
 
     ``simulate`` draws one response vector from the fitted model given a
     random generator; ``refit`` re-estimates on a new response, keeping
     kind, design and grouping; ``residuals`` is a pure function of a
     fitted model.  Smoother plots put the residuals against
     :func:`linear_predictors`.
+
+    ``refit_many``, optional, refits every row of ``Y`` (R, n) at once
+    and returns the residuals (R, n), the maximized log-likelihoods (R,)
+    and a mask (R,) of rows whose refit or residuals failed.  Row r must
+    agree, up to rounding, with what ``refit`` and ``residuals`` give for
+    ``Y[r]`` alone, and must not depend on the other rows of ``Y``.
+    Without it, rows are refitted one at a time (:meth:`refit_rows`).
     """
 
     simulate: Callable[[FittedModel, np.random.Generator], np.ndarray]
     refit: Callable[[FittedModel, np.ndarray], FittedModel]
     residuals: Callable[[FittedModel], np.ndarray]
+    refit_many: Optional[Callable[[FittedModel, np.ndarray], RefitRows]] = None
+
+    def refit_rows(self, m: FittedModel, Y: np.ndarray) -> RefitRows:
+        """``refit_many``, or ``refit`` and ``residuals`` row by row."""
+        if self.refit_many is not None:
+            return self.refit_many(m, Y)
+        return refit_each(self.refit, self.residuals, m, Y)
+
+
+def refit_each(refit, residuals, m: FittedModel, Y: np.ndarray) -> RefitRows:
+    """Refit and residuals of every row of ``Y`` in turn; a row that
+    raises :class:`EnvdiagError` is marked failed."""
+    E = np.zeros(Y.shape)
+    logliks = np.zeros(Y.shape[0])
+    failed = np.zeros(Y.shape[0], dtype=bool)
+    for r, y in enumerate(Y):
+        try:
+            m_r = refit(m, y)
+            E[r] = residuals(m_r)
+        except EnvdiagError:
+            failed[r] = True
+            continue
+        logliks[r] = m_r.loglik
+    return E, logliks, failed

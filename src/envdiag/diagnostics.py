@@ -1,8 +1,12 @@
 """Bootstrap construction of global envelopes around residual plots.
 
-For a fitted model the pipeline is: simulate a new response from the
+For a fitted model the pipeline is: simulate new responses from the
 fitted parameters, refit, recompute residuals, reduce them to the plot's
 functional, and repeat to build an ensemble for the envelope engine.
+The B-1 draws are refitted as one batch when the model capability
+offers ``refit_many`` (the built-in classes do), one at a time
+otherwise; either way each draw has its own random stream, and failed
+refits are replaced by spare draws in a fixed order.
 Four functionals are provided: sorted residuals against normal quantiles
 (QQ), sorted residual probabilities against uniform positions (PP), and
 smoothers of residuals or absolute residuals against the observed linear
@@ -31,7 +35,7 @@ from .envelope import (
     global_envelope,
 )
 from .fitters import refit, simulate_response
-from .residuals import residuals_for
+from .residuals import refit_many, residuals_for
 from .smoother import PSplineDesign
 
 DEFAULT_B = 199
@@ -74,11 +78,13 @@ class GofResult(NamedTuple):
 
 
 def default_capability() -> ModelCapability:
-    """The built-in model classes' simulate / refit / residuals."""
+    """The built-in model classes' simulate / refit / residuals, with the
+    batched refit."""
     return ModelCapability(
         simulate=simulate_response,
         refit=refit,
         residuals=residuals_for,
+        refit_many=refit_many,
     )
 
 
@@ -179,9 +185,12 @@ def simulate_replicates(
     """Run the simulate -> refit -> residuals pipeline B-1 times.
 
     Replicate streams are derived deterministically from (seed, index),
-    so results do not depend on execution order.  A failed refit (for
-    example a simulated response on the likelihood boundary) is replaced
-    by a fresh simulation; more than 10% of B failures aborts.
+    so results do not depend on execution order.  The first B-1 draws are
+    refitted as one batch (:meth:`ModelCapability.refit_rows`); a failed
+    refit (for example a simulated response on the likelihood boundary)
+    is replaced by the next spare draws, in order, so the accepted rows
+    and their order are those of refitting the draws one by one and
+    skipping failures.  More than 10% of B failures aborts.
     """
     if B < 19:
         raise ValueError("need B >= 19")
@@ -190,29 +199,23 @@ def simulate_replicates(
     max_extra = int(_MAX_FAILURE_FRACTION * B)
     children = np.random.SeedSequence(seed).spawn(n_needed + max_extra)
 
-    resid_rows = np.empty((n_needed, m.n))
-    logliks = np.empty(n_needed)
-    done = 0
-    failed = 0
-    for child in children:
-        if done == n_needed:
-            break
-        stream = np.random.default_rng(child)
-        y_b = cap.simulate(m, stream)
-        try:
-            m_b = cap.refit(m, y_b)
-            e_b = cap.residuals(m_b)
-        except EnvdiagError:
-            failed += 1
-            continue
-        resid_rows[done] = e_b
-        logliks[done] = m_b.loglik
-        done += 1
+    resid_rows, loglik_rows = [], []
+    done = failed = start = 0
+    while done < n_needed and start < len(children):
+        batch = children[start:start + n_needed - done]
+        start += len(batch)
+        Y = np.array([cap.simulate(m, np.random.default_rng(c)) for c in batch])
+        E, logliks, bad = cap.refit_rows(m, Y)
+        resid_rows.append(E[~bad])
+        loglik_rows.append(logliks[~bad])
+        done += int(np.count_nonzero(~bad))
+        failed += int(np.count_nonzero(bad))
     if done < n_needed:
         raise TooManyRefitFailures(
             f"{failed} of {n_needed + max_extra} bootstrap refits failed"
         )
-    return BootstrapReplicates(residuals=resid_rows, logliks=logliks,
+    return BootstrapReplicates(residuals=np.concatenate(resid_rows),
+                               logliks=np.concatenate(loglik_rows),
                                n_failed=failed)
 
 
@@ -279,11 +282,14 @@ def diagnose_model(
     per kind with the same seed, at a fraction of the cost.
     """
     cap = capability or default_capability()
+    # first, so a model whose residuals are undefined fails with the
+    # reason rather than through B refits that all fail the same way
+    observed = cap.residuals(m)
     reps = simulate_replicates(m, B, seed, cap)
     results = {}
     if kinds:
         # row 0 is the observed residual vector, the rest the replicates
-        E = np.vstack([cap.residuals(m), reps.residuals])
+        E = np.vstack([observed, reps.residuals])
         eta = linear_predictors(m)
         for kind in kinds:
             grid, values, points = _plot_functional(kind, E, eta, m_grid)

@@ -8,21 +8,24 @@
   the marginal likelihood (nodes recentred at each group's conditional
   mode).  One kernel returns the approximation and its exact gradient,
   differentiated through the modes and curvatures (Pinheiro & Bates
-  1995); bootstrap refits start from the parent fit.
+  1995), for many responses at once.  One optimizer, :func:`glmm_rows`,
+  runs a projected BFGS per response in lockstep over a batch: a fit is
+  a batch of one from the GLM start, and bootstrap refits are a batch
+  of all draws from the parent fit.
 
 All fitters return an immutable :class:`~envdiag.data.FittedModel`;
 ``simulate_response`` and ``refit``, with the residuals of
-:mod:`envdiag.residuals`, complete the simulate / refit / residuals
-capability contract consumed by the bootstrap engine.
+:mod:`envdiag.residuals` (which also holds the batched ``refit_many``),
+complete the capability contract consumed by the bootstrap engine.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.optimize import linprog, minimize
+from scipy.optimize import linprog
 from scipy.special import gammaln, xlogy
 
 from .data import (
@@ -39,8 +42,14 @@ _VAR_FLOOR = np.finfo(float).tiny
 # Machine epsilon, for rank tolerances as in numpy.linalg.matrix_rank.
 _EPS = np.finfo(float).eps
 
+# Bounds of the random-intercept sd, and the least sd a fit starts from:
+# below it the marginal likelihood is nearly flat in log omega.
 _OMEGA_FLOOR = 1e-6
 _OMEGA_CEIL = 1e4
+_OMEGA_START_MIN = 0.05
+_LOG_FLOOR = math.log(_OMEGA_FLOOR)
+_LOG_CEIL = math.log(_OMEGA_CEIL)
+_LOG_START_MIN = math.log(_OMEGA_START_MIN)
 
 
 class NonConvergence(EnvdiagError):
@@ -84,11 +93,12 @@ _GH_LOG_WX.setflags(write=False)
 # ---------------------------------------------------------------------
 
 
-def _gaussian_loglik(y: np.ndarray, mean: np.ndarray, sigma: float) -> float:
-    n = y.shape[0]
-    var = max(sigma * sigma, _VAR_FLOOR)
-    sse = float(np.sum((y - mean) ** 2))
-    return -0.5 * (n * math.log(2.0 * math.pi * var) + sse / var)
+def _gaussian_loglik(y: np.ndarray, mean: np.ndarray, sigma):
+    """Gaussian log-density of ``y`` (or of each row of ``y``)."""
+    n = y.shape[-1]
+    var = np.maximum(np.multiply(sigma, sigma), _VAR_FLOOR)
+    sse = np.sum((y - mean) ** 2, axis=-1)
+    return -0.5 * (n * np.log(2.0 * math.pi * var) + sse / var)
 
 
 def _poisson_loglik(y: np.ndarray, eta: np.ndarray) -> float:
@@ -153,27 +163,57 @@ def glmm_marginal_loglik(
         raise ValueError("omega must be nonnegative")
     if omega == 0.0:
         return _poisson_loglik(y, X @ beta)
-    return _glmm_loglik_grad(beta, omega, X, y, group)[0]
+    value, _, _ = _glmm_loglik_grad(beta[None, :], np.array([omega]), X,
+                                    y[None, :], group)
+    return float(value[0])
+
+
+# Batched kernels work on R rows at once (R responses, or R parameter
+# vectors) and keep every row independent of the others: only
+# elementwise operations and reductions along a row's own axes, never a
+# matrix product across rows, so a row's result does not depend on the
+# batch it is computed in.
+
+
+def _rows_eta(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Linear predictors ``X beta_r`` of every row of ``beta`` (R, p)."""
+    eta = beta[:, :1] * X[:, 0]
+    for j in range(1, X.shape[1]):
+        eta += beta[:, j:j + 1] * X[:, j]
+    return eta
+
+
+def _group_sums(group: np.ndarray, G: int, W: np.ndarray) -> np.ndarray:
+    """Per-row group totals of ``W`` (R, n), as (R, G)."""
+    R = W.shape[0]
+    bins = (np.arange(R)[:, None] * G + group).ravel()
+    return np.bincount(bins, weights=W.ravel(), minlength=R * G).reshape(R, G)
 
 
 def _group_modes(
-    S: np.ndarray, E: np.ndarray, omega: float, u0: Optional[np.ndarray] = None
+    S: np.ndarray, E: np.ndarray, omega: np.ndarray,
+    u0: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Conditional modes and curvatures of h_g, by damped Newton.
 
-    h_g'(u) = S - E e^u - u/w^2 is strictly decreasing, so the root is
-    unique; steps are clipped to keep e^u in range.
+    ``S`` and ``E`` are (R, G), ``omega`` is (R,).  h_g'(u) = S - E e^u -
+    u/w^2 is strictly decreasing, so the root is unique; steps are
+    clipped to keep e^u in range.  Each element stops, and stays frozen,
+    once its own step is below 1e-10.
     """
-    inv_w2 = 1.0 / (omega * omega)
-    u = np.zeros_like(S) if u0 is None else u0.copy()
+    inv_w2 = np.broadcast_to((1.0 / (omega * omega))[:, None], S.shape)
+    u = np.zeros(S.shape) if u0 is None else np.array(u0, dtype=float)
+    flat_u, flat_S = u.reshape(-1), S.ravel()
+    flat_E, flat_c = E.ravel(), inv_w2.ravel()
+    live = np.arange(u.size)
     for _ in range(50):
-        Eu = E * np.exp(u)
-        g = S - Eu - u * inv_w2
-        h = -Eu - inv_w2
-        step = g / h
+        ul, cl = flat_u[live], flat_c[live]
+        Eu = flat_E[live] * np.exp(ul)
+        step = (flat_S[live] - Eu - ul * cl) / (-Eu - cl)
         np.clip(step, -4.0, 4.0, out=step)
-        u -= step
-        if np.max(np.abs(step)) < 1e-10:
+        flat_u[live] = ul - step
+        live = live[np.abs(step) >= 1e-10]
+        if live.size == 0:
             break
     curv = E * np.exp(u) + inv_w2    # -h''(u)
     return u, curv
@@ -181,15 +221,17 @@ def _group_modes(
 
 def _glmm_loglik_grad(
     beta: np.ndarray,
-    omega: float,
+    omega: np.ndarray,
     X: np.ndarray,
-    y: np.ndarray,
+    Y: np.ndarray,
     group: np.ndarray,
     u0: Optional[np.ndarray] = None,
-) -> tuple[float, np.ndarray]:
-    """Adaptive Gauss-Hermite log-likelihood and its exact gradient in
-    ``(beta, log omega)``, for ``omega > 0``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Adaptive Gauss-Hermite log-likelihoods, their exact gradients in
+    ``(beta, log omega)`` and the conditional modes, for R rows.
 
+    Row r has coefficients ``beta[r]`` (R, p), ``omega[r] > 0`` (R,) and
+    response ``Y[r]`` (R, n), on the shared design ``X`` and ``group``.
     Group g contributes ``l_g = log int exp(h_g(t)) dt`` with
       h_g(t) = A_g + S_g t - E_g e^t - c t^2/2 - log(w sqrt(2 pi)),
     c = 1/w^2, approximated at the mode u_g (h_g'(u_g) = 0) with scale
@@ -199,48 +241,53 @@ def _glmm_loglik_grad(
     the softmax-weighted node terms.  With dl_g/dA_g = 1, the beta
     gradient is ``X'y + X'(exp(eta) * dl/dE[group])``.  Nodes whose
     weight underflows to zero carry no gradient, even where ``e^t``
-    overflows.  ``u0``, if given, warm-starts the mode search and
-    receives the new modes.
+    overflows.  A row whose value is not finite gets a zero gradient.
+    ``u0`` (R, G), if given, warm-starts the mode search.
     """
-    eta = X @ beta
     G = int(group.max()) + 1
+    eta = _rows_eta(X, beta)
     mu = np.exp(eta)
-    A = np.bincount(group, weights=y * eta - gammaln(y + 1.0), minlength=G)
-    S = np.bincount(group, weights=y, minlength=G)
-    E = np.bincount(group, weights=mu, minlength=G)
+    A = _group_sums(group, G, Y * eta - gammaln(Y + 1.0))
+    S = _group_sums(group, G, Y)
+    E = _group_sums(group, G, mu)
 
     u, K = _group_modes(S, E, omega, u0)
-    if u0 is not None:
-        u0[:] = u  # warm start for the next objective evaluation
-    c = 1.0 / (omega * omega)
+    w = omega[:, None, None]
     sig = 1.0 / np.sqrt(K)
-    t = u[:, None] + sig[:, None] * _GH_Z[None, :]
+    t = u[:, :, None] + sig[:, :, None] * _GH_Z
     with np.errstate(over="ignore"):
         et = np.exp(t)
         h = (
-            A[:, None]
-            + S[:, None] * t
-            - E[:, None] * et
-            - t * t / (2.0 * omega * omega)
-            - math.log(omega)
+            A[:, :, None]
+            + S[:, :, None] * t
+            - E[:, :, None] * et
+            - t * t / (2.0 * w * w)
+            - np.log(w)
             - 0.5 * math.log(2.0 * math.pi)
         )
-        logw = _GH_LOG_WX[None, :] + h
-        top = np.max(logw, axis=1)
-        p = np.exp(logw - top[:, None])
-        total = np.sum(p, axis=1)
+        logw = _GH_LOG_WX + h
+        top = np.max(logw, axis=2)
+        p = np.exp(logw - top[:, :, None])
+        total = np.sum(p, axis=2)
         contrib = top + np.log(total)
-    value = float(np.sum(contrib + 0.5 * math.log(2.0) + np.log(sig)))
-    if not math.isfinite(value):
-        return value, np.zeros(beta.size + 1)
+    value = np.sum(contrib + 0.5 * math.log(2.0) + np.log(sig), axis=1)
+    grad = np.zeros((Y.shape[0], X.shape[1] + 1))
+    ok = np.isfinite(value)
+    if not ok.all():
+        c, Y, mu, S, E, u, K, sig, t, et, p, total = (
+            a[ok] for a in (1.0 / (omega * omega), Y, mu, S, E, u, K, sig, t,
+                            et, p, total))
+    else:
+        c = 1.0 / (omega * omega)
+    c = c[:, None]
 
-    p /= total[:, None]
+    p /= total[:, :, None]
     et[p == 0.0] = 0.0
-    dh = S[:, None] - E[:, None] * et - c * t            # h'(t) at the nodes
-    p_et = np.sum(p * et, axis=1)
-    p_dh = np.sum(p * dh, axis=1)
-    p_dhz = np.sum(p * dh * _GH_Z[None, :], axis=1)
-    p_t2 = np.sum(p * t * t, axis=1)
+    dh = S[:, :, None] - E[:, :, None] * et - c[:, :, None] * t  # h'(t) at nodes
+    p_et = np.sum(p * et, axis=2)
+    p_dh = np.sum(p * dh, axis=2)
+    p_dhz = np.sum(p * dh * _GH_Z, axis=2)
+    p_t2 = np.sum(p * t * t, axis=2)
     eu = np.exp(u)
     # t_k = u + sigma z_k; d log sigma = -dK / (2K), d sigma = sigma d log sigma
     du_dE = -eu / K
@@ -251,8 +298,11 @@ def _glmm_loglik_grad(
     dlogsig_ds = c * (1.0 - E * eu * u / K) / K
     dl_ds = (c * p_t2 - 1.0 + du_ds * p_dh + sig * dlogsig_ds * p_dhz
              + dlogsig_ds)
-    grad_beta = X.T @ (y + mu * dl_dE[group])
-    return value, np.append(grad_beta, np.sum(dl_ds))
+    W = Y + mu * dl_dE[:, group]
+    grad[ok, :-1] = np.stack([np.sum(W * X[:, j], axis=1)
+                              for j in range(X.shape[1])], axis=1)
+    grad[ok, -1] = np.sum(dl_ds, axis=1)
+    return value, grad, u
 
 
 # ---------------------------------------------------------------------
@@ -270,25 +320,29 @@ def fit_lm(d: Dataset) -> FittedModel:
     ``degenerate=True`` and ``sigma=0``.
     """
     y, X = d.y, d.X
-    n, p = X.shape
+    p = X.shape[1]
     beta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
     if rank < p:
         raise RankDeficient(f"X has rank {rank} < p={p}")
     eta = X @ beta
-    rss = float(np.sum((y - eta) ** 2))
-    scale = float(np.sum(y * y)) + 1.0
-    degenerate = rss <= 1e-28 * scale or n == p
-    sigma = 0.0 if degenerate else math.sqrt(rss / (n - p))
-    loglik = _gaussian_loglik(y, eta, sigma)
+    sigma = float(_lm_sigma(np.sum((y - eta) ** 2), y, p))
     return FittedModel(
         kind=ModelKind.LM,
         beta=beta,
         eta=eta,
-        loglik=loglik,
+        loglik=float(_gaussian_loglik(y, eta, sigma)),
         dataset=d,
         sigma=sigma,
-        degenerate=degenerate,
+        degenerate=sigma == 0.0,
     )
+
+
+def _lm_sigma(rss, y: np.ndarray, p: int):
+    """``sqrt(RSS / (n - p))`` of a response (or of each row of ``y``);
+    0 for a zero-residual fit: RSS at rounding level of sum y^2, or n = p."""
+    n = y.shape[-1]
+    degenerate = (rss <= 1e-28 * (np.sum(y * y, axis=-1) + 1.0)) | (n == p)
+    return np.where(degenerate, 0.0, np.sqrt(rss / max(n - p, 1)))
 
 
 def _irls_start(y: np.ndarray, p: int) -> np.ndarray:
@@ -387,83 +441,227 @@ def _glmm_start(d: Dataset) -> np.ndarray:
 
 def _log_omega_start(omega: float) -> float:
     # away from the floor, where the omega gradient vanishes
-    return math.log(min(max(omega, 0.05), 3.0))
+    return math.log(min(max(omega, _OMEGA_START_MIN), 3.0))
 
 
 def fit_glmm_poisson_ri(d: Dataset) -> FittedModel:
     """Random-intercept Poisson fit by quasi-Newton over (beta, log omega).
 
     The objective is the adaptive Gauss-Hermite marginal log-likelihood
-    with 15 nodes; L-BFGS-B gets its exact gradient
-    (differentiated through each group's conditional mode and curvature),
-    so each iteration costs one objective evaluation.  The start is the
-    Poisson GLM fit plus a moment guess for omega; bootstrap refits
-    (:func:`refit`) start from the parent fit instead.  ``omega`` is
-    optimized on the log scale with a floor at 1e-6; a fit pinned at the
-    floor is returned with ``boundary_omega=True`` (the model then
-    coincides with the plain GLM up to the floor).
+    with 15 nodes, maximized by the lockstep BFGS of :func:`glmm_rows`
+    with its exact gradient (differentiated through each group's
+    conditional mode and curvature).  The start is the Poisson GLM fit
+    plus a moment guess for omega; bootstrap refits (:func:`refit`) start
+    from the parent fit instead.  ``omega`` is optimized on the log scale
+    with a floor at 1e-6; a fit pinned at the floor is returned with
+    ``boundary_omega=True`` (the model then coincides with the plain GLM
+    up to the floor).
     """
     if d.group is None:
         raise ValueError("random-intercept fit requires grouping labels")
     _check_poisson_response(d.X, d.y)
-    return _maximize_glmm(d, _glmm_start(d))
+    return _glmm_model(d, _glmm_start(d))
 
 
-def _maximize_glmm(d: Dataset, x0: np.ndarray) -> FittedModel:
-    """L-BFGS-B over (beta, log omega) from ``x0``."""
-    y, X, group = d.y, d.X, d.group
-    mode_cache = np.zeros(d.n_groups)
-    failed = (1e12, np.zeros(d.p + 1))
-
-    def nll(params: np.ndarray) -> tuple[float, np.ndarray]:
-        beta = params[:-1]
-        if np.max(X @ beta) > 500.0:
-            return failed
-        value, grad = _glmm_loglik_grad(beta, math.exp(params[-1]), X, y,
-                                        group, u0=mode_cache)
-        if not math.isfinite(value):
-            return failed
-        return -value, -grad
-
-    log_floor = math.log(_OMEGA_FLOOR)
-    bounds = [(None, None)] * (d.p) + [(log_floor, math.log(_OMEGA_CEIL))]
-    res = minimize(
-        nll,
-        x0,
-        method="L-BFGS-B",
-        jac=True,
-        bounds=bounds,
-        options={"maxiter": 2 * _MAX_ITER, "ftol": _TOL, "gtol": 1e-7},
-    )
-    if not res.success and res.status == 1:  # iteration/funcall budget
-        raise NonConvergence("quasi-Newton exceeded its iteration budget",
-                             beta=res.x[:-1])
-
-    x = res.x
-    if res.jac[-1] > 0.0 and x[-1] > log_floor:
-        # Near the floor the objective flattens like omega^2, so the
-        # relative-reduction stop can come well above it while it still
-        # descends; the floor itself is one evaluation away.
-        at_floor = np.append(x[:-1], log_floor)
-        if nll(at_floor)[0] <= res.fun:
-            x = at_floor
-    beta = x[:-1]
-    omega = math.exp(x[-1])
-    boundary = bool(x[-1] <= log_floor + 1e-8)
-    eta = X @ beta
-    loglik = glmm_marginal_loglik(beta, omega, X, y, group)
-    if not math.isfinite(loglik):
-        raise NonConvergence("marginal likelihood not finite at the optimum",
-                             beta=beta)
+def _glmm_model(d: Dataset, x0: np.ndarray) -> FittedModel:
+    """The fit of one response from ``x0``, as a :class:`FittedModel`."""
+    rows = glmm_rows(d.X, d.group, d.y[None, :], x0[None, :])
+    beta = rows.params[0, :-1]
+    if rows.failed[0]:
+        raise NonConvergence(
+            f"quasi-Newton found no finite optimum in {2 * _MAX_ITER} "
+            "iterations", beta=beta)
     return FittedModel(
         kind=ModelKind.GLMM_POISSON_RI,
         beta=beta,
-        eta=eta,
-        loglik=loglik,
+        eta=d.X @ beta,
+        loglik=float(rows.loglik[0]),
         dataset=d,
-        omega=omega,
-        boundary_omega=boundary,
+        omega=math.exp(rows.params[0, -1]),
+        boundary_omega=bool(rows.params[0, -1] <= _LOG_FLOOR + 1e-8),
     )
+
+
+class GlmmRows(NamedTuple):
+    """Random-intercept fits of R responses on one design.
+
+    ``params`` (R, p+1) holds ``(beta, log omega)`` at each row's optimum,
+    ``loglik`` (R,) the maximized marginal log-likelihoods and ``modes``
+    (R, G) the conditional modes of the group intercepts there.  Rows with
+    ``failed`` set found no finite optimum within the iteration budget;
+    their other entries are meaningless.
+    """
+
+    params: np.ndarray
+    loglik: np.ndarray
+    modes: np.ndarray
+    failed: np.ndarray
+
+
+def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
+              x0: np.ndarray) -> GlmmRows:
+    """Maximize the marginal likelihood of every row of ``Y`` in lockstep.
+
+    One projected BFGS per row over ``(beta, log omega)``, started at
+    ``x0`` (R, p+1), each with its own inverse-Hessian approximation;
+    every iteration evaluates the batched kernel on all rows still
+    moving, once per trial step of a weak Wolfe line search.  ``log
+    omega`` is kept in [log 1e-6, log 1e4]: at a bound with the gradient
+    pointing out, it is held fixed.  A row stops when the relative
+    reduction of its objective is at most 1e-9 or its projected gradient
+    at most 1e-7, and is then frozen; a row that has not stopped after
+    200 iterations fails.
+
+    Below omega = 0.05 the objective flattens like omega^2, so the
+    relative-reduction stop can fire far from the optimum in log omega.
+    While the gradient pulls omega up, a step may not take it below
+    min(current, 0.05), so that a step coupled to beta does not carry it
+    deep into the flat region.  A row that stops with its gradient still
+    pulling omega down is tried at the floor, and one that stops below
+    0.05 with its gradient pulling omega up is tried at 0.05 (one
+    evaluation for all of them); where that is no worse, the row
+    continues from there.
+    """
+    R, q = x0.shape
+    G = int(group.max()) + 1
+
+    def evaluate(rows, x, u0):
+        """Negated log-likelihood, gradient and modes; +inf where the
+        linear predictors leave the range exp() can take."""
+        f = np.full(rows.size, np.inf)
+        g = np.zeros((rows.size, q))
+        u = np.array(u0)
+        ok = np.max(_rows_eta(X, x[:, :-1]), axis=1) <= 500.0
+        if ok.any():
+            v, grad, modes = _glmm_loglik_grad(
+                x[ok, :-1], np.exp(x[ok, -1]), X, Y[rows[ok]], group, u0[ok])
+            f[ok], g[ok], u[ok] = -v, -grad, modes
+        f[~np.isfinite(f)] = np.inf
+        return f, g, u
+
+    x = np.array(x0, dtype=float)
+    f, g, u = evaluate(np.arange(R), x, np.zeros((R, G)))
+    H = np.zeros((R, q, q))
+    fresh = np.ones(R, dtype=bool)   # H holds no curvature information yet
+    nit = np.zeros(R, dtype=int)
+    failed = ~np.isfinite(f)
+
+    def iterate(active):
+        """BFGS iterations of the ``active`` rows until each one stops."""
+        while True:
+            # projected gradient: log omega held at a bound it is pushed past
+            held = (((x[:, -1] <= _LOG_FLOOR) & (g[:, -1] > 0.0))
+                    | ((x[:, -1] >= _LOG_CEIL) & (g[:, -1] < 0.0)))
+            pg = g.copy()
+            pg[held, -1] = 0.0
+            active &= np.max(np.abs(pg), axis=1) > 1e-7
+            over = active & (nit >= 2 * _MAX_ITER)
+            failed[over] = True
+            active &= ~over
+            a = np.flatnonzero(active)
+            if a.size == 0:
+                return
+            nit[a] += 1
+            ga, xa, fa = pg[a], x[a], f[a]
+            H[a[fresh[a]]] = np.eye(q)
+            d = -np.sum(H[a] * ga[:, None, :], axis=2)
+            d[held[a], -1] = 0.0
+            # a unit step along -g would be arbitrarily long: length 1
+            step = np.where(fresh[a], np.minimum(1.0, 1.0 / np.sqrt(
+                np.sum(d * d, axis=1))), 1.0)
+            slope = np.sum(g[a] * d, axis=1)
+            low = np.where(g[a, -1] < 0.0,
+                           np.minimum(xa[:, -1], _LOG_START_MIN), _LOG_FLOOR)
+
+            # weak Wolfe line search: sufficient decrease, and the slope
+            # along d flattened to 0.9 of its start (or log omega clipped).
+            # Too long a step is cut back by quadratic interpolation, too
+            # short a one grows fourfold; once both are known, bisection.
+            lo = np.zeros(a.size)
+            hi = np.full(a.size, np.inf)
+            searching = np.ones(a.size, dtype=bool)
+            found = np.zeros(a.size, dtype=bool)   # sufficient decrease seen
+            x_new, f_new, g_new, u_new = xa.copy(), fa.copy(), g[a], u[a]
+            for _ in range(30):
+                s = np.flatnonzero(searching)
+                if s.size == 0:
+                    break
+                t = step[s]
+                xt = xa[s] + t[:, None] * d[s]
+                unclipped = xt[:, -1].copy()
+                np.clip(unclipped, low[s], _LOG_CEIL, out=xt[:, -1])
+                ft, gt, ut = evaluate(a[s], xt, u[a[s]])
+                decrease = np.minimum(
+                    np.sum(g[a[s]] * (xt - xa[s]), axis=1), 0.0)
+                armijo = ft <= fa[s] + 1e-4 * decrease
+                flat = ((np.sum(gt * d[s], axis=1) >= 0.9 * slope[s])
+                        | (xt[:, -1] != unclipped))
+                keep = s[armijo]
+                x_new[keep], f_new[keep], g_new[keep], u_new[keep] = (
+                    xt[armijo], ft[armijo], gt[armijo], ut[armijo])
+                found[keep] = True
+                searching[s[armijo & flat]] = False
+                short = armijo & ~flat
+                ss = s[short]
+                lo[ss] = t[short]
+                step[ss] = np.where(np.isinf(hi[ss]), 4.0 * t[short],
+                                    0.5 * (lo[ss] + hi[ss]))
+                long = ~armijo
+                sl, t = s[long], t[long]
+                hi[sl] = t
+                with np.errstate(divide="ignore", invalid="ignore",
+                                 over="ignore"):
+                    t_quad = -slope[sl] * t * t / (
+                        2.0 * (ft[long] - fa[sl] - slope[sl] * t))
+                t_quad = np.clip(
+                    np.where(np.isfinite(t_quad), t_quad, 0.1 * t),
+                    0.1 * t, 0.5 * t)
+                step[sl] = np.where(lo[sl] > 0.0, 0.5 * (lo[sl] + t), t_quad)
+
+            # a failed line search restarts from the steepest descent
+            # once; twice in a row, the row is as optimal as it can tell
+            lost = ~found
+            active[a[lost & fresh[a]]] = False
+            fresh[a[lost]] = True
+            b = a[found]
+            sv = x_new[found] - xa[found]
+            yv = g_new[found] - g[b]
+            sy = np.sum(sv * yv, axis=1)
+            yy = np.sum(yv * yv, axis=1)
+            update = sy > _EPS * yy
+            scale = fresh[b] & update
+            H[b[scale]] = (sy[scale] / yy[scale])[:, None, None] * np.eye(q)
+            fresh[b] &= ~update
+            bu, su, yu, syu = b[update], sv[update], yv[update], sy[update]
+            Hy = np.sum(H[bu] * yu[:, None, :], axis=2)
+            coef = (syu + np.sum(yu * Hy, axis=1)) / (syu * syu)
+            H[bu] += (coef[:, None, None] * su[:, :, None] * su[:, None, :]
+                      - (Hy[:, :, None] * su[:, None, :]
+                         + su[:, :, None] * Hy[:, None, :])
+                      / syu[:, None, None])
+            f_old = f[b]
+            x[b], f[b], g[b], u[b] = (x_new[found], f_new[found],
+                                      g_new[found], u_new[found])
+            small = (f_old - f[b]) <= _TOL * np.maximum(
+                np.maximum(np.abs(f_old), np.abs(f[b])), 1.0)
+            active[b[small]] = False
+
+    iterate(~failed)
+    down = ~failed & (g[:, -1] > 0.0) & (x[:, -1] > _LOG_FLOOR)
+    up = ~failed & (g[:, -1] < 0.0) & (x[:, -1] < _LOG_START_MIN)
+    probe = np.flatnonzero(down | up)
+    if probe.size:
+        xp = x[probe].copy()
+        xp[:, -1] = np.where(down[probe], _LOG_FLOOR, _LOG_START_MIN)
+        fp, gp, modes = evaluate(probe, xp, u[probe])
+        better = fp <= f[probe]
+        w = probe[better]
+        x[w], f[w], g[w], u[w] = (xp[better], fp[better], gp[better],
+                                  modes[better])
+        again = np.zeros(R, dtype=bool)
+        again[w] = True
+        iterate(again)
+    return GlmmRows(params=x, loglik=-f, modes=u, failed=failed)
 
 
 def fit_model(d: Dataset, kind: ModelKind) -> FittedModel:
@@ -508,16 +706,18 @@ def refit(m: FittedModel, y_new: np.ndarray) -> FittedModel:
 
     A random-intercept refit starts from the parent's ``(beta, log
     omega)`` (omega clamped as in the top-level start) instead of a fresh
-    GLM fit.  A Poisson response with no finite estimate raises
-    :class:`Separation`, as it does for a top-level fit.
+    GLM fit, and is the one-row case of the lockstep optimizer that
+    :func:`~envdiag.residuals.refit_many` runs on many rows: the two give
+    bit-identical estimates and log-likelihoods.  A Poisson response with
+    no finite estimate raises :class:`Separation`, as it does for a
+    top-level fit.
     """
     d_new = Dataset(y=np.asarray(y_new, dtype=float), X=m.dataset.X,
                     group=m.dataset.group)
     if m.kind is not ModelKind.GLMM_POISSON_RI:
         return fit_model(d_new, m.kind)
     _check_poisson_response(d_new.X, d_new.y)
-    x0 = np.append(m.beta, _log_omega_start(m.omega))
-    return _maximize_glmm(d_new, x0)
+    return _glmm_model(d_new, np.append(m.beta, _log_omega_start(m.omega)))
 
 
 def log_likelihood(m: FittedModel, y: np.ndarray) -> float:
@@ -531,7 +731,7 @@ def log_likelihood(m: FittedModel, y: np.ndarray) -> float:
     if y.shape != m.eta.shape:
         raise ValueError("y is not conformable with the fitted model")
     if m.kind is ModelKind.LM:
-        return _gaussian_loglik(y, m.eta, m.sigma)
+        return float(_gaussian_loglik(y, m.eta, m.sigma))
     if m.kind is ModelKind.GLM_POISSON:
         return _poisson_loglik(y, m.eta)
     return glmm_marginal_loglik(m.beta, m.omega, m.dataset.X, y,

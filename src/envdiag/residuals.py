@@ -7,6 +7,11 @@ against the conditional means ``exp(eta + u_g)`` at the posterior modes
 of the group intercepts; with marginal means the group effects dominate
 the residuals and drown out everything the diagnostics look for.  The
 plot x-axis (the linear predictor) stays marginal either way.
+
+``refit_many`` refits a batch of bootstrap responses and returns their
+default residuals: in closed form for the linear model, through the
+lockstep random-intercept optimizer (reusing its conditional modes), and
+one response at a time for the Poisson GLM.
 """
 
 from __future__ import annotations
@@ -14,12 +19,25 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import xlogy
 
-from .data import EnvdiagError, FittedModel, ModelKind
-from .fitters import _group_modes
+from .data import EnvdiagError, FittedModel, ModelKind, RefitRows, refit_each
+from .fitters import (
+    _check_poisson_response,
+    _gaussian_loglik,
+    _group_modes,
+    _lm_sigma,
+    _log_omega_start,
+    _rows_eta,
+    glmm_rows,
+    refit,
+)
 
 
 class LeverageOne(EnvdiagError):
     """A hat-matrix diagonal is numerically one; the residual is undefined."""
+
+
+# A hat-matrix diagonal at or above this is numerically one.
+_LEVERAGE_ONE = 1.0 - 1e-12
 
 
 def hat_diagonals(X: np.ndarray) -> np.ndarray:
@@ -36,7 +54,7 @@ def standardized_residuals(m: FittedModel) -> np.ndarray:
     if m.kind is not ModelKind.LM:
         raise ValueError("standardized residuals are defined for LM fits only")
     h = hat_diagonals(m.dataset.X)
-    if np.any(h >= 1.0 - 1e-12):
+    if np.any(h >= _LEVERAGE_ONE):
         raise LeverageOne("a leverage is numerically 1")
     if m.sigma == 0.0:
         return np.zeros(m.n)
@@ -59,14 +77,16 @@ def fitted_means(m: FittedModel) -> np.ndarray:
     G = d.n_groups
     S = np.bincount(d.group, weights=d.y, minlength=G)
     E = np.bincount(d.group, weights=np.exp(m.eta), minlength=G)
-    u, _ = _group_modes(S, E, m.omega)
-    return np.exp(m.eta + u[d.group])
+    u, _ = _group_modes(S[None, :], E[None, :], np.array([m.omega]))
+    return np.exp(m.eta + u[0, d.group])
 
 
 def deviance_residuals(m: FittedModel) -> np.ndarray:
     """sign(y - mu) * sqrt(2 [y log(y/mu) - (y - mu)]), with 0 log 0 = 0."""
-    y = m.dataset.y
-    mu = fitted_means(m)
+    return _deviance_residuals(m.dataset.y, fitted_means(m))
+
+
+def _deviance_residuals(y: np.ndarray, mu: np.ndarray) -> np.ndarray:
     dev = 2.0 * (xlogy(y, y / mu) - (y - mu))
     # tiny negative values from cancellation at y == mu
     dev = np.maximum(dev, 0.0)
@@ -89,3 +109,64 @@ def residuals_for(m: FittedModel) -> np.ndarray:
     if m.kind is ModelKind.LM:
         return standardized_residuals(m)
     return deviance_residuals(m)
+
+
+def refit_many(m: FittedModel, Y: np.ndarray) -> RefitRows:
+    """Refit every row of ``Y`` (R, n) and take its default residuals.
+
+    Returns the residuals (R, n), maximized log-likelihoods (R,) and the
+    mask (R,) of rows that failed; row r is what :func:`residuals_for`
+    and the log-likelihood of ``refit(m, Y[r])`` give, and a row that
+    would raise :class:`~envdiag.data.EnvdiagError` there is marked
+    failed here.  The linear model is refitted in closed form from one
+    thin QR of the fixed design, the random-intercept model by the
+    lockstep quasi-Newton of :func:`~envdiag.fitters.glmm_rows` from the
+    parent's estimates, with residuals at the conditional modes found
+    there; the Poisson GLM one row at a time.
+    """
+    Y = np.asarray(Y, dtype=float)
+    if m.kind is ModelKind.LM:
+        return _lm_rows(m, Y)
+    if m.kind is ModelKind.GLMM_POISSON_RI:
+        return _glmm_rows(m, Y)
+    return refit_each(refit, residuals_for, m, Y)
+
+
+def _lm_rows(m: FittedModel, Y: np.ndarray) -> RefitRows:
+    X = m.dataset.X
+    R = Y.shape[0]
+    E = np.zeros(Y.shape)
+    q, _ = np.linalg.qr(X, mode="reduced")
+    h = np.sum(q * q, axis=1)
+    if np.any(h >= _LEVERAGE_ONE):     # LeverageOne on every row
+        return E, np.zeros(R), np.ones(R, dtype=bool)
+    fitted = (Y @ q) @ q.T
+    raw = Y - fitted
+    sigma = _lm_sigma(np.sum(raw * raw, axis=1), Y, X.shape[1])
+    live = sigma > 0.0
+    E[live] = raw[live] / (sigma[live, None] * np.sqrt(1.0 - h))
+    return E, _gaussian_loglik(Y, fitted, sigma), np.zeros(R, dtype=bool)
+
+
+def _glmm_rows(m: FittedModel, Y: np.ndarray) -> RefitRows:
+    d = m.dataset
+    R = Y.shape[0]
+    E = np.zeros(Y.shape)
+    logliks = np.zeros(R)
+    failed = np.zeros(R, dtype=bool)
+    for r, y in enumerate(Y):
+        try:
+            _check_poisson_response(d.X, y)
+        except EnvdiagError:
+            failed[r] = True
+    live = np.flatnonzero(~failed)
+    x0 = np.append(m.beta, _log_omega_start(m.omega))
+    fits = glmm_rows(d.X, d.group, Y[live], np.tile(x0, (live.size, 1)))
+    failed[live[fits.failed]] = True
+    ok = ~fits.failed
+    live = live[ok]
+    eta = _rows_eta(d.X, fits.params[ok, :-1])
+    mu = np.exp(eta + fits.modes[ok][:, d.group])
+    E[live] = _deviance_residuals(Y[live], mu)
+    logliks[live] = fits.loglik[ok]
+    return E, logliks, failed

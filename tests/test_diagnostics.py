@@ -6,6 +6,7 @@ from scipy.stats import spearmanr
 from envdiag import (
     Dataset,
     EnvelopeMode,
+    LeverageOne,
     ModelCapability,
     PlotKind,
     TooManyRefitFailures,
@@ -20,7 +21,9 @@ from envdiag import (
     pp_function,
     qq_function,
     refit,
+    refit_many,
     resfit_function,
+    residuals_for,
     scalelocation_function,
     simulate_replicates,
     simulate_response,
@@ -199,6 +202,109 @@ def test_too_many_refit_failures_raises(rng):
                              residuals=cap.residuals)
     with pytest.raises(TooManyRefitFailures):
         simulate_replicates(m, 99, 5, capability=custom)
+
+
+def _sequential_replicates(m, B, seed, fails):
+    """The one-draw-at-a-time loop the batched engine must reproduce:
+    refit each child in order, skip the ones ``fails`` picks, stop at
+    B - 1 accepted rows."""
+    children = np.random.SeedSequence(seed).spawn(B - 1 + int(0.1 * B))
+    rows, logliks, failed = [], [], 0
+    for child in children:
+        if len(rows) == B - 1:
+            break
+        y = simulate_response(m, np.random.default_rng(child))
+        if fails(y):
+            failed += 1
+            continue
+        m_b = refit(m, y)
+        rows.append(residuals_for(m_b))
+        logliks.append(m_b.loglik)
+    return np.array(rows), np.array(logliks), failed
+
+
+def test_refit_many_failures_match_sequential_loop(rng):
+    """Children 3, 17 and 50 of the first batch fail, and so do the first
+    two spares (98, 99): the engine refills twice, and accepts the same
+    rows in the same order as the sequential loop, with the same count."""
+    m = _lm_null_model(rng)
+    B, seed = 99, 6
+    children = np.random.SeedSequence(seed).spawn(B - 1 + int(0.1 * B))
+    first = {simulate_response(m, np.random.default_rng(children[i]))[0]
+             for i in (3, 17, 50, 98, 99)}
+
+    def fails(y):
+        return y[0] in first
+
+    def picky_refit_many(model, Y):
+        E, logliks, failed = refit_many(model, Y)
+        return E, logliks, failed | np.array([fails(y) for y in Y], dtype=bool)
+
+    def picky_refit(model, y):
+        if fails(y):
+            raise TooManyRefitFailures("synthetic failure")
+        return refit(model, y)
+
+    cap = default_capability()
+    batched = ModelCapability(simulate=simulate_response, refit=refit,
+                              residuals=cap.residuals,
+                              refit_many=picky_refit_many)
+    one_by_one = ModelCapability(simulate=simulate_response, refit=picky_refit,
+                                 residuals=cap.residuals)
+    want_rows, want_logliks, want_failed = _sequential_replicates(
+        m, B, seed, fails)
+    assert want_failed == 5
+    for capability in (batched, one_by_one):
+        reps = simulate_replicates(m, B, seed, capability=capability)
+        assert reps.n_failed == want_failed
+        assert reps.residuals.shape == want_rows.shape
+        assert np.allclose(reps.residuals, want_rows, rtol=1e-10, atol=1e-12)
+        assert np.allclose(reps.logliks, want_logliks, rtol=1e-10, atol=0.0)
+
+
+def test_leverage_one_surfaces_before_any_refit():
+    """A design row with leverage 1 leaves the standardized residuals
+    undefined; diagnose_model reports that, instead of refitting every
+    draw and failing with TooManyRefitFailures."""
+    n = 12
+    i = np.arange(1, n + 1)
+    x = (i == n).astype(float)
+    X = np.column_stack([np.ones(n), x, i / n])
+    y = 0.3 * i + np.sin(i)
+    m = fit_lm(Dataset(y=y, X=X))
+    with pytest.raises(LeverageOne):
+        residuals_for(m)
+    calls = {"refit": 0}
+
+    def counted_refit(model, y_new):
+        calls["refit"] += 1
+        return refit(model, y_new)
+
+    def counted_refit_many(model, Y):
+        calls["refit"] += Y.shape[0]
+        return refit_many(model, Y)
+
+    counting = ModelCapability(simulate=simulate_response, refit=counted_refit,
+                               residuals=residuals_for,
+                               refit_many=counted_refit_many)
+    with pytest.raises(LeverageOne):
+        diagnose_model(m, B=19, seed=1, capability=counting)
+    assert calls["refit"] == 0
+    # the batched refit marks every row failed, as refit + residuals would
+    Y = np.array([simulate_response(m, np.random.default_rng(s))
+                  for s in range(4)])
+    assert refit_many(m, Y)[2].all()
+
+
+def test_lm_refit_many_closed_form_matches_per_row_refit(rng):
+    m = _lm_null_model(rng, n=40)
+    Y = np.array([simulate_response(m, rng) for _ in range(50)])
+    E, logliks, failed = refit_many(m, Y)
+    assert not failed.any()
+    for r, y in enumerate(Y):
+        m_r = refit(m, y)
+        assert np.allclose(E[r], residuals_for(m_r), rtol=1e-10, atol=1e-12)
+        assert logliks[r] == pytest.approx(m_r.loglik, rel=1e-10, abs=0.0)
 
 
 def test_custom_residual_function_is_used(rng):

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 from scipy.special import gammaln
 
 from envdiag import (
@@ -16,6 +17,8 @@ from envdiag import (
     glmm_marginal_loglik,
     log_likelihood,
     refit,
+    refit_many,
+    residuals_for,
     simulate_response,
 )
 from envdiag.diagnostics import simulate_replicates
@@ -250,14 +253,18 @@ def test_glmm_gradient_matches_central_differences(rng):
         y = rng.poisson(np.exp(X @ beta + eps)).astype(float)
         theta = np.append(beta, log_omega)
 
+        def kernel(th):
+            v, g, _ = _glmm_loglik_grad(th[None, :-1],
+                                        np.array([math.exp(th[-1])]), X,
+                                        y[None, :], group)
+            return v[0], g[0]
+
         def value(th):
-            return _glmm_loglik_grad(th[:-1], math.exp(th[-1]), X, y,
-                                     group)[0]
+            return kernel(th)[0]
 
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            v, grad = _glmm_loglik_grad(beta, math.exp(log_omega), X, y,
-                                        group)
+            v, grad = kernel(theta)
         assert v == glmm_marginal_loglik(beta, math.exp(log_omega), X, y,
                                          group)
         fd = _central_differences(value, theta)
@@ -298,6 +305,75 @@ def test_glmm_warm_refit_does_not_stop_early():
     cold = fit_glmm_poisson_ri(Dataset(y=y, X=m.dataset.X,
                                        group=m.dataset.group))
     assert abs(warm.loglik - cold.loglik) <= 1e-6
+
+
+def _lbfgsb_reference(m, y):
+    """Maximized log-likelihood of a poisson-ri refit by scipy's L-BFGS-B,
+    from the parent start, with the floor probe: the optimizer the
+    lockstep quasi-Newton replaced, kept as its reference."""
+    X, group = m.dataset.X, m.dataset.group
+    log_floor, log_ceil = math.log(1e-6), math.log(1e4)
+
+    def nll(th):
+        if np.max(X @ th[:-1]) > 500.0:
+            return 1e12, np.zeros(th.size)
+        v, g, _ = _glmm_loglik_grad(th[None, :-1], np.array([math.exp(th[-1])]),
+                                    X, y[None, :], group)
+        if not np.isfinite(v[0]):
+            return 1e12, np.zeros(th.size)
+        return -v[0], -g[0]
+
+    x0 = np.append(m.beta, math.log(min(max(m.omega, 0.05), 3.0)))
+    res = minimize(nll, x0, method="L-BFGS-B", jac=True,
+                   bounds=[(None, None)] * m.p + [(log_floor, log_ceil)],
+                   options={"maxiter": 200, "ftol": 1e-9, "gtol": 1e-7})
+    x = res.x
+    if res.jac[-1] > 0.0 and x[-1] > log_floor:
+        at_floor = np.append(x[:-1], log_floor)
+        if nll(at_floor)[0] <= res.fun:
+            x = at_floor
+    return -nll(x)[0]
+
+
+def _glmm_refit_batch(dataset: int, B: int = 99):
+    """Parent fit and its first B - 1 bootstrap responses, as
+    :func:`_glmm_refit_case` draws them one at a time."""
+    m, _ = _glmm_refit_case(dataset, 0)
+    boot = np.random.SeedSequence((1, dataset, 1)).generate_state(1, np.uint64)
+    children = np.random.SeedSequence(int(boot[0])).spawn(B - 1)
+    Y = np.array([simulate_response(m, np.random.default_rng(c))
+                  for c in children])
+    return m, Y
+
+
+def test_glmm_refit_many_rows_do_not_depend_on_the_batch():
+    """Each row of the lockstep refit is bit-identical fitted alone or
+    among 98, has the log-likelihood ``refit`` reports, and the residuals
+    ``residuals_for`` computes from that fit (up to re-solving the
+    conditional modes from a cold start)."""
+    m, Y = _glmm_refit_batch(dataset=0)
+    E, logliks, failed = refit_many(m, Y)
+    assert not failed.any()
+    for r, y in enumerate(Y):
+        e1, l1, f1 = refit_many(m, Y[r:r + 1])
+        assert np.array_equal(e1[0], E[r]) and l1[0] == logliks[r]
+        assert not f1[0]
+        m_r = refit(m, y)
+        assert m_r.loglik == logliks[r]
+        assert np.allclose(residuals_for(m_r), E[r], rtol=0.0, atol=1e-10)
+
+
+def test_glmm_refit_many_reaches_lbfgsb_optimum():
+    """On the first five datasets of the glmm-refit stream, every row's
+    maximized log-likelihood is at least the L-BFGS-B value - 1e-6."""
+    worst = math.inf
+    for dataset in range(5):
+        m, Y = _glmm_refit_batch(dataset)
+        _, logliks, failed = refit_many(m, Y)
+        assert not failed.any()
+        for r, y in enumerate(Y):
+            worst = min(worst, logliks[r] - _lbfgsb_reference(m, y))
+    assert worst >= -1e-6, worst
 
 
 def test_glmm_refit_all_zero_response_raises_separation():
