@@ -2,7 +2,12 @@
 
 * Gaussian linear model, solved by least squares.
 * Poisson log-linear GLM, solved by iteratively reweighted least squares
-  with step halving (deviance is non-increasing by construction).
+  with step halving (deviance is non-increasing by construction).  One
+  IRLS, :func:`glm_rows`, runs every response of a batch in lockstep,
+  each with its own step halving and stop: a fit is a batch of one, and
+  bootstrap refits are a batch of all draws.  One existence check,
+  :func:`_no_mle_rows`, decides for a batch of responses which have a
+  finite estimate; every Poisson fit and refit goes through it.
 * Poisson log-linear model with a random intercept per group, solved by
   quasi-Newton optimization of an adaptive Gauss-Hermite approximation to
   the marginal likelihood (nodes recentred at each group's conditional
@@ -101,46 +106,71 @@ def _gaussian_loglik(y: np.ndarray, mean: np.ndarray, sigma):
     return -0.5 * (n * np.log(2.0 * math.pi * var) + sse / var)
 
 
-def _poisson_loglik(y: np.ndarray, eta: np.ndarray) -> float:
-    return float(np.sum(y * eta - np.exp(eta) - gammaln(y + 1.0)))
+def _poisson_loglik(y: np.ndarray, eta: np.ndarray):
+    """Poisson log-mass of ``y`` at means ``exp(eta)`` (or of each row)."""
+    return np.sum(y * eta - np.exp(eta) - gammaln(y + 1.0), axis=-1)
 
 
-def _check_poisson_response(X: np.ndarray, y: np.ndarray) -> None:
-    """Raise unless ``y`` is a count vector with a finite Poisson MLE on ``X``.
+def _no_mle_rows(X: np.ndarray, Y: np.ndarray) -> dict[int, EnvdiagError]:
+    """Rows of ``Y`` (R, n) with no finite Poisson MLE on ``X``, each with
+    the error a fit of it raises.
 
     The estimate exists if and only if no b != 0 has X_i b = 0 on every
     row with y_i > 0 and X_i b <= 0 on every row with y_i = 0 (Haberman
     1974; Santos Silva & Tenreyro 2010).  Positive rows of full column
-    rank rule such b out.  Otherwise one linear program over their null
-    space N minimizes sum X_i N c over the zero rows subject to
-    -1 <= X_i N c <= 0.  Its optimum is 0 or at most -1 (scaling a
-    separating direction reaches the bound); a negative optimum raises
-    :class:`Separation` with the direction N c.
+    rank rule such b out: their rank comes from one stacked
+    ``svd(compute_uv=False)`` of X with each row's zero-count rows zeroed,
+    at tolerance ``max(n_pos, p) eps`` times the largest singular value,
+    as ``numpy.linalg.matrix_rank`` counts it.  Only the rows of lower
+    rank are looked at further.  A response with no positive count on a
+    design with a column positive on every row is separated by minus
+    that column's unit vector.  Otherwise one linear program over the
+    null space N of the positive rows minimizes sum X_i N c over the zero
+    rows subject to -1 <= X_i N c <= 0.  Its optimum is 0 or at most -1
+    (scaling a separating direction reaches the bound); a negative
+    optimum gives :class:`Separation` with the direction N c, an LP that
+    fails :class:`NonConvergence`.  Raises ValueError unless every entry
+    of ``Y`` is a nonnegative integer.
     """
-    if np.any(y < 0) or np.any(y != np.floor(y)):
+    if np.any(Y < 0) or np.any(Y != np.floor(Y)):
         raise ValueError("Poisson response must be nonnegative integers")
-    pos = y > 0
-    Xp = X[pos]
-    s = np.linalg.svd(Xp, compute_uv=False)
-    rank = int(np.count_nonzero(s > s.max(initial=0.0) * max(Xp.shape) * _EPS))
-    if rank == X.shape[1]:
-        return
-    null = np.linalg.svd(Xp)[2][rank:].T   # null space of the positive rows
-    A = X[~pos] @ null
-    lp = linprog(A.sum(axis=0), A_ub=np.vstack([A, -A]),
-                 b_ub=np.repeat([0.0, 1.0], len(A)), bounds=(None, None))
-    if lp.status != 0:
-        raise NonConvergence(f"existence check failed: {lp.message}")
-    if lp.fun < -0.5:
-        d = null @ lp.x
-        raise Separation(
+    p = X.shape[1]
+    pos = Y > 0
+    n_pos = np.count_nonzero(pos, axis=1)
+    s = np.linalg.svd(X * pos[:, :, None], compute_uv=False)
+    tol = s.max(axis=1, initial=0.0) * np.maximum(n_pos, p) * _EPS
+    rank = np.count_nonzero(s > tol[:, None], axis=1)
+    errors = {}
+    for r in np.flatnonzero(rank < p):
+        positive = np.flatnonzero(np.all(X > 0.0, axis=0))
+        if n_pos[r] == 0 and positive.size:
+            d = -np.eye(p)[positive[0]]
+        else:
+            null = np.linalg.svd(X[pos[r]])[2][rank[r]:].T  # of positive rows
+            A = X[~pos[r]] @ null
+            lp = linprog(A.sum(axis=0), A_ub=np.vstack([A, -A]),
+                         b_ub=np.repeat([0.0, 1.0], len(A)),
+                         bounds=(None, None))
+            if lp.status != 0:
+                errors[int(r)] = NonConvergence(
+                    f"existence check failed: {lp.message}")
+                continue
+            if lp.fun >= -0.5:
+                continue
+            d = null @ lp.x
+        errors[int(r)] = Separation(
             "no finite maximum-likelihood estimate: the zero counts are "
             "separated; estimate on the boundary",
             direction=d / np.linalg.norm(d))
+    return errors
 
 
-def _poisson_deviance(y: np.ndarray, mu: np.ndarray) -> float:
-    return float(2.0 * np.sum(xlogy(y, y / mu) - (y - mu)))
+def _check_poisson_response(X: np.ndarray, y: np.ndarray) -> None:
+    """Raise unless ``y`` is a count vector with a finite Poisson MLE on
+    ``X``: the one-row case of :func:`_no_mle_rows`."""
+    err = _no_mle_rows(X, y[None, :]).get(0)
+    if err is not None:
+        raise err
 
 
 def glmm_marginal_loglik(
@@ -162,7 +192,7 @@ def glmm_marginal_loglik(
     if omega < 0:
         raise ValueError("omega must be nonnegative")
     if omega == 0.0:
-        return _poisson_loglik(y, X @ beta)
+        return float(_poisson_loglik(y, X @ beta))
     value, _, _ = _glmm_loglik_grad(beta[None, :], np.array([omega]), X,
                                     y[None, :], group)
     return float(value[0])
@@ -345,85 +375,180 @@ def _lm_sigma(rss, y: np.ndarray, p: int):
     return np.where(degenerate, 0.0, np.sqrt(rss / max(n - p, 1)))
 
 
-def _irls_start(y: np.ndarray, p: int) -> np.ndarray:
-    # bounded away from the boundary even when the response is all zeros
-    beta = np.zeros(p)
-    beta[0] = math.log(float(np.mean(y)) + 0.1)
+def _irls_start(Y: np.ndarray, p: int) -> np.ndarray:
+    """IRLS start of every row of ``Y`` (R, n): intercept log(mean + 0.1),
+    bounded away from the boundary even for an all-zero response."""
+    beta = np.zeros((Y.shape[0], p))
+    beta[:, 0] = np.log(Y.sum(axis=1) / Y.shape[1] + 0.1)
     return beta
 
 
+class GlmRows(NamedTuple):
+    """Poisson GLM fits of R responses on one design.
+
+    ``beta`` (R, p), ``eta`` (R, n) and ``loglik`` (R,) hold each row's
+    estimate, linear predictors and maximized log-likelihood.
+    ``rank_deficient`` marks rows whose weighted design lost rank,
+    ``nonconverged`` rows still moving after the iteration budget (their
+    ``beta`` is the last iterate); the other entries of such rows are
+    meaningless.
+    """
+
+    beta: np.ndarray
+    eta: np.ndarray
+    loglik: np.ndarray
+    rank_deficient: np.ndarray
+    nonconverged: np.ndarray
+
+    @property
+    def failed(self) -> np.ndarray:
+        return self.rank_deficient | self.nonconverged
+
+
+def glm_rows(X: np.ndarray, Y: np.ndarray) -> GlmRows:
+    """Poisson log-linear fits of every row of ``Y`` (R, n) by IRLS in lockstep.
+
+    Each row follows the rules of a single fit (McCullagh & Nelder 1989,
+    sec. 2.5) on its own: the start of :func:`_irls_start`; per iteration
+    a Newton step from the weighted normal equations X' diag(mu) X d =
+    X'(y - mu), then step halving (up to 30 trials, the last at 2^-29 of
+    the step) until the deviance does not rise.  A row stops once the
+    relative deviance change is below 1e-9, or when no trial goes
+    downhill (it is numerically at the optimum already), and is then
+    frozen; a row still moving after 100 iterations is ``nonconverged``.
+    A stopped row takes one polishing Newton step, kept only if the
+    deviance does not rise by more than 1e-9, so the estimate is
+    accurate to machine precision rather than to the stopping tolerance.
+
+    The normal equations of every row are built from elementwise row
+    sums and solved as one stacked ``solve``, with no product across
+    rows, so a row's fit does not depend on the batch it is in.  A row
+    whose normal equations have an eigenvalue at most ``max(n, p) eps``
+    times their largest is ``rank_deficient`` (the precision the
+    eigenvalues of a Gram matrix carry).  The response is not checked:
+    see :func:`_no_mle_rows`.
+    """
+    R, n = Y.shape
+    p = X.shape[1]
+    Xt = np.ascontiguousarray(X.T)
+    XX = (Xt[:, None, :] * Xt).reshape(p * p, n)    # products X_j X_k
+    tol = max(n, p) * _EPS
+
+    def newton(y, mu):
+        """Newton steps at means ``mu``, and the rows whose weighted
+        normal equations are singular (their step is 0)."""
+        A = (mu[:, None, :] * XX).sum(axis=2).reshape(-1, p, p)
+        score = ((y - mu)[:, None, :] * Xt).sum(axis=2)
+        lam = np.linalg.eigvalsh(A)
+        singular = lam[:, 0] <= tol * lam[:, -1]
+        if singular.any():
+            A[singular] = np.eye(p)
+            score[singular] = 0.0
+        return np.linalg.solve(A, score[:, :, None])[:, :, 0], singular
+
+    def trial(y, c, beta):
+        """Linear predictors, means and deviances at ``beta``; the
+        deviance is inf where a mean overflows."""
+        eta = _rows_eta(X, beta)
+        mu = np.exp(eta)
+        return eta, mu, 2.0 * (c - (y * eta - mu).sum(axis=1))
+
+    # deviance 2 sum(y log(y/mu) - y + mu) = 2 (c - sum(y eta - mu))
+    C = (xlogy(Y, Y) - Y).sum(axis=1)
+    beta = _irls_start(Y, p)
+    rank_deficient = np.zeros(R, dtype=bool)
+    nonconverged = np.zeros(R, dtype=bool)
+    with np.errstate(over="ignore"):
+        eta, mu, dev = trial(Y, C, beta)
+        # the state of the rows still iterating, ``live``: response,
+        # deviance constant, beta, eta, mu and deviance; compacted only
+        # when some row stops
+        live = np.arange(R)
+        y, c, b, e, m, d = Y, C, beta, eta, mu, dev
+        for _ in range(_MAX_ITER):
+            step, singular = newton(y, m)
+            bt = b + step
+            et, mt, dt = trial(y, c, bt)
+            down = dt <= d
+            if not down.all():
+                halving = np.flatnonzero(~down)
+                for scale in 0.5 ** np.arange(1, 30):
+                    if halving.size == 0:
+                        break
+                    bh = b[halving] + scale * step[halving]
+                    eh, mh, dh = trial(y[halving], c[halving], bh)
+                    ok = dh <= d[halving]
+                    h = halving[ok]
+                    bt[h], et[h], mt[h], dt[h] = bh[ok], eh[ok], mh[ok], dh[ok]
+                    down[h] = True
+                    halving = halving[~ok]
+                # no downhill step: the row is at its optimum already
+                bt, et, mt = (np.where(down[:, None], new, old)
+                              for new, old in ((bt, b), (et, e), (mt, m)))
+                dt = np.where(down, dt, d)
+            # relative deviance change: d - dt >= 0, and 0 where no step
+            # went down or the step is 0 (singular rows)
+            stop = d - dt < _TOL * (np.abs(dt) + 0.1)
+            b, e, m, d = bt, et, mt, dt
+            if stop.any():
+                rank_deficient[live[singular]] = True
+                if stop.all():
+                    beta[live], eta[live], mu[live], dev[live] = b, e, m, d
+                    break
+                done = live[stop]
+                beta[done], eta[done], mu[done], dev[done] = (
+                    b[stop], e[stop], m[stop], d[stop])
+                keep = ~stop
+                live = live[keep]
+                y, c, b, e, m, d = (a[keep] for a in (y, c, b, e, m, d))
+        else:
+            nonconverged[live] = True
+            beta[live] = b
+
+        # one polishing Newton step of every converged row: quadratic
+        # convergence squares the error
+        conv = ~(rank_deficient | nonconverged)
+        if not conv.all():
+            conv = np.flatnonzero(conv)
+            y, c, b, e, m, d = (a[conv] for a in (Y, C, beta, eta, mu, dev))
+        else:
+            y, c, b, e, m, d = Y, C, beta, eta, mu, dev
+        step, _ = newton(y, m)
+        bt = b + step
+        et, _, dt = trial(y, c, bt)
+        better = (dt <= d + 1e-9)[:, None]
+        beta[conv] = np.where(better, bt, b)
+        eta[conv] = np.where(better, et, e)
+    return GlmRows(beta=beta, eta=eta, loglik=_poisson_loglik(Y, eta),
+                   rank_deficient=rank_deficient, nonconverged=nonconverged)
+
+
 def fit_glm_poisson(d: Dataset) -> FittedModel:
-    """Poisson log-linear fit by iteratively reweighted least squares.
+    """Poisson log-linear fit by iteratively reweighted least squares: the
+    one-row case of :func:`glm_rows`, which also refits bootstrap draws.
 
     Convergence is declared when the relative deviance change drops below
     1e-9, within 100 iterations; one extra Newton step is then taken so
     the returned estimate is accurate to machine precision rather than to
     the stopping tolerance.  Step halving keeps the deviance
     non-increasing.  A response with no finite estimate raises
-    :class:`Separation` before any iteration.
+    :class:`Separation` before any iteration; a weighted design that
+    loses rank raises :class:`~envdiag.data.RankDeficient`, and a fit
+    still moving after 100 iterations :class:`NonConvergence`.
     """
-    y, X = d.y, d.X
-    _check_poisson_response(X, y)
-    n, p = X.shape
-
-    beta = _irls_start(y, p)
-    eta = X @ beta
-    mu = np.exp(eta)
-    dev = _poisson_deviance(y, mu)
-
-    converged = False
-    for _ in range(_MAX_ITER):
-        z = eta + (y - mu) / mu
-        w = np.sqrt(mu)
-        beta_new, _, rank, _ = np.linalg.lstsq(X * w[:, None], z * w, rcond=None)
-        if rank < p:
-            raise RankDeficient("weighted design lost rank during IRLS")
-        # step halving: retreat toward the previous iterate until the
-        # deviance stops increasing
-        step = beta_new - beta
-        dev_new = math.inf
-        for _half in range(30):
-            eta_new = X @ (beta + step)
-            with np.errstate(over="ignore"):
-                mu_new = np.exp(eta_new)
-            if mu_new.max() < math.inf:  # all finite; a NaN fails too
-                dev_new = _poisson_deviance(y, mu_new)
-                if dev_new <= dev:
-                    break
-            step *= 0.5
-        if not dev_new <= dev:
-            # no downhill step exists: numerically at the optimum already
-            converged = True
-            break
-        beta = beta + step
-        eta = X @ beta
-        mu = np.exp(eta)
-        assert dev_new <= dev  # deviance is non-increasing per iteration
-        dev_prev, dev = dev, dev_new
-        if abs(dev_prev - dev) < _TOL * (abs(dev) + 0.1):
-            converged = True
-            break
-    if not converged:
+    _check_poisson_response(d.X, d.y)
+    rows = glm_rows(d.X, d.y[None, :])
+    if rows.rank_deficient[0]:
+        raise RankDeficient("weighted design lost rank during IRLS")
+    if rows.nonconverged[0]:
         raise NonConvergence(
-            f"IRLS did not converge in {_MAX_ITER} iterations", beta=beta
-        )
-
-    # one polishing Newton step (quadratic convergence squares the error),
-    # accepted only if it does not move the deviance up
-    z = eta + (y - mu) / mu
-    w = np.sqrt(mu)
-    beta_pol, _, _, _ = np.linalg.lstsq(X * w[:, None], z * w, rcond=None)
-    eta_pol = X @ beta_pol
-    with np.errstate(over="ignore"):
-        mu_pol = np.exp(eta_pol)
-    if np.all(np.isfinite(mu_pol)) and _poisson_deviance(y, mu_pol) <= dev + 1e-9:
-        beta, eta = beta_pol, eta_pol
-
+            f"IRLS did not converge in {_MAX_ITER} iterations",
+            beta=rows.beta[0])
     return FittedModel(
         kind=ModelKind.GLM_POISSON,
-        beta=beta,
-        eta=eta,
-        loglik=_poisson_loglik(y, eta),
+        beta=rows.beta[0],
+        eta=rows.eta[0],
+        loglik=float(rows.loglik[0]),
         dataset=d,
     )
 
@@ -455,11 +580,11 @@ def fit_glmm_poisson_ri(d: Dataset) -> FittedModel:
     from the parent fit instead.  ``omega`` is optimized on the log scale
     with a floor at 1e-6; a fit pinned at the floor is returned with
     ``boundary_omega=True`` (the model then coincides with the plain GLM
-    up to the floor).
+    up to the floor).  A response with no finite estimate raises
+    :class:`Separation` from the GLM start, before any quasi-Newton step.
     """
     if d.group is None:
         raise ValueError("random-intercept fit requires grouping labels")
-    _check_poisson_response(d.X, d.y)
     return _glmm_model(d, _glmm_start(d))
 
 
@@ -704,13 +829,14 @@ def simulate_response(m: FittedModel, stream: np.random.Generator) -> np.ndarray
 def refit(m: FittedModel, y_new: np.ndarray) -> FittedModel:
     """Fit the same model class to a new response, keeping X and group.
 
-    A random-intercept refit starts from the parent's ``(beta, log
-    omega)`` (omega clamped as in the top-level start) instead of a fresh
-    GLM fit, and is the one-row case of the lockstep optimizer that
-    :func:`~envdiag.residuals.refit_many` runs on many rows: the two give
-    bit-identical estimates and log-likelihoods.  A Poisson response with
-    no finite estimate raises :class:`Separation`, as it does for a
-    top-level fit.
+    A Poisson GLM refit is the one-row case of the lockstep IRLS that
+    :func:`~envdiag.residuals.refit_many` runs on many rows.  A
+    random-intercept refit starts from the parent's ``(beta, log omega)``
+    (omega clamped as in the top-level start) instead of a fresh GLM fit,
+    and is the one-row case of the lockstep optimizer that ``refit_many``
+    runs.  Either way the two give bit-identical estimates and
+    log-likelihoods.  A Poisson response with no finite estimate raises
+    :class:`Separation`, as it does for a top-level fit.
     """
     d_new = Dataset(y=np.asarray(y_new, dtype=float), X=m.dataset.X,
                     group=m.dataset.group)
@@ -733,6 +859,6 @@ def log_likelihood(m: FittedModel, y: np.ndarray) -> float:
     if m.kind is ModelKind.LM:
         return float(_gaussian_loglik(y, m.eta, m.sigma))
     if m.kind is ModelKind.GLM_POISSON:
-        return _poisson_loglik(y, m.eta)
+        return float(_poisson_loglik(y, m.eta))
     return glmm_marginal_loglik(m.beta, m.omega, m.dataset.X, y,
                                 m.dataset.group)

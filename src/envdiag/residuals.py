@@ -9,9 +9,10 @@ the residuals and drown out everything the diagnostics look for.  The
 plot x-axis (the linear predictor) stays marginal either way.
 
 ``refit_many`` refits a batch of bootstrap responses and returns their
-default residuals: in closed form for the linear model, through the
-lockstep random-intercept optimizer (reusing its conditional modes), and
-one response at a time for the Poisson GLM.
+default residuals: in closed form for the linear model, and for the two
+Poisson models after one batched existence check, through the lockstep
+IRLS of the GLM or the lockstep random-intercept optimizer (reusing its
+conditional modes).
 """
 
 from __future__ import annotations
@@ -19,16 +20,16 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import xlogy
 
-from .data import EnvdiagError, FittedModel, ModelKind, RefitRows, refit_each
+from .data import EnvdiagError, FittedModel, ModelKind, RefitRows
 from .fitters import (
-    _check_poisson_response,
     _gaussian_loglik,
     _group_modes,
     _lm_sigma,
     _log_omega_start,
+    _no_mle_rows,
     _rows_eta,
+    glm_rows,
     glmm_rows,
-    refit,
 )
 
 
@@ -119,17 +120,17 @@ def refit_many(m: FittedModel, Y: np.ndarray) -> RefitRows:
     and the log-likelihood of ``refit(m, Y[r])`` give, and a row that
     would raise :class:`~envdiag.data.EnvdiagError` there is marked
     failed here.  The linear model is refitted in closed form from one
-    thin QR of the fixed design, the random-intercept model by the
-    lockstep quasi-Newton of :func:`~envdiag.fitters.glmm_rows` from the
-    parent's estimates, with residuals at the conditional modes found
-    there; the Poisson GLM one row at a time.
+    thin QR of the fixed design.  Poisson rows without a finite estimate
+    are found by one batched existence check; the others are refitted
+    in lockstep, the GLM by the IRLS of :func:`~envdiag.fitters.glm_rows`
+    and the random-intercept model by the quasi-Newton of
+    :func:`~envdiag.fitters.glmm_rows` from the parent's estimates, with
+    residuals at the conditional modes found there.
     """
     Y = np.asarray(Y, dtype=float)
     if m.kind is ModelKind.LM:
         return _lm_rows(m, Y)
-    if m.kind is ModelKind.GLMM_POISSON_RI:
-        return _glmm_rows(m, Y)
-    return refit_each(refit, residuals_for, m, Y)
+    return _poisson_rows(m, Y)
 
 
 def _lm_rows(m: FittedModel, Y: np.ndarray) -> RefitRows:
@@ -148,25 +149,26 @@ def _lm_rows(m: FittedModel, Y: np.ndarray) -> RefitRows:
     return E, _gaussian_loglik(Y, fitted, sigma), np.zeros(R, dtype=bool)
 
 
-def _glmm_rows(m: FittedModel, Y: np.ndarray) -> RefitRows:
+def _poisson_rows(m: FittedModel, Y: np.ndarray) -> RefitRows:
     d = m.dataset
     R = Y.shape[0]
     E = np.zeros(Y.shape)
     logliks = np.zeros(R)
     failed = np.zeros(R, dtype=bool)
-    for r, y in enumerate(Y):
-        try:
-            _check_poisson_response(d.X, y)
-        except EnvdiagError:
-            failed[r] = True
+    failed[list(_no_mle_rows(d.X, Y))] = True
     live = np.flatnonzero(~failed)
-    x0 = np.append(m.beta, _log_omega_start(m.omega))
-    fits = glmm_rows(d.X, d.group, Y[live], np.tile(x0, (live.size, 1)))
-    failed[live[fits.failed]] = True
-    ok = ~fits.failed
+    if m.kind is ModelKind.GLMM_POISSON_RI:
+        x0 = np.append(m.beta, _log_omega_start(m.omega))
+        fits = glmm_rows(d.X, d.group, Y[live], np.tile(x0, (live.size, 1)))
+        ok = ~fits.failed
+        eta = (_rows_eta(d.X, fits.params[ok, :-1])
+               + fits.modes[ok][:, d.group])    # at the conditional modes
+    else:
+        fits = glm_rows(d.X, Y[live])
+        ok = ~fits.failed
+        eta = fits.eta[ok]
+    failed[live[~ok]] = True
     live = live[ok]
-    eta = _rows_eta(d.X, fits.params[ok, :-1])
-    mu = np.exp(eta + fits.modes[ok][:, d.group])
-    E[live] = _deviance_residuals(Y[live], mu)
+    E[live] = _deviance_residuals(Y[live], np.exp(eta))
     logliks[live] = fits.loglik[ok]
     return E, logliks, failed

@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 from scipy.special import ndtr, ndtri
 from scipy.stats import spearmanr
 
 from envdiag import (
     Dataset,
+    EnvdiagError,
     EnvelopeMode,
     LeverageOne,
     ModelCapability,
+    ModelKind,
     PlotKind,
+    ScenarioSpec,
+    Separation,
     TooManyRefitFailures,
+    Violation,
     default_capability,
     diagnose_model,
     envelope_test,
@@ -29,6 +35,9 @@ from envdiag import (
     simulate_response,
 )
 from envdiag.envelope import FunctionEnsemble
+from envdiag.fitters import _check_poisson_response, _no_mle_rows
+
+from test_fitters import _bootstrap_draws, _stream_fit
 
 
 def _lm_null_model(rng, n=40):
@@ -260,6 +269,86 @@ def test_refit_many_failures_match_sequential_loop(rng):
         assert reps.residuals.shape == want_rows.shape
         assert np.allclose(reps.residuals, want_rows, rtol=1e-10, atol=1e-12)
         assert np.allclose(reps.logliks, want_logliks, rtol=1e-10, atol=0.0)
+
+
+def _mle_exists_reference(X, y):
+    """The existence rule one response at a time, as the per-response
+    check computed it: positive rows of full rank (their own SVD), or else
+    an LP over their null space that finds no separating direction."""
+    pos = y > 0
+    s = np.linalg.svd(X[pos], compute_uv=False)
+    rank = int(np.count_nonzero(
+        s > s.max(initial=0.0) * max(int(pos.sum()), X.shape[1])
+        * np.finfo(float).eps))
+    if rank == X.shape[1]:
+        return True
+    null = np.linalg.svd(X[pos])[2][rank:].T
+    A = X[~pos] @ null
+    lp = linprog(A.sum(axis=0), A_ub=np.vstack([A, -A]),
+                 b_ub=np.repeat([0.0, 1.0], len(A)), bounds=(None, None))
+    assert lp.status == 0
+    return lp.fun >= -0.5
+
+
+def _small_poisson_stream(B=99):
+    """Fit, bootstrap seed and every child draw (B - 1 and the spares) of
+    each of the first 40 datasets of the n=10 poisson null stream at
+    seed 1, as a power study draws them."""
+    spec = ScenarioSpec(model=ModelKind.GLM_POISSON,
+                        violation=Violation.NULL_OK, n=10)
+    for dataset in range(40):
+        m, seed = _stream_fit(spec, dataset)
+        yield m, seed, _bootstrap_draws(m, seed, B - 1 + int(0.1 * B))
+
+
+def _refit_fails(m, y):
+    try:
+        refit(m, y)
+    except EnvdiagError:
+        return True
+    return False
+
+
+def test_batched_existence_mask_matches_per_row_rule():
+    """On every draw of the n=10 poisson null stream the batched check
+    finds exactly the responses without a finite MLE (2 of 4280), and the
+    single-response check raises Separation on exactly those."""
+    found = 0
+    for m, _, Y in _small_poisson_stream():
+        X = m.dataset.X
+        want = np.array([not _mle_exists_reference(X, y) for y in Y])
+        errors = _no_mle_rows(X, Y)
+        assert sorted(errors) == list(np.flatnonzero(want))
+        assert all(isinstance(e, Separation) for e in errors.values())
+        for y, bad in zip(Y, want):
+            if bad:
+                with pytest.raises(Separation):
+                    _check_poisson_response(X, y)
+            else:
+                _check_poisson_response(X, y)
+        found += int(want.sum())
+    assert found == 2
+
+
+def test_poisson_refit_many_failures_match_sequential_loop():
+    """On the n=10 poisson null stream, the failure mask of the batched
+    refit is the set of draws whose one-at-a-time refit raises, and the
+    bootstrap replaces the same draws and accepts the same rows as the
+    sequential loop, bit for bit."""
+    replaced = 0
+    for m, seed, Y in _small_poisson_stream():
+        _, _, failed = refit_many(m, Y)
+        one_by_one = [_refit_fails(m, y) for y in Y]
+        assert np.array_equal(failed, one_by_one)
+        bad = {y.tobytes() for y, f in zip(Y, one_by_one) if f}
+        reps = simulate_replicates(m, 99, seed)
+        want_rows, want_logliks, want_failed = _sequential_replicates(
+            m, 99, seed, lambda y: y.tobytes() in bad)
+        assert reps.n_failed == want_failed
+        assert np.array_equal(reps.residuals, want_rows)
+        assert np.array_equal(reps.logliks, want_logliks)
+        replaced += reps.n_failed
+    assert replaced == 2
 
 
 def test_leverage_one_surfaces_before_any_refit():

@@ -4,16 +4,19 @@ import warnings
 import numpy as np
 import pytest
 from scipy.optimize import minimize
-from scipy.special import gammaln
+from scipy.special import gammaln, xlogy
 
 from envdiag import (
     Dataset,
     FittedModel,
     ModelKind,
+    NonConvergence,
+    RankDeficient,
     Separation,
     fit_glm_poisson,
     fit_glmm_poisson_ri,
     fit_lm,
+    fit_model,
     glmm_marginal_loglik,
     log_likelihood,
     refit,
@@ -22,7 +25,7 @@ from envdiag import (
     simulate_response,
 )
 from envdiag.diagnostics import simulate_replicates
-from envdiag.fitters import _glmm_loglik_grad
+from envdiag.fitters import _glmm_loglik_grad, glm_rows
 from envdiag.harness import ScenarioSpec, Violation, generate_dataset
 
 # ------------------------------------------------------------------ #
@@ -275,6 +278,23 @@ def test_glmm_gradient_matches_central_differences(rng):
     assert points == 240
 
 
+def _stream_fit(spec: ScenarioSpec, dataset: int):
+    """Fit of dataset ``dataset`` of the spec's data stream at seed 1 and
+    its bootstrap seed, as a power study draws them."""
+    d = generate_dataset(
+        spec, np.random.default_rng(np.random.SeedSequence((1, dataset, 0))))
+    boot = np.random.SeedSequence((1, dataset, 1)).generate_state(1, np.uint64)
+    return fit_model(d, spec.model), int(boot[0])
+
+
+def _bootstrap_draws(m, boot_seed: int, count: int) -> np.ndarray:
+    """The first ``count`` bootstrap responses of ``m``, one child stream
+    each, as :func:`simulate_replicates` draws them."""
+    children = np.random.SeedSequence(boot_seed).spawn(count)
+    return np.array([simulate_response(m, np.random.default_rng(c))
+                     for c in children])
+
+
 def _glmm_refit_case(dataset: int, child: int, n: int = 40):
     """Parent fit and one bootstrap response of the poisson-ri null data
     stream at seed 1 (n=40: the glmm-refit stream), as a power study
@@ -282,13 +302,8 @@ def _glmm_refit_case(dataset: int, child: int, n: int = 40):
     """
     spec = ScenarioSpec(model=ModelKind.GLMM_POISSON_RI,
                         violation=Violation.NULL_OK, n=n)
-    d = generate_dataset(
-        spec, np.random.default_rng(np.random.SeedSequence((1, dataset, 0))))
-    boot = np.random.SeedSequence((1, dataset, 1)).generate_state(1, np.uint64)
-    stream = np.random.default_rng(
-        np.random.SeedSequence(int(boot[0])).spawn(child + 1)[child])
-    m = fit_glmm_poisson_ri(d)
-    return m, simulate_response(m, stream)
+    m, boot_seed = _stream_fit(spec, dataset)
+    return m, _bootstrap_draws(m, boot_seed, child + 1)[child]
 
 
 def test_glmm_warm_refit_does_not_stop_early():
@@ -338,12 +353,10 @@ def _lbfgsb_reference(m, y):
 def _glmm_refit_batch(dataset: int, B: int = 99):
     """Parent fit and its first B - 1 bootstrap responses, as
     :func:`_glmm_refit_case` draws them one at a time."""
-    m, _ = _glmm_refit_case(dataset, 0)
-    boot = np.random.SeedSequence((1, dataset, 1)).generate_state(1, np.uint64)
-    children = np.random.SeedSequence(int(boot[0])).spawn(B - 1)
-    Y = np.array([simulate_response(m, np.random.default_rng(c))
-                  for c in children])
-    return m, Y
+    spec = ScenarioSpec(model=ModelKind.GLMM_POISSON_RI,
+                        violation=Violation.NULL_OK, n=40)
+    m, boot_seed = _stream_fit(spec, dataset)
+    return m, _bootstrap_draws(m, boot_seed, B - 1)
 
 
 def test_glmm_refit_many_rows_do_not_depend_on_the_batch():
@@ -466,6 +479,169 @@ def test_rank_deficient_positive_rows_with_finite_mle_fit():
         warnings.simplefilter("error", RuntimeWarning)
         m = fit_glm_poisson(Dataset(y=y, X=X))
     assert np.max(np.abs(m.beta - newton_poisson_mle(X, y))) < 1e-8
+
+
+def test_all_zero_response_is_separated_without_linprog(monkeypatch):
+    """With no positive count, minus the unit vector of a column that is
+    positive on every row is the certificate; the LP runs only on a
+    design without such a column."""
+    def no_lp(*args, **kwargs):
+        raise AssertionError("linprog called")
+
+    n = 12
+    x = np.linspace(0.0, 1.0, n)
+    y = np.zeros(n)
+    with monkeypatch.context() as mp:
+        mp.setattr("envdiag.fitters.linprog", no_lp)
+        for X in (np.column_stack([np.ones(n), x]),
+                  np.column_stack([x - 0.5, 1.0 + x])):
+            with pytest.raises(Separation) as err:
+                fit_glm_poisson(Dataset(y=y, X=X))
+            assert_separation_certificate(X, y, err.value.direction)
+    X = np.column_stack([-np.ones(n), x - 0.5])    # no positive column
+    with pytest.raises(Separation) as err:
+        fit_glm_poisson(Dataset(y=y, X=X))
+    assert_separation_certificate(X, y, err.value.direction)
+
+
+# ------------------------------------------------------------------ #
+# lockstep IRLS
+# ------------------------------------------------------------------ #
+
+
+def _irls_reference(X, y):
+    """Poisson GLM estimate by per-response IRLS with one ``lstsq`` per
+    iteration: the fitter that the lockstep :func:`glm_rows` replaced,
+    kept as its reference."""
+    def deviance(mu):
+        return float(2.0 * np.sum(xlogy(y, y / mu) - (y - mu)))
+
+    beta = np.zeros(X.shape[1])
+    beta[0] = math.log(float(np.mean(y)) + 0.1)
+    eta = X @ beta
+    mu = np.exp(eta)
+    dev = deviance(mu)
+    for _ in range(100):
+        z = eta + (y - mu) / mu
+        w = np.sqrt(mu)
+        beta_new, _, rank, _ = np.linalg.lstsq(X * w[:, None], z * w,
+                                               rcond=None)
+        assert rank == X.shape[1]
+        step = beta_new - beta
+        dev_new = math.inf
+        for _half in range(30):
+            with np.errstate(over="ignore"):
+                mu_new = np.exp(X @ (beta + step))
+            if mu_new.max() < math.inf:
+                dev_new = deviance(mu_new)
+                if dev_new <= dev:
+                    break
+            step *= 0.5
+        if not dev_new <= dev:
+            break
+        beta = beta + step
+        eta = X @ beta
+        mu = np.exp(eta)
+        dev_prev, dev = dev, dev_new
+        if abs(dev_prev - dev) < 1e-9 * (abs(dev) + 0.1):
+            break
+    else:
+        raise AssertionError("reference IRLS did not converge")
+    z = eta + (y - mu) / mu
+    w = np.sqrt(mu)
+    beta_pol = np.linalg.lstsq(X * w[:, None], z * w, rcond=None)[0]
+    with np.errstate(over="ignore"):
+        mu_pol = np.exp(X @ beta_pol)
+    if np.all(np.isfinite(mu_pol)) and deviance(mu_pol) <= dev + 1e-9:
+        beta = beta_pol
+    return beta
+
+
+_POWER_CELL = ScenarioSpec(model=ModelKind.GLM_POISSON,
+                           violation=Violation.MIXTURE, n=80)
+
+
+def test_glm_rows_match_lstsq_irls_reference():
+    """On the bootstrap draws of the first ten datasets of the
+    poisson-power-cell stream, every lockstep estimate is within 1e-10 of
+    the per-response lstsq IRLS, and so is every top-level fit."""
+    worst = 0.0
+    for dataset in range(10):
+        m, boot_seed = _stream_fit(_POWER_CELL, dataset)
+        X = m.dataset.X
+        worst = max(worst, np.max(np.abs(
+            m.beta - _irls_reference(X, m.dataset.y))))
+        Y = _bootstrap_draws(m, boot_seed, 98)
+        rows = glm_rows(X, Y)
+        assert not rows.failed.any()
+        for r, y in enumerate(Y):
+            worst = max(worst, np.max(np.abs(
+                rows.beta[r] - _irls_reference(X, y))))
+    assert worst <= 1e-10, worst
+
+
+def test_glm_refit_rows_do_not_depend_on_the_batch():
+    """Each row of the lockstep IRLS is bit-identical fitted alone, among
+    98, and through ``refit``, in estimate, log-likelihood and residuals."""
+    m, boot_seed = _stream_fit(_POWER_CELL, 0)
+    Y = _bootstrap_draws(m, boot_seed, 98)
+    rows = glm_rows(m.dataset.X, Y)
+    E, logliks, failed = refit_many(m, Y)
+    assert not failed.any()
+    for r, y in enumerate(Y):
+        alone = glm_rows(m.dataset.X, Y[r:r + 1])
+        assert np.array_equal(alone.beta[0], rows.beta[r])
+        e1, l1, f1 = refit_many(m, Y[r:r + 1])
+        assert np.array_equal(e1[0], E[r]) and l1[0] == logliks[r]
+        assert not f1[0]
+        m_r = refit(m, y)
+        assert np.array_equal(m_r.beta, rows.beta[r])
+        assert m_r.loglik == logliks[r]
+        assert np.array_equal(residuals_for(m_r), E[r])
+
+
+def test_glm_rows_halve_steps_that_overshoot():
+    """A steep response whose full Newton steps from the start raise the
+    deviance (plain Newton from zero even breaks down) needs step
+    halving; batched with a response that does not, each row matches the
+    reference and is bit-identical alone."""
+    x = np.array([0.855, 1.07, 1.354, 1.417, 2.549, 2.711, 3.067, 3.502,
+                  6.259])
+    X = np.column_stack([np.ones(x.size), x])
+    Y = np.array([[1, 0, 2, 0, 4, 7, 5, 7, 78],
+                  [1, 2, 1, 3, 2, 4, 3, 5, 6]], dtype=float)
+    rows = glm_rows(X, Y)
+    assert not rows.failed.any()
+    for r, y in enumerate(Y):
+        assert np.max(np.abs(rows.beta[r] - _irls_reference(X, y))) <= 1e-10
+        assert np.array_equal(glm_rows(X, Y[r:r + 1]).beta[0], rows.beta[r])
+        assert np.array_equal(fit_glm_poisson(Dataset(y=y, X=X)).beta,
+                              rows.beta[r])
+
+
+def test_glm_rows_flag_rank_loss_and_nonconvergence(monkeypatch):
+    """A duplicated column makes the weighted design singular: the row
+    is flagged, the fit raises RankDeficient and refit_many marks it
+    failed.  An iteration budget too short flags the row nonconverged,
+    and the fit raises NonConvergence with the last iterate."""
+    n = 20
+    x = (np.arange(n) + 0.5) / n
+    y = np.random.default_rng(3).poisson(np.exp(1.0 + x)).astype(float)
+    X = np.column_stack([np.ones(n), x, x])
+    rows = glm_rows(X, np.vstack([y, y]))
+    assert rows.rank_deficient.all() and not rows.nonconverged.any()
+    with pytest.raises(RankDeficient):
+        fit_glm_poisson(Dataset(y=y, X=X))
+    X = X[:, :2]
+    m = fit_glm_poisson(Dataset(y=y, X=X))
+    assert refit_many(m, np.vstack([y, y]))[2].sum() == 0
+    monkeypatch.setattr("envdiag.fitters._MAX_ITER", 1)
+    rows = glm_rows(X, y[None, :])
+    assert rows.nonconverged[0] and not rows.rank_deficient[0]
+    with pytest.raises(NonConvergence) as err:
+        fit_glm_poisson(Dataset(y=y, X=X))
+    assert np.array_equal(err.value.beta, rows.beta[0])
+    assert refit_many(m, np.vstack([y, y]))[2].all()
 
 
 # ------------------------------------------------------------------ #
