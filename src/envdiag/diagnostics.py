@@ -3,10 +3,9 @@
 For a fitted model the pipeline is: simulate new responses from the
 fitted parameters, refit, recompute residuals, reduce them to the plot's
 functional, and repeat to build an ensemble for the envelope engine.
-The B-1 draws are refitted as one batch when the model capability
-offers ``refit_many`` (the built-in classes do), one at a time
-otherwise; either way each draw has its own random stream, and failed
-refits are replaced by spare draws in a fixed order.
+The B-1 draws are refitted as one batch by the model capability's
+``refit_many``; each draw has its own random stream, and failed refits
+are replaced by spare draws in a fixed order.
 Four functionals are provided: sorted residuals against normal quantiles
 (QQ), sorted residual probabilities against uniform positions (PP), and
 smoothers of residuals or absolute residuals against the observed linear
@@ -34,7 +33,7 @@ from .envelope import (
     GlobalEnvelope,
     global_envelope,
 )
-from .fitters import refit, simulate_response
+from .fitters import simulate_response
 from .residuals import refit_many, residuals_for
 from .smoother import PSplineDesign
 
@@ -78,13 +77,11 @@ class GofResult(NamedTuple):
 
 
 def default_capability() -> ModelCapability:
-    """The built-in model classes' simulate / refit / residuals, with the
-    batched refit."""
+    """The built-in model classes' simulate, batched refit and residuals."""
     return ModelCapability(
         simulate=simulate_response,
-        refit=refit,
-        residuals=residuals_for,
         refit_many=refit_many,
+        residuals=residuals_for,
     )
 
 
@@ -186,7 +183,7 @@ def simulate_replicates(
 
     Replicate streams are derived deterministically from (seed, index),
     so results do not depend on execution order.  The first B-1 draws are
-    refitted as one batch (:meth:`ModelCapability.refit_rows`); a failed
+    refitted as one batch (``capability.refit_many``); a failed
     refit (for example a simulated response on the likelihood boundary)
     is replaced by the next spare draws, in order, so the accepted rows
     and their order are those of refitting the draws one by one and
@@ -205,7 +202,7 @@ def simulate_replicates(
         batch = children[start:start + n_needed - done]
         start += len(batch)
         Y = np.array([cap.simulate(m, np.random.default_rng(c)) for c in batch])
-        E, logliks, bad = cap.refit_rows(m, Y)
+        E, logliks, bad = cap.refit_many(m, Y)
         resid_rows.append(E[~bad])
         loglik_rows.append(logliks[~bad])
         done += int(np.count_nonzero(~bad))

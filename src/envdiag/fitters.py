@@ -1,6 +1,7 @@
 """Maximum-likelihood fitting for the three supported model classes.
 
-* Gaussian linear model, solved by least squares.
+* Gaussian linear model, solved by least squares from one thin QR for
+  every response of a batch, :func:`lm_rows`; a fit is a batch of one.
 * Poisson log-linear GLM, solved by iteratively reweighted least squares
   with step halving (deviance is non-increasing by construction).  One
   IRLS, :func:`glm_rows`, runs every response of a batch in lockstep,
@@ -19,9 +20,9 @@
   of all draws from the parent fit.
 
 All fitters return an immutable :class:`~envdiag.data.FittedModel`;
-``simulate_response`` and ``refit``, with the residuals of
-:mod:`envdiag.residuals` (which also holds the batched ``refit_many``),
-complete the capability contract consumed by the bootstrap engine.
+``simulate_response``, with the residuals and the batched ``refit_many``
+of :mod:`envdiag.residuals`, completes the capability contract consumed
+by the bootstrap engine; ``refit`` is one row of ``refit_many``.
 """
 
 from __future__ import annotations
@@ -340,27 +341,47 @@ def _glmm_loglik_grad(
 # ---------------------------------------------------------------------
 
 
+def lm_rows(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Least-squares fits of every row of ``Y`` (R, n) on ``X`` of full
+    column rank: estimates (R, p), fitted values (R, n), sigmas (R,) and
+    log-likelihoods (R,).
+
+    From one thin QR, X = QR: ``Q'y`` and the fitted values ``Q Q'y``
+    come from elementwise row sums and the estimates from one stacked
+    ``solve`` against R, with no product across rows.
+    """
+    q, r = np.linalg.qr(X, mode="reduced")
+    qt = np.ascontiguousarray(q.T)
+    qty = (Y[:, None, :] * qt).sum(axis=2)
+    eta = _rows_eta(q, qty)
+    beta = np.linalg.solve(np.broadcast_to(r, (Y.shape[0],) + r.shape),
+                           qty[:, :, None])[:, :, 0]
+    raw = Y - eta
+    sigma = _lm_sigma(np.sum(raw * raw, axis=1), Y, X.shape[1])
+    return beta, eta, sigma, _gaussian_loglik(Y, eta, sigma)
+
+
 def fit_lm(d: Dataset) -> FittedModel:
-    """Least-squares fit of the Gaussian linear model.
+    """Least-squares fit of the Gaussian linear model: the one-row case of
+    :func:`lm_rows`, which also refits bootstrap draws.
 
     ``sigma`` is the unbiased estimate ``sqrt(RSS / (n - p))`` (the value
     used for simulation and standardized residuals); the stored
     log-likelihood is the Gaussian log-likelihood of the data at
-    ``(beta, sigma)``.  A zero-residual fit is returned with
-    ``degenerate=True`` and ``sigma=0``.
+    ``(eta, sigma)``.  A zero-residual fit is returned with
+    ``degenerate=True`` and ``sigma=0``; a design of rank below ``p``
+    raises :class:`~envdiag.data.RankDeficient`.
     """
-    y, X = d.y, d.X
-    p = X.shape[1]
-    beta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
-    if rank < p:
-        raise RankDeficient(f"X has rank {rank} < p={p}")
-    eta = X @ beta
-    sigma = float(_lm_sigma(np.sum((y - eta) ** 2), y, p))
+    rank = np.linalg.matrix_rank(d.X)
+    if rank < d.p:
+        raise RankDeficient(f"X has rank {rank} < p={d.p}")
+    beta, eta, sigma, loglik = lm_rows(d.X, d.y[None, :])
+    sigma = float(sigma[0])
     return FittedModel(
         kind=ModelKind.LM,
-        beta=beta,
-        eta=eta,
-        loglik=float(_gaussian_loglik(y, eta, sigma)),
+        beta=beta[0],
+        eta=eta[0],
+        loglik=float(loglik[0]),
         dataset=d,
         sigma=sigma,
         degenerate=sigma == 0.0,
@@ -596,13 +617,14 @@ def _glmm_model(d: Dataset, x0: np.ndarray) -> FittedModel:
         raise NonConvergence(
             f"quasi-Newton found no finite optimum in {2 * _MAX_ITER} "
             "iterations", beta=beta)
+    # eta and omega as refit_many computes them for a batch
     return FittedModel(
         kind=ModelKind.GLMM_POISSON_RI,
         beta=beta,
-        eta=d.X @ beta,
+        eta=_rows_eta(d.X, rows.params[:, :-1])[0],
         loglik=float(rows.loglik[0]),
         dataset=d,
-        omega=math.exp(rows.params[0, -1]),
+        omega=float(np.exp(rows.params[:, -1])[0]),
         boundary_omega=bool(rows.params[0, -1] <= _LOG_FLOOR + 1e-8),
     )
 
@@ -610,16 +632,14 @@ def _glmm_model(d: Dataset, x0: np.ndarray) -> FittedModel:
 class GlmmRows(NamedTuple):
     """Random-intercept fits of R responses on one design.
 
-    ``params`` (R, p+1) holds ``(beta, log omega)`` at each row's optimum,
-    ``loglik`` (R,) the maximized marginal log-likelihoods and ``modes``
-    (R, G) the conditional modes of the group intercepts there.  Rows with
+    ``params`` (R, p+1) holds ``(beta, log omega)`` at each row's optimum
+    and ``loglik`` (R,) the maximized marginal log-likelihoods.  Rows with
     ``failed`` set found no finite optimum within the iteration budget;
     their other entries are meaningless.
     """
 
     params: np.ndarray
     loglik: np.ndarray
-    modes: np.ndarray
     failed: np.ndarray
 
 
@@ -786,7 +806,7 @@ def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
         again = np.zeros(R, dtype=bool)
         again[w] = True
         iterate(again)
-    return GlmmRows(params=x, loglik=-f, modes=u, failed=failed)
+    return GlmmRows(params=x, loglik=-f, failed=failed)
 
 
 def fit_model(d: Dataset, kind: ModelKind) -> FittedModel:
@@ -829,13 +849,12 @@ def simulate_response(m: FittedModel, stream: np.random.Generator) -> np.ndarray
 def refit(m: FittedModel, y_new: np.ndarray) -> FittedModel:
     """Fit the same model class to a new response, keeping X and group.
 
-    A Poisson GLM refit is the one-row case of the lockstep IRLS that
-    :func:`~envdiag.residuals.refit_many` runs on many rows.  A
+    Every refit is the one-row case of the batch kernel that
+    :func:`~envdiag.residuals.refit_many` runs on many rows, so the two
+    give bit-identical estimates, log-likelihoods and residuals.  A
     random-intercept refit starts from the parent's ``(beta, log omega)``
-    (omega clamped as in the top-level start) instead of a fresh GLM fit,
-    and is the one-row case of the lockstep optimizer that ``refit_many``
-    runs.  Either way the two give bit-identical estimates and
-    log-likelihoods.  A Poisson response with no finite estimate raises
+    (omega clamped as in the top-level start) instead of a fresh GLM fit.
+    A Poisson response with no finite estimate raises
     :class:`Separation`, as it does for a top-level fit.
     """
     d_new = Dataset(y=np.asarray(y_new, dtype=float), X=m.dataset.X,

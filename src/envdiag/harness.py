@@ -74,6 +74,10 @@ class ScenarioSpec:
             raise ValueError("m_grid must be positive")
         if self.x_design not in ("equispaced", "uniform"):
             raise ValueError(f"unknown x_design {self.x_design!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.B < 19:
+            raise ValueError(f"B must be at least 19, got {self.B}")
         if self.alpha * self.B < 1.0:
             raise ValueError(
                 f"alpha={self.alpha} with B={self.B} cannot reject; "

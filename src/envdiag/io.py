@@ -139,6 +139,8 @@ class RunConfig:
                 raise ValueError(f"unknown plot kind {p!r}")
         if self.B < 19:
             raise ValueError("B must be at least 19")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         if self.m_grid < 1:

@@ -8,11 +8,9 @@ of the group intercepts; with marginal means the group effects dominate
 the residuals and drown out everything the diagnostics look for.  The
 plot x-axis (the linear predictor) stays marginal either way.
 
-``refit_many`` refits a batch of bootstrap responses and returns their
-default residuals: in closed form for the linear model, and for the two
-Poisson models after one batched existence check, through the lockstep
-IRLS of the GLM or the lockstep random-intercept optimizer (reusing its
-conditional modes).
+``refit_many`` refits a batch of bootstrap responses by each class's
+batch kernel and takes their default residuals by the same rules as a
+single fit, so row r is bit for bit ``residuals_for(refit(m, Y[r]))``.
 """
 
 from __future__ import annotations
@@ -22,14 +20,14 @@ from scipy.special import xlogy
 
 from .data import EnvdiagError, FittedModel, ModelKind, RefitRows
 from .fitters import (
-    _gaussian_loglik,
     _group_modes,
-    _lm_sigma,
+    _group_sums,
     _log_omega_start,
     _no_mle_rows,
     _rows_eta,
     glm_rows,
     glmm_rows,
+    lm_rows,
 )
 
 
@@ -54,13 +52,21 @@ def standardized_residuals(m: FittedModel) -> np.ndarray:
     """
     if m.kind is not ModelKind.LM:
         raise ValueError("standardized residuals are defined for LM fits only")
-    h = hat_diagonals(m.dataset.X)
+    raw = (m.dataset.y - m.eta)[None, :]
+    return _studentized(raw, np.array([m.sigma]), m.dataset.X)[0]
+
+
+def _studentized(raw: np.ndarray, sigma: np.ndarray,
+                 X: np.ndarray) -> np.ndarray:
+    """Rows of ``raw`` (R, n) over ``sigma sqrt(1 - h)``, ``sigma`` (R,);
+    zeros where ``sigma == 0``, :class:`LeverageOne` where h is 1."""
+    h = hat_diagonals(X)
     if np.any(h >= _LEVERAGE_ONE):
         raise LeverageOne("a leverage is numerically 1")
-    if m.sigma == 0.0:
-        return np.zeros(m.n)
-    raw = m.dataset.y - m.eta
-    return raw / (m.sigma * np.sqrt(1.0 - h))
+    E = np.zeros(raw.shape)
+    live = sigma > 0.0
+    E[live] = raw[live] / (sigma[live, None] * np.sqrt(1.0 - h))
+    return E
 
 
 def fitted_means(m: FittedModel) -> np.ndarray:
@@ -74,12 +80,19 @@ def fitted_means(m: FittedModel) -> np.ndarray:
         raise ValueError("Poisson residuals require a Poisson model kind")
     if m.kind is ModelKind.GLM_POISSON or m.omega == 0.0:
         return np.exp(m.eta)
-    d = m.dataset
-    G = d.n_groups
-    S = np.bincount(d.group, weights=d.y, minlength=G)
-    E = np.bincount(d.group, weights=np.exp(m.eta), minlength=G)
-    u, _ = _group_modes(S[None, :], E[None, :], np.array([m.omega]))
-    return np.exp(m.eta + u[0, d.group])
+    return _conditional_means(m.dataset.group, m.dataset.y[None, :],
+                              m.eta[None, :], np.array([m.omega]))[0]
+
+
+def _conditional_means(group: np.ndarray, Y: np.ndarray, eta: np.ndarray,
+                       omega: np.ndarray) -> np.ndarray:
+    """``exp(eta + u_g)`` of every row of ``Y`` (R, n), with ``u_g`` at
+    its conditional mode given ``eta`` (R, n) and ``omega`` (R,)."""
+    G = int(group.max()) + 1
+    S = _group_sums(group, G, Y)
+    E = _group_sums(group, G, np.exp(eta))
+    u, _ = _group_modes(S, E, omega)
+    return np.exp(eta + u[:, group])
 
 
 def deviance_residuals(m: FittedModel) -> np.ndarray:
@@ -116,42 +129,25 @@ def refit_many(m: FittedModel, Y: np.ndarray) -> RefitRows:
     """Refit every row of ``Y`` (R, n) and take its default residuals.
 
     Returns the residuals (R, n), maximized log-likelihoods (R,) and the
-    mask (R,) of rows that failed; row r is what :func:`residuals_for`
-    and the log-likelihood of ``refit(m, Y[r])`` give, and a row that
-    would raise :class:`~envdiag.data.EnvdiagError` there is marked
-    failed here.  The linear model is refitted in closed form from one
-    thin QR of the fixed design.  Poisson rows without a finite estimate
-    are found by one batched existence check; the others are refitted
-    in lockstep, the GLM by the IRLS of :func:`~envdiag.fitters.glm_rows`
-    and the random-intercept model by the quasi-Newton of
-    :func:`~envdiag.fitters.glmm_rows` from the parent's estimates, with
-    residuals at the conditional modes found there.
+    mask (R,) of rows that failed.  Row r is bit for bit what
+    :func:`residuals_for` and the log-likelihood of ``refit(m, Y[r])``
+    give, whatever the other rows; a row that would raise
+    :class:`~envdiag.data.EnvdiagError` there is marked failed here.
+    Rows are refitted by :func:`~envdiag.fitters.lm_rows`, or, after one
+    batched existence check, by :func:`~envdiag.fitters.glm_rows` or
+    :func:`~envdiag.fitters.glmm_rows` from the parent's estimates.
     """
     Y = np.asarray(Y, dtype=float)
-    if m.kind is ModelKind.LM:
-        return _lm_rows(m, Y)
-    return _poisson_rows(m, Y)
-
-
-def _lm_rows(m: FittedModel, Y: np.ndarray) -> RefitRows:
-    X = m.dataset.X
     R = Y.shape[0]
-    E = np.zeros(Y.shape)
-    q, _ = np.linalg.qr(X, mode="reduced")
-    h = np.sum(q * q, axis=1)
-    if np.any(h >= _LEVERAGE_ONE):     # LeverageOne on every row
-        return E, np.zeros(R), np.ones(R, dtype=bool)
-    fitted = (Y @ q) @ q.T
-    raw = Y - fitted
-    sigma = _lm_sigma(np.sum(raw * raw, axis=1), Y, X.shape[1])
-    live = sigma > 0.0
-    E[live] = raw[live] / (sigma[live, None] * np.sqrt(1.0 - h))
-    return E, _gaussian_loglik(Y, fitted, sigma), np.zeros(R, dtype=bool)
-
-
-def _poisson_rows(m: FittedModel, Y: np.ndarray) -> RefitRows:
     d = m.dataset
-    R = Y.shape[0]
+    if m.kind is ModelKind.LM:
+        _, eta, sigma, logliks = lm_rows(d.X, Y)
+        try:
+            E = _studentized(Y - eta, sigma, d.X)
+        except LeverageOne:
+            return np.zeros(Y.shape), np.zeros(R), np.ones(R, dtype=bool)
+        return E, logliks, np.zeros(R, dtype=bool)
+
     E = np.zeros(Y.shape)
     logliks = np.zeros(R)
     failed = np.zeros(R, dtype=bool)
@@ -161,14 +157,16 @@ def _poisson_rows(m: FittedModel, Y: np.ndarray) -> RefitRows:
         x0 = np.append(m.beta, _log_omega_start(m.omega))
         fits = glmm_rows(d.X, d.group, Y[live], np.tile(x0, (live.size, 1)))
         ok = ~fits.failed
-        eta = (_rows_eta(d.X, fits.params[ok, :-1])
-               + fits.modes[ok][:, d.group])    # at the conditional modes
+        params = fits.params[ok]
+        mu = _conditional_means(d.group, Y[live[ok]],
+                                _rows_eta(d.X, params[:, :-1]),
+                                np.exp(params[:, -1]))
     else:
         fits = glm_rows(d.X, Y[live])
         ok = ~fits.failed
-        eta = fits.eta[ok]
+        mu = np.exp(fits.eta[ok])
     failed[live[~ok]] = True
     live = live[ok]
-    E[live] = _deviance_residuals(Y[live], np.exp(eta))
+    E[live] = _deviance_residuals(Y[live], mu)
     logliks[live] = fits.loglik[ok]
     return E, logliks, failed

@@ -23,6 +23,7 @@ import numpy as np
 from scipy.interpolate import BSpline
 
 from .data import EnvdiagError
+from .fitters import lm_rows
 
 _LOG10_LO = -8.0
 _LOG10_HI = 8.0
@@ -265,7 +266,7 @@ class PSplineDesign:
         """
         Y = np.asarray(Y, dtype=float)
         if self.fallback:
-            return np.linalg.lstsq(self._line_design, Y.T, rcond=None)[0].T
+            return lm_rows(self._line_design, Y)[0]
         lams = np.asarray(lams, dtype=float)
         UtY, XfY, _ = self._profile_terms(Y)
         beta, _, _ = self._fixed_effects(lams, UtY, XfY)

@@ -187,13 +187,15 @@ def test_refit_failures_are_replaced(rng):
     cap = default_capability()
     fails = {"left": 3}
 
-    def flaky_refit(model, y_new):
-        if fails["left"] > 0:
-            fails["left"] -= 1
-            raise TooManyRefitFailures("synthetic failure")
-        return refit(model, y_new)
+    def flaky_refit_many(model, Y):
+        E, logliks, failed = refit_many(model, Y)
+        k = min(fails["left"], Y.shape[0])
+        fails["left"] -= k
+        failed[:k] = True
+        return E, logliks, failed
 
-    custom = ModelCapability(simulate=simulate_response, refit=flaky_refit,
+    custom = ModelCapability(simulate=simulate_response,
+                             refit_many=flaky_refit_many,
                              residuals=cap.residuals)
     reps = simulate_replicates(m, 99, 5, capability=custom)
     assert reps.n_failed == 3
@@ -203,11 +205,13 @@ def test_refit_failures_are_replaced(rng):
 def test_too_many_refit_failures_raises(rng):
     m = _lm_null_model(rng)
 
-    def always_fail(model, y_new):
-        raise TooManyRefitFailures("synthetic failure")
+    def always_fail(model, Y):
+        R = Y.shape[0]
+        return np.zeros(Y.shape), np.zeros(R), np.ones(R, dtype=bool)
 
     cap = default_capability()
-    custom = ModelCapability(simulate=simulate_response, refit=always_fail,
+    custom = ModelCapability(simulate=simulate_response,
+                             refit_many=always_fail,
                              residuals=cap.residuals)
     with pytest.raises(TooManyRefitFailures):
         simulate_replicates(m, 99, 5, capability=custom)
@@ -235,7 +239,8 @@ def _sequential_replicates(m, B, seed, fails):
 def test_refit_many_failures_match_sequential_loop(rng):
     """Children 3, 17 and 50 of the first batch fail, and so do the first
     two spares (98, 99): the engine refills twice, and accepts the same
-    rows in the same order as the sequential loop, with the same count."""
+    rows in the same order as the sequential loop, bit for bit, with the
+    same count."""
     m = _lm_null_model(rng)
     B, seed = 99, 6
     children = np.random.SeedSequence(seed).spawn(B - 1 + int(0.1 * B))
@@ -249,26 +254,17 @@ def test_refit_many_failures_match_sequential_loop(rng):
         E, logliks, failed = refit_many(model, Y)
         return E, logliks, failed | np.array([fails(y) for y in Y], dtype=bool)
 
-    def picky_refit(model, y):
-        if fails(y):
-            raise TooManyRefitFailures("synthetic failure")
-        return refit(model, y)
-
     cap = default_capability()
-    batched = ModelCapability(simulate=simulate_response, refit=refit,
-                              residuals=cap.residuals,
-                              refit_many=picky_refit_many)
-    one_by_one = ModelCapability(simulate=simulate_response, refit=picky_refit,
-                                 residuals=cap.residuals)
+    batched = ModelCapability(simulate=simulate_response,
+                              refit_many=picky_refit_many,
+                              residuals=cap.residuals)
     want_rows, want_logliks, want_failed = _sequential_replicates(
         m, B, seed, fails)
     assert want_failed == 5
-    for capability in (batched, one_by_one):
-        reps = simulate_replicates(m, B, seed, capability=capability)
-        assert reps.n_failed == want_failed
-        assert reps.residuals.shape == want_rows.shape
-        assert np.allclose(reps.residuals, want_rows, rtol=1e-10, atol=1e-12)
-        assert np.allclose(reps.logliks, want_logliks, rtol=1e-10, atol=0.0)
+    reps = simulate_replicates(m, B, seed, capability=batched)
+    assert reps.n_failed == want_failed
+    assert np.array_equal(reps.residuals, want_rows)
+    assert np.array_equal(reps.logliks, want_logliks)
 
 
 def _mle_exists_reference(X, y):
@@ -365,17 +361,13 @@ def test_leverage_one_surfaces_before_any_refit():
         residuals_for(m)
     calls = {"refit": 0}
 
-    def counted_refit(model, y_new):
-        calls["refit"] += 1
-        return refit(model, y_new)
-
     def counted_refit_many(model, Y):
         calls["refit"] += Y.shape[0]
         return refit_many(model, Y)
 
-    counting = ModelCapability(simulate=simulate_response, refit=counted_refit,
-                               residuals=residuals_for,
-                               refit_many=counted_refit_many)
+    counting = ModelCapability(simulate=simulate_response,
+                               refit_many=counted_refit_many,
+                               residuals=residuals_for)
     with pytest.raises(LeverageOne):
         diagnose_model(m, B=19, seed=1, capability=counting)
     assert calls["refit"] == 0
@@ -385,23 +377,17 @@ def test_leverage_one_surfaces_before_any_refit():
     assert refit_many(m, Y)[2].all()
 
 
-def test_lm_refit_many_closed_form_matches_per_row_refit(rng):
-    m = _lm_null_model(rng, n=40)
-    Y = np.array([simulate_response(m, rng) for _ in range(50)])
-    E, logliks, failed = refit_many(m, Y)
-    assert not failed.any()
-    for r, y in enumerate(Y):
-        m_r = refit(m, y)
-        assert np.allclose(E[r], residuals_for(m_r), rtol=1e-10, atol=1e-12)
-        assert logliks[r] == pytest.approx(m_r.loglik, rel=1e-10, abs=0.0)
-
-
 def test_custom_residual_function_is_used(rng):
     m = _lm_null_model(rng)
     cap = default_capability()
+
+    def doubled_refit_many(model, Y):
+        E, logliks, failed = cap.refit_many(model, Y)
+        return 2.0 * E, logliks, failed
+
     doubled = ModelCapability(
         simulate=simulate_response,
-        refit=refit,
+        refit_many=doubled_refit_many,
         residuals=lambda model: 2.0 * cap.residuals(model),
     )
     a = plot_envelope(m, PlotKind.QQ, B=29, seed=2)

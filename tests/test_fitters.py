@@ -25,7 +25,13 @@ from envdiag import (
     simulate_response,
 )
 from envdiag.diagnostics import simulate_replicates
-from envdiag.fitters import _glmm_loglik_grad, glm_rows
+from envdiag.fitters import (
+    _glmm_loglik_grad,
+    _log_omega_start,
+    glm_rows,
+    glmm_rows,
+    lm_rows,
+)
 from envdiag.harness import ScenarioSpec, Violation, generate_dataset
 
 # ------------------------------------------------------------------ #
@@ -359,23 +365,6 @@ def _glmm_refit_batch(dataset: int, B: int = 99):
     return m, _bootstrap_draws(m, boot_seed, B - 1)
 
 
-def test_glmm_refit_many_rows_do_not_depend_on_the_batch():
-    """Each row of the lockstep refit is bit-identical fitted alone or
-    among 98, has the log-likelihood ``refit`` reports, and the residuals
-    ``residuals_for`` computes from that fit (up to re-solving the
-    conditional modes from a cold start)."""
-    m, Y = _glmm_refit_batch(dataset=0)
-    E, logliks, failed = refit_many(m, Y)
-    assert not failed.any()
-    for r, y in enumerate(Y):
-        e1, l1, f1 = refit_many(m, Y[r:r + 1])
-        assert np.array_equal(e1[0], E[r]) and l1[0] == logliks[r]
-        assert not f1[0]
-        m_r = refit(m, y)
-        assert m_r.loglik == logliks[r]
-        assert np.allclose(residuals_for(m_r), E[r], rtol=0.0, atol=1e-10)
-
-
 def test_glmm_refit_many_reaches_lbfgsb_optimum():
     """On the first five datasets of the glmm-refit stream, every row's
     maximized log-likelihood is at least the L-BFGS-B value - 1e-6."""
@@ -580,22 +569,42 @@ def test_glm_rows_match_lstsq_irls_reference():
     assert worst <= 1e-10, worst
 
 
-def test_glm_refit_rows_do_not_depend_on_the_batch():
-    """Each row of the lockstep IRLS is bit-identical fitted alone, among
-    98, and through ``refit``, in estimate, log-likelihood and residuals."""
-    m, boot_seed = _stream_fit(_POWER_CELL, 0)
+# spec of each class's stream (dataset 0 at seed 1) and its batch
+# kernel's estimates of the rows of Y
+_BATCH_CASES = {
+    ModelKind.LM: (
+        ScenarioSpec(model=ModelKind.LM, violation=Violation.NULL_OK, n=80),
+        lambda m, Y: lm_rows(m.dataset.X, Y)[0]),
+    ModelKind.GLM_POISSON: (
+        _POWER_CELL, lambda m, Y: glm_rows(m.dataset.X, Y).beta),
+    ModelKind.GLMM_POISSON_RI: (
+        ScenarioSpec(model=ModelKind.GLMM_POISSON_RI,
+                     violation=Violation.NULL_OK, n=40),
+        lambda m, Y: glmm_rows(
+            m.dataset.X, m.dataset.group, Y,
+            np.tile(np.append(m.beta, _log_omega_start(m.omega)),
+                    (Y.shape[0], 1))).params[:, :-1]),
+}
+
+
+@pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+def test_refit_many_rows_equal_refit_alone_and_in_a_batch(kind):
+    """Each row of the batch kernel and of ``refit_many`` is bit-identical
+    fitted alone or among 98, and equals, bit for bit, the estimate,
+    log-likelihood and ``residuals_for`` of ``refit(m, Y[r])``."""
+    spec, kernel = _BATCH_CASES[kind]
+    m, boot_seed = _stream_fit(spec, 0)
     Y = _bootstrap_draws(m, boot_seed, 98)
-    rows = glm_rows(m.dataset.X, Y)
+    beta = kernel(m, Y)
     E, logliks, failed = refit_many(m, Y)
     assert not failed.any()
     for r, y in enumerate(Y):
-        alone = glm_rows(m.dataset.X, Y[r:r + 1])
-        assert np.array_equal(alone.beta[0], rows.beta[r])
+        assert np.array_equal(kernel(m, Y[r:r + 1])[0], beta[r])
         e1, l1, f1 = refit_many(m, Y[r:r + 1])
         assert np.array_equal(e1[0], E[r]) and l1[0] == logliks[r]
         assert not f1[0]
         m_r = refit(m, y)
-        assert np.array_equal(m_r.beta, rows.beta[r])
+        assert np.array_equal(m_r.beta, beta[r])
         assert m_r.loglik == logliks[r]
         assert np.array_equal(residuals_for(m_r), E[r])
 

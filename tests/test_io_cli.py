@@ -180,6 +180,8 @@ def test_config_validation_errors(tmp_path):
         RunConfig(data="x.csv", B=5).validate()
     with pytest.raises(ValueError):
         RunConfig(data="x.csv", alpha=1.5).validate()
+    with pytest.raises(ValueError, match="seed"):
+        RunConfig(data="x.csv", seed=-1).validate()
     with pytest.raises(ValueError):
         RunConfig.from_dict({"data": "x.csv", "nope": 1})
 
@@ -319,9 +321,14 @@ def test_cli_power_study(tmp_path, capsys):
       "B": "39"}, "bad B '39'"),
     ({"scenarios": [{"model": "lm", "violation": "null", "n": "10"}]},
      "bad n '10' in scenario 0"),
+    ({"scenarios": [{"model": "lm", "violation": "null", "n": 10}],
+      "B": 10, "alpha": 0.1}, "B must be at least 19"),
+    ({"scenarios": [{"model": "lm", "violation": "null", "n": 10}],
+      "seed": -3}, "seed must be non-negative"),
 ], ids=["unknown-model", "missing-sample-sizes", "unknown-field", "m-grid-0",
         "top-level-list", "scenario-not-object", "scenarios-not-list",
-        "n_datasets-float", "B-string", "n-string"])
+        "n_datasets-float", "B-string", "n-string", "B-below-19",
+        "seed-negative"])
 def test_cli_power_study_malformed_config(tmp_path, capsys, cfg, named):
     cfg_path = _write(tmp_path / "grid.json", json.dumps(cfg))
     rc = main(["power-study", "--config", cfg_path,
@@ -336,7 +343,8 @@ def test_cli_power_study_malformed_config(tmp_path, capsys, cfg, named):
     ({"data": "d.csv", "B": "199"}, "bad B '199'"),
     (["data"], "config must be a JSON object"),
     ({"data": "d.csv", "plots": "qq"}, "bad plots 'qq'"),
-], ids=["B-string", "top-level-list", "plots-string"])
+    ({"data": "d.csv", "seed": -1}, "seed must be non-negative"),
+], ids=["B-string", "top-level-list", "plots-string", "seed-negative"])
 def test_cli_diagnose_malformed_config(tmp_path, capsys, cfg, named):
     cfg_path = _write(tmp_path / "cfg.json", json.dumps(cfg))
     rc = main(["diagnose", "--config", cfg_path,
