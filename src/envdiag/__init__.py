@@ -20,12 +20,14 @@ from .data import (
     validate_dataset,
 )
 from .fitters import (
+    Fits,
     NonConvergence,
     Separation,
     fit_glm_poisson,
     fit_glmm_poisson_ri,
     fit_lm,
     fit_model,
+    fit_rows,
     glmm_marginal_loglik,
     log_likelihood,
     refit,

@@ -1,34 +1,37 @@
 """Maximum-likelihood fitting for the three supported model classes.
 
+Every fit, refit and bootstrap refit is a row of :func:`fit_rows`, which
+fits a batch of responses on one design by the class's kernel and
+returns :class:`Fits`, mapping each failed row to the exception that
+its fit alone raises.
+
 * Gaussian linear model, solved by least squares from one thin QR for
-  every response of a batch, :func:`lm_rows`; a fit is a batch of one.
+  every response of a batch, :func:`lm_rows`.
 * Poisson log-linear GLM, solved by iteratively reweighted least squares
   with step halving (deviance is non-increasing by construction).  One
   IRLS, :func:`glm_rows`, runs every response of a batch in lockstep,
-  each with its own step halving and stop: a fit is a batch of one, and
-  bootstrap refits are a batch of all draws.  One existence check,
-  :func:`_no_mle_rows`, decides for a batch of responses which have a
-  finite estimate; every Poisson fit and refit goes through it.
+  each with its own step halving and stop, after one existence check,
+  :func:`_no_mle_rows`, has set aside the responses with no finite MLE.
 * Poisson log-linear model with a random intercept per group, solved by
   quasi-Newton optimization of an adaptive Gauss-Hermite approximation to
   the marginal likelihood (nodes recentred at each group's conditional
   mode).  One kernel returns the approximation and its exact gradient,
   differentiated through the modes and curvatures (Pinheiro & Bates
   1995), for many responses at once.  One optimizer, :func:`glmm_rows`,
-  runs a projected BFGS per response in lockstep over a batch: a fit is
-  a batch of one from the GLM start, and bootstrap refits are a batch
-  of all draws from the parent fit.
+  runs a projected BFGS per response in lockstep over a batch, after the
+  same check: a fit starts from the GLM estimates, a refit from the
+  parent fit.
 
-All fitters return an immutable :class:`~envdiag.data.FittedModel`;
-``simulate_response``, with the residuals and the batched ``refit_many``
-of :mod:`envdiag.residuals`, completes the capability contract consumed
-by the bootstrap engine; ``refit`` is one row of ``refit_many``.
+``fit_model``, ``refit`` and the per-class fitters return the one row of
+:func:`fit_rows` as an immutable :class:`~envdiag.data.FittedModel`;
+``simulate_response``, with :mod:`envdiag.residuals`, completes the
+capability contract consumed by the bootstrap engine.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.optimize import linprog
@@ -164,14 +167,6 @@ def _no_mle_rows(X: np.ndarray, Y: np.ndarray) -> dict[int, EnvdiagError]:
             "separated; estimate on the boundary",
             direction=d / np.linalg.norm(d))
     return errors
-
-
-def _check_poisson_response(X: np.ndarray, y: np.ndarray) -> None:
-    """Raise unless ``y`` is a count vector with a finite Poisson MLE on
-    ``X``: the one-row case of :func:`_no_mle_rows`."""
-    err = _no_mle_rows(X, y[None, :]).get(0)
-    if err is not None:
-        raise err
 
 
 def glmm_marginal_loglik(
@@ -341,15 +336,113 @@ def _glmm_loglik_grad(
 # ---------------------------------------------------------------------
 
 
-def lm_rows(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Least-squares fits of every row of ``Y`` (R, n) on ``X`` of full
-    column rank: estimates (R, p), fitted values (R, n), sigmas (R,) and
-    log-likelihoods (R,).
+class Fits(NamedTuple):
+    """Fits of R responses on one design, one row each.
+
+    ``beta`` (R, p) holds the estimates, ``eta`` (R, n) the marginal
+    linear predictors ``X beta``, ``loglik`` (R,) the maximized
+    log-likelihoods and ``scale`` (R,) sigma for ``lm``, omega for
+    ``poisson-ri`` and 0 for ``poisson``.  ``errors`` maps each failed
+    row to the exception that a fit of its response alone raises; the
+    other entries of a failed row are meaningless.
+    """
+
+    beta: np.ndarray
+    eta: np.ndarray
+    loglik: np.ndarray
+    scale: np.ndarray
+    errors: dict[int, EnvdiagError]
+
+    @property
+    def failed(self) -> np.ndarray:
+        """Mask (R,) of the rows in ``errors``."""
+        mask = np.zeros(self.loglik.shape[0], dtype=bool)
+        mask[list(self.errors)] = True
+        return mask
+
+
+def fit_rows(kind: ModelKind, d: Dataset, Y: np.ndarray,
+             start: Optional[FittedModel] = None) -> Fits:
+    """Fit the model class ``kind`` to every row of ``Y`` (R, n) on the
+    design and grouping of ``d``: the one place where a response is
+    fitted.  Row r does not depend on the other rows.
+
+    ``lm`` rows go to :func:`lm_rows`.  For both Poisson classes, one
+    :func:`_no_mle_rows` check of the batch comes first: the rows with no
+    finite estimate fail with its error and no kernel sees them.
+    ``poisson`` rows go to :func:`glm_rows`.  ``poisson-ri`` needs
+    grouping labels (ValueError otherwise), and its rows go to
+    :func:`glmm_rows`: from the parent fit ``start`` if one is given (its
+    ``(beta, log omega)``, omega clamped to [0.05, 3]), else from each
+    row's GLM fit, whose failure is the row's, and a moment guess for
+    omega.  Only ``poisson-ri`` reads ``start``.
+    """
+    X = d.X
+    if kind is ModelKind.LM:
+        return lm_rows(X, Y)
+    if kind is not ModelKind.GLM_POISSON and d.group is None:
+        raise ValueError("random-intercept fit requires grouping labels")
+    p = X.shape[1]
+    errors = _no_mle_rows(X, Y)
+    if kind is ModelKind.GLM_POISSON or start is None:
+        glm = _on_live_rows(Y, p, errors, lambda live: glm_rows(X, Y[live]))
+        if kind is ModelKind.GLM_POISSON:
+            return glm
+        errors = glm.errors
+        x0 = np.column_stack([glm.beta, _moment_log_omega(d.group, Y,
+                                                          glm.eta)])
+    else:
+        x0 = np.tile(np.append(start.beta, _log_omega_start(start.omega)),
+                     (Y.shape[0], 1))
+    return _on_live_rows(
+        Y, p, errors, lambda live: glmm_rows(X, d.group, Y[live], x0[live]))
+
+
+def _on_live_rows(Y: np.ndarray, p: int, errors: dict[int, EnvdiagError],
+                  kernel: Callable[[np.ndarray], Fits]) -> Fits:
+    """Fits of every row of ``Y`` (R, n) on ``p`` columns, given the rows
+    that failed already, ``errors``: ``kernel(live)`` fits the rows
+    ``live`` of ``Y`` and is not called when every row failed.  Its rows
+    and errors are scattered back; the entries of a failed row are 0."""
+    R = Y.shape[0]
+    live = np.flatnonzero([r not in errors for r in range(R)])
+    if live.size == R:
+        return kernel(live)
+    fits = _failed_fits(Y, p, dict(errors))
+    if live.size:
+        part = kernel(live)
+        for whole, rows in zip(fits, part[:4]):
+            whole[live] = rows
+        fits.errors.update({int(live[i]): e for i, e in part.errors.items()})
+    return fits
+
+
+def _failed_fits(Y: np.ndarray, p: int,
+                 errors: dict[int, EnvdiagError]) -> Fits:
+    """Zero fits of every row of ``Y`` (R, n) on ``p`` columns."""
+    R = Y.shape[0]
+    return Fits(np.zeros((R, p)), np.zeros(Y.shape), np.zeros(R),
+                np.zeros(R), errors)
+
+
+def lm_rows(X: np.ndarray, Y: np.ndarray) -> Fits:
+    """Least-squares fits of every row of ``Y`` (R, n) on ``X``.
 
     From one thin QR, X = QR: ``Q'y`` and the fitted values ``Q Q'y``
     come from elementwise row sums and the estimates from one stacked
-    ``solve`` against R, with no product across rows.
+    ``solve`` against R, with no product across rows.  The scale is the
+    unbiased ``sigma = sqrt(RSS / (n - p))`` (the value used for
+    simulation and standardized residuals), 0 for a zero-residual fit,
+    and the log-likelihood the Gaussian one at ``(eta, sigma)``.  If
+    ``X`` has rank below ``p``, every row fails with
+    :class:`~envdiag.data.RankDeficient`.
     """
+    p = X.shape[1]
+    rank = np.linalg.matrix_rank(X)
+    if rank < p:
+        return _failed_fits(Y, p, {
+            r: RankDeficient(f"X has rank {rank} < p={p}")
+            for r in range(Y.shape[0])})
     q, r = np.linalg.qr(X, mode="reduced")
     qt = np.ascontiguousarray(q.T)
     qty = (Y[:, None, :] * qt).sum(axis=2)
@@ -357,35 +450,8 @@ def lm_rows(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, ...]:
     beta = np.linalg.solve(np.broadcast_to(r, (Y.shape[0],) + r.shape),
                            qty[:, :, None])[:, :, 0]
     raw = Y - eta
-    sigma = _lm_sigma(np.sum(raw * raw, axis=1), Y, X.shape[1])
-    return beta, eta, sigma, _gaussian_loglik(Y, eta, sigma)
-
-
-def fit_lm(d: Dataset) -> FittedModel:
-    """Least-squares fit of the Gaussian linear model: the one-row case of
-    :func:`lm_rows`, which also refits bootstrap draws.
-
-    ``sigma`` is the unbiased estimate ``sqrt(RSS / (n - p))`` (the value
-    used for simulation and standardized residuals); the stored
-    log-likelihood is the Gaussian log-likelihood of the data at
-    ``(eta, sigma)``.  A zero-residual fit is returned with
-    ``degenerate=True`` and ``sigma=0``; a design of rank below ``p``
-    raises :class:`~envdiag.data.RankDeficient`.
-    """
-    rank = np.linalg.matrix_rank(d.X)
-    if rank < d.p:
-        raise RankDeficient(f"X has rank {rank} < p={d.p}")
-    beta, eta, sigma, loglik = lm_rows(d.X, d.y[None, :])
-    sigma = float(sigma[0])
-    return FittedModel(
-        kind=ModelKind.LM,
-        beta=beta[0],
-        eta=eta[0],
-        loglik=float(loglik[0]),
-        dataset=d,
-        sigma=sigma,
-        degenerate=sigma == 0.0,
-    )
+    sigma = _lm_sigma(np.sum(raw * raw, axis=1), Y, p)
+    return Fits(beta, eta, _gaussian_loglik(Y, eta, sigma), sigma, {})
 
 
 def _lm_sigma(rss, y: np.ndarray, p: int):
@@ -404,29 +470,7 @@ def _irls_start(Y: np.ndarray, p: int) -> np.ndarray:
     return beta
 
 
-class GlmRows(NamedTuple):
-    """Poisson GLM fits of R responses on one design.
-
-    ``beta`` (R, p), ``eta`` (R, n) and ``loglik`` (R,) hold each row's
-    estimate, linear predictors and maximized log-likelihood.
-    ``rank_deficient`` marks rows whose weighted design lost rank,
-    ``nonconverged`` rows still moving after the iteration budget (their
-    ``beta`` is the last iterate); the other entries of such rows are
-    meaningless.
-    """
-
-    beta: np.ndarray
-    eta: np.ndarray
-    loglik: np.ndarray
-    rank_deficient: np.ndarray
-    nonconverged: np.ndarray
-
-    @property
-    def failed(self) -> np.ndarray:
-        return self.rank_deficient | self.nonconverged
-
-
-def glm_rows(X: np.ndarray, Y: np.ndarray) -> GlmRows:
+def glm_rows(X: np.ndarray, Y: np.ndarray) -> Fits:
     """Poisson log-linear fits of every row of ``Y`` (R, n) by IRLS in lockstep.
 
     Each row follows the rules of a single fit (McCullagh & Nelder 1989,
@@ -436,18 +480,20 @@ def glm_rows(X: np.ndarray, Y: np.ndarray) -> GlmRows:
     the step) until the deviance does not rise.  A row stops once the
     relative deviance change is below 1e-9, or when no trial goes
     downhill (it is numerically at the optimum already), and is then
-    frozen; a row still moving after 100 iterations is ``nonconverged``.
+    frozen.
     A stopped row takes one polishing Newton step, kept only if the
     deviance does not rise by more than 1e-9, so the estimate is
     accurate to machine precision rather than to the stopping tolerance.
+    A row still moving after 100 iterations fails with
+    :class:`NonConvergence` carrying its last iterate.
 
     The normal equations of every row are built from elementwise row
     sums and solved as one stacked ``solve``, with no product across
     rows, so a row's fit does not depend on the batch it is in.  A row
     whose normal equations have an eigenvalue at most ``max(n, p) eps``
-    times their largest is ``rank_deficient`` (the precision the
-    eigenvalues of a Gram matrix carry).  The response is not checked:
-    see :func:`_no_mle_rows`.
+    times their largest (the precision the eigenvalues of a Gram matrix
+    carry) fails with :class:`~envdiag.data.RankDeficient`.  The scale
+    is 0.  The response is not checked: see :func:`_no_mle_rows`.
     """
     R, n = Y.shape
     p = X.shape[1]
@@ -477,8 +523,7 @@ def glm_rows(X: np.ndarray, Y: np.ndarray) -> GlmRows:
     # deviance 2 sum(y log(y/mu) - y + mu) = 2 (c - sum(y eta - mu))
     C = (xlogy(Y, Y) - Y).sum(axis=1)
     beta = _irls_start(Y, p)
-    rank_deficient = np.zeros(R, dtype=bool)
-    nonconverged = np.zeros(R, dtype=bool)
+    errors = {}
     with np.errstate(over="ignore"):
         eta, mu, dev = trial(Y, C, beta)
         # the state of the rows still iterating, ``live``: response,
@@ -512,7 +557,9 @@ def glm_rows(X: np.ndarray, Y: np.ndarray) -> GlmRows:
             stop = d - dt < _TOL * (np.abs(dt) + 0.1)
             b, e, m, d = bt, et, mt, dt
             if stop.any():
-                rank_deficient[live[singular]] = True
+                for r in live[singular]:    # a singular row always stops
+                    errors[int(r)] = RankDeficient(
+                        "weighted design lost rank during IRLS")
                 if stop.all():
                     beta[live], eta[live], mu[live], dev[live] = b, e, m, d
                     break
@@ -523,16 +570,19 @@ def glm_rows(X: np.ndarray, Y: np.ndarray) -> GlmRows:
                 live = live[keep]
                 y, c, b, e, m, d = (a[keep] for a in (y, c, b, e, m, d))
         else:
-            nonconverged[live] = True
             beta[live] = b
+            for r in live:
+                errors[int(r)] = NonConvergence(
+                    f"IRLS did not converge in {_MAX_ITER} iterations",
+                    beta=beta[r])
 
         # one polishing Newton step of every converged row: quadratic
         # convergence squares the error
-        conv = ~(rank_deficient | nonconverged)
-        if not conv.all():
-            conv = np.flatnonzero(conv)
+        if errors:
+            conv = np.flatnonzero([r not in errors for r in range(R)])
             y, c, b, e, m, d = (a[conv] for a in (Y, C, beta, eta, mu, dev))
         else:
+            conv = slice(None)
             y, c, b, e, m, d = Y, C, beta, eta, mu, dev
         step, _ = newton(y, m)
         bt = b + step
@@ -540,49 +590,7 @@ def glm_rows(X: np.ndarray, Y: np.ndarray) -> GlmRows:
         better = (dt <= d + 1e-9)[:, None]
         beta[conv] = np.where(better, bt, b)
         eta[conv] = np.where(better, et, e)
-    return GlmRows(beta=beta, eta=eta, loglik=_poisson_loglik(Y, eta),
-                   rank_deficient=rank_deficient, nonconverged=nonconverged)
-
-
-def fit_glm_poisson(d: Dataset) -> FittedModel:
-    """Poisson log-linear fit by iteratively reweighted least squares: the
-    one-row case of :func:`glm_rows`, which also refits bootstrap draws.
-
-    Convergence is declared when the relative deviance change drops below
-    1e-9, within 100 iterations; one extra Newton step is then taken so
-    the returned estimate is accurate to machine precision rather than to
-    the stopping tolerance.  Step halving keeps the deviance
-    non-increasing.  A response with no finite estimate raises
-    :class:`Separation` before any iteration; a weighted design that
-    loses rank raises :class:`~envdiag.data.RankDeficient`, and a fit
-    still moving after 100 iterations :class:`NonConvergence`.
-    """
-    _check_poisson_response(d.X, d.y)
-    rows = glm_rows(d.X, d.y[None, :])
-    if rows.rank_deficient[0]:
-        raise RankDeficient("weighted design lost rank during IRLS")
-    if rows.nonconverged[0]:
-        raise NonConvergence(
-            f"IRLS did not converge in {_MAX_ITER} iterations",
-            beta=rows.beta[0])
-    return FittedModel(
-        kind=ModelKind.GLM_POISSON,
-        beta=rows.beta[0],
-        eta=rows.eta[0],
-        loglik=float(rows.loglik[0]),
-        dataset=d,
-    )
-
-
-def _glmm_start(d: Dataset) -> np.ndarray:
-    """GLM coefficients plus a moment-style guess for log omega."""
-    glm = fit_glm_poisson(d)
-    G = d.n_groups
-    S = np.bincount(d.group, weights=d.y, minlength=G)
-    E = np.bincount(d.group, weights=np.exp(glm.eta), minlength=G)
-    u_hat = np.log((S + 0.5) / (E + 0.5))
-    omega0 = float(np.std(u_hat, ddof=1)) if G > 1 else 0.5
-    return np.append(glm.beta, _log_omega_start(omega0))
+    return Fits(beta, eta, _poisson_loglik(Y, eta), np.zeros(R), errors)
 
 
 def _log_omega_start(omega: float) -> float:
@@ -590,61 +598,22 @@ def _log_omega_start(omega: float) -> float:
     return math.log(min(max(omega, _OMEGA_START_MIN), 3.0))
 
 
-def fit_glmm_poisson_ri(d: Dataset) -> FittedModel:
-    """Random-intercept Poisson fit by quasi-Newton over (beta, log omega).
-
-    The objective is the adaptive Gauss-Hermite marginal log-likelihood
-    with 15 nodes, maximized by the lockstep BFGS of :func:`glmm_rows`
-    with its exact gradient (differentiated through each group's
-    conditional mode and curvature).  The start is the Poisson GLM fit
-    plus a moment guess for omega; bootstrap refits (:func:`refit`) start
-    from the parent fit instead.  ``omega`` is optimized on the log scale
-    with a floor at 1e-6; a fit pinned at the floor is returned with
-    ``boundary_omega=True`` (the model then coincides with the plain GLM
-    up to the floor).  A response with no finite estimate raises
-    :class:`Separation` from the GLM start, before any quasi-Newton step.
-    """
-    if d.group is None:
-        raise ValueError("random-intercept fit requires grouping labels")
-    return _glmm_model(d, _glmm_start(d))
-
-
-def _glmm_model(d: Dataset, x0: np.ndarray) -> FittedModel:
-    """The fit of one response from ``x0``, as a :class:`FittedModel`."""
-    rows = glmm_rows(d.X, d.group, d.y[None, :], x0[None, :])
-    beta = rows.params[0, :-1]
-    if rows.failed[0]:
-        raise NonConvergence(
-            f"quasi-Newton found no finite optimum in {2 * _MAX_ITER} "
-            "iterations", beta=beta)
-    # eta and omega as refit_many computes them for a batch
-    return FittedModel(
-        kind=ModelKind.GLMM_POISSON_RI,
-        beta=beta,
-        eta=_rows_eta(d.X, rows.params[:, :-1])[0],
-        loglik=float(rows.loglik[0]),
-        dataset=d,
-        omega=float(np.exp(rows.params[:, -1])[0]),
-        boundary_omega=bool(rows.params[0, -1] <= _LOG_FLOOR + 1e-8),
-    )
-
-
-class GlmmRows(NamedTuple):
-    """Random-intercept fits of R responses on one design.
-
-    ``params`` (R, p+1) holds ``(beta, log omega)`` at each row's optimum
-    and ``loglik`` (R,) the maximized marginal log-likelihoods.  Rows with
-    ``failed`` set found no finite optimum within the iteration budget;
-    their other entries are meaningless.
-    """
-
-    params: np.ndarray
-    loglik: np.ndarray
-    failed: np.ndarray
+def _moment_log_omega(group: np.ndarray, Y: np.ndarray,
+                      eta: np.ndarray) -> np.ndarray:
+    """Start of log omega for every row of ``Y`` (R, n), given its GLM
+    linear predictors ``eta``: the sd of the groups' log ratios of
+    observed to fitted totals, clamped as :func:`_log_omega_start`."""
+    G = int(group.max()) + 1
+    S = _group_sums(group, G, Y)
+    E = _group_sums(group, G, np.exp(eta))
+    u_hat = np.log((S + 0.5) / (E + 0.5))
+    omega0 = (np.std(u_hat, axis=1, ddof=1) if G > 1
+              else np.full(Y.shape[0], 0.5))
+    return np.array([_log_omega_start(float(w)) for w in omega0])
 
 
 def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
-              x0: np.ndarray) -> GlmmRows:
+              x0: np.ndarray) -> Fits:
     """Maximize the marginal likelihood of every row of ``Y`` in lockstep.
 
     One projected BFGS per row over ``(beta, log omega)``, started at
@@ -654,8 +623,9 @@ def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
     omega`` is kept in [log 1e-6, log 1e4]: at a bound with the gradient
     pointing out, it is held fixed.  A row stops when the relative
     reduction of its objective is at most 1e-9 or its projected gradient
-    at most 1e-7, and is then frozen; a row that has not stopped after
-    200 iterations fails.
+    at most 1e-7, and is then frozen.  A row that finds no finite
+    optimum within 200 iterations fails with :class:`NonConvergence`.
+    The scale is omega.
 
     Below omega = 0.05 the objective flattens like omega^2, so the
     relative-reduction stop can fire far from the optimum in log omega.
@@ -806,16 +776,60 @@ def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
         again = np.zeros(R, dtype=bool)
         again[w] = True
         iterate(again)
-    return GlmmRows(params=x, loglik=-f, failed=failed)
+    beta = x[:, :-1]
+    errors = {int(r): NonConvergence(
+        f"quasi-Newton found no finite optimum in {2 * _MAX_ITER} "
+        "iterations", beta=beta[r]) for r in np.flatnonzero(failed)}
+    return Fits(beta, _rows_eta(X, beta), -f, np.exp(x[:, -1]), errors)
+
+
+def _fitted(kind: ModelKind, d: Dataset, fits: Fits) -> FittedModel:
+    """The one row of ``fits``, a fit of ``d.y``, as a
+    :class:`FittedModel`; raises the row's error if it failed.
+
+    An ``lm`` fit with sigma 0 is ``degenerate``; a ``poisson-ri`` fit
+    with omega pinned at the floor 1e-6 has ``boundary_omega`` set (the
+    model then coincides with the plain GLM up to the floor).
+    """
+    if fits.errors:
+        raise fits.errors[0]
+    scale = float(fits.scale[0])
+    lm = kind is ModelKind.LM
+    ri = kind is ModelKind.GLMM_POISSON_RI
+    return FittedModel(
+        kind=kind,
+        beta=fits.beta[0],
+        eta=fits.eta[0],
+        loglik=float(fits.loglik[0]),
+        dataset=d,
+        sigma=scale if lm else None,
+        omega=scale if ri else None,
+        degenerate=lm and scale == 0.0,
+        boundary_omega=ri and math.log(scale) <= _LOG_FLOOR + 1e-8,
+    )
 
 
 def fit_model(d: Dataset, kind: ModelKind) -> FittedModel:
-    """Dispatch to the fitter for ``kind``."""
-    if kind is ModelKind.LM:
-        return fit_lm(d)
-    if kind is ModelKind.GLM_POISSON:
-        return fit_glm_poisson(d)
-    return fit_glmm_poisson_ri(d)
+    """Fit the model class ``kind`` to ``d``: the one-row case of
+    :func:`fit_rows`.  Raises :class:`~envdiag.data.RankDeficient`,
+    :class:`Separation` or :class:`NonConvergence` as the row failed."""
+    return _fitted(kind, d, fit_rows(kind, d, d.y[None, :]))
+
+
+def fit_lm(d: Dataset) -> FittedModel:
+    """Least-squares fit of the Gaussian linear model (:func:`lm_rows`)."""
+    return fit_model(d, ModelKind.LM)
+
+
+def fit_glm_poisson(d: Dataset) -> FittedModel:
+    """Poisson log-linear fit by IRLS (:func:`glm_rows`)."""
+    return fit_model(d, ModelKind.GLM_POISSON)
+
+
+def fit_glmm_poisson_ri(d: Dataset) -> FittedModel:
+    """Random-intercept Poisson fit by quasi-Newton (:func:`glmm_rows`),
+    from the Poisson GLM fit plus a moment guess for omega."""
+    return fit_model(d, ModelKind.GLMM_POISSON_RI)
 
 
 # ---------------------------------------------------------------------
@@ -849,20 +863,15 @@ def simulate_response(m: FittedModel, stream: np.random.Generator) -> np.ndarray
 def refit(m: FittedModel, y_new: np.ndarray) -> FittedModel:
     """Fit the same model class to a new response, keeping X and group.
 
-    Every refit is the one-row case of the batch kernel that
-    :func:`~envdiag.residuals.refit_many` runs on many rows, so the two
-    give bit-identical estimates, log-likelihoods and residuals.  A
+    The one-row case of :func:`fit_rows` from the parent ``m``, as
+    :func:`~envdiag.residuals.refit_many` runs it on many rows, so the
+    two give bit-identical estimates, log-likelihoods and residuals.  A
     random-intercept refit starts from the parent's ``(beta, log omega)``
-    (omega clamped as in the top-level start) instead of a fresh GLM fit.
-    A Poisson response with no finite estimate raises
-    :class:`Separation`, as it does for a top-level fit.
+    instead of a fresh GLM fit.  Raises as :func:`fit_model` does.
     """
-    d_new = Dataset(y=np.asarray(y_new, dtype=float), X=m.dataset.X,
-                    group=m.dataset.group)
-    if m.kind is not ModelKind.GLMM_POISSON_RI:
-        return fit_model(d_new, m.kind)
-    _check_poisson_response(d_new.X, d_new.y)
-    return _glmm_model(d_new, np.append(m.beta, _log_omega_start(m.omega)))
+    d = Dataset(y=np.asarray(y_new, dtype=float), X=m.dataset.X,
+                group=m.dataset.group)
+    return _fitted(m.kind, d, fit_rows(m.kind, d, d.y[None, :], start=m))
 
 
 def log_likelihood(m: FittedModel, y: np.ndarray) -> float:

@@ -22,6 +22,7 @@ import numpy as np
 
 from .data import Dataset, EnvdiagError, ModelKind, validate_dataset
 from .diagnostics import PlotKind, diagnose_model
+from .envelope import _critical_index
 from .fitters import fit_model
 
 logger = logging.getLogger(__name__)
@@ -78,11 +79,7 @@ class ScenarioSpec:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.B < 19:
             raise ValueError(f"B must be at least 19, got {self.B}")
-        if self.alpha * self.B < 1.0:
-            raise ValueError(
-                f"alpha={self.alpha} with B={self.B} cannot reject; "
-                "need alpha >= 1/B"
-            )
+        _critical_index(self.alpha, self.B)   # raises if no rejection
 
 
 def generate_dataset(s: ScenarioSpec, stream: np.random.Generator) -> Dataset:

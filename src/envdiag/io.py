@@ -20,6 +20,7 @@ import numpy as np
 from . import __version__
 from .data import Dataset, EnvdiagError, ModelKind, validate_dataset
 from .diagnostics import DiagnosticResult, PlotKind, diagnose_model
+from .envelope import _critical_index
 from .fitters import fit_model
 from .harness import (
     ScenarioSpec,
@@ -134,15 +135,18 @@ class RunConfig:
             raise ValueError("config must name a data file")
         if self.model not in _MODEL_NAMES:
             raise ValueError(f"unknown model {self.model!r}")
-        for p in self.plots:
+        if not self.plots:
+            raise ValueError("plots must name at least one plot kind")
+        for i, p in enumerate(self.plots):
             if p not in _PLOT_NAMES:
                 raise ValueError(f"unknown plot kind {p!r}")
+            if p in self.plots[:i]:
+                raise ValueError(f"plots names {p!r} twice")
         if self.B < 19:
             raise ValueError("B must be at least 19")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
+        _critical_index(self.alpha, self.B)   # raises if no rejection
         if self.m_grid < 1:
             raise ValueError("m_grid must be positive")
         return self
@@ -161,7 +165,8 @@ def load_csv(
     skipped; a row with fewer or more cells than the header raises
     :class:`RaggedRow`.  Errors name rows by their line in the file.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # utf-8-sig: spreadsheets write a byte-order mark before the header
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -8,9 +8,10 @@ of the group intercepts; with marginal means the group effects dominate
 the residuals and drown out everything the diagnostics look for.  The
 plot x-axis (the linear predictor) stays marginal either way.
 
-``refit_many`` refits a batch of bootstrap responses by each class's
-batch kernel and takes their default residuals by the same rules as a
-single fit, so row r is bit for bit ``residuals_for(refit(m, Y[r]))``.
+``refit_many`` refits a batch of bootstrap responses by
+:func:`~envdiag.fitters.fit_rows` and takes their default residuals by
+the one rule that ``residuals_for`` also runs, so row r is bit for bit
+``residuals_for(refit(m, Y[r]))``.
 """
 
 from __future__ import annotations
@@ -18,17 +19,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import xlogy
 
-from .data import EnvdiagError, FittedModel, ModelKind, RefitRows
-from .fitters import (
-    _group_modes,
-    _group_sums,
-    _log_omega_start,
-    _no_mle_rows,
-    _rows_eta,
-    glm_rows,
-    glmm_rows,
-    lm_rows,
-)
+from .data import Dataset, EnvdiagError, FittedModel, ModelKind, RefitRows
+from .fitters import _group_modes, _group_sums, fit_rows
 
 
 class LeverageOne(EnvdiagError):
@@ -52,21 +44,7 @@ def standardized_residuals(m: FittedModel) -> np.ndarray:
     """
     if m.kind is not ModelKind.LM:
         raise ValueError("standardized residuals are defined for LM fits only")
-    raw = (m.dataset.y - m.eta)[None, :]
-    return _studentized(raw, np.array([m.sigma]), m.dataset.X)[0]
-
-
-def _studentized(raw: np.ndarray, sigma: np.ndarray,
-                 X: np.ndarray) -> np.ndarray:
-    """Rows of ``raw`` (R, n) over ``sigma sqrt(1 - h)``, ``sigma`` (R,);
-    zeros where ``sigma == 0``, :class:`LeverageOne` where h is 1."""
-    h = hat_diagonals(X)
-    if np.any(h >= _LEVERAGE_ONE):
-        raise LeverageOne("a leverage is numerically 1")
-    E = np.zeros(raw.shape)
-    live = sigma > 0.0
-    E[live] = raw[live] / (sigma[live, None] * np.sqrt(1.0 - h))
-    return E
+    return residuals_for(m)
 
 
 def fitted_means(m: FittedModel) -> np.ndarray:
@@ -78,16 +56,24 @@ def fitted_means(m: FittedModel) -> np.ndarray:
     """
     if m.kind not in (ModelKind.GLM_POISSON, ModelKind.GLMM_POISSON_RI):
         raise ValueError("Poisson residuals require a Poisson model kind")
-    if m.kind is ModelKind.GLM_POISSON or m.omega == 0.0:
-        return np.exp(m.eta)
-    return _conditional_means(m.dataset.group, m.dataset.y[None, :],
-                              m.eta[None, :], np.array([m.omega]))[0]
+    return _poisson_means(m.dataset.group, m.dataset.y[None, :],
+                          m.eta[None, :], np.array([_scale(m)]))[0]
 
 
-def _conditional_means(group: np.ndarray, Y: np.ndarray, eta: np.ndarray,
-                       omega: np.ndarray) -> np.ndarray:
-    """``exp(eta + u_g)`` of every row of ``Y`` (R, n), with ``u_g`` at
-    its conditional mode given ``eta`` (R, n) and ``omega`` (R,)."""
+def _scale(m: FittedModel) -> float:
+    """sigma of an ``lm`` fit, omega of a ``poisson-ri`` one, else 0: the
+    scale of :class:`~envdiag.fitters.Fits`."""
+    return m.sigma if m.kind is ModelKind.LM else m.omega or 0.0
+
+
+def _poisson_means(group: np.ndarray, Y: np.ndarray, eta: np.ndarray,
+                   omega: np.ndarray) -> np.ndarray:
+    """Fitted means of every row of ``Y`` (R, n) at linear predictors
+    ``eta`` (R, n): ``exp(eta)`` if the random-intercept sd ``omega``
+    (R,) is 0 on every row (a GLM), else ``exp(eta + u_g)`` with ``u_g``
+    at its conditional mode given ``eta`` and ``omega``."""
+    if not omega.any():
+        return np.exp(eta)
     G = int(group.max()) + 1
     S = _group_sums(group, G, Y)
     E = _group_sums(group, G, np.exp(eta))
@@ -115,58 +101,57 @@ def pearson_residuals(m: FittedModel) -> np.ndarray:
 
 
 def residuals_for(m: FittedModel) -> np.ndarray:
-    """Default residual choice per model class.
+    """Default residual choice per model class: standardized residuals
+    for the linear model, deviance residuals for both Poisson models.
 
-    Standardized residuals for the linear model, deviance residuals for
-    both Poisson models.
+    The one-row case of the rule :func:`refit_many` applies to every
+    refit.
     """
-    if m.kind is ModelKind.LM:
-        return standardized_residuals(m)
-    return deviance_residuals(m)
+    return _default_residuals(m.kind, m.dataset, m.dataset.y[None, :],
+                              m.eta[None, :], np.array([_scale(m)]))[0]
+
+
+def _default_residuals(kind: ModelKind, d: Dataset, Y: np.ndarray,
+                       eta: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Default residuals of every row of ``Y`` (R, n) fitted on ``d`` with
+    linear predictors ``eta`` (R, n) and scales (R,), as in
+    :class:`~envdiag.fitters.Fits`: deviance residuals at the fitted
+    means for the Poisson models; for ``lm``, ``(y - eta) / (sigma
+    sqrt(1 - h))``, 0 where sigma is 0, and :class:`LeverageOne` if some
+    h is 1."""
+    if kind is not ModelKind.LM:
+        return _deviance_residuals(Y, _poisson_means(d.group, Y, eta, scale))
+    h = hat_diagonals(d.X)
+    if np.any(h >= _LEVERAGE_ONE):
+        raise LeverageOne("a leverage is numerically 1")
+    E = np.zeros(Y.shape)
+    live = scale > 0.0
+    E[live] = (Y - eta)[live] / (scale[live, None] * np.sqrt(1.0 - h))
+    return E
 
 
 def refit_many(m: FittedModel, Y: np.ndarray) -> RefitRows:
     """Refit every row of ``Y`` (R, n) and take its default residuals.
 
     Returns the residuals (R, n), maximized log-likelihoods (R,) and the
-    mask (R,) of rows that failed.  Row r is bit for bit what
-    :func:`residuals_for` and the log-likelihood of ``refit(m, Y[r])``
-    give, whatever the other rows; a row that would raise
-    :class:`~envdiag.data.EnvdiagError` there is marked failed here.
-    Rows are refitted by :func:`~envdiag.fitters.lm_rows`, or, after one
-    batched existence check, by :func:`~envdiag.fitters.glm_rows` or
-    :func:`~envdiag.fitters.glmm_rows` from the parent's estimates.
+    mask (R,) of rows that failed, all zero on a failed row.  Row r is
+    bit for bit what :func:`residuals_for` and the log-likelihood of
+    ``refit(m, Y[r])`` give, whatever the other rows: the rows are
+    fitted by :func:`~envdiag.fitters.fit_rows` from ``m``, and a row
+    that would raise :class:`~envdiag.data.EnvdiagError` there, in the
+    fit or in its residuals, is marked failed here.
     """
     Y = np.asarray(Y, dtype=float)
-    R = Y.shape[0]
     d = m.dataset
-    if m.kind is ModelKind.LM:
-        _, eta, sigma, logliks = lm_rows(d.X, Y)
-        try:
-            E = _studentized(Y - eta, sigma, d.X)
-        except LeverageOne:
-            return np.zeros(Y.shape), np.zeros(R), np.ones(R, dtype=bool)
-        return E, logliks, np.zeros(R, dtype=bool)
-
-    E = np.zeros(Y.shape)
-    logliks = np.zeros(R)
-    failed = np.zeros(R, dtype=bool)
-    failed[list(_no_mle_rows(d.X, Y))] = True
+    fits = fit_rows(m.kind, d, Y, start=m)
+    failed = fits.failed
     live = np.flatnonzero(~failed)
-    if m.kind is ModelKind.GLMM_POISSON_RI:
-        x0 = np.append(m.beta, _log_omega_start(m.omega))
-        fits = glmm_rows(d.X, d.group, Y[live], np.tile(x0, (live.size, 1)))
-        ok = ~fits.failed
-        params = fits.params[ok]
-        mu = _conditional_means(d.group, Y[live[ok]],
-                                _rows_eta(d.X, params[:, :-1]),
-                                np.exp(params[:, -1]))
-    else:
-        fits = glm_rows(d.X, Y[live])
-        ok = ~fits.failed
-        mu = np.exp(fits.eta[ok])
-    failed[live[~ok]] = True
-    live = live[ok]
-    E[live] = _deviance_residuals(Y[live], mu)
-    logliks[live] = fits.loglik[ok]
+    E = np.zeros(Y.shape)
+    logliks = np.zeros(Y.shape[0])
+    try:
+        E[live] = _default_residuals(m.kind, d, Y[live], fits.eta[live],
+                                     fits.scale[live])
+    except LeverageOne:
+        return E, logliks, np.ones(Y.shape[0], dtype=bool)
+    logliks[live] = fits.loglik[live]
     return E, logliks, failed

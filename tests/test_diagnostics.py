@@ -35,7 +35,7 @@ from envdiag import (
     simulate_response,
 )
 from envdiag.envelope import FunctionEnsemble
-from envdiag.fitters import _check_poisson_response, _no_mle_rows
+from envdiag.fitters import _no_mle_rows
 
 from test_fitters import _bootstrap_draws, _stream_fit
 
@@ -307,8 +307,8 @@ def _refit_fails(m, y):
 
 def test_batched_existence_mask_matches_per_row_rule():
     """On every draw of the n=10 poisson null stream the batched check
-    finds exactly the responses without a finite MLE (2 of 4280), and the
-    single-response check raises Separation on exactly those."""
+    finds exactly the responses without a finite MLE (2 of 4280), and
+    the check of each response alone finds Separation on exactly those."""
     found = 0
     for m, _, Y in _small_poisson_stream():
         X = m.dataset.X
@@ -317,11 +317,9 @@ def test_batched_existence_mask_matches_per_row_rule():
         assert sorted(errors) == list(np.flatnonzero(want))
         assert all(isinstance(e, Separation) for e in errors.values())
         for y, bad in zip(Y, want):
-            if bad:
-                with pytest.raises(Separation):
-                    _check_poisson_response(X, y)
-            else:
-                _check_poisson_response(X, y)
+            alone = _no_mle_rows(X, y[None, :])
+            assert list(alone) == ([0] if bad else [])
+            assert all(isinstance(e, Separation) for e in alone.values())
         found += int(want.sum())
     assert found == 2
 

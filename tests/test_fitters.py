@@ -28,6 +28,7 @@ from envdiag.diagnostics import simulate_replicates
 from envdiag.fitters import (
     _glmm_loglik_grad,
     _log_omega_start,
+    fit_rows,
     glm_rows,
     glmm_rows,
     lm_rows,
@@ -574,7 +575,7 @@ def test_glm_rows_match_lstsq_irls_reference():
 _BATCH_CASES = {
     ModelKind.LM: (
         ScenarioSpec(model=ModelKind.LM, violation=Violation.NULL_OK, n=80),
-        lambda m, Y: lm_rows(m.dataset.X, Y)[0]),
+        lambda m, Y: lm_rows(m.dataset.X, Y).beta),
     ModelKind.GLM_POISSON: (
         _POWER_CELL, lambda m, Y: glm_rows(m.dataset.X, Y).beta),
     ModelKind.GLMM_POISSON_RI: (
@@ -583,7 +584,7 @@ _BATCH_CASES = {
         lambda m, Y: glmm_rows(
             m.dataset.X, m.dataset.group, Y,
             np.tile(np.append(m.beta, _log_omega_start(m.omega)),
-                    (Y.shape[0], 1))).params[:, :-1]),
+                    (Y.shape[0], 1))).beta),
 }
 
 
@@ -591,14 +592,21 @@ _BATCH_CASES = {
 def test_refit_many_rows_equal_refit_alone_and_in_a_batch(kind):
     """Each row of the batch kernel and of ``refit_many`` is bit-identical
     fitted alone or among 98, and equals, bit for bit, the estimate,
-    log-likelihood and ``residuals_for`` of ``refit(m, Y[r])``."""
+    log-likelihood and ``residuals_for`` of ``refit(m, Y[r])``.  Without
+    a parent, each row of ``fit_rows`` is ``fit_model`` of its response."""
     spec, kernel = _BATCH_CASES[kind]
     m, boot_seed = _stream_fit(spec, 0)
     Y = _bootstrap_draws(m, boot_seed, 98)
     beta = kernel(m, Y)
     E, logliks, failed = refit_many(m, Y)
     assert not failed.any()
+    fresh = fit_rows(kind, m.dataset, Y)
+    assert not fresh.errors
     for r, y in enumerate(Y):
+        m_r = fit_model(Dataset(y=y, X=m.dataset.X, group=m.dataset.group),
+                        kind)
+        assert np.array_equal(m_r.beta, fresh.beta[r])
+        assert m_r.loglik == fresh.loglik[r]
         assert np.array_equal(kernel(m, Y[r:r + 1])[0], beta[r])
         e1, l1, f1 = refit_many(m, Y[r:r + 1])
         assert np.array_equal(e1[0], E[r]) and l1[0] == logliks[r]
@@ -628,29 +636,63 @@ def test_glm_rows_halve_steps_that_overshoot():
                               rows.beta[r])
 
 
-def test_glm_rows_flag_rank_loss_and_nonconvergence(monkeypatch):
-    """A duplicated column makes the weighted design singular: the row
-    is flagged, the fit raises RankDeficient and refit_many marks it
-    failed.  An iteration budget too short flags the row nonconverged,
-    and the fit raises NonConvergence with the last iterate."""
+def _failure_case(case: str, monkeypatch):
+    """Parent fit, responses, the rows that fail and their error type."""
     n = 20
     x = (np.arange(n) + 0.5) / n
     y = np.random.default_rng(3).poisson(np.exp(1.0 + x)).astype(float)
-    X = np.column_stack([np.ones(n), x, x])
-    rows = glm_rows(X, np.vstack([y, y]))
-    assert rows.rank_deficient.all() and not rows.nonconverged.any()
-    with pytest.raises(RankDeficient):
-        fit_glm_poisson(Dataset(y=y, X=X))
-    X = X[:, :2]
-    m = fit_glm_poisson(Dataset(y=y, X=X))
-    assert refit_many(m, np.vstack([y, y]))[2].sum() == 0
-    monkeypatch.setattr("envdiag.fitters._MAX_ITER", 1)
-    rows = glm_rows(X, y[None, :])
-    assert rows.nonconverged[0] and not rows.rank_deficient[0]
-    with pytest.raises(NonConvergence) as err:
-        fit_glm_poisson(Dataset(y=y, X=X))
-    assert np.array_equal(err.value.beta, rows.beta[0])
-    assert refit_many(m, np.vstack([y, y]))[2].all()
+    X = np.column_stack([np.ones(n), x])
+    if case in ("lm-rank-loss", "glm-rank-loss"):
+        # a duplicated column: the design, and every weighted design, is
+        # singular, but the Poisson MLE exists (X_i d = 0 along the tie)
+        lm = case == "lm-rank-loss"
+        m = FittedModel(
+            kind=ModelKind.LM if lm else ModelKind.GLM_POISSON,
+            beta=np.zeros(3), eta=np.zeros(n), loglik=0.0,
+            dataset=Dataset(y=y, X=np.column_stack([X, x])),
+            sigma=1.0 if lm else None)
+        return m, np.vstack([y, y]), [0, 1], RankDeficient
+    if case == "glm-max-iter-1":
+        m = fit_glm_poisson(Dataset(y=y, X=X))
+        monkeypatch.setattr("envdiag.fitters._MAX_ITER", 1)
+        return m, np.vstack([y, y]), [0, 1], NonConvergence
+    if case == "glm-separated":
+        # every positive count at the largest x
+        m = fit_glm_poisson(Dataset(y=y, X=X))
+        return m, np.vstack([y, np.eye(n)[-1] * 4.0, y]), [1], Separation
+    m, draw = _glmm_refit_case(0, 0)
+    return m, np.vstack([draw, np.zeros(m.n)]), [1], Separation
+
+
+@pytest.mark.parametrize("case", [
+    "lm-rank-loss", "glm-rank-loss", "glm-max-iter-1", "glm-separated",
+    "poisson-ri-all-zero"])
+def test_glm_rows_flag_rank_loss_and_nonconvergence(case, monkeypatch):
+    """Every class reports a failed row one way: ``fit_rows`` maps it to
+    an exception of exactly the type that refitting, or fitting, that
+    response alone raises, and ``refit_many`` marks exactly those rows.
+    A duplicated column makes the design (lm) or the weighted design
+    (poisson) singular; an iteration budget too short leaves IRLS
+    moving, and the error carries the last iterate; a count vector
+    whose positive counts all sit at the largest x, or an all-zero one
+    under the random-intercept model, has no finite MLE."""
+    m, Y, bad, error = _failure_case(case, monkeypatch)
+    fits = fit_rows(m.kind, m.dataset, Y, start=m)
+    assert sorted(fits.errors) == bad
+    assert np.array_equal(refit_many(m, Y)[2], fits.failed)
+    for r, y in enumerate(Y):
+        d = Dataset(y=y, X=m.dataset.X, group=m.dataset.group)
+        if r not in fits.errors:
+            refit(m, y)
+            fit_model(d, m.kind)
+            continue
+        assert type(fits.errors[r]) is error
+        for fit in (lambda: refit(m, y), lambda: fit_model(d, m.kind)):
+            with pytest.raises(error) as err:
+                fit()
+            assert type(err.value) is error
+            if error is NonConvergence:
+                assert np.array_equal(err.value.beta, fits.errors[r].beta)
 
 
 # ------------------------------------------------------------------ #

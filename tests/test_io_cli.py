@@ -59,6 +59,15 @@ def test_load_csv_basic(tmp_path):
     assert np.allclose(d.X[:, 1], [0.0, 0.5, 1.0])
 
 
+def test_load_csv_byte_order_mark(tmp_path):
+    # a spreadsheet's "CSV UTF-8" starts with a byte-order mark
+    p = tmp_path / "d.csv"
+    p.write_bytes(b"\xef\xbb\xbfy,x\n1,0\n2,0.5\n3,1\n")
+    d = load_csv(str(p), response="y")
+    assert np.array_equal(d.y, [1.0, 2.0, 3.0])
+    assert np.array_equal(d.X[:, 1], [0.0, 0.5, 1.0])
+
+
 def test_load_csv_non_numeric_cell_coordinates(tmp_path):
     p = _write(tmp_path / "d.csv", "y,x\n1,0\nNA,0.5\n3,1\n")
     with pytest.raises(NonNumericCell) as exc:
@@ -344,7 +353,11 @@ def test_cli_power_study_malformed_config(tmp_path, capsys, cfg, named):
     (["data"], "config must be a JSON object"),
     ({"data": "d.csv", "plots": "qq"}, "bad plots 'qq'"),
     ({"data": "d.csv", "seed": -1}, "seed must be non-negative"),
-], ids=["B-string", "top-level-list", "plots-string", "seed-negative"])
+    ({"data": "d.csv", "B": 19}, "no rejection achievable"),
+    ({"data": "d.csv", "plots": []}, "plots must name at least one"),
+    ({"data": "d.csv", "plots": ["qq", "pp", "qq"]}, "plots names 'qq' twice"),
+], ids=["B-string", "top-level-list", "plots-string", "seed-negative",
+        "B-19-at-alpha-0.05", "plots-empty", "plots-repeated"])
 def test_cli_diagnose_malformed_config(tmp_path, capsys, cfg, named):
     cfg_path = _write(tmp_path / "cfg.json", json.dumps(cfg))
     rc = main(["diagnose", "--config", cfg_path,
