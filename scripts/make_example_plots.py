@@ -16,7 +16,13 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from envdiag import Dataset, PlotKind, diagnose_model, fit_glm_poisson  # noqa: E402
+from envdiag import (  # noqa: E402
+    Dataset,
+    ModelKind,
+    PlotKind,
+    diagnose_model,
+    fit_model,
+)
 from envdiag.svg import render_diagnostic  # noqa: E402
 
 
@@ -34,7 +40,7 @@ def main() -> int:
     inflate = rng.random(n) < 0.1
     y = rng.poisson(np.exp(-2 + 4 * x) * np.where(inflate, 4.0, 1.0))
     d = Dataset(y=y.astype(float), X=np.column_stack([np.ones(n), x]))
-    m = fit_glm_poisson(d)
+    m = fit_model(d, ModelKind.GLM_POISSON)
 
     kinds = (PlotKind.RES_VS_FITS, PlotKind.QQ, PlotKind.SCALE_LOCATION)
     results, _ = diagnose_model(m, kinds=kinds, B=args.B, seed=args.seed)

@@ -64,7 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_config(args: argparse.Namespace) -> RunConfig:
     base = RunConfig()
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        # utf-8-sig: some editors write a byte-order mark before the JSON
+        with open(args.config, "r", encoding="utf-8-sig") as fh:
             base = RunConfig.from_dict(json.load(fh))
     overrides = {
         "data": args.data,
@@ -125,7 +126,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
 
 
 def _cmd_power_study(args: argparse.Namespace) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
+    with open(args.config, "r", encoding="utf-8-sig") as fh:
         cfg = json.load(fh)
     overrides = {k: v for k, v in (("seed", args.seed), ("B", args.B))
                  if v is not None}

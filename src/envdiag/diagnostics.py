@@ -31,6 +31,7 @@ from .envelope import (
     EnvelopeMode,
     FunctionEnsemble,
     GlobalEnvelope,
+    _critical_index,
     global_envelope,
 )
 from .fitters import simulate_response
@@ -123,42 +124,6 @@ def _plot_functional(kind: PlotKind, E: np.ndarray, eta,
     return grid, values, np.column_stack([eta, E[0]])
 
 
-def _single_row(kind: PlotKind, e, eta=None,
-                m_grid: int = DEFAULT_GRID) -> tuple[np.ndarray, np.ndarray]:
-    E = np.asarray(e, dtype=float)[None, :]
-    grid, values, _ = _plot_functional(kind, E, eta, m_grid)
-    return grid, values[0]
-
-
-def qq_function(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted residuals over their theoretical normal quantiles."""
-    return _single_row(PlotKind.QQ, e)
-
-
-def pp_function(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted residual probabilities Phi(e) over uniform positions.
-
-    Mapping to the unit interval compresses the tails, which is exactly
-    why the quantile-scale plot tends to detect more; this variant exists
-    for comparison studies.
-    """
-    return _single_row(PlotKind.PP, e)
-
-
-def resfit_function(
-    eta: np.ndarray, e: np.ndarray, m_grid: int = DEFAULT_GRID
-) -> tuple[np.ndarray, np.ndarray]:
-    """Smoother of residuals against linear predictors, on an even grid."""
-    return _single_row(PlotKind.RES_VS_FITS, e, eta, m_grid)
-
-
-def scalelocation_function(
-    eta: np.ndarray, e: np.ndarray, m_grid: int = DEFAULT_GRID
-) -> tuple[np.ndarray, np.ndarray]:
-    """Smoother of absolute residuals against linear predictors."""
-    return _single_row(PlotKind.SCALE_LOCATION, e, eta, m_grid)
-
-
 # ---------------------------------------------------------------------
 # bootstrap pipeline
 # ---------------------------------------------------------------------
@@ -216,42 +181,17 @@ def simulate_replicates(
                                n_failed=failed)
 
 
-def plot_envelope(
-    m: FittedModel,
-    kind: PlotKind,
-    B: int = DEFAULT_B,
-    alpha: float = DEFAULT_ALPHA,
-    seed: int = 0,
-    m_grid: int = DEFAULT_GRID,
-    capability: Optional[ModelCapability] = None,
-) -> DiagnosticResult:
-    """Global simulation envelope around one diagnostic plot.
-
-    Row one of the ensemble is the observed functional; the rest come
-    from the parametric bootstrap.  Smoother functionals are evaluated
-    against the observed linear predictors for every replicate.
-    """
-    results, _ = diagnose_model(m, kinds=(kind,), B=B, alpha=alpha, seed=seed,
-                                m_grid=m_grid, capability=capability)
-    return results[kind]
-
-
-def loglik_gof_test(
-    m: FittedModel,
-    B: int = DEFAULT_B,
-    seed: int = 0,
-    alpha: float = DEFAULT_ALPHA,
-    capability: Optional[ModelCapability] = None,
-) -> GofResult:
-    """Goodness-of-fit from the maximized log-likelihood's null distribution.
-
-    Each refit's maximized log-likelihood on its own simulated data forms
-    the reference; an observed value in the low tail indicates lack of
-    fit.  ``p = (1 + #{loglik_b <= loglik_obs}) / B``.
-    """
-    _, gof = diagnose_model(m, kinds=(), B=B, alpha=alpha, seed=seed,
-                            capability=capability, with_gof=True)
-    return gof
+def _check_settings(B: int, alpha: float, seed: int, m_grid: int) -> None:
+    """Raise unless ``B >= 19``, ``seed >= 0``, ``alpha`` allows a rejection
+    among B rows (:class:`~envdiag.envelope.AlphaTooSmall` otherwise) and
+    ``m_grid >= 1``, checked in that order."""
+    if B < 19:
+        raise ValueError(f"B must be at least 19, got {B}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    _critical_index(alpha, B)
+    if m_grid < 1:
+        raise ValueError(f"m_grid must be positive, got {m_grid}")
 
 
 def _gof_from_logliks(observed: float, null_logliks: np.ndarray,
@@ -275,9 +215,14 @@ def diagnose_model(
 
     Every band is the Studentized MAD global envelope.  Sharing the
     replicate residuals across plot kinds (and the goodness-of-fit
-    baseline) gives results identical to calling :func:`plot_envelope`
-    per kind with the same seed, at a fraction of the cost.
+    baseline) gives results identical to a call per kind with the same
+    seed, at a fraction of the cost.  The goodness-of-fit baseline ranks
+    the observed maximized log-likelihood among the refits' own: an
+    observed value in the low tail indicates lack of fit, ``p = (1 +
+    #{loglik_b <= loglik_obs}) / B``.  The settings are checked before
+    any refit (:func:`_check_settings`).
     """
+    _check_settings(B, alpha, seed, m_grid)
     cap = capability or default_capability()
     # first, so a model whose residuals are undefined fails with the
     # reason rather than through B refits that all fail the same way

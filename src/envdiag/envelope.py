@@ -73,7 +73,8 @@ class FunctionEnsemble:
 class GlobalEnvelope:
     """A fitted global envelope plus the per-row exceedance statistics.
 
-    ``stats[0]`` belongs to the observed function.  ``critical`` is the
+    ``center`` is the columnwise mean of all B rows, the observed one
+    included.  ``stats[0]`` belongs to the observed function.  ``critical`` is the
     ceil((1-alpha) B)-th smallest statistic; a row leaves the band at some
     grid point exactly when its statistic is strictly greater.
     """
@@ -89,11 +90,6 @@ class GlobalEnvelope:
     observed_outside: bool
     pointwise_sd: Optional[np.ndarray] = None      # Studentized mode only
     degenerate_points: Optional[np.ndarray] = None  # bool mask, Studentized
-
-
-def center_function(e: FunctionEnsemble) -> np.ndarray:
-    """Columnwise mean over all B rows (observed row included)."""
-    return e.values.mean(axis=0)
 
 
 def _critical_index(alpha: float, B: int) -> int:
@@ -141,7 +137,7 @@ def mad_envelope(e: FunctionEnsemble, alpha: float) -> GlobalEnvelope:
     ``u_b = max_r |T_b(r) - T0(r)|``; the band is the mean plus/minus the
     ceil((1-alpha) B)-th smallest u.
     """
-    center = center_function(e)
+    center = e.values.mean(axis=0)
     stats = np.max(np.abs(e.values - center[None, :]), axis=1)
     return _band(e, alpha, EnvelopeMode.MAD, center, stats, 1.0)
 
@@ -156,7 +152,7 @@ def studentized_mad_envelope(e: FunctionEnsemble, alpha: float) -> GlobalEnvelop
     """
     if e.B < 3:
         raise ValueError("Studentized envelope needs B >= 3")
-    center = center_function(e)
+    center = e.values.mean(axis=0)
     dev = e.values - center[None, :]
     var = np.sum(dev * dev, axis=0) / (e.B - 1)
     degenerate = var < _VAR_EPS
@@ -177,16 +173,3 @@ def global_envelope(e: FunctionEnsemble, alpha: float,
         return mad_envelope(e, alpha)
     return studentized_mad_envelope(e, alpha)
 
-
-def envelope_test(
-    e: FunctionEnsemble,
-    alpha: float,
-    mode: EnvelopeMode = EnvelopeMode.STUDENTIZED_MAD,
-) -> tuple[bool, float]:
-    """Monte Carlo test: does the observed function leave its envelope?
-
-    Returns ``(reject, p_value)`` where ``reject`` is exactly equivalent
-    to the observed row escaping the band at some grid point.
-    """
-    env = global_envelope(e, alpha, mode)
-    return env.observed_outside, env.p_value

@@ -22,8 +22,8 @@ its fit alone raises.
   same check: a fit starts from the GLM estimates, a refit from the
   parent fit.
 
-``fit_model``, ``refit`` and the per-class fitters return the one row of
-:func:`fit_rows` as an immutable :class:`~envdiag.data.FittedModel`;
+``fit_model`` and ``refit`` return the one row of :func:`fit_rows` as an
+immutable :class:`~envdiag.data.FittedModel`;
 ``simulate_response``, with :mod:`envdiag.residuals`, completes the
 capability contract consumed by the bootstrap engine.
 """
@@ -816,22 +816,6 @@ def fit_model(d: Dataset, kind: ModelKind) -> FittedModel:
     return _fitted(kind, d, fit_rows(kind, d, d.y[None, :]))
 
 
-def fit_lm(d: Dataset) -> FittedModel:
-    """Least-squares fit of the Gaussian linear model (:func:`lm_rows`)."""
-    return fit_model(d, ModelKind.LM)
-
-
-def fit_glm_poisson(d: Dataset) -> FittedModel:
-    """Poisson log-linear fit by IRLS (:func:`glm_rows`)."""
-    return fit_model(d, ModelKind.GLM_POISSON)
-
-
-def fit_glmm_poisson_ri(d: Dataset) -> FittedModel:
-    """Random-intercept Poisson fit by quasi-Newton (:func:`glmm_rows`),
-    from the Poisson GLM fit plus a moment guess for omega."""
-    return fit_model(d, ModelKind.GLMM_POISSON_RI)
-
-
 # ---------------------------------------------------------------------
 # capability operations
 # ---------------------------------------------------------------------
@@ -873,20 +857,3 @@ def refit(m: FittedModel, y_new: np.ndarray) -> FittedModel:
                 group=m.dataset.group)
     return _fitted(m.kind, d, fit_rows(m.kind, d, d.y[None, :], start=m))
 
-
-def log_likelihood(m: FittedModel, y: np.ndarray) -> float:
-    """Log-likelihood of ``y`` at the fitted parameters.
-
-    Gaussian density at ``(eta, sigma)`` for the linear model, Poisson
-    mass at ``exp(eta)`` for the GLM, and the adaptive-quadrature marginal
-    likelihood for the random-intercept model.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.shape != m.eta.shape:
-        raise ValueError("y is not conformable with the fitted model")
-    if m.kind is ModelKind.LM:
-        return float(_gaussian_loglik(y, m.eta, m.sigma))
-    if m.kind is ModelKind.GLM_POISSON:
-        return float(_poisson_loglik(y, m.eta))
-    return glmm_marginal_loglik(m.beta, m.omega, m.dataset.X, y,
-                                m.dataset.group)

@@ -21,8 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .data import Dataset, EnvdiagError, ModelKind, validate_dataset
-from .diagnostics import PlotKind, diagnose_model
-from .envelope import _critical_index
+from .diagnostics import PlotKind, _check_settings, diagnose_model
 from .fitters import fit_model
 
 logger = logging.getLogger(__name__)
@@ -71,15 +70,9 @@ class ScenarioSpec:
             raise ValueError("random-intercept scenarios need n >= 10")
         if self.n < 3:
             raise ValueError("n must be at least 3")
-        if self.m_grid < 1:
-            raise ValueError("m_grid must be positive")
         if self.x_design not in ("equispaced", "uniform"):
             raise ValueError(f"unknown x_design {self.x_design!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.B < 19:
-            raise ValueError(f"B must be at least 19, got {self.B}")
-        _critical_index(self.alpha, self.B)   # raises if no rejection
+        _check_settings(self.B, self.alpha, self.seed, self.m_grid)
 
 
 def generate_dataset(s: ScenarioSpec, stream: np.random.Generator) -> Dataset:
@@ -272,17 +265,3 @@ def run_grid(specs: list[ScenarioSpec],
         table.rows.extend(res.rows())
     return table, results
 
-
-def scenario_grid(
-    models: list[ModelKind],
-    violations: list[Violation],
-    sample_sizes: list[int],
-    **common,
-) -> list[ScenarioSpec]:
-    """Cross-product helper for building scenario lists."""
-    return [
-        ScenarioSpec(model=m, violation=v, n=n, **common)
-        for m in models
-        for v in violations
-        for n in sample_sizes
-    ]

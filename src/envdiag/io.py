@@ -19,16 +19,14 @@ import numpy as np
 
 from . import __version__
 from .data import Dataset, EnvdiagError, ModelKind, validate_dataset
-from .diagnostics import DiagnosticResult, PlotKind, diagnose_model
-from .envelope import _critical_index
-from .fitters import fit_model
-from .harness import (
-    ScenarioSpec,
-    Violation,
-    resolve_workers,
-    run_grid,
-    scenario_grid,
+from .diagnostics import (
+    DiagnosticResult,
+    PlotKind,
+    _check_settings,
+    diagnose_model,
 )
+from .fitters import fit_model
+from .harness import ScenarioSpec, Violation, resolve_workers, run_grid
 from .svg import render_diagnostic
 
 
@@ -142,13 +140,7 @@ class RunConfig:
                 raise ValueError(f"unknown plot kind {p!r}")
             if p in self.plots[:i]:
                 raise ValueError(f"plots names {p!r} twice")
-        if self.B < 19:
-            raise ValueError("B must be at least 19")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        _critical_index(self.alpha, self.B)   # raises if no rejection
-        if self.m_grid < 1:
-            raise ValueError("m_grid must be positive")
+        _check_settings(self.B, self.alpha, self.seed, self.m_grid)
         return self
 
 
@@ -342,14 +334,14 @@ def _specs_from_config(cfg: dict) -> list[ScenarioSpec]:
     """
     common = _settings(cfg, "config")
     if "scenarios" not in cfg:
-        return scenario_grid(
-            _value(cfg, "models", lambda ms: [_MODEL_NAMES[m] for m in ms],
-                   "config"),
-            _value(cfg, "violations",
-                   lambda vs: [_VIOLATION_NAMES[v] for v in vs], "config"),
-            _value(cfg, "sample_sizes", _list_of(int), "config"),
-            **common,
-        )
+        models = _value(cfg, "models",
+                        lambda ms: [_MODEL_NAMES[m] for m in ms], "config")
+        violations = _value(cfg, "violations",
+                            lambda vs: [_VIOLATION_NAMES[v] for v in vs],
+                            "config")
+        sizes = _value(cfg, "sample_sizes", _list_of(int), "config")
+        return [ScenarioSpec(model=m, violation=v, n=n, **common)
+                for m in models for v in violations for n in sizes]
     if not isinstance(cfg["scenarios"], list):
         raise ValueError("config scenarios must be a list of objects")
     specs = []
@@ -360,12 +352,13 @@ def _specs_from_config(cfg: dict) -> list[ScenarioSpec]:
         unknown = sorted(set(cell) - set(_CELL_AXES) - set(_SETTING_TYPES))
         if unknown:
             raise ValueError(f"unknown fields in {where}: {unknown}")
-        specs += scenario_grid(
-            [_value(cell, "model", _MODEL_NAMES.__getitem__, where)],
-            [_value(cell, "violation", _VIOLATION_NAMES.__getitem__, where)],
-            [_value(cell, "n", _of_type(int), where)],
+        specs.append(ScenarioSpec(
+            model=_value(cell, "model", _MODEL_NAMES.__getitem__, where),
+            violation=_value(cell, "violation", _VIOLATION_NAMES.__getitem__,
+                             where),
+            n=_value(cell, "n", _of_type(int), where),
             **{**common, **_settings(cell, where)},
-        )
+        ))
     return specs
 
 

@@ -1,12 +1,12 @@
-"""Residual constructors for the three model classes.
+"""Residuals of the three model classes, by one rule per class.
 
-Standardized residuals for the linear model, deviance residuals (the
-default for the diagnostics pipeline) and Pearson residuals for the
-Poisson models.  For the random-intercept model, residuals are taken
-against the conditional means ``exp(eta + u_g)`` at the posterior modes
-of the group intercepts; with marginal means the group effects dominate
-the residuals and drown out everything the diagnostics look for.  The
-plot x-axis (the linear predictor) stays marginal either way.
+Standardized residuals for the linear model and deviance residuals for
+both Poisson models (:func:`residuals_for`).  For the random-intercept
+model, residuals are taken against the conditional means ``exp(eta +
+u_g)`` at the posterior modes of the group intercepts; with marginal
+means the group effects dominate the residuals and drown out everything
+the diagnostics look for.  The plot x-axis (the linear predictor) stays
+marginal either way.
 
 ``refit_many`` refits a batch of bootstrap responses by
 :func:`~envdiag.fitters.fit_rows` and takes their default residuals by
@@ -37,29 +37,6 @@ def hat_diagonals(X: np.ndarray) -> np.ndarray:
     return np.sum(q * q, axis=1)
 
 
-def standardized_residuals(m: FittedModel) -> np.ndarray:
-    """Internally studentized residuals (y - eta) / (sigma sqrt(1 - h)).
-
-    A degenerate fit (zero residual variance) returns exact zeros.
-    """
-    if m.kind is not ModelKind.LM:
-        raise ValueError("standardized residuals are defined for LM fits only")
-    return residuals_for(m)
-
-
-def fitted_means(m: FittedModel) -> np.ndarray:
-    """Fitted Poisson means used for residuals.
-
-    ``exp(eta)`` for the GLM; for the random-intercept model the group
-    intercepts are set to their conditional posterior modes given the
-    data, so ``exp(eta + u_g)``.
-    """
-    if m.kind not in (ModelKind.GLM_POISSON, ModelKind.GLMM_POISSON_RI):
-        raise ValueError("Poisson residuals require a Poisson model kind")
-    return _poisson_means(m.dataset.group, m.dataset.y[None, :],
-                          m.eta[None, :], np.array([_scale(m)]))[0]
-
-
 def _scale(m: FittedModel) -> float:
     """sigma of an ``lm`` fit, omega of a ``poisson-ri`` one, else 0: the
     scale of :class:`~envdiag.fitters.Fits`."""
@@ -81,23 +58,12 @@ def _poisson_means(group: np.ndarray, Y: np.ndarray, eta: np.ndarray,
     return np.exp(eta + u[:, group])
 
 
-def deviance_residuals(m: FittedModel) -> np.ndarray:
-    """sign(y - mu) * sqrt(2 [y log(y/mu) - (y - mu)]), with 0 log 0 = 0."""
-    return _deviance_residuals(m.dataset.y, fitted_means(m))
-
-
 def _deviance_residuals(y: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """sign(y - mu) * sqrt(2 [y log(y/mu) - (y - mu)]), with 0 log 0 = 0."""
     dev = 2.0 * (xlogy(y, y / mu) - (y - mu))
     # tiny negative values from cancellation at y == mu
     dev = np.maximum(dev, 0.0)
     return np.sign(y - mu) * np.sqrt(dev)
-
-
-def pearson_residuals(m: FittedModel) -> np.ndarray:
-    """(y - mu) / sqrt(mu)."""
-    y = m.dataset.y
-    mu = fitted_means(m)
-    return (y - mu) / np.sqrt(mu)
 
 
 def residuals_for(m: FittedModel) -> np.ndarray:

@@ -32,15 +32,10 @@ LAM_HI = 10.0 ** _LOG10_HI
 # fine enough that fits are insensitive to the remaining quantization of
 # the selected smoothing parameter (affine-invariance holds below 1e-6)
 _GOLDEN_TOL = 1e-5
-_RANGE_TOL = 1e-8
 
 
 class DegenerateX(EnvdiagError):
     """Too few distinct x values to fit anything."""
-
-
-class OutOfRange(EnvdiagError):
-    """Evaluation requested outside the fitted x range."""
 
 
 @dataclass(eq=False)
@@ -49,9 +44,6 @@ class SmoothFit:
 
     coefs: np.ndarray
     lam: float
-    knots: np.ndarray            # interior knot locations
-    x_lo: float
-    x_hi: float
     _design: "PSplineDesign"
     fallback_linear: bool = False
     lam_at_bound: bool = False
@@ -122,7 +114,6 @@ class PSplineDesign:
         self.fallback = distinct.size < 4 or k < 4
         if self.fallback:
             self.basis_dim = 2
-            self.interior = np.empty(0)
             self._line_design = np.column_stack([np.ones(n), x])
             return
 
@@ -137,7 +128,6 @@ class PSplineDesign:
             interior = np.empty(0)
         k = interior.size + 4
         self.basis_dim = k
-        self.interior = interior
         self.t = np.concatenate(
             [[self.x_lo] * 4, interior, [self.x_hi] * 4]
         )
@@ -275,7 +265,11 @@ class PSplineDesign:
         return (self._U_null @ beta.T + self._pen_map @ b).T
 
     def fit(self, y: np.ndarray, lam: Optional[float] = None) -> SmoothFit:
-        """Fit to a response vector; ``lam=None`` selects it by ML."""
+        """Fit to a response vector; ``lam=None`` selects it by ML.
+
+        With fewer than 4 distinct x values the fit is the least squares
+        straight line, flagged ``fallback_linear``.
+        """
         y = np.asarray(y, dtype=float)
         if y.shape != self.x.shape:
             raise ValueError("x and y must have the same length")
@@ -292,9 +286,6 @@ class PSplineDesign:
         return SmoothFit(
             coefs=self.coefs(y[None, :], np.full(1, float(lam)))[0],
             lam=float(lam),
-            knots=self.interior.copy(),
-            x_lo=self.x_lo,
-            x_hi=self.x_hi,
             _design=self,
             fallback_linear=self.fallback,
             lam_at_bound=at_bound,
@@ -320,36 +311,3 @@ class PSplineDesign:
         lams = None if self.fallback else 10.0 ** self._select_lams(Y)[0]
         return self.coefs(Y, lams) @ self.grid_design(grid).T
 
-
-def fit_smoother(x: np.ndarray, y: np.ndarray,
-                 lam: Optional[float] = None) -> SmoothFit:
-    """Fit the penalized smoother of y on x.
-
-    With fewer than 4 distinct x values the fit falls back to the least
-    squares straight line and is flagged ``fallback_linear``.
-    """
-    return PSplineDesign(np.asarray(x, dtype=float)).fit(y, lam=lam)
-
-
-def evaluate_on_grid(s: SmoothFit, lo: float, hi: float, m: int) -> np.ndarray:
-    """Evaluate a fit at m equispaced points spanning [lo, hi].
-
-    ``m == 1`` returns the single midpoint value.  Extrapolation beyond
-    the fitted range raises :class:`OutOfRange`.
-    """
-    if not lo < hi:
-        raise ValueError("need lo < hi")
-    if m < 1:
-        raise ValueError("m must be positive")
-    span = s.x_hi - s.x_lo
-    tol = _RANGE_TOL * max(span, 1.0)
-    if lo < s.x_lo - tol or hi > s.x_hi + tol:
-        raise OutOfRange(
-            f"[{lo}, {hi}] extends beyond the fitted range "
-            f"[{s.x_lo}, {s.x_hi}]"
-        )
-    if m == 1:
-        grid = np.array([0.5 * (lo + hi)])
-    else:
-        grid = np.linspace(lo, hi, m)
-    return s(grid)

@@ -17,9 +17,7 @@ from envdiag import (
     PSplineDesign,
     ScenarioSpec,
     Violation,
-    fit_glm_poisson,
-    fit_lm,
-    fit_smoother,
+    fit_model,
     glmm_marginal_loglik,
     mad_envelope,
     run_scenario,
@@ -141,7 +139,7 @@ def test_criterion_3_fitter_oracles():
         y = rng.poisson(np.exp(X @ np.array([0.8, 0.6]))).astype(float)
         if y.sum() == 0:
             continue
-        m = fit_glm_poisson(Dataset(y=y, X=X))
+        m = fit_model(Dataset(y=y, X=X), ModelKind.GLM_POISSON)
         worst_glm = max(worst_glm, float(np.max(np.abs(m.beta - newton_poisson_mle(X, y)))))
         hits += 1
 
@@ -167,7 +165,7 @@ def test_criterion_3_fitter_oracles():
         n = int(rng.integers(5, 40))
         X = np.column_stack([np.ones(n), rng.normal(size=n)])
         y = rng.normal(size=n)
-        m = fit_lm(Dataset(y=y, X=X))
+        m = fit_model(Dataset(y=y, X=X), ModelKind.LM)
         beta = np.linalg.solve(X.T @ X, X.T @ y)
         worst_lm = max(worst_lm, float(np.max(np.abs(m.beta - beta))))
 
@@ -277,7 +275,7 @@ def test_criterion_8_smoother_null_space():
     A = np.column_stack([np.ones(60), x])
     c = np.linalg.lstsq(A, y, rcond=None)[0]
     dense = np.linspace(x.min(), x.max(), 2000)
-    f = fit_smoother(x, y, lam=1e8)
+    f = PSplineDesign(x).fit(y, lam=1e8)
     limit_dist = float(np.max(np.abs(f(dense) - (c[0] + c[1] * dense))))
     ok = worst_line < 1e-8 and limit_dist < 1e-4
     _report("8", ok,

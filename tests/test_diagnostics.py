@@ -5,6 +5,7 @@ from scipy.special import ndtr, ndtri
 from scipy.stats import spearmanr
 
 from envdiag import (
+    AlphaTooSmall,
     Dataset,
     EnvdiagError,
     EnvelopeMode,
@@ -18,33 +19,39 @@ from envdiag import (
     Violation,
     default_capability,
     diagnose_model,
-    envelope_test,
-    fit_glm_poisson,
-    fit_lm,
+    fit_model,
+    global_envelope,
     linear_predictors,
-    loglik_gof_test,
-    plot_envelope,
-    pp_function,
-    qq_function,
     refit,
     refit_many,
-    resfit_function,
     residuals_for,
-    scalelocation_function,
     simulate_replicates,
     simulate_response,
 )
+from envdiag.diagnostics import _plot_functional
 from envdiag.envelope import FunctionEnsemble
 from envdiag.fitters import _no_mle_rows
 
 from test_fitters import _bootstrap_draws, _stream_fit
 
 
+def _one_row(kind, e, eta=None, m_grid=64):
+    """Grid and values of one plot kind for a single residual vector."""
+    E = np.asarray(e, dtype=float)[None, :]
+    grid, values, _ = _plot_functional(kind, E, eta, m_grid)
+    return grid, values[0]
+
+
+def _one_plot(m, kind, **settings):
+    """The envelope of one plot kind, from diagnose_model."""
+    return diagnose_model(m, kinds=(kind,), **settings)[0][kind]
+
+
 def _lm_null_model(rng, n=40):
     x = (np.arange(1, n + 1) - 0.5) / n
     X = np.column_stack([np.ones(n), x])
     y = -2 + 4 * x + 0.25 * rng.standard_normal(n)
-    return fit_lm(Dataset(y=y, X=X))
+    return fit_model(Dataset(y=y, X=X), ModelKind.LM)
 
 
 # ------------------------------------------------------------------ #
@@ -53,30 +60,30 @@ def _lm_null_model(rng, n=40):
 
 
 def test_qq_grid_median_is_zero_for_odd_n():
-    grid, _ = qq_function(np.arange(5.0))
+    grid, _ = _one_row(PlotKind.QQ, np.arange(5.0))
     assert grid[2] == 0.0
 
 
 def test_qq_grid_first_quantile_n4():
-    grid, _ = qq_function(np.arange(4.0))
+    grid, _ = _one_row(PlotKind.QQ, np.arange(4.0))
     assert grid[0] == pytest.approx(ndtri(0.125))
     assert grid[0] == pytest.approx(-1.1503, abs=5e-5)
 
 
 def test_qq_sorts_residuals():
-    grid, vals = qq_function(np.array([3.0, 1.0, 2.0]))
+    grid, vals = _one_row(PlotKind.QQ, np.array([3.0, 1.0, 2.0]))
     assert np.array_equal(vals, [1.0, 2.0, 3.0])
     assert np.allclose(grid, [ndtri(1 / 6), 0.0, ndtri(5 / 6)])
 
 
 def test_qq_grid_depends_only_on_n(rng):
-    g1, _ = qq_function(rng.normal(size=17))
-    g2, _ = qq_function(rng.normal(10, 5, size=17))
+    g1, _ = _one_row(PlotKind.QQ, rng.normal(size=17))
+    g2, _ = _one_row(PlotKind.QQ, rng.normal(10, 5, size=17))
     assert np.array_equal(g1, g2)
 
 
 def test_pp_zero_residual_gives_half():
-    _, vals = pp_function(np.array([0.0, 0.0, 0.0]))
+    _, vals = _one_row(PlotKind.PP, np.array([0.0, 0.0, 0.0]))
     assert np.allclose(vals, 0.5)
 
 
@@ -84,12 +91,12 @@ def test_pp_identity_under_perfect_calibration():
     n = 9
     grid = (np.arange(1, n + 1) - 0.5) / n
     e = ndtri(grid)
-    g, vals = pp_function(e)
+    g, vals = _one_row(PlotKind.PP, e)
     assert np.allclose(vals, g, atol=1e-12)
 
 
 def test_pp_compresses_tails():
-    g, vals = pp_function(np.array([-15.0, 0.0, 15.0]))
+    g, vals = _one_row(PlotKind.PP, np.array([-15.0, 0.0, 15.0]))
     assert vals[0] == pytest.approx(0.0, abs=1e-15)
     assert vals[1] == pytest.approx(0.5)
     assert vals[2] == pytest.approx(1.0, abs=1e-15)
@@ -97,7 +104,7 @@ def test_pp_compresses_tails():
 
 def test_resfit_zero_residuals_give_zero_curve(rng):
     eta = np.linspace(0, 1, 30)
-    grid, vals = resfit_function(eta, np.zeros(30), 16)
+    grid, vals = _one_row(PlotKind.RES_VS_FITS, np.zeros(30), eta, 16)
     assert grid.shape == vals.shape == (16,)
     assert np.max(np.abs(vals)) < 1e-10
 
@@ -105,7 +112,7 @@ def test_resfit_zero_residuals_give_zero_curve(rng):
 def test_resfit_linear_residuals_reproduced(rng):
     eta = np.linspace(0, 1, 30)
     e = 0.5 - 2.0 * eta
-    _, vals = resfit_function(eta, e, 16)
+    _, vals = _one_row(PlotKind.RES_VS_FITS, e, eta, 16)
     assert np.max(np.abs(vals - (0.5 - 2.0 * np.linspace(0, 1, 16)))) < 1e-8
 
 
@@ -113,7 +120,7 @@ def test_resfit_recovers_quadratic_shape(rng):
     n = 200
     eta = np.linspace(-1, 1, n)
     e = (eta - eta.mean()) ** 2 + rng.normal(0, 0.1, n)
-    grid, vals = resfit_function(eta, e, 64)
+    grid, vals = _one_row(PlotKind.RES_VS_FITS, e, eta, 64)
     truth = (grid - eta.mean()) ** 2
     assert np.corrcoef(vals, truth)[0, 1] > 0.95
 
@@ -121,7 +128,7 @@ def test_resfit_recovers_quadratic_shape(rng):
 def test_scalelocation_constant_abs_residuals(rng):
     eta = np.linspace(0, 1, 100)
     e = np.where(np.arange(100) % 2 == 0, 1.0, -1.0)
-    _, vals = scalelocation_function(eta, e, 32)
+    _, vals = _one_row(PlotKind.SCALE_LOCATION, e, eta, 32)
     assert np.max(np.abs(vals - 1.0)) < 0.05
 
 
@@ -129,7 +136,7 @@ def test_scalelocation_detects_increasing_spread(rng):
     n = 200
     eta = np.linspace(0.2, 2.0, n)
     e = rng.normal(0, 1, n) * eta
-    grid, vals = scalelocation_function(eta, e, 64)
+    grid, vals = _one_row(PlotKind.SCALE_LOCATION, e, eta, 64)
     rho = spearmanr(grid, vals).statistic
     assert rho > 0.9
 
@@ -141,8 +148,8 @@ def test_scalelocation_detects_increasing_spread(rng):
 
 def test_plot_envelope_deterministic(rng):
     m = _lm_null_model(rng)
-    a = plot_envelope(m, PlotKind.QQ, B=49, seed=11)
-    b = plot_envelope(m, PlotKind.QQ, B=49, seed=11)
+    a = _one_plot(m, PlotKind.QQ, B=49, seed=11)
+    b = _one_plot(m, PlotKind.QQ, B=49, seed=11)
     assert np.array_equal(a.observed, b.observed)
     assert np.array_equal(a.envelope.upper, b.envelope.upper)
     assert np.array_equal(a.envelope.stats, b.envelope.stats)
@@ -151,7 +158,7 @@ def test_plot_envelope_deterministic(rng):
 
 def test_plot_envelope_wiring_matches_envelope_test(rng):
     m = _lm_null_model(rng)
-    res = plot_envelope(m, PlotKind.QQ, B=49, seed=3)
+    res = _one_plot(m, PlotKind.QQ, B=49, seed=3)
     ensemble = FunctionEnsemble(
         grid=res.grid,
         values=np.vstack([
@@ -160,17 +167,17 @@ def test_plot_envelope_wiring_matches_envelope_test(rng):
             np.sort(simulate_replicates(m, 49, 3).residuals, axis=1),
         ]),
     )
-    reject, p = envelope_test(ensemble, 0.05, EnvelopeMode.STUDENTIZED_MAD)
-    assert reject == res.reject and p == res.p_value
+    env = global_envelope(ensemble, 0.05, EnvelopeMode.STUDENTIZED_MAD)
+    assert env.observed_outside == res.reject and env.p_value == res.p_value
 
 
 def test_smoother_kinds_share_observed_grid(rng):
     m = _lm_null_model(rng)
-    res = plot_envelope(m, PlotKind.RES_VS_FITS, B=29, seed=1, m_grid=32)
+    res = _one_plot(m, PlotKind.RES_VS_FITS, B=29, seed=1, m_grid=32)
     eta = linear_predictors(m)
     expected = np.linspace(eta.min(), eta.max(), 32)
     assert np.array_equal(res.grid, expected)
-    res2 = plot_envelope(m, PlotKind.SCALE_LOCATION, B=29, seed=1, m_grid=32)
+    res2 = _one_plot(m, PlotKind.SCALE_LOCATION, B=29, seed=1, m_grid=32)
     assert np.array_equal(res2.grid, expected)
 
 
@@ -354,7 +361,7 @@ def test_leverage_one_surfaces_before_any_refit():
     x = (i == n).astype(float)
     X = np.column_stack([np.ones(n), x, i / n])
     y = 0.3 * i + np.sin(i)
-    m = fit_lm(Dataset(y=y, X=X))
+    m = fit_model(Dataset(y=y, X=X), ModelKind.LM)
     with pytest.raises(LeverageOne):
         residuals_for(m)
     calls = {"refit": 0}
@@ -367,7 +374,7 @@ def test_leverage_one_surfaces_before_any_refit():
                                refit_many=counted_refit_many,
                                residuals=residuals_for)
     with pytest.raises(LeverageOne):
-        diagnose_model(m, B=19, seed=1, capability=counting)
+        diagnose_model(m, B=39, seed=1, capability=counting)
     assert calls["refit"] == 0
     # the batched refit marks every row failed, as refit + residuals would
     Y = np.array([simulate_response(m, np.random.default_rng(s))
@@ -388,8 +395,8 @@ def test_custom_residual_function_is_used(rng):
         refit_many=doubled_refit_many,
         residuals=lambda model: 2.0 * cap.residuals(model),
     )
-    a = plot_envelope(m, PlotKind.QQ, B=29, seed=2)
-    b = plot_envelope(m, PlotKind.QQ, B=29, seed=2, capability=doubled)
+    a = _one_plot(m, PlotKind.QQ, B=29, seed=2)
+    b = _one_plot(m, PlotKind.QQ, B=29, seed=2, capability=doubled)
     assert np.allclose(2.0 * a.observed, b.observed)
 
 
@@ -397,17 +404,35 @@ def test_diagnose_model_consistent_with_single_plots(rng):
     m = _lm_null_model(rng)
     results, gof = diagnose_model(m, B=49, seed=9, m_grid=24, with_gof=True)
     for kind in PlotKind:
-        single = plot_envelope(m, kind, B=49, seed=9, m_grid=24)
+        single = _one_plot(m, kind, B=49, seed=9, m_grid=24)
         assert np.array_equal(single.observed, results[kind].observed)
         assert single.p_value == results[kind].p_value
-    solo = loglik_gof_test(m, B=49, seed=9)
+    solo = diagnose_model(m, kinds=(), B=49, seed=9, with_gof=True)[1]
     assert solo == gof
 
 
 def test_plot_envelope_requires_min_B(rng):
     m = _lm_null_model(rng)
     with pytest.raises(ValueError):
-        plot_envelope(m, PlotKind.QQ, B=10, seed=0)
+        diagnose_model(m, kinds=(PlotKind.QQ,), B=10, seed=0)
+
+
+@pytest.mark.parametrize("settings, error", [
+    (dict(B=19, alpha=0.01), AlphaTooSmall),
+    (dict(kinds=(PlotKind.RES_VS_FITS,), m_grid=0), ValueError),
+    (dict(kinds=(), with_gof=True, alpha=1.5), ValueError),
+], ids=["alpha-below-1-over-B", "m_grid-0", "alpha-above-1"])
+def test_diagnose_model_checks_settings_before_any_refit(rng, settings, error):
+    """Settings that cannot give a result fail before the first refit."""
+    m = _lm_null_model(rng)
+
+    def no_refit(model, Y):
+        raise AssertionError("refit_many called")
+
+    cap = ModelCapability(simulate=simulate_response, refit_many=no_refit,
+                          residuals=residuals_for)
+    with pytest.raises(error):
+        diagnose_model(m, seed=1, capability=cap, **settings)
 
 
 # ------------------------------------------------------------------ #
@@ -424,9 +449,9 @@ def test_lm_qq_type_one_error_controlled(rng):
     reps = 400
     for _ in range(reps):
         y = -2 + 4 * x + 0.25 * rng.standard_normal(n)
-        m = fit_lm(Dataset(y=y, X=X))
+        m = fit_model(Dataset(y=y, X=X), ModelKind.LM)
         seed = int(rng.integers(0, 2**63 - 1))
-        res = plot_envelope(m, PlotKind.QQ, B=199, alpha=0.05, seed=seed)
+        res = _one_plot(m, PlotKind.QQ, B=199, alpha=0.05, seed=seed)
         rejections += int(res.reject)
     assert rejections / reps <= 0.08
 
@@ -442,7 +467,7 @@ def test_glm_mixture_qq_beats_scale_location(rng):
         inflate = rng.random(n) < 0.1
         rate = np.exp(-2 + 4 * x) * np.where(inflate, 4.0, 1.0)
         y = rng.poisson(rate).astype(float)
-        m = fit_glm_poisson(Dataset(y=y, X=X))
+        m = fit_model(Dataset(y=y, X=X), ModelKind.GLM_POISSON)
         seed = int(rng.integers(0, 2**63 - 1))
         results, _ = diagnose_model(
             m, kinds=(PlotKind.QQ, PlotKind.SCALE_LOCATION), B=99, seed=seed
@@ -476,8 +501,8 @@ def test_gof_null_rate_controlled(rng):
     reps = 400
     for _ in range(reps):
         y = rng.poisson(np.exp(-1 + 2 * x)).astype(float)
-        m = fit_glm_poisson(Dataset(y=y, X=X))
+        m = fit_model(Dataset(y=y, X=X), ModelKind.GLM_POISSON)
         seed = int(rng.integers(0, 2**63 - 1))
-        res = loglik_gof_test(m, B=99, seed=seed)
+        res = diagnose_model(m, kinds=(), B=99, seed=seed, with_gof=True)[1]
         hits += int(res.reject)
     assert hits / reps <= 0.07

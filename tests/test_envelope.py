@@ -7,8 +7,7 @@ from envdiag import (
     AlphaTooSmall,
     EnvelopeMode,
     FunctionEnsemble,
-    center_function,
-    envelope_test,
+    global_envelope,
     mad_envelope,
     studentized_mad_envelope,
 )
@@ -28,17 +27,17 @@ def _ensemble(values, grid=None):
 
 def test_center_of_identical_rows():
     e = _ensemble([[2.0, 5.0]] * 4)
-    assert np.array_equal(center_function(e), [2.0, 5.0])
+    assert np.array_equal(mad_envelope(e, 0.5).center, [2.0, 5.0])
 
 
 def test_center_arithmetic_mean():
     e = _ensemble([[0.0], [1.0], [2.0], [3.0]])
-    assert np.array_equal(center_function(e), [1.5])
+    assert np.array_equal(mad_envelope(e, 0.5).center, [1.5])
 
 
 def test_center_symmetry():
     e = _ensemble([[0.0, 2.0], [2.0, 0.0]])
-    assert np.array_equal(center_function(e), [1.0, 1.0])
+    assert np.array_equal(mad_envelope(e, 0.5).center, [1.0, 1.0])
 
 
 # ------------------------------------------------------------------ #
@@ -121,7 +120,7 @@ def test_alpha_too_small_rejected():
 
 
 # ------------------------------------------------------------------ #
-# envelope_test and shared properties
+# the envelope test and shared properties
 # ------------------------------------------------------------------ #
 
 
@@ -130,17 +129,17 @@ def test_envelope_test_center_observed():
     # the full ensemble: it can never reject, and p is maximal
     sims = np.random.default_rng(3).normal(1.5, 1.0, (19, 4))
     e = _ensemble(np.vstack([sims.mean(axis=0), sims]))
-    assert np.allclose(center_function(e), e.values[0])
-    reject, p = envelope_test(e, 0.2, EnvelopeMode.MAD)
-    assert not reject
-    assert p == 1.0
+    env = global_envelope(e, 0.2, EnvelopeMode.MAD)
+    assert np.allclose(env.center, e.values[0])
+    assert not env.observed_outside
+    assert env.p_value == 1.0
 
 
 def test_envelope_test_extreme_observed():
     e = _ensemble([[3.0], [1.0], [2.0], [0.0]])
-    reject, p = envelope_test(e, 0.5, EnvelopeMode.MAD)
-    assert reject
-    assert p == pytest.approx(0.5)
+    env = global_envelope(e, 0.5, EnvelopeMode.MAD)
+    assert env.observed_outside
+    assert env.p_value == pytest.approx(0.5)
 
 
 @given(st.integers(0, 20), st.sampled_from([20, 100, 200]),
@@ -202,8 +201,8 @@ def test_null_exactness_rejection_rate(rng):
     reps = 2000
     for _ in range(reps):
         e = _ensemble(rng.standard_normal((100, 4)))
-        reject, _ = envelope_test(e, 0.05)
-        hits += int(reject)
+        env = global_envelope(e, 0.05, EnvelopeMode.STUDENTIZED_MAD)
+        hits += int(env.observed_outside)
     rate = hits / reps
     assert rate <= 0.05 + 3 * np.sqrt(0.05 * 0.95 / reps)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 from scipy.special import gammaln, xlogy
+from scipy.stats import norm, poisson
 
 from envdiag import (
     Dataset,
@@ -13,12 +14,8 @@ from envdiag import (
     NonConvergence,
     RankDeficient,
     Separation,
-    fit_glm_poisson,
-    fit_glmm_poisson_ri,
-    fit_lm,
     fit_model,
     glmm_marginal_loglik,
-    log_likelihood,
     refit,
     refit_many,
     residuals_for,
@@ -78,7 +75,7 @@ def gh_fixed_loglik(beta0, omega, y_groups, points=201):
 
 def test_lm_exact_linear_data_is_degenerate():
     d = Dataset(y=[1.0, 2.0, 3.0], X=[[1, 1], [1, 2], [1, 3]])
-    m = fit_lm(d)
+    m = fit_model(d, ModelKind.LM)
     assert np.allclose(m.beta, [0.0, 1.0], atol=1e-12)
     assert m.sigma == 0.0
     assert m.degenerate
@@ -87,13 +84,13 @@ def test_lm_exact_linear_data_is_degenerate():
 
 def test_lm_hand_solved_normal_equations():
     d = Dataset(y=[1.0, 2.0, 4.0], X=[[1, 0], [1, 1], [1, 2]])
-    m = fit_lm(d)
+    m = fit_model(d, ModelKind.LM)
     assert np.allclose(m.beta, [5.0 / 6.0, 3.0 / 2.0], atol=1e-12)
 
 
 def test_lm_constant_response_degenerate():
     d = Dataset(y=[2.0, 2.0, 2.0, 2.0], X=[[1, 0], [1, 1], [1, 2], [1, 7]])
-    m = fit_lm(d)
+    m = fit_model(d, ModelKind.LM)
     assert np.allclose(m.beta, [2.0, 0.0], atol=1e-12)
     assert m.sigma == 0.0 and m.degenerate
 
@@ -103,7 +100,7 @@ def test_lm_matches_closed_form_on_random_data(rng):
         n = int(rng.integers(5, 40))
         X = np.column_stack([np.ones(n), rng.normal(size=n)])
         y = rng.normal(size=n)
-        m = fit_lm(Dataset(y=y, X=X))
+        m = fit_model(Dataset(y=y, X=X), ModelKind.LM)
         beta = np.linalg.solve(X.T @ X, X.T @ y)
         assert np.max(np.abs(m.beta - beta)) < 1e-10
 
@@ -112,7 +109,7 @@ def test_lm_residuals_orthogonal_to_design(rng):
     n = 50
     X = np.column_stack([np.ones(n), rng.normal(size=n), rng.normal(size=n)])
     y = rng.normal(size=n)
-    m = fit_lm(Dataset(y=y, X=X))
+    m = fit_model(Dataset(y=y, X=X), ModelKind.LM)
     resid = y - m.eta
     assert np.max(np.abs(X.T @ resid)) < 1e-8 * max(1.0, np.abs(y).sum())
 
@@ -124,7 +121,7 @@ def test_lm_residuals_orthogonal_to_design(rng):
 
 def test_glm_intercept_only_is_log_mean():
     d = Dataset(y=[1.0, 2.0, 3.0], X=np.ones((3, 1)))
-    m = fit_glm_poisson(d)
+    m = fit_model(d, ModelKind.GLM_POISSON)
     assert abs(m.beta[0] - math.log(2.0)) < 1e-10
 
 
@@ -143,13 +140,13 @@ def assert_separation_certificate(X, y, direction):
 def test_glm_all_zero_response_reports_boundary():
     d = Dataset(y=[0.0, 0.0, 0.0], X=np.ones((3, 1)))
     with pytest.raises(Separation) as exc:
-        fit_glm_poisson(d)
+        fit_model(d, ModelKind.GLM_POISSON)
     assert_separation_certificate(d.X, d.y, exc.value.direction)
 
 
 def test_glm_matches_newton_oracle_small_example():
     d = Dataset(y=[1.0, 3.0, 9.0], X=[[1, 0], [1, 1], [1, 2]])
-    m = fit_glm_poisson(d)
+    m = fit_model(d, ModelKind.GLM_POISSON)
     oracle = newton_poisson_mle(np.asarray(d.X), np.asarray(d.y))
     assert np.max(np.abs(m.beta - oracle)) < 1e-8
 
@@ -164,7 +161,7 @@ def test_glm_matches_newton_oracle_random_datasets(rng):
         y = rng.poisson(np.exp(X @ beta_true)).astype(float)
         if y.sum() == 0:
             continue
-        m = fit_glm_poisson(Dataset(y=y, X=X))
+        m = fit_model(Dataset(y=y, X=X), ModelKind.GLM_POISSON)
         oracle = newton_poisson_mle(X, y)
         assert np.max(np.abs(m.beta - oracle)) < 1e-8
         hits += 1
@@ -181,8 +178,8 @@ def test_glmm_nests_glm_when_variance_is_zero(rng):
     X = np.column_stack([np.ones(n), x])
     y = rng.poisson(np.exp(-2 + 4 * x)).astype(float)  # omega = 0 truth
     d = Dataset(y=y, X=X, group=np.arange(n) % 5)
-    mm = fit_glmm_poisson_ri(d)
-    mg = fit_glm_poisson(Dataset(y=y, X=X))
+    mm = fit_model(d, ModelKind.GLMM_POISSON_RI)
+    mg = fit_model(Dataset(y=y, X=X), ModelKind.GLM_POISSON)
     assert mm.omega < 1e-4
     assert np.max(np.abs(mm.beta - mg.beta)) < 1e-4
 
@@ -199,7 +196,7 @@ def test_glmm_single_observation_matches_fixed_quadrature():
 
 def test_glmm_two_groups_matches_grid_search_oracle():
     d = Dataset(y=[1.0, 1.0, 5.0, 5.0], X=np.ones((4, 1)), group=[0, 0, 1, 1])
-    m = fit_glmm_poisson_ri(d)
+    m = fit_model(d, ModelKind.GLMM_POISSON_RI)
 
     def objective(b0, om):
         return glmm_marginal_loglik(np.array([b0]), om, d.X, d.y, d.group)
@@ -324,8 +321,8 @@ def test_glmm_warm_refit_does_not_stop_early():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         warm = refit(m, y)
-    cold = fit_glmm_poisson_ri(Dataset(y=y, X=m.dataset.X,
-                                       group=m.dataset.group))
+    cold = fit_model(Dataset(y=y, X=m.dataset.X, group=m.dataset.group),
+                     ModelKind.GLMM_POISSON_RI)
     assert abs(warm.loglik - cold.loglik) <= 1e-6
 
 
@@ -387,7 +384,7 @@ def test_glmm_refit_all_zero_response_raises_separation():
     X = np.column_stack([np.ones(n), np.linspace(0.0, 1.0, n)])
     d = Dataset(y=[0, 1, 0, 0, 0, 0, 1, 0, 0, 1, 0, 1], X=X,
                 group=np.arange(n) % 3)
-    m = fit_glmm_poisson_ri(d)
+    m = fit_model(d, ModelKind.GLMM_POISSON_RI)
     with pytest.raises(Separation):
         refit(m, np.zeros(n))
     B, seed = 99, 4
@@ -411,9 +408,9 @@ def test_poisson_response_without_finite_mle_raises_separation():
     d = Dataset(y=y, X=X, group=np.arange(n) % 5)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for fit in (fit_glm_poisson, fit_glmm_poisson_ri):
+        for kind in (ModelKind.GLM_POISSON, ModelKind.GLMM_POISSON_RI):
             with pytest.raises(Separation) as err:
-                fit(d)
+                fit_model(d, kind)
             assert_separation_certificate(X, y, err.value.direction)
         for dataset in range(4):
             m, _ = _glmm_refit_case(dataset=dataset, child=0)
@@ -434,11 +431,13 @@ def test_separation_with_positive_counts_on_one_covariate_level():
     y = np.where(X[:, 1] > 0, rng.poisson(3.0, size=n), 0).astype(float)
     assert np.any(y[n // 2:] > 0)
     group = np.arange(n) % 5
-    parent = fit_glmm_poisson_ri(
-        Dataset(y=rng.poisson(2.0, size=n).astype(float), X=X, group=group))
+    parent = fit_model(
+        Dataset(y=rng.poisson(2.0, size=n).astype(float), X=X, group=group),
+        ModelKind.GLMM_POISSON_RI)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for fit in (fit_glm_poisson, fit_glmm_poisson_ri,
+        for fit in (lambda d: fit_model(d, ModelKind.GLM_POISSON),
+                    lambda d: fit_model(d, ModelKind.GLMM_POISSON_RI),
                     lambda d: refit(parent, d.y)):
             with pytest.raises(Separation) as err:
                 fit(Dataset(y=y, X=X, group=group))
@@ -467,7 +466,7 @@ def test_rank_deficient_positive_rows_with_finite_mle_fit():
     y[4] = 3.0
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        m = fit_glm_poisson(Dataset(y=y, X=X))
+        m = fit_model(Dataset(y=y, X=X), ModelKind.GLM_POISSON)
     assert np.max(np.abs(m.beta - newton_poisson_mle(X, y))) < 1e-8
 
 
@@ -486,11 +485,11 @@ def test_all_zero_response_is_separated_without_linprog(monkeypatch):
         for X in (np.column_stack([np.ones(n), x]),
                   np.column_stack([x - 0.5, 1.0 + x])):
             with pytest.raises(Separation) as err:
-                fit_glm_poisson(Dataset(y=y, X=X))
+                fit_model(Dataset(y=y, X=X), ModelKind.GLM_POISSON)
             assert_separation_certificate(X, y, err.value.direction)
     X = np.column_stack([-np.ones(n), x - 0.5])    # no positive column
     with pytest.raises(Separation) as err:
-        fit_glm_poisson(Dataset(y=y, X=X))
+        fit_model(Dataset(y=y, X=X), ModelKind.GLM_POISSON)
     assert_separation_certificate(X, y, err.value.direction)
 
 
@@ -632,7 +631,8 @@ def test_glm_rows_halve_steps_that_overshoot():
     for r, y in enumerate(Y):
         assert np.max(np.abs(rows.beta[r] - _irls_reference(X, y))) <= 1e-10
         assert np.array_equal(glm_rows(X, Y[r:r + 1]).beta[0], rows.beta[r])
-        assert np.array_equal(fit_glm_poisson(Dataset(y=y, X=X)).beta,
+        assert np.array_equal(fit_model(Dataset(y=y, X=X),
+                                        ModelKind.GLM_POISSON).beta,
                               rows.beta[r])
 
 
@@ -653,12 +653,12 @@ def _failure_case(case: str, monkeypatch):
             sigma=1.0 if lm else None)
         return m, np.vstack([y, y]), [0, 1], RankDeficient
     if case == "glm-max-iter-1":
-        m = fit_glm_poisson(Dataset(y=y, X=X))
+        m = fit_model(Dataset(y=y, X=X), ModelKind.GLM_POISSON)
         monkeypatch.setattr("envdiag.fitters._MAX_ITER", 1)
         return m, np.vstack([y, y]), [0, 1], NonConvergence
     if case == "glm-separated":
         # every positive count at the largest x
-        m = fit_glm_poisson(Dataset(y=y, X=X))
+        m = fit_model(Dataset(y=y, X=X), ModelKind.GLM_POISSON)
         return m, np.vstack([y, np.eye(n)[-1] * 4.0, y]), [1], Separation
     m, draw = _glmm_refit_case(0, 0)
     return m, np.vstack([draw, np.zeros(m.n)]), [1], Separation
@@ -696,7 +696,7 @@ def test_glm_rows_flag_rank_loss_and_nonconvergence(case, monkeypatch):
 
 
 # ------------------------------------------------------------------ #
-# simulate_response / log_likelihood
+# simulate_response / maximized log-likelihood
 # ------------------------------------------------------------------ #
 
 
@@ -738,29 +738,10 @@ def test_simulate_is_bit_reproducible(rng):
     x = np.linspace(0, 1, n)
     X = np.column_stack([np.ones(n), x])
     y = rng.poisson(np.exp(1 + x)).astype(float)
-    m = fit_glm_poisson(Dataset(y=y, X=X))
+    m = fit_model(Dataset(y=y, X=X), ModelKind.GLM_POISSON)
     a = simulate_response(m, np.random.default_rng(123))
     b = simulate_response(m, np.random.default_rng(123))
     assert np.array_equal(a, b)
-
-
-def test_loglik_lm_zero_residuals_unit_sigma():
-    n = 4
-    m = _toy_lm(sigma=1.0, n=n)
-    assert abs(log_likelihood(m, np.zeros(n)) + (n / 2) * math.log(2 * math.pi)) < 1e-12
-
-
-def test_loglik_poisson_single_unit_count():
-    d = Dataset(y=[1.0, 1.0, 1.0], X=np.ones((3, 1)))
-    m = FittedModel(kind=ModelKind.GLM_POISSON, beta=[0.0], eta=np.zeros(3),
-                    loglik=-3.0, dataset=d)
-    one = log_likelihood(m, np.array([1.0, 0.0, 0.0]))
-    # first observation contributes log(e^-1 * 1 / 1!) = -1
-    d1 = Dataset(y=[1.0], X=np.ones((1, 1)))
-    m1 = FittedModel(kind=ModelKind.GLM_POISSON, beta=[0.0], eta=np.zeros(1),
-                     loglik=-1.0, dataset=d1)
-    assert abs(log_likelihood(m1, np.array([1.0])) + 1.0) < 1e-14
-    assert one == pytest.approx(-3.0)  # all three terms are -1 at y in {0,1}
 
 
 @pytest.mark.parametrize("kind", list(ModelKind))
@@ -777,12 +758,15 @@ def test_loglik_matches_stored_value(kind, rng):
         eps = rng.normal(0, 0.8, 5)
         y = rng.poisson(np.exp(0.5 + x + eps[np.arange(n) % 5])).astype(float)
     d = Dataset(y=y, X=X, group=group)
-    m = {
-        ModelKind.LM: fit_lm,
-        ModelKind.GLM_POISSON: fit_glm_poisson,
-        ModelKind.GLMM_POISSON_RI: fit_glmm_poisson_ri,
-    }[kind](d)
-    assert abs(log_likelihood(m, d.y) - m.loglik) < 1e-10
+    m = fit_model(d, kind)
+    # the likelihood at the stored estimates, from scipy's densities
+    if kind is ModelKind.LM:
+        want = norm.logpdf(y, loc=m.eta, scale=m.sigma).sum()
+    elif kind is ModelKind.GLM_POISSON:
+        want = poisson.logpmf(y, np.exp(m.eta)).sum()
+    else:
+        want = glmm_marginal_loglik(m.beta, m.omega, X, y, group)
+    assert abs(want - m.loglik) < 1e-10
 
 
 def test_refit_reproduces_fit_on_same_data(rng):
@@ -790,7 +774,7 @@ def test_refit_reproduces_fit_on_same_data(rng):
     x = np.linspace(0, 1, n)
     X = np.column_stack([np.ones(n), x])
     y = rng.poisson(np.exp(0.2 + x)).astype(float)
-    m = fit_glm_poisson(Dataset(y=y, X=X))
+    m = fit_model(Dataset(y=y, X=X), ModelKind.GLM_POISSON)
     m2 = refit(m, y)
     assert np.max(np.abs(m2.beta - m.beta)) < 1e-12
 

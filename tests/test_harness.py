@@ -10,9 +10,9 @@ from envdiag import (
     generate_dataset,
     run_grid,
     run_scenario,
-    scenario_grid,
 )
 from envdiag.harness import _COEFS, _MIX_SCALE, _SIGMA, resolve_workers
+from envdiag.io import _specs_from_config
 
 
 def _spec(**kw):
@@ -115,13 +115,13 @@ def test_power_table_csv_shape():
 
 
 def test_scenario_grid_cross_product():
-    specs = scenario_grid(
-        [ModelKind.LM, ModelKind.GLM_POISSON],
-        [Violation.NULL_OK],
-        [10, 20],
-        n_datasets=3,
-        B=39,
-    )
+    specs = _specs_from_config({
+        "models": ["lm", "poisson"],
+        "violations": ["null"],
+        "sample_sizes": [10, 20],
+        "n_datasets": 3,
+        "B": 39,
+    })
     assert len(specs) == 4
     assert {s.n for s in specs} == {10, 20}
 

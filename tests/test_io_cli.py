@@ -68,6 +68,31 @@ def test_load_csv_byte_order_mark(tmp_path):
     assert np.array_equal(d.X[:, 1], [0.0, 0.5, 1.0])
 
 
+def _write_with_bom(path: Path, config: dict) -> str:
+    # "UTF-8 with BOM", as some Windows editors save JSON
+    path.write_bytes(b"\xef\xbb\xbf" + json.dumps(config).encode("utf-8"))
+    return str(path)
+
+
+def test_cli_diagnose_config_byte_order_mark(tmp_path, capsys):
+    data = _null_lm_csv(tmp_path / "d.csv")
+    cfg = _write_with_bom(tmp_path / "cfg.json", {
+        "data": data, "model": "lm", "plots": ["qq"], "B": 39, "seed": 1,
+        "out": str(tmp_path / "out")})
+    rc = main(["diagnose", "--config", cfg])
+    assert rc == 0, capsys.readouterr().err
+    assert (tmp_path / "out" / "qq.svg").exists()
+
+
+def test_cli_power_study_config_byte_order_mark(tmp_path, capsys):
+    cfg = _write_with_bom(tmp_path / "grid.json", {
+        "scenarios": [{"model": "lm", "violation": "null", "n": 10}],
+        "n_datasets": 2, "B": 39})
+    rc = main(["power-study", "--config", cfg, "--out", str(tmp_path / "pow")])
+    assert rc == 0, capsys.readouterr().err
+    assert (tmp_path / "pow" / "rates.csv").exists()
+
+
 def test_load_csv_non_numeric_cell_coordinates(tmp_path):
     p = _write(tmp_path / "d.csv", "y,x\n1,0\nNA,0.5\n3,1\n")
     with pytest.raises(NonNumericCell) as exc:
@@ -482,3 +507,47 @@ def test_cli_random_intercept_roundtrip(tmp_path, capsys):
                "--seed", "3", "--out", str(tmp_path / "out")])
     assert rc == 0
     assert (tmp_path / "out" / "qq.svg").exists()
+
+
+# ------------------------------------------------------------------ #
+# public surface and shipped examples
+# ------------------------------------------------------------------ #
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_public_surface():
+    """One entry point per pipeline step; submodules are not exported."""
+    assert sorted(envdiag.__all__) == sorted([
+        "AlphaTooSmall", "BadGrouping", "Dataset", "DegenerateX",
+        "DiagnosticResult", "EnvdiagError", "EnvelopeMode", "Fits",
+        "FittedModel", "FunctionEnsemble", "GlobalEnvelope", "GofResult",
+        "LeverageOne", "METHODS", "ModelCapability", "ModelKind",
+        "NonConvergence", "PSplineDesign", "PlotKind", "PowerRow",
+        "PowerTable", "RankDeficient", "ScenarioSpec", "Separation",
+        "SmoothFit", "TooFewRows", "TooManyRefitFailures", "Violation",
+        "default_capability", "diagnose_model", "fit_model", "fit_rows",
+        "generate_dataset", "glmm_marginal_loglik", "global_envelope",
+        "hat_diagonals", "linear_predictors", "mad_envelope", "refit",
+        "refit_many", "residuals_for", "run_grid", "run_scenario",
+        "simulate_replicates", "simulate_response",
+        "studentized_mad_envelope", "validate_dataset",
+    ])
+
+
+def test_example_plots_script_runs(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "make_example_plots.py"),
+         "--n", "40", "--B", "39", "--out", str(tmp_path)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    for kind in ("res_vs_fits", "qq", "scale_location"):
+        ET.parse(tmp_path / f"{kind}.svg")
+        assert kind in proc.stdout
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.count("\n") == 2

@@ -3,13 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from envdiag import (
-    DegenerateX,
-    OutOfRange,
-    PSplineDesign,
-    evaluate_on_grid,
-    fit_smoother,
-)
+from envdiag import DegenerateX, PSplineDesign
 
 LAMBDAS = [1e-8, 1e-4, 1.0, 1e4, 1e8]
 
@@ -32,7 +26,7 @@ def test_linear_data_reproduced_at_every_lambda(xgrid):
 def test_constant_data_reproduced(xgrid):
     y = np.full(xgrid.size, 3.7)
     for lam in LAMBDAS:
-        f = fit_smoother(xgrid, y, lam=lam)
+        f = PSplineDesign(xgrid).fit(y, lam=lam)
         assert np.max(np.abs(f(xgrid) - 3.7)) < 1e-8
 
 
@@ -40,7 +34,7 @@ def test_large_lambda_limit_is_ols_line(xgrid, rng):
     y = 1.0 + 0.5 * xgrid + rng.normal(0, 0.3, xgrid.size)
     A = np.column_stack([np.ones(xgrid.size), xgrid])
     c = np.linalg.lstsq(A, y, rcond=None)[0]
-    f = fit_smoother(xgrid, y, lam=1e8)
+    f = PSplineDesign(xgrid).fit(y, lam=1e8)
     dense = np.linspace(xgrid.min(), xgrid.max(), 2000)
     assert np.max(np.abs(f(dense) - (c[0] + c[1] * dense))) < 1e-4
 
@@ -48,15 +42,15 @@ def test_large_lambda_limit_is_ols_line(xgrid, rng):
 def test_sine_recovery_with_small_noise(rng):
     x = np.linspace(0.0, 1.0, 200)
     y = np.sin(2 * np.pi * x) + rng.normal(0, 0.1, 200)
-    f = fit_smoother(x, y)
+    f = PSplineDesign(x).fit(y)
     assert np.max(np.abs(f(x) - np.sin(2 * np.pi * x))) < 0.15
 
 
 def test_affine_reparameterization_invariance(rng):
     x = np.sort(rng.uniform(0.0, 1.0, 80))
     y = np.sin(6.0 * x) + rng.normal(0, 0.2, 80)
-    fa = fit_smoother(x, y)
-    fb = fit_smoother(5.0 + 2.0 * x, y)
+    fa = PSplineDesign(x).fit(y)
+    fb = PSplineDesign(5.0 + 2.0 * x).fit(y)
     grid = np.linspace(x.min(), x.max(), 300)
     assert np.max(np.abs(fa(grid) - fb(5.0 + 2.0 * grid))) < 1e-6
 
@@ -74,37 +68,10 @@ def test_profile_loglik_unimodal_on_fixtures(rng):
         assert maxima <= 1
 
 
-def test_evaluate_on_grid_matches_direct_eval(xgrid, rng):
-    y = np.sin(3 * xgrid) + rng.normal(0, 0.1, xgrid.size)
-    f = fit_smoother(xgrid, y)
-    lo, hi = xgrid.min(), xgrid.max()
-    vals = evaluate_on_grid(f, lo, hi, 3)
-    assert np.array_equal(vals, f(np.linspace(lo, hi, 3)))
-    # agreement with a dense re-evaluation at shared points
-    dense = evaluate_on_grid(f, lo, hi, 10_001)
-    coarse = evaluate_on_grid(f, lo, hi, 101)
-    assert np.max(np.abs(dense[::100] - coarse)) < 1e-12
-
-
-def test_evaluate_on_grid_single_point_is_midpoint(xgrid, rng):
-    y = xgrid + rng.normal(0, 0.1, xgrid.size)
-    f = fit_smoother(xgrid, y)
-    lo, hi = xgrid.min(), xgrid.max()
-    out = evaluate_on_grid(f, lo, hi, 1)
-    assert out.shape == (1,)
-    assert out[0] == pytest.approx(float(f(0.5 * (lo + hi))))
-
-
-def test_evaluate_on_grid_rejects_extrapolation(xgrid, rng):
-    f = fit_smoother(xgrid, xgrid + rng.normal(0, 0.1, xgrid.size))
-    with pytest.raises(OutOfRange):
-        evaluate_on_grid(f, xgrid.min() - 1.0, xgrid.max(), 5)
-
-
 def test_few_distinct_x_falls_back_to_line():
     x = np.array([0.0, 0.0, 1.0, 1.0, 2.0, 2.0])
     y = np.array([0.0, 0.2, 1.0, 1.2, 2.0, 2.2])
-    f = fit_smoother(x, y)
+    f = PSplineDesign(x).fit(y)
     assert f.fallback_linear
     assert f.basis_dim == 2
     # least squares line through the data
@@ -113,12 +80,12 @@ def test_few_distinct_x_falls_back_to_line():
 
 def test_all_equal_x_raises():
     with pytest.raises(DegenerateX):
-        fit_smoother(np.ones(6), np.arange(6.0))
+        PSplineDesign(np.ones(6)).fit(np.arange(6.0))
 
 
 def test_too_short_input_raises():
     with pytest.raises(ValueError):
-        fit_smoother(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 2.0]))
+        PSplineDesign(np.array([0.0, 1.0, 2.0])).fit(np.array([0.0, 1.0, 2.0]))
 
 
 def test_basis_dimension_rule(rng):
@@ -144,7 +111,7 @@ def test_lambda_bound_flag(rng):
     # pure noise pushes the optimum toward maximal smoothing
     x = np.linspace(0, 1, 40)
     y = rng.normal(0, 1.0, 40)
-    f = fit_smoother(x, y)
+    f = PSplineDesign(x).fit(y)
     assert 1e-8 <= f.lam <= 1e8
 
 
