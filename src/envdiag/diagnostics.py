@@ -103,25 +103,38 @@ def qq_grid(n: int) -> np.ndarray:
     return ndtri(pp_grid(n))
 
 
-def _plot_functional(kind: PlotKind, E: np.ndarray, eta,
-                     m_grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Grid, values and scatter points of one plot kind; its one definition.
+def _plot_functionals(kinds, E: np.ndarray, eta, m_grid: int
+                      ) -> dict[PlotKind, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Grid, values and scatter points of each plot kind; their one definition.
 
-    Row r of the values is the plot of residual row ``E[r]``; the points
-    overlay row 0.  Smoother kinds use ``m_grid`` equispaced points
-    spanning the linear predictors ``eta``; sorted kinds ignore both.
+    Row r of a kind's values is the plot of residual row ``E[r]``; the
+    points overlay row 0.  Smoother kinds use ``m_grid`` equispaced points
+    spanning the linear predictors ``eta`` and share one P-spline design:
+    residuals-vs-fits smooths E and scale-location |E|, in one
+    :meth:`~envdiag.smoother.PSplineDesign.smooth_matrix` call, which fits
+    every row on its own.  Sorted kinds ignore ``eta`` and ``m_grid``.
     """
-    if kind in (PlotKind.QQ, PlotKind.PP):
-        grid = qq_grid(E.shape[1]) if kind is PlotKind.QQ else pp_grid(E.shape[1])
-        values = np.sort(E, axis=1)
-        if kind is PlotKind.PP:
-            values = ndtr(values)
-        return grid, values, np.column_stack([grid, values[0]])
-    if kind is PlotKind.SCALE_LOCATION:
-        E = np.abs(E)
-    grid = np.linspace(np.min(eta), np.max(eta), m_grid)
-    values = PSplineDesign(eta).smooth_matrix(E, grid)
-    return grid, values, np.column_stack([eta, E[0]])
+    out = {}
+    smoothed = []
+    for kind in kinds:
+        if kind in (PlotKind.QQ, PlotKind.PP):
+            n = E.shape[1]
+            grid = qq_grid(n) if kind is PlotKind.QQ else pp_grid(n)
+            values = np.sort(E, axis=1)
+            if kind is PlotKind.PP:
+                values = ndtr(values)
+            out[kind] = grid, values, np.column_stack([grid, values[0]])
+        elif kind not in smoothed:
+            smoothed.append(kind)
+    if smoothed:
+        grid = np.linspace(np.min(eta), np.max(eta), m_grid)
+        R = np.vstack([np.abs(E) if kind is PlotKind.SCALE_LOCATION else E
+                       for kind in smoothed])
+        values = PSplineDesign(eta).smooth_matrix(R, grid)
+        k = len(smoothed)
+        for kind, Rk, V in zip(smoothed, np.split(R, k), np.split(values, k)):
+            out[kind] = grid, V, np.column_stack([eta, Rk[0]])
+    return out
 
 
 # ---------------------------------------------------------------------
@@ -154,8 +167,7 @@ def simulate_replicates(
     and their order are those of refitting the draws one by one and
     skipping failures.  More than 10% of B failures aborts.
     """
-    if B < 19:
-        raise ValueError("need B >= 19")
+    _check_B(B)
     cap = capability or default_capability()
     n_needed = B - 1
     max_extra = int(_MAX_FAILURE_FRACTION * B)
@@ -181,12 +193,17 @@ def simulate_replicates(
                                n_failed=failed)
 
 
+def _check_B(B: int) -> None:
+    """The one rule on the number of curves: 19 or more."""
+    if B < 19:
+        raise ValueError(f"B must be at least 19, got {B}")
+
+
 def _check_settings(B: int, alpha: float, seed: int, m_grid: int) -> None:
     """Raise unless ``B >= 19``, ``seed >= 0``, ``alpha`` allows a rejection
     among B rows (:class:`~envdiag.envelope.AlphaTooSmall` otherwise) and
     ``m_grid >= 1``, checked in that order."""
-    if B < 19:
-        raise ValueError(f"B must be at least 19, got {B}")
+    _check_B(B)
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     _critical_index(alpha, B)
@@ -232,9 +249,9 @@ def diagnose_model(
     if kinds:
         # row 0 is the observed residual vector, the rest the replicates
         E = np.vstack([observed, reps.residuals])
-        eta = linear_predictors(m)
+        plots = _plot_functionals(kinds, E, linear_predictors(m), m_grid)
         for kind in kinds:
-            grid, values, points = _plot_functional(kind, E, eta, m_grid)
+            grid, values, points = plots[kind]
             ensemble = FunctionEnsemble(grid=grid, values=values)
             env = global_envelope(ensemble, alpha,
                                   EnvelopeMode.STUDENTIZED_MAD)

@@ -12,6 +12,7 @@ from envdiag import (
     LeverageOne,
     ModelCapability,
     ModelKind,
+    PSplineDesign,
     PlotKind,
     ScenarioSpec,
     Separation,
@@ -28,7 +29,7 @@ from envdiag import (
     simulate_replicates,
     simulate_response,
 )
-from envdiag.diagnostics import _plot_functional
+from envdiag.diagnostics import _plot_functionals
 from envdiag.envelope import FunctionEnsemble
 from envdiag.fitters import _no_mle_rows
 
@@ -38,7 +39,7 @@ from test_fitters import _bootstrap_draws, _stream_fit
 def _one_row(kind, e, eta=None, m_grid=64):
     """Grid and values of one plot kind for a single residual vector."""
     E = np.asarray(e, dtype=float)[None, :]
-    grid, values, _ = _plot_functional(kind, E, eta, m_grid)
+    grid, values, _ = _plot_functionals((kind,), E, eta, m_grid)[kind]
     return grid, values[0]
 
 
@@ -415,6 +416,29 @@ def test_plot_envelope_requires_min_B(rng):
     m = _lm_null_model(rng)
     with pytest.raises(ValueError):
         diagnose_model(m, kinds=(PlotKind.QQ,), B=10, seed=0)
+
+
+def test_simulate_replicates_and_diagnose_model_share_the_B_rule(rng):
+    m = _lm_null_model(rng)
+    with pytest.raises(ValueError) as direct:
+        simulate_replicates(m, 10, 0)
+    with pytest.raises(ValueError) as diagnosed:
+        diagnose_model(m, B=10)
+    assert str(direct.value) == str(diagnosed.value) == "B must be at least 19, got 10"
+
+
+def test_smoother_kinds_share_one_design(rng, monkeypatch):
+    m = _lm_null_model(rng)
+    built = []
+    init = PSplineDesign.__init__
+
+    def counted(self, x):
+        built.append(x)
+        init(self, x)
+
+    monkeypatch.setattr(PSplineDesign, "__init__", counted)
+    diagnose_model(m, B=19, alpha=0.1, seed=4)
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("settings, error", [

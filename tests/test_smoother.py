@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from envdiag import DegenerateX, PSplineDesign
 
@@ -140,3 +141,78 @@ def test_closed_form_coefs_match_stacked_least_squares(rng, n):
         for c, y, lam in zip(C, Y, lams):
             ref = _pls_reference(design, y, lam)
             assert np.max(np.abs(G @ c - G @ ref)) < 1e-8
+
+
+# -- the lambda search -------------------------------------------------
+
+
+def _fixture_rows(x, rng):
+    n = x.size
+    return np.vstack(
+        [np.sin(2 * np.pi * x) + rng.normal(0, 0.2, n),
+         (x - 0.5) ** 2 + rng.normal(0, 0.1, n),
+         1.0 + x + rng.normal(0, 0.5, n)]
+        + [rng.normal(0, 1.0, n) for _ in range(12)]
+    )
+
+
+@pytest.mark.parametrize("u", [-6.0, -1.0, 0.5, 3.0, 7.0])
+def test_profile_derivatives_match_central_differences(rng, u):
+    x = np.sort(rng.uniform(0, 1, 60))
+    design = PSplineDesign(x)
+    terms = design._profile_terms(_fixture_rows(x, rng))
+    at = np.full(terms[2].size, u)
+    d1, d2 = design._profile_slope(at, *terms)
+
+    def prof(v):
+        return design._profile_at(v, *terms)
+
+    h1, h2 = 1e-5, 1e-3
+    c1 = (prof(at + h1) - prof(at - h1)) / (2 * h1)
+    c2 = (prof(at + h2) - 2 * prof(at) + prof(at - h2)) / h2 ** 2
+    assert np.all(np.abs(d1 - c1) <= 1e-6 * (1 + np.abs(d1)))
+    assert np.all(np.abs(d2 - c2) <= 1e-5 * (1 + np.abs(d2)))
+
+
+def test_selected_profile_reaches_bounded_brent_maximum(rng):
+    x = np.sort(rng.uniform(0, 1, 40))
+    design = PSplineDesign(x)
+    Y = _fixture_rows(x, rng)
+    u_hat, at_bound = design._select_lams(*design._profile_terms(Y))
+    scan = np.linspace(-8.0, 8.0, 17)
+    for y, u, bound in zip(Y, u_hat, at_bound):
+        best = int(np.argmax(design.profile_loglik(y, scan)))
+        lo, hi = scan[max(best - 1, 0)], scan[min(best + 1, 16)]
+        brent = minimize_scalar(lambda v: -design.profile_loglik(y, v)[0],
+                                bounds=(lo, hi), method="bounded",
+                                options={"xatol": 1e-9})
+        assert design.profile_loglik(y, u)[0] >= -brent.fun - 1e-10
+        assert design.fit(y).lam_at_bound == bound
+    # pure noise pushes some rows to maximal smoothing, flagged
+    assert np.any(u_hat[3:] == 8.0)
+    assert np.all(at_bound[u_hat == 8.0])
+
+
+def test_select_lams_independent_of_batch(rng):
+    x = np.sort(rng.uniform(0, 1, 80))
+    design = PSplineDesign(x)
+    Y = np.vstack([_fixture_rows(x, rng) for _ in range(14)])[:200]
+
+    def select(rows):
+        return design._select_lams(*design._profile_terms(rows))[0]
+
+    u_all = select(Y)
+    assert np.array_equal(select(Y[:7]), u_all[:7])
+    for r in range(7):
+        assert np.array_equal(select(Y[r:r + 1]), u_all[r:r + 1])
+    grid = np.linspace(x.min(), x.max(), 33)
+    assert np.array_equal(design.smooth_matrix(Y[:7], grid),
+                          design.smooth_matrix(Y, grid)[:7])
+
+
+def test_zero_response_is_an_exact_fit_at_the_upper_bound(xgrid):
+    # rss = 0 at every lambda: only the log-determinant moves, and it
+    # rises toward maximal smoothing
+    f = PSplineDesign(xgrid).fit(np.zeros(xgrid.size))
+    assert f.lam == 1e8 and f.lam_at_bound
+    assert np.all(f.coefs == 0.0)
