@@ -1,8 +1,8 @@
 """Core data model and the capability contract shared by all model classes.
 
-A fitted model of any class is reduced to three capabilities (simulate,
-batched refit, residuals); the plot x-axis is always its marginal linear
-predictors.  The bootstrap engine only ever talks to a
+A fitted model of any class is reduced to three capabilities (batched
+simulate, batched refit, residuals); the plot x-axis is always its
+marginal linear predictors.  The bootstrap engine only ever talks to a
 ``ModelCapability``, so new model classes can be plugged in without
 touching the envelope machinery.
 """
@@ -190,15 +190,17 @@ RefitRows = tuple[np.ndarray, np.ndarray, np.ndarray]
 class ModelCapability:
     """The operations the bootstrap engine needs from a model class.
 
-    ``simulate`` draws one response vector from the fitted model given a
-    random generator.  ``refit_many`` refits every row of ``Y`` (R, n),
-    keeping kind, design and grouping, and returns the residuals (R, n),
-    maximized log-likelihoods (R,) and a mask (R,) of failed rows; row r
-    must not depend on the other rows.  ``residuals`` gives those of the
-    observed fit.  Smoother plots put the residuals against
-    :func:`linear_predictors`.
+    ``simulate(m, R, stream)`` draws R response vectors from the fitted
+    model as rows (R, n), all from the one generator ``stream``; the
+    engine calls it once per dataset, so a row depends only on the
+    stream's seed, R and its index.  ``refit_many`` refits every row of
+    ``Y`` (R, n), keeping kind, design and grouping, and returns the
+    residuals (R, n), maximized log-likelihoods (R,) and a mask (R,) of
+    failed rows; row r must not depend on the other rows.  ``residuals``
+    gives those of the observed fit.  Smoother plots put the residuals
+    against :func:`linear_predictors`.
     """
 
-    simulate: Callable[[FittedModel, np.random.Generator], np.ndarray]
+    simulate: Callable[[FittedModel, int, np.random.Generator], np.ndarray]
     refit_many: Callable[[FittedModel, np.ndarray], RefitRows]
     residuals: Callable[[FittedModel], np.ndarray]

@@ -3,9 +3,10 @@
 For a fitted model the pipeline is: simulate new responses from the
 fitted parameters, refit, recompute residuals, reduce them to the plot's
 functional, and repeat to build an ensemble for the envelope engine.
-The B-1 draws are refitted as one batch by the model capability's
-``refit_many``; each draw has its own random stream, and failed refits
-are replaced by spare draws in a fixed order.
+All draws of a dataset, the B-1 and the spares, come from one random
+stream in one batched ``simulate`` call; the B-1 are refitted as one
+batch by the model capability's ``refit_many``, and failed refits are
+replaced by the spare draws in a fixed order.
 Four functionals are provided: sorted residuals against normal quantiles
 (QQ), sorted residual probabilities against uniform positions (PP), and
 smoothers of residuals or absolute residuals against the observed linear
@@ -159,26 +160,28 @@ def simulate_replicates(
 ) -> BootstrapReplicates:
     """Run the simulate -> refit -> residuals pipeline B-1 times.
 
-    Replicate streams are derived deterministically from (seed, index),
-    so results do not depend on execution order.  The first B-1 draws are
-    refitted as one batch (``capability.refit_many``); a failed
+    One call ``capability.simulate(m, B - 1 + floor(0.1 B),
+    np.random.default_rng(seed))`` draws every response up front, so row
+    r is a function of (seed, B, r) alone: it does not depend on which
+    rows fail, on batching or on the worker count.  The first B-1 rows
+    are refitted as one batch (``capability.refit_many``); a failed
     refit (for example a simulated response on the likelihood boundary)
-    is replaced by the next spare draws, in order, so the accepted rows
-    and their order are those of refitting the draws one by one and
+    is replaced by the spare rows B-1, B, ..., in order, so the accepted
+    rows and their order are those of refitting the rows one by one and
     skipping failures.  More than 10% of B failures aborts.
     """
     _check_B(B)
+    _check_seed(seed)
     cap = capability or default_capability()
     n_needed = B - 1
-    max_extra = int(_MAX_FAILURE_FRACTION * B)
-    children = np.random.SeedSequence(seed).spawn(n_needed + max_extra)
+    n_drawn = n_needed + int(_MAX_FAILURE_FRACTION * B)
+    Y_all = cap.simulate(m, n_drawn, np.random.default_rng(seed))
 
     resid_rows, loglik_rows = [], []
     done = failed = start = 0
-    while done < n_needed and start < len(children):
-        batch = children[start:start + n_needed - done]
-        start += len(batch)
-        Y = np.array([cap.simulate(m, np.random.default_rng(c)) for c in batch])
+    while done < n_needed and start < n_drawn:
+        Y = Y_all[start:start + n_needed - done]
+        start += len(Y)
         E, logliks, bad = cap.refit_many(m, Y)
         resid_rows.append(E[~bad])
         loglik_rows.append(logliks[~bad])
@@ -186,7 +189,7 @@ def simulate_replicates(
         failed += int(np.count_nonzero(bad))
     if done < n_needed:
         raise TooManyRefitFailures(
-            f"{failed} of {n_needed + max_extra} bootstrap refits failed"
+            f"{failed} of {n_drawn} bootstrap refits failed"
         )
     return BootstrapReplicates(residuals=np.concatenate(resid_rows),
                                logliks=np.concatenate(loglik_rows),
@@ -199,13 +202,18 @@ def _check_B(B: int) -> None:
         raise ValueError(f"B must be at least 19, got {B}")
 
 
+def _check_seed(seed: int) -> None:
+    """The one rule on the bootstrap seed: non-negative."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+
+
 def _check_settings(B: int, alpha: float, seed: int, m_grid: int) -> None:
     """Raise unless ``B >= 19``, ``seed >= 0``, ``alpha`` allows a rejection
     among B rows (:class:`~envdiag.envelope.AlphaTooSmall` otherwise) and
     ``m_grid >= 1``, checked in that order."""
     _check_B(B)
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    _check_seed(seed)
     _critical_index(alpha, B)
     if m_grid < 1:
         raise ValueError(f"m_grid must be positive, got {m_grid}")

@@ -821,27 +821,29 @@ def fit_model(d: Dataset, kind: ModelKind) -> FittedModel:
 # ---------------------------------------------------------------------
 
 
-def simulate_response(m: FittedModel, stream: np.random.Generator) -> np.ndarray:
-    """Draw one response vector from the fitted model.
+def simulate_response(m: FittedModel, R: int,
+                      stream: np.random.Generator) -> np.ndarray:
+    """Draw ``R`` response vectors from the fitted model, as rows (R, n).
 
-    The random-intercept model simulates unconditionally: fresh group
-    intercepts are drawn, then Poisson counts around them.  With
-    ``omega == 0`` no intercepts are consumed from the stream, so the
-    draw coincides with the plain GLM draw for the same stream state.
+    All rows come from ``stream`` in one call per distribution: for
+    ``lm`` the ``(R, n)`` standard normals (none with ``sigma == 0``,
+    which gives R copies of ``eta``), for ``poisson`` the ``(R, n)``
+    counts, so row r of both is the same whatever R is.  The
+    random-intercept model simulates unconditionally: the ``(R, G)``
+    fresh group intercepts are drawn first, then the counts around them.
+    With ``omega == 0`` no intercepts are consumed from the stream, so
+    the draw coincides with the plain GLM draw for the same stream state.
     """
+    shape = (R, m.n)
     if m.kind is ModelKind.LM:
         if m.sigma == 0.0:
-            return np.array(m.eta)
-        return m.eta + m.sigma * stream.standard_normal(m.n)
-    if m.kind is ModelKind.GLM_POISSON:
-        return stream.poisson(np.exp(m.eta)).astype(float)
-    group = m.dataset.group
-    G = m.dataset.n_groups
-    if m.omega > 0.0:
-        eps = stream.normal(0.0, m.omega, size=G)
-    else:
-        eps = np.zeros(G)
-    return stream.poisson(np.exp(m.eta + eps[group])).astype(float)
+            return np.tile(m.eta, (R, 1))
+        return m.eta + m.sigma * stream.standard_normal(shape)
+    eta = m.eta
+    if m.kind is ModelKind.GLMM_POISSON_RI and m.omega > 0.0:
+        eps = stream.normal(0.0, m.omega, size=(R, m.dataset.n_groups))
+        eta = eta + eps[:, m.dataset.group]
+    return stream.poisson(np.exp(eta), size=shape).astype(float)
 
 
 def refit(m: FittedModel, y_new: np.ndarray) -> FittedModel:

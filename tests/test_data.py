@@ -95,7 +95,7 @@ def test_refit_after_simulate_preserves_structure(kind, rng):
     else:
         y = rng.poisson(np.exp(0.5 + x)).astype(float)
     m = fit_model(Dataset(y=y, X=X, group=group), kind)
-    m2 = refit(m, simulate_response(m, rng))
+    m2 = refit(m, simulate_response(m, 1, rng)[0])
     assert m2.kind is kind
     assert np.array_equal(m2.dataset.X, m.dataset.X)
     if group is None:

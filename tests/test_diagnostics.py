@@ -225,16 +225,16 @@ def test_too_many_refit_failures_raises(rng):
         simulate_replicates(m, 99, 5, capability=custom)
 
 
-def _sequential_replicates(m, B, seed, fails):
+def _sequential_replicates(m, B, seed, fails, simulate=simulate_response):
     """The one-draw-at-a-time loop the batched engine must reproduce:
-    refit each child in order, skip the ones ``fails`` picks, stop at
-    B - 1 accepted rows."""
-    children = np.random.SeedSequence(seed).spawn(B - 1 + int(0.1 * B))
+    draw the B - 1 + floor(0.1 B) rows of ``simulate`` from
+    ``default_rng(seed)``, refit each row alone in order, skip the ones
+    ``fails`` picks, stop at B - 1 accepted rows."""
+    Y = simulate(m, B - 1 + int(0.1 * B), np.random.default_rng(seed))
     rows, logliks, failed = [], [], 0
-    for child in children:
+    for y in Y:
         if len(rows) == B - 1:
             break
-        y = simulate_response(m, np.random.default_rng(child))
         if fails(y):
             failed += 1
             continue
@@ -245,15 +245,14 @@ def _sequential_replicates(m, B, seed, fails):
 
 
 def test_refit_many_failures_match_sequential_loop(rng):
-    """Children 3, 17 and 50 of the first batch fail, and so do the first
+    """Rows 3, 17 and 50 of the first batch fail, and so do the first
     two spares (98, 99): the engine refills twice, and accepts the same
     rows in the same order as the sequential loop, bit for bit, with the
     same count."""
     m = _lm_null_model(rng)
     B, seed = 99, 6
-    children = np.random.SeedSequence(seed).spawn(B - 1 + int(0.1 * B))
-    first = {simulate_response(m, np.random.default_rng(children[i]))[0]
-             for i in (3, 17, 50, 98, 99)}
+    Y = simulate_response(m, B - 1 + int(0.1 * B), np.random.default_rng(seed))
+    first = {Y[i, 0] for i in (3, 17, 50, 98, 99)}
 
     def fails(y):
         return y[0] in first
@@ -295,9 +294,9 @@ def _mle_exists_reference(X, y):
 
 
 def _small_poisson_stream(B=99):
-    """Fit, bootstrap seed and every child draw (B - 1 and the spares) of
-    each of the first 40 datasets of the n=10 poisson null stream at
-    seed 1, as a power study draws them."""
+    """Fit and bootstrap seed of each of the first 40 datasets of the
+    n=10 poisson null stream at seed 1, as a power study draws them, and
+    B - 1 + floor(0.1 B) fixture draws of each (:func:`_bootstrap_draws`)."""
     spec = ScenarioSpec(model=ModelKind.GLM_POISSON,
                         violation=Violation.NULL_OK, n=10)
     for dataset in range(40):
@@ -336,19 +335,28 @@ def test_poisson_refit_many_failures_match_sequential_loop():
     """On the n=10 poisson null stream, the failure mask of the batched
     refit is the set of draws whose one-at-a-time refit raises, and the
     bootstrap replaces the same draws and accepts the same rows as the
-    sequential loop, bit for bit."""
+    sequential loop, bit for bit: on the engine's own draws, and on the
+    fixture draws of :func:`_bootstrap_draws`, two of which have no
+    finite MLE."""
     replaced = 0
-    for m, seed, Y in _small_poisson_stream():
-        _, _, failed = refit_many(m, Y)
-        one_by_one = [_refit_fails(m, y) for y in Y]
-        assert np.array_equal(failed, one_by_one)
-        bad = {y.tobytes() for y, f in zip(Y, one_by_one) if f}
-        reps = simulate_replicates(m, 99, seed)
-        want_rows, want_logliks, want_failed = _sequential_replicates(
-            m, 99, seed, lambda y: y.tobytes() in bad)
-        assert reps.n_failed == want_failed
-        assert np.array_equal(reps.residuals, want_rows)
-        assert np.array_equal(reps.logliks, want_logliks)
+    for m, seed, fixture in _small_poisson_stream():
+        def fixture_rows(model, R, stream):
+            return fixture[:R]
+
+        for simulate in (simulate_response, fixture_rows):
+            Y = simulate(m, 107, np.random.default_rng(seed))
+            _, _, failed = refit_many(m, Y)
+            one_by_one = [_refit_fails(m, y) for y in Y]
+            assert np.array_equal(failed, one_by_one)
+            bad = {y.tobytes() for y, f in zip(Y, one_by_one) if f}
+            cap = ModelCapability(simulate=simulate, refit_many=refit_many,
+                                  residuals=residuals_for)
+            reps = simulate_replicates(m, 99, seed, capability=cap)
+            want_rows, want_logliks, want_failed = _sequential_replicates(
+                m, 99, seed, lambda y: y.tobytes() in bad, simulate)
+            assert reps.n_failed == want_failed
+            assert np.array_equal(reps.residuals, want_rows)
+            assert np.array_equal(reps.logliks, want_logliks)
         replaced += reps.n_failed
     assert replaced == 2
 
@@ -378,8 +386,7 @@ def test_leverage_one_surfaces_before_any_refit():
         diagnose_model(m, B=39, seed=1, capability=counting)
     assert calls["refit"] == 0
     # the batched refit marks every row failed, as refit + residuals would
-    Y = np.array([simulate_response(m, np.random.default_rng(s))
-                  for s in range(4)])
+    Y = simulate_response(m, 4, np.random.default_rng(0))
     assert refit_many(m, Y)[2].all()
 
 
@@ -425,6 +432,58 @@ def test_simulate_replicates_and_diagnose_model_share_the_B_rule(rng):
     with pytest.raises(ValueError) as diagnosed:
         diagnose_model(m, B=10)
     assert str(direct.value) == str(diagnosed.value) == "B must be at least 19, got 10"
+
+
+def test_simulate_replicates_and_diagnose_model_share_the_seed_rule(rng):
+    """A negative seed fails with one message from both entry points,
+    before anything is drawn."""
+    m = _lm_null_model(rng)
+
+    def no_draw(model, R, stream):
+        raise AssertionError("drew before checking the seed")
+
+    cap = ModelCapability(simulate=no_draw, refit_many=refit_many,
+                          residuals=residuals_for)
+    with pytest.raises(ValueError) as direct:
+        simulate_replicates(m, 19, -1, capability=cap)
+    with pytest.raises(ValueError) as diagnosed:
+        diagnose_model(m, B=19, seed=-1, capability=cap)
+    assert str(direct.value) == str(diagnosed.value) == (
+        "seed must be non-negative, got -1")
+
+
+@pytest.mark.parametrize("failing", [(), (0, 5), (3, 17, 50, 98, 99, 100)],
+                         ids=["none", "two", "six-with-spares"])
+def test_refitted_rows_are_a_prefix_of_one_batched_draw(rng, failing):
+    """Whatever fails, the rows passed to ``refit_many``, in order, are a
+    prefix of ``simulate(m, B - 1 + floor(0.1 B), default_rng(seed))``:
+    a failure never changes a draw, and the engine asks ``simulate``
+    once."""
+    m = _lm_null_model(rng)
+    B, seed = 99, 8
+    seen, calls = [], []
+
+    def recorded_simulate(model, R, stream):
+        calls.append(R)
+        return simulate_response(model, R, stream)
+
+    def recording_refit_many(model, Y):
+        rows = np.arange(len(Y)) + sum(len(y) for y in seen)
+        seen.append(Y.copy())
+        E, logliks, failed = refit_many(model, Y)
+        return E, logliks, failed | np.isin(rows, failing)
+
+    cap = ModelCapability(simulate=recorded_simulate,
+                          refit_many=recording_refit_many,
+                          residuals=residuals_for)
+    reps = simulate_replicates(m, B, seed, capability=cap)
+    assert calls == [B - 1 + int(0.1 * B)]
+    assert reps.n_failed == len(failing)
+    Y = np.concatenate(seen)
+    assert len(Y) == B - 1 + len(failing)
+    want = simulate_response(m, B - 1 + int(0.1 * B),
+                             np.random.default_rng(seed))
+    assert np.array_equal(Y, want[:len(Y)])
 
 
 def test_smoother_kinds_share_one_design(rng, monkeypatch):

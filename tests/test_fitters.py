@@ -292,17 +292,20 @@ def _stream_fit(spec: ScenarioSpec, dataset: int):
 
 
 def _bootstrap_draws(m, boot_seed: int, count: int) -> np.ndarray:
-    """The first ``count`` bootstrap responses of ``m``, one child stream
-    each, as :func:`simulate_replicates` draws them."""
+    """Fixture responses of ``m``: ``count`` rows, each drawn alone from
+    its own child stream of ``SeedSequence(boot_seed).spawn(count)``.
+    :func:`simulate_replicates` draws one batch from one stream instead;
+    the tests that use these rows need these particular responses (their
+    overflows, separations and counts were found on them)."""
     children = np.random.SeedSequence(boot_seed).spawn(count)
-    return np.array([simulate_response(m, np.random.default_rng(c))
+    return np.array([simulate_response(m, 1, np.random.default_rng(c))[0]
                      for c in children])
 
 
 def _glmm_refit_case(dataset: int, child: int, n: int = 40):
-    """Parent fit and one bootstrap response of the poisson-ri null data
-    stream at seed 1 (n=40: the glmm-refit stream), as a power study
-    draws them.
+    """Parent fit of a dataset of the poisson-ri null data stream at
+    seed 1 (n=40: the glmm-refit stream), as a power study draws it, and
+    fixture response ``child`` of it (:func:`_bootstrap_draws`).
     """
     spec = ScenarioSpec(model=ModelKind.GLMM_POISSON_RI,
                         violation=Violation.NULL_OK, n=n)
@@ -389,11 +392,10 @@ def test_glmm_refit_all_zero_response_raises_separation():
         refit(m, np.zeros(n))
     B, seed = 99, 4
     reps = simulate_replicates(m, B, seed)
-    children = np.random.SeedSequence(seed).spawn(B - 1 + reps.n_failed)
-    zero = [not np.any(simulate_response(m, np.random.default_rng(c)))
-            for c in children]
-    assert reps.n_failed == sum(zero) > 0
-    assert not zero[-1]  # the last child drawn filled the last slot
+    Y = simulate_response(m, B - 1 + int(0.1 * B), np.random.default_rng(seed))
+    zero = ~Y[:B - 1 + reps.n_failed].any(axis=1)
+    assert reps.n_failed == zero.sum() > 0
+    assert not zero[-1]  # the last row drawn on filled the last slot
 
 
 def test_poisson_response_without_finite_mle_raises_separation():
@@ -708,15 +710,19 @@ def _toy_lm(sigma=1.0, n=4):
 
 def test_simulate_lm_zero_sigma_returns_eta_exactly():
     m = _toy_lm(sigma=0.0)
-    out = simulate_response(m, np.random.default_rng(1))
-    assert np.array_equal(out, m.eta)
+    stream = np.random.default_rng(1)
+    out = simulate_response(m, 5, stream)
+    assert out.shape == (5, m.n)
+    assert np.array_equal(out, np.tile(m.eta, (5, 1)))
+    # nothing was drawn
+    assert stream.random() == np.random.default_rng(1).random()
 
 
 def test_simulate_glm_mean_matches_rate(rng):
     d = Dataset(y=np.ones(5), X=np.ones((5, 1)))
     m = FittedModel(kind=ModelKind.GLM_POISSON, beta=[0.0], eta=np.zeros(5),
                     loglik=-5.0, dataset=d)
-    draws = np.array([simulate_response(m, rng).mean() for _ in range(20000)])
+    draws = simulate_response(m, 20000, rng).mean(axis=1)
     assert abs(draws.mean() - 1.0) < 0.02
 
 
@@ -728,20 +734,50 @@ def test_simulate_glmm_zero_omega_identical_to_glm():
                      loglik=-5.0, dataset=d, omega=0.0)
     mg = FittedModel(kind=ModelKind.GLM_POISSON, beta=[0.0], eta=eta,
                      loglik=-5.0, dataset=Dataset(y=np.ones(n), X=d.X))
-    a = simulate_response(mr, np.random.default_rng(5))
-    b = simulate_response(mg, np.random.default_rng(5))
+    a = simulate_response(mr, 7, np.random.default_rng(5))
+    b = simulate_response(mg, 7, np.random.default_rng(5))
+    assert a.shape == (7, n)
     assert np.array_equal(a, b)
+
+
+def _simulated_fit(kind, rng, n=30):
+    x = np.linspace(0, 1, n)
+    X = np.column_stack([np.ones(n), x])
+    group = np.arange(n) % 5 if kind is ModelKind.GLMM_POISSON_RI else None
+    if kind is ModelKind.LM:
+        y = 1 + x + rng.normal(0, 0.3, n)
+    else:
+        eps = rng.normal(0, 0.8, 5)[np.arange(n) % 5]
+        y = rng.poisson(np.exp(1 + x + eps)).astype(float)
+    return fit_model(Dataset(y=y, X=X, group=group), kind)
 
 
 def test_simulate_is_bit_reproducible(rng):
-    n = 30
-    x = np.linspace(0, 1, n)
-    X = np.column_stack([np.ones(n), x])
-    y = rng.poisson(np.exp(1 + x)).astype(float)
-    m = fit_model(Dataset(y=y, X=X), ModelKind.GLM_POISSON)
-    a = simulate_response(m, np.random.default_rng(123))
-    b = simulate_response(m, np.random.default_rng(123))
-    assert np.array_equal(a, b)
+    """Every class's batched draw is a float (R, n) array, reproducible
+    bit for bit from the same stream state."""
+    for kind in ModelKind:
+        m = _simulated_fit(kind, rng)
+        for R in (1, 17):
+            a = simulate_response(m, R, np.random.default_rng(123))
+            assert a.shape == (R, m.n) and a.dtype == float
+            assert np.array_equal(
+                a, simulate_response(m, R, np.random.default_rng(123)))
+
+
+@pytest.mark.parametrize("kind", [ModelKind.LM, ModelKind.GLM_POISSON],
+                         ids=lambda k: k.value)
+def test_simulate_rows_are_prefix_stable(kind, rng):
+    """For lm and poisson, the first R rows of a batch of R' > R rows are
+    the batch of R rows, and each row is the one-row draw it would be
+    after the rows before it."""
+    m = _simulated_fit(kind, rng)
+    big = simulate_response(m, 40, np.random.default_rng(9))
+    for R in (1, 7, 39):
+        assert np.array_equal(
+            simulate_response(m, R, np.random.default_rng(9)), big[:R])
+    stream = np.random.default_rng(9)
+    rows = [simulate_response(m, 1, stream)[0] for _ in range(40)]
+    assert np.array_equal(np.array(rows), big)
 
 
 @pytest.mark.parametrize("kind", list(ModelKind))
