@@ -20,7 +20,7 @@ its fit alone raises.
   1995), for many responses at once.  One optimizer, :func:`glmm_rows`,
   runs a projected BFGS per response in lockstep over a batch, after the
   same check: a fit starts from the GLM estimates, a refit from the
-  parent fit.
+  parent fit and the curvature of the parent's likelihood there.
 
 ``fit_model`` and ``refit`` return the one row of :func:`fit_rows` as an
 immutable :class:`~envdiag.data.FittedModel`;
@@ -317,11 +317,15 @@ def _glmm_loglik_grad(
     eu = np.exp(u)
     # t_k = u + sigma z_k; d log sigma = -dK / (2K), d sigma = sigma d log sigma
     du_dE = -eu / K
-    dlogsig_dE = -0.5 * eu * c / (K * K)
+    # K * K overflows only where these derivatives are 0 to double
+    # precision, which the quotients then give
+    with np.errstate(over="ignore"):
+        dlogsig_dE = -0.5 * eu * c / (K * K)
     dl_dE = (-p_et + du_dE * p_dh + sig * dlogsig_dE * p_dhz + dlogsig_dE)
     # log omega: dc = -2c, dh/d log w = c t^2 - 1 at fixed t
     du_ds = 2.0 * c * u / K
-    dlogsig_ds = c * (1.0 - E * eu * u / K) / K
+    with np.errstate(over="ignore"):
+        dlogsig_ds = c * (1.0 - E * eu * u / K) / K
     dl_ds = (c * p_t2 - 1.0 + du_ds * p_dh + sig * dlogsig_ds * p_dhz
              + dlogsig_ds)
     W = Y + mu * dl_dE[:, group]
@@ -373,9 +377,10 @@ def fit_rows(kind: ModelKind, d: Dataset, Y: np.ndarray,
     ``poisson`` rows go to :func:`glm_rows`.  ``poisson-ri`` needs
     grouping labels (ValueError otherwise), and its rows go to
     :func:`glmm_rows`: from the parent fit ``start`` if one is given (its
-    ``(beta, log omega)``, omega clamped to [0.05, 3]), else from each
-    row's GLM fit, whose failure is the row's, and a moment guess for
-    omega.  Only ``poisson-ri`` reads ``start``.
+    ``(beta, log omega)``, omega clamped to [0.05, 3], and the inverse
+    Hessian of :func:`_refit_start`), else from each row's GLM fit, whose
+    failure is the row's, and a moment guess for omega.  Only
+    ``poisson-ri`` reads ``start``.
     """
     X = d.X
     if kind is ModelKind.LM:
@@ -391,11 +396,13 @@ def fit_rows(kind: ModelKind, d: Dataset, Y: np.ndarray,
         errors = glm.errors
         x0 = np.column_stack([glm.beta, _moment_log_omega(d.group, Y,
                                                           glm.eta)])
+        H0 = None
     else:
-        x0 = np.tile(np.append(start.beta, _log_omega_start(start.omega)),
-                     (Y.shape[0], 1))
+        x_start, H0 = _refit_start(start)
+        x0 = np.tile(x_start, (Y.shape[0], 1))
     return _on_live_rows(
-        Y, p, errors, lambda live: glmm_rows(X, d.group, Y[live], x0[live]))
+        Y, p, errors,
+        lambda live: glmm_rows(X, d.group, Y[live], x0[live], H0))
 
 
 def _on_live_rows(Y: np.ndarray, p: int, errors: dict[int, EnvdiagError],
@@ -612,52 +619,106 @@ def _moment_log_omega(group: np.ndarray, Y: np.ndarray,
     return np.array([_log_omega_start(float(w)) for w in omega0])
 
 
+def _glmm_objective(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
+                    x: np.ndarray, u0: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Negated log-likelihoods, their gradients and the modes of the rows
+    of ``Y`` (R, n) at ``x`` (R, p+1) = ``(beta, log omega)``, the mode
+    search warm-started at ``u0`` (R, G); +inf, with a zero gradient,
+    where the linear predictors leave the range exp() can take."""
+    f = np.full(x.shape[0], np.inf)
+    g = np.zeros(x.shape)
+    u = np.array(u0)
+    ok = np.max(_rows_eta(X, x[:, :-1]), axis=1) <= 500.0
+    if ok.any():
+        v, grad, modes = _glmm_loglik_grad(
+            x[ok, :-1], np.exp(x[ok, -1]), X, Y[ok], group, u0[ok])
+        f[ok], g[ok], u[ok] = -v, -grad, modes
+    f[~np.isfinite(f)] = np.inf
+    return f, g, u
+
+
+# Central-difference step in (beta, log omega) of the refit curvature
+# start, and the least ratio of its smallest to largest eigenvalue.
+_CURV_STEP = 1e-4
+_CURV_RCOND = 1e-8
+
+
+def _refit_start(m: FittedModel) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Start of every ``poisson-ri`` refit of the parent ``m``: its
+    ``(beta, log omega)``, omega clamped to [0.05, 3], and an inverse
+    Hessian there, or None.
+
+    The Hessian of the parent's own negated log-likelihood at that point
+    comes from central differences of the exact gradient (one kernel call
+    on 2(p+1) rows), symmetrized.  Its inverse is returned only if every
+    difference point has a finite value and every eigenvalue is finite
+    and above 1e-8 times the largest.  Both depend on ``m`` alone, so
+    every row of a batch starts alike.
+    """
+    d = m.dataset
+    x0 = np.append(m.beta, _log_omega_start(m.omega))
+    q = x0.size
+    pts = x0 + _CURV_STEP * np.vstack([np.eye(q), -np.eye(q)])
+    f, g, _ = _glmm_objective(d.X, d.group, np.tile(d.y, (2 * q, 1)), pts,
+                              np.zeros((2 * q, d.n_groups)))
+    hess = (g[:q] - g[q:]) / (2.0 * _CURV_STEP)
+    hess = 0.5 * (hess + hess.T)
+    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(hess))):
+        return x0, None
+    lam, V = np.linalg.eigh(hess)
+    if not lam[0] > _CURV_RCOND * lam[-1]:
+        return x0, None
+    return x0, (V / lam) @ V.T
+
+
 def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
-              x0: np.ndarray) -> Fits:
+              x0: np.ndarray, H0: Optional[np.ndarray] = None) -> Fits:
     """Maximize the marginal likelihood of every row of ``Y`` in lockstep.
 
     One projected BFGS per row over ``(beta, log omega)``, started at
     ``x0`` (R, p+1), each with its own inverse-Hessian approximation;
     every iteration evaluates the batched kernel on all rows still
-    moving, once per trial step of a weak Wolfe line search.  ``log
-    omega`` is kept in [log 1e-6, log 1e4]: at a bound with the gradient
-    pointing out, it is held fixed.  A row stops when the relative
-    reduction of its objective is at most 1e-9 or its projected gradient
-    at most 1e-7, and is then frozen.  A row that finds no finite
-    optimum within 200 iterations fails with :class:`NonConvergence`.
-    The scale is omega.
+    moving, once per trial step of a weak Wolfe line search.  Every row
+    starts from the inverse Hessian ``H0`` (q, q) with a unit step if one
+    is given (a refit: see :func:`_refit_start`), else from the identity
+    with a step of length at most 1; a failed line search restarts the
+    row from the identity.  ``log omega`` is kept in [log 1e-6, log 1e4]:
+    at a bound with the gradient pointing out, it is held fixed.  A row
+    stops when the relative reduction of its objective is at most 1e-9
+    or its projected gradient at most 1e-7, and is then frozen.  A row
+    that finds no finite optimum within 200 iterations fails with
+    :class:`NonConvergence`.  The scale is omega.
 
-    Below omega = 0.05 the objective flattens like omega^2, so the
-    relative-reduction stop can fire far from the optimum in log omega.
-    While the gradient pulls omega up, a step may not take it below
-    min(current, 0.05), so that a step coupled to beta does not carry it
-    deep into the flat region.  A row that stops with its gradient still
-    pulling omega down is tried at the floor, and one that stops below
-    0.05 with its gradient pulling omega up is tried at 0.05 (one
-    evaluation for all of them); where that is no worse, the row
-    continues from there.
+    Below omega = 0.05 the objective flattens like omega^2 (Self & Liang
+    1987), so a quasi-Newton step moves log omega by only about 0.5 and
+    the relative-reduction stop can fire far from the optimum in log
+    omega.  So a line search from below 0.05 whose direction lowers log
+    omega tries its first step with log omega at the floor instead.  That
+    trial stands, ending the search, only if it decreases the objective
+    sufficiently over its real displacement and the omega gradient there
+    still pulls omega down (the floor is a KKT point along omega); else
+    the same step is tried without the floor.  While the gradient pulls
+    omega up, a step may not take it below min(current, 0.05), so that a
+    step coupled to beta does not carry it deep into the flat region.  A
+    row that stops with its gradient still pulling omega down is tried at
+    the floor, and one that stops below 0.05 with its gradient pulling
+    omega up is tried at 0.05 (one evaluation for all of them); where
+    that is no worse, the row continues from there.
     """
     R, q = x0.shape
     G = int(group.max()) + 1
 
     def evaluate(rows, x, u0):
-        """Negated log-likelihood, gradient and modes; +inf where the
-        linear predictors leave the range exp() can take."""
-        f = np.full(rows.size, np.inf)
-        g = np.zeros((rows.size, q))
-        u = np.array(u0)
-        ok = np.max(_rows_eta(X, x[:, :-1]), axis=1) <= 500.0
-        if ok.any():
-            v, grad, modes = _glmm_loglik_grad(
-                x[ok, :-1], np.exp(x[ok, -1]), X, Y[rows[ok]], group, u0[ok])
-            f[ok], g[ok], u[ok] = -v, -grad, modes
-        f[~np.isfinite(f)] = np.inf
-        return f, g, u
+        return _glmm_objective(X, group, Y[rows], x, u0)
 
     x = np.array(x0, dtype=float)
     f, g, u = evaluate(np.arange(R), x, np.zeros((R, G)))
     H = np.zeros((R, q, q))
     fresh = np.ones(R, dtype=bool)   # H holds no curvature information yet
+    if H0 is not None:
+        H[:] = H0
+        fresh[:] = False
     nit = np.zeros(R, dtype=int)
     failed = ~np.isfinite(f)
 
@@ -687,6 +748,11 @@ def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
             slope = np.sum(g[a] * d, axis=1)
             low = np.where(g[a, -1] < 0.0,
                            np.minimum(xa[:, -1], _LOG_START_MIN), _LOG_FLOOR)
+            # below omega = 0.05, a step that lowers log omega is first
+            # tried with log omega at the floor, unless the gradient
+            # pulls omega up
+            leap = ((xa[:, -1] < _LOG_START_MIN) & (d[:, -1] < 0.0)
+                    & (g[a, -1] >= 0.0))
 
             # weak Wolfe line search: sufficient decrease, and the slope
             # along d flattened to 0.9 of its start (or log omega clipped).
@@ -705,12 +771,19 @@ def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
                 xt = xa[s] + t[:, None] * d[s]
                 unclipped = xt[:, -1].copy()
                 np.clip(unclipped, low[s], _LOG_CEIL, out=xt[:, -1])
+                jump = leap[s]
+                leap[s] = False
+                xt[jump, -1] = _LOG_FLOOR
                 ft, gt, ut = evaluate(a[s], xt, u[a[s]])
                 decrease = np.minimum(
                     np.sum(g[a[s]] * (xt - xa[s]), axis=1), 0.0)
                 armijo = ft <= fa[s] + 1e-4 * decrease
+                # a floor trial stands only where the floor is a KKT point
+                # along omega; otherwise the same step is tried without it
+                retry = jump & ~(armijo & (gt[:, -1] > 0.0))
+                armijo &= ~retry
                 flat = ((np.sum(gt * d[s], axis=1) >= 0.9 * slope[s])
-                        | (xt[:, -1] != unclipped))
+                        | (xt[:, -1] != unclipped) | jump)
                 keep = s[armijo]
                 x_new[keep], f_new[keep], g_new[keep], u_new[keep] = (
                     xt[armijo], ft[armijo], gt[armijo], ut[armijo])
@@ -721,7 +794,7 @@ def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
                 lo[ss] = t[short]
                 step[ss] = np.where(np.isinf(hi[ss]), 4.0 * t[short],
                                     0.5 * (lo[ss] + hi[ss]))
-                long = ~armijo
+                long = ~armijo & ~retry
                 sl, t = s[long], t[long]
                 hi[sl] = t
                 with np.errstate(divide="ignore", invalid="ignore",

@@ -21,10 +21,11 @@ from envdiag import (
     residuals_for,
     simulate_response,
 )
+from envdiag import fitters
 from envdiag.diagnostics import simulate_replicates
 from envdiag.fitters import (
     _glmm_loglik_grad,
-    _log_omega_start,
+    _refit_start,
     fit_rows,
     glm_rows,
     glmm_rows,
@@ -379,6 +380,61 @@ def test_glmm_refit_many_reaches_lbfgsb_optimum():
     assert worst >= -1e-6, worst
 
 
+def test_glmm_floor_step_stops_only_at_a_kkt_point():
+    """A step that lowers a small omega is first tried at the floor, and
+    that trial stands only where the omega gradient still pulls omega
+    down there.  Row 56 of dataset 14 of the glmm-refit stream (the
+    engine's one batched draw at B=99) has its optimum at omega 0.029;
+    an unconditional floor step left it at the floor, 5e-4 lower in
+    log-likelihood.  Row 3 of the same batch has its optimum at the
+    floor."""
+    spec = ScenarioSpec(model=ModelKind.GLMM_POISSON_RI,
+                        violation=Violation.NULL_OK, n=40)
+    m, boot_seed = _stream_fit(spec, 14)
+    Y = simulate_response(m, 98 + 9, np.random.default_rng(boot_seed))
+    interior = refit(m, Y[56])
+    assert not interior.boundary_omega and interior.omega > 0.02
+    assert interior.loglik >= _lbfgsb_reference(m, Y[56]) - 1e-6
+    floor = refit(m, Y[3])
+    assert floor.boundary_omega
+    assert floor.omega == math.exp(math.log(1e-6))
+
+
+def test_glmm_refit_kernel_calls_per_batch(monkeypatch):
+    """``refit_many`` of the first five glmm-refit batches takes at most
+    30 kernel calls per batch on average (38.2 before rows with omega at
+    the floor got there in one step)."""
+    batches = [_glmm_refit_batch(dataset) for dataset in range(5)]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return _glmm_loglik_grad(*args, **kwargs)
+
+    monkeypatch.setattr(fitters, "_glmm_loglik_grad", counted)
+    for m, Y in batches:
+        refit_many(m, Y)
+    assert len(calls) / 5 <= 30, len(calls) / 5
+
+
+def test_glmm_kernel_does_not_overflow_where_the_curvature_does():
+    """At omega = 1e-6 and linear predictors up to 444.5 (inside the
+    optimizer's eta <= 500 guard, so it evaluates such trials), K_g^2
+    overflows; the derivative it divides is 0 and no warning is raised."""
+    n = 40
+    X = np.column_stack([np.ones(n), (np.arange(n) + 0.5) / n])
+    y = np.array([0, 0, 0, 0, 0, 2, 0, 0, 0, 1, 2, 1, 0, 1, 0, 1, 1, 2, 0,
+                  1, 2, 2, 0, 3, 2, 2, 3, 2, 2, 5, 7, 4, 8, 5, 7, 13, 5, 15,
+                  11, 10], dtype=float)
+    beta = np.array([444.81024154, -24.38388091])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        value = glmm_marginal_loglik(beta, 1e-6, X, y, np.arange(n) % 5)
+        _, grad, _ = _glmm_loglik_grad(beta[None, :], np.array([1e-6]), X,
+                                       y[None, :], np.arange(n) % 5)
+    assert np.isfinite(value) and np.all(np.isfinite(grad))
+
+
 def test_glmm_refit_all_zero_response_raises_separation():
     """An all-zero response has its estimate on the boundary, as the GLM
     start used to report; so the replaced bootstrap draws of a sparse
@@ -571,6 +627,14 @@ def test_glm_rows_match_lstsq_irls_reference():
     assert worst <= 1e-10, worst
 
 
+def _glmm_refit_rows(m, Y):
+    """``glmm_rows`` of the rows of ``Y`` from the start ``fit_rows``
+    gives every refit of ``m``."""
+    x0, H0 = _refit_start(m)
+    return glmm_rows(m.dataset.X, m.dataset.group, Y,
+                     np.tile(x0, (Y.shape[0], 1)), H0)
+
+
 # spec of each class's stream (dataset 0 at seed 1) and its batch
 # kernel's estimates of the rows of Y
 _BATCH_CASES = {
@@ -582,10 +646,7 @@ _BATCH_CASES = {
     ModelKind.GLMM_POISSON_RI: (
         ScenarioSpec(model=ModelKind.GLMM_POISSON_RI,
                      violation=Violation.NULL_OK, n=40),
-        lambda m, Y: glmm_rows(
-            m.dataset.X, m.dataset.group, Y,
-            np.tile(np.append(m.beta, _log_omega_start(m.omega)),
-                    (Y.shape[0], 1))).beta),
+        lambda m, Y: _glmm_refit_rows(m, Y).beta),
 }
 
 
