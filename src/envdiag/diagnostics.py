@@ -117,13 +117,14 @@ def _plot_functionals(kinds, E: np.ndarray, eta, m_grid: int
     """
     out = {}
     smoothed = []
+    ordered = None    # the rows of E sorted, shared by QQ and PP
     for kind in kinds:
         if kind in (PlotKind.QQ, PlotKind.PP):
             n = E.shape[1]
             grid = qq_grid(n) if kind is PlotKind.QQ else pp_grid(n)
-            values = np.sort(E, axis=1)
-            if kind is PlotKind.PP:
-                values = ndtr(values)
+            if ordered is None:
+                ordered = np.sort(E, axis=1)
+            values = ordered if kind is PlotKind.QQ else ndtr(ordered)
             out[kind] = grid, values, np.column_stack([grid, values[0]])
         elif kind not in smoothed:
             smoothed.append(kind)

@@ -19,8 +19,10 @@ its fit alone raises.
   differentiated through the modes and curvatures (Pinheiro & Bates
   1995), for many responses at once.  One optimizer, :func:`glmm_rows`,
   runs a projected BFGS per response in lockstep over a batch, after the
-  same check: a fit starts from the GLM estimates, a refit from the
-  parent fit and the curvature of the parent's likelihood there.
+  same check: a fit starts from the GLM estimates and the curvature of
+  its own likelihood there, a refit from the parent fit and the
+  curvature of the parent's likelihood there.  The terms that depend on
+  the response alone are computed once per batch.
 
 ``fit_model`` and ``refit`` return the one row of :func:`fit_rows` as an
 immutable :class:`~envdiag.data.FittedModel`;
@@ -223,24 +225,42 @@ def _group_modes(
     """Conditional modes and curvatures of h_g, by damped Newton.
 
     ``S`` and ``E`` are (R, G), ``omega`` is (R,).  h_g'(u) = S - E e^u -
-    u/w^2 is strictly decreasing, so the root is unique; steps are
-    clipped to keep e^u in range.  Each element stops, and stays frozen,
-    once its own step is below 1e-10.
+    c u, c = 1/w^2, is strictly decreasing, so the root is unique: it is
+    S/c - W((E/c) e^(S/c)), W the Lambert function.  Steps are clipped to
+    keep e^u in range.  Each element stops, and stays frozen, once its
+    own step is below 1e-10.  Where E e^u dwarfs c, a Newton step moves u
+    by only about 1; so an element still moving after 8 steps, with L =
+    log(E/c) + S/c > 1, restarts from the root's asymptote, W(e^L) ~ L -
+    log L + log L / L, if that lies more than 1 below it.  An element
+    still moving after 50 steps gets a NaN mode, so that no value is
+    computed from a mode that was not found.
     """
     inv_w2 = np.broadcast_to((1.0 / (omega * omega))[:, None], S.shape)
     u = np.zeros(S.shape) if u0 is None else np.array(u0, dtype=float)
     flat_u, flat_S = u.reshape(-1), S.ravel()
     flat_E, flat_c = E.ravel(), inv_w2.ravel()
     live = np.arange(u.size)
-    for _ in range(50):
+    for it in range(50):
         ul, cl = flat_u[live], flat_c[live]
         Eu = flat_E[live] * np.exp(ul)
         step = (flat_S[live] - Eu - ul * cl) / (-Eu - cl)
-        np.clip(step, -4.0, 4.0, out=step)
+        np.minimum(np.maximum(step, -4.0, out=step), 4.0, out=step)
         flat_u[live] = ul - step
         live = live[np.abs(step) >= 1e-10]
         if live.size == 0:
             break
+        if it == 7:
+            ul, cl, Sl = flat_u[live], flat_c[live], flat_S[live]
+            L = (np.log(np.maximum(flat_E[live], _VAR_FLOOR)) - np.log(cl)
+                 + Sl / cl)
+            far = L > 1.0
+            L = np.where(far, L, 1.0)
+            log_L = np.log(L)
+            root = Sl / cl - (L - log_L + log_L / L)
+            jump = far & (root < ul - 1.0)
+            flat_u[live[jump]] = root[jump]
+    else:
+        flat_u[live] = np.nan
     curv = E * np.exp(u) + inv_w2    # -h''(u)
     return u, curv
 
@@ -252,6 +272,10 @@ def _glmm_loglik_grad(
     Y: np.ndarray,
     group: np.ndarray,
     u0: Optional[np.ndarray] = None,
+    *,
+    eta: Optional[np.ndarray] = None,
+    S: Optional[np.ndarray] = None,
+    log_fact: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Adaptive Gauss-Hermite log-likelihoods, their exact gradients in
     ``(beta, log omega)`` and the conditional modes, for R rows.
@@ -260,79 +284,82 @@ def _glmm_loglik_grad(
     response ``Y[r]`` (R, n), on the shared design ``X`` and ``group``.
     Group g contributes ``l_g = log int exp(h_g(t)) dt`` with
       h_g(t) = A_g + S_g t - E_g e^t - c t^2/2 - log(w sqrt(2 pi)),
-    c = 1/w^2, approximated at the mode u_g (h_g'(u_g) = 0) with scale
-    sigma_g = K_g^(-1/2), K_g = E_g e^u_g + c.  Both u_g and sigma_g move
-    with E_g and c, so the derivatives add their paths (implicit
+    c = 1/w^2, A_g = sum_g (y eta - log y!), approximated at the mode u_g
+    (h_g'(u_g) = 0) with scale sigma_g = K_g^(-1/2), K_g = E_g e^u_g + c.
+    The terms of h_g that do not vary with t leave the log-sum-exp over
+    the nodes, which adding a constant to every term does not change:
+    the nodes carry S_g t - E_g e^t - c t^2/2, and the value adds
+    ``y.eta - sum log y! - G log(w sqrt(2 pi))``.  Both u_g and sigma_g
+    move with E_g and c, so the derivatives add their paths (implicit
     differentiation of h_g'(u_g) = 0: du/dE = -e^u/K, du/dc = -u/K) to
     the softmax-weighted node terms.  With dl_g/dA_g = 1, the beta
     gradient is ``X'y + X'(exp(eta) * dl/dE[group])``.  Nodes whose
     weight underflows to zero carry no gradient, even where ``e^t``
     overflows.  A row whose value is not finite gets a zero gradient.
-    ``u0`` (R, G), if given, warm-starts the mode search.
+    ``u0`` (R, G), if given, warm-starts the mode search.  The linear
+    predictors ``eta`` (R, n) and the response's constants, its group
+    totals ``S`` (R, G) and ``log_fact`` = sum log y! (R,), are computed
+    unless given.
     """
-    G = int(group.max()) + 1
-    eta = _rows_eta(X, beta)
+    if eta is None:
+        eta = _rows_eta(X, beta)
+    if S is None:
+        S = _group_sums(group, int(group.max()) + 1, Y)
+    if log_fact is None:
+        log_fact = gammaln(Y + 1.0).sum(axis=1)
+    G = S.shape[1]
     mu = np.exp(eta)
-    A = _group_sums(group, G, Y * eta - gammaln(Y + 1.0))
-    S = _group_sums(group, G, Y)
     E = _group_sums(group, G, mu)
 
     u, K = _group_modes(S, E, omega, u0)
-    w = omega[:, None, None]
+    modes = u    # of every row; u keeps only the finite rows below
+    c = 1.0 / (omega * omega)
     sig = 1.0 / np.sqrt(K)
     t = u[:, :, None] + sig[:, :, None] * _GH_Z
+    # e^t overflows only at nodes whose weight underflows, and K * K
+    # only where the derivatives it divides are 0 to double precision,
+    # which the quotients then give
     with np.errstate(over="ignore"):
         et = np.exp(t)
-        h = (
-            A[:, :, None]
-            + S[:, :, None] * t
-            - E[:, :, None] * et
-            - t * t / (2.0 * w * w)
-            - np.log(w)
-            - 0.5 * math.log(2.0 * math.pi)
-        )
-        logw = _GH_LOG_WX + h
-        top = np.max(logw, axis=2)
+        logw = _GH_LOG_WX + (S[:, :, None] * t - E[:, :, None] * et
+                             - (0.5 * c)[:, None, None] * t * t)
+        top = logw.max(axis=2)
         p = np.exp(logw - top[:, :, None])
-        total = np.sum(p, axis=2)
-        contrib = top + np.log(total)
-    value = np.sum(contrib + 0.5 * math.log(2.0) + np.log(sig), axis=1)
-    grad = np.zeros((Y.shape[0], X.shape[1] + 1))
-    ok = np.isfinite(value)
-    if not ok.all():
-        c, Y, mu, S, E, u, K, sig, t, et, p, total = (
-            a[ok] for a in (1.0 / (omega * omega), Y, mu, S, E, u, K, sig, t,
-                            et, p, total))
-    else:
-        c = 1.0 / (omega * omega)
-    c = c[:, None]
+        total = p.sum(axis=2)
+        # per group: -log(w sqrt(2 pi)), and log sqrt(2) of the nodes'
+        # scale sqrt(2) sigma
+        value = ((top + np.log(total) + np.log(sig)).sum(axis=1)
+                 + (Y * eta).sum(axis=1) - log_fact
+                 - G * (np.log(omega) + 0.5 * math.log(math.pi)))
+        grad = np.zeros((Y.shape[0], X.shape[1] + 1))
+        ok = np.isfinite(value)
+        if not ok.all():
+            c, Y, mu, S, E, u, K, sig, t, et, p, total = (
+                a[ok] for a in (c, Y, mu, S, E, u, K, sig, t, et, p, total))
+        c = c[:, None]
 
-    p /= total[:, :, None]
-    et[p == 0.0] = 0.0
-    dh = S[:, :, None] - E[:, :, None] * et - c[:, :, None] * t  # h'(t) at nodes
-    p_et = np.sum(p * et, axis=2)
-    p_dh = np.sum(p * dh, axis=2)
-    p_dhz = np.sum(p * dh * _GH_Z, axis=2)
-    p_t2 = np.sum(p * t * t, axis=2)
-    eu = np.exp(u)
-    # t_k = u + sigma z_k; d log sigma = -dK / (2K), d sigma = sigma d log sigma
-    du_dE = -eu / K
-    # K * K overflows only where these derivatives are 0 to double
-    # precision, which the quotients then give
-    with np.errstate(over="ignore"):
+        p /= total[:, :, None]
+        et[p == 0.0] = 0.0
+        dh = S[:, :, None] - E[:, :, None] * et - c[:, :, None] * t  # h'(t)
+        p_et = (p * et).sum(axis=2)
+        p_dh = (p * dh).sum(axis=2)
+        p_dhz = (p * dh * _GH_Z).sum(axis=2)
+        p_t2 = (p * t * t).sum(axis=2)
+        eu = np.exp(u)
+        # t_k = u + sigma z_k; d log sigma = -dK / (2K), d sigma = sigma
+        # d log sigma
+        du_dE = -eu / K
         dlogsig_dE = -0.5 * eu * c / (K * K)
-    dl_dE = (-p_et + du_dE * p_dh + sig * dlogsig_dE * p_dhz + dlogsig_dE)
-    # log omega: dc = -2c, dh/d log w = c t^2 - 1 at fixed t
-    du_ds = 2.0 * c * u / K
-    with np.errstate(over="ignore"):
+        dl_dE = (-p_et + du_dE * p_dh + sig * dlogsig_dE * p_dhz + dlogsig_dE)
+        # log omega: dc = -2c, dh/d log w = c t^2 - 1 at fixed t
+        du_ds = 2.0 * c * u / K
         dlogsig_ds = c * (1.0 - E * eu * u / K) / K
-    dl_ds = (c * p_t2 - 1.0 + du_ds * p_dh + sig * dlogsig_ds * p_dhz
-             + dlogsig_ds)
+        dl_ds = (c * p_t2 - 1.0 + du_ds * p_dh + sig * dlogsig_ds * p_dhz
+                 + dlogsig_ds)
     W = Y + mu * dl_dE[:, group]
-    grad[ok, :-1] = np.stack([np.sum(W * X[:, j], axis=1)
-                              for j in range(X.shape[1])], axis=1)
-    grad[ok, -1] = np.sum(dl_ds, axis=1)
-    return value, grad, u
+    grad[ok, :-1] = (W[:, None, :] * X.T).sum(axis=2)
+    grad[ok, -1] = dl_ds.sum(axis=1)
+    return value, grad, modes
 
 
 # ---------------------------------------------------------------------
@@ -378,9 +405,10 @@ def fit_rows(kind: ModelKind, d: Dataset, Y: np.ndarray,
     grouping labels (ValueError otherwise), and its rows go to
     :func:`glmm_rows`: from the parent fit ``start`` if one is given (its
     ``(beta, log omega)``, omega clamped to [0.05, 3], and the inverse
-    Hessian of :func:`_refit_start`), else from each row's GLM fit, whose
-    failure is the row's, and a moment guess for omega.  Only
-    ``poisson-ri`` reads ``start``.
+    Hessian of :func:`_refit_start`, the same for every row), else from
+    each row's GLM fit, whose failure is the row's, a moment guess for
+    omega and the inverse Hessian of the row's own likelihood there.
+    Only ``poisson-ri`` reads ``start``.
     """
     X = d.X
     if kind is ModelKind.LM:
@@ -619,57 +647,101 @@ def _moment_log_omega(group: np.ndarray, Y: np.ndarray,
     return np.array([_log_omega_start(float(w)) for w in omega0])
 
 
+def _response_constants(group: np.ndarray, G: int, Y: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Group totals (R, G) and sum log y! (R,) of every row of ``Y``: the
+    parts of the kernel that depend on the response alone."""
+    return _group_sums(group, G, Y), gammaln(Y + 1.0).sum(axis=1)
+
+
 def _glmm_objective(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
-                    x: np.ndarray, u0: np.ndarray
+                    x: np.ndarray, u0: np.ndarray, S: np.ndarray,
+                    log_fact: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Negated log-likelihoods, their gradients and the modes of the rows
-    of ``Y`` (R, n) at ``x`` (R, p+1) = ``(beta, log omega)``, the mode
-    search warm-started at ``u0`` (R, G); +inf, with a zero gradient,
-    where the linear predictors leave the range exp() can take."""
-    f = np.full(x.shape[0], np.inf)
-    g = np.zeros(x.shape)
-    u = np.array(u0)
-    ok = np.max(_rows_eta(X, x[:, :-1]), axis=1) <= 500.0
-    if ok.any():
-        v, grad, modes = _glmm_loglik_grad(
-            x[ok, :-1], np.exp(x[ok, -1]), X, Y[ok], group, u0[ok])
-        f[ok], g[ok], u[ok] = -v, -grad, modes
+    of ``Y`` (R, n), with constants ``S`` and ``log_fact``
+    (:func:`_response_constants`), at ``x`` (R, p+1) = ``(beta, log
+    omega)``, the mode search warm-started at ``u0`` (R, G); +inf, with a
+    zero gradient, where the linear predictors leave the range exp() can
+    take."""
+    eta = _rows_eta(X, x[:, :-1])
+    ok = eta.max(axis=1) <= 500.0
+    if ok.all():
+        v, grad, u = _glmm_loglik_grad(x[:, :-1], np.exp(x[:, -1]), X, Y,
+                                       group, u0, eta=eta, S=S,
+                                       log_fact=log_fact)
+        f, g = -v, -grad
+    else:
+        f = np.full(x.shape[0], np.inf)
+        g = np.zeros(x.shape)
+        u = np.array(u0)
+        if ok.any():
+            v, grad, modes = _glmm_loglik_grad(
+                x[ok, :-1], np.exp(x[ok, -1]), X, Y[ok], group, u0[ok],
+                eta=eta[ok], S=S[ok], log_fact=log_fact[ok])
+            f[ok], g[ok], u[ok] = -v, -grad, modes
     f[~np.isfinite(f)] = np.inf
     return f, g, u
 
 
-# Central-difference step in (beta, log omega) of the refit curvature
-# start, and the least ratio of its smallest to largest eigenvalue.
+# Central-difference step in (beta, log omega) of the curvature start,
+# and the least ratio of its smallest to largest eigenvalue.
 _CURV_STEP = 1e-4
 _CURV_RCOND = 1e-8
 
 
-def _refit_start(m: FittedModel) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Start of every ``poisson-ri`` refit of the parent ``m``: its
-    ``(beta, log omega)``, omega clamped to [0.05, 3], and an inverse
-    Hessian there, or None.
+def _curvature_start(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
+                     x0: np.ndarray, S: np.ndarray, log_fact: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                np.ndarray]:
+    """Objective, gradient and modes (:func:`_glmm_objective`) of the rows
+    of ``Y`` at their starts ``x0`` (R, q), and an inverse Hessian
+    (R, q, q) of each row's objective there.
 
-    The Hessian of the parent's own negated log-likelihood at that point
-    comes from central differences of the exact gradient (one kernel call
-    on 2(p+1) rows), symmetrized.  Its inverse is returned only if every
-    difference point has a finite value and every eigenvalue is finite
-    and above 1e-8 times the largest.  Both depend on ``m`` alone, so
-    every row of a batch starts alike.
+    Row r's Hessian comes from central differences of the exact gradient
+    of its own objective around ``x0[r]``, symmetrized.  Its inverse is
+    kept only if every difference point has a finite value and every
+    eigenvalue is finite and above 1e-8 times the largest; otherwise the
+    row's inverse Hessian is 0, no curvature information.  All R starts
+    and their 2q difference points are evaluated in one kernel call, and
+    the inverse is built from elementwise products, so a row's result
+    does not depend on the batch.
+    """
+    R, q = x0.shape
+    rows = np.concatenate([np.arange(R), np.repeat(np.arange(R), 2 * q)])
+    pts = np.concatenate([x0, (x0[:, None, :] + _CURV_STEP * np.vstack(
+        [np.eye(q), -np.eye(q)])).reshape(-1, q)])
+    f, g, u = _glmm_objective(X, group, Y[rows], pts,
+                              np.zeros((rows.size, S.shape[1])), S[rows],
+                              log_fact[rows])
+    fd, gd = f[R:].reshape(R, 2 * q), g[R:].reshape(R, 2 * q, q)
+    hess = (gd[:, :q] - gd[:, q:]) / (2.0 * _CURV_STEP)
+    hess = 0.5 * (hess + np.swapaxes(hess, 1, 2))
+    good = (np.all(np.isfinite(fd), axis=1)
+            & np.all(np.isfinite(hess), axis=(1, 2)))
+    hess[~good] = np.eye(q)
+    lam, V = np.linalg.eigh(hess)
+    good &= lam[:, 0] > _CURV_RCOND * lam[:, -1]
+    lam[~good] = 1.0
+    H0 = np.sum((V / lam[:, None, :])[:, :, None, :] * V[:, None, :, :],
+                axis=3)
+    H0[~good] = 0.0
+    return f[:R], g[:R], u[:R], H0
+
+
+def _refit_start(m: FittedModel) -> tuple[np.ndarray, np.ndarray]:
+    """Start of every ``poisson-ri`` refit of the parent ``m``: its
+    ``(beta, log omega)``, omega clamped to [0.05, 3], and the inverse
+    Hessian (q, q) of :func:`_curvature_start` of the parent's own
+    likelihood there (0 where it is not positive definite).  Both depend
+    on ``m`` alone, so every row of a batch starts alike.
     """
     d = m.dataset
     x0 = np.append(m.beta, _log_omega_start(m.omega))
-    q = x0.size
-    pts = x0 + _CURV_STEP * np.vstack([np.eye(q), -np.eye(q)])
-    f, g, _ = _glmm_objective(d.X, d.group, np.tile(d.y, (2 * q, 1)), pts,
-                              np.zeros((2 * q, d.n_groups)))
-    hess = (g[:q] - g[q:]) / (2.0 * _CURV_STEP)
-    hess = 0.5 * (hess + hess.T)
-    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(hess))):
-        return x0, None
-    lam, V = np.linalg.eigh(hess)
-    if not lam[0] > _CURV_RCOND * lam[-1]:
-        return x0, None
-    return x0, (V / lam) @ V.T
+    y = d.y[None, :]
+    H0 = _curvature_start(d.X, d.group, y, x0[None, :],
+                          *_response_constants(d.group, d.n_groups, y))[3]
+    return x0, H0[0]
 
 
 def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
@@ -679,14 +751,18 @@ def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
     One projected BFGS per row over ``(beta, log omega)``, started at
     ``x0`` (R, p+1), each with its own inverse-Hessian approximation;
     every iteration evaluates the batched kernel on all rows still
-    moving, once per trial step of a weak Wolfe line search.  Every row
-    starts from the inverse Hessian ``H0`` (q, q) with a unit step if one
-    is given (a refit: see :func:`_refit_start`), else from the identity
-    with a step of length at most 1; a failed line search restarts the
-    row from the identity.  ``log omega`` is kept in [log 1e-6, log 1e4]:
-    at a bound with the gradient pointing out, it is held fixed.  A row
-    stops when the relative reduction of its objective is at most 1e-9
-    or its projected gradient at most 1e-7, and is then frozen.  A row
+    moving, once per trial step of a weak Wolfe line search.  Row r
+    starts from the inverse Hessian ``H0[r]``, ``H0`` broadcast to
+    (R, q, q) (a refit passes its parent's, :func:`_refit_start`), or, if
+    ``H0`` is None, from the curvature of its own objective at ``x0[r]``
+    (:func:`_curvature_start`, in the same kernel call as the start), with
+    a unit step.  A row whose inverse Hessian is 0 (not positive
+    definite) starts from the identity with a step of length at most 1; a
+    failed line search restarts the row from the identity.  ``log omega``
+    is kept in [log 1e-6, log 1e4]: at a bound with the gradient pointing
+    out, it is held fixed.  A row stops when the relative reduction of
+    its objective is at most 1e-9 or its projected gradient at most
+    1e-7, and is then frozen.  A row
     that finds no finite optimum within 200 iterations fails with
     :class:`NonConvergence`.  The scale is omega.
 
@@ -708,17 +784,21 @@ def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
     """
     R, q = x0.shape
     G = int(group.max()) + 1
+    S, log_fact = _response_constants(group, G, Y)
 
     def evaluate(rows, x, u0):
-        return _glmm_objective(X, group, Y[rows], x, u0)
+        return _glmm_objective(X, group, Y[rows], x, u0, S[rows],
+                               log_fact[rows])
 
     x = np.array(x0, dtype=float)
-    f, g, u = evaluate(np.arange(R), x, np.zeros((R, G)))
-    H = np.zeros((R, q, q))
-    fresh = np.ones(R, dtype=bool)   # H holds no curvature information yet
-    if H0 is not None:
-        H[:] = H0
-        fresh[:] = False
+    if H0 is None:
+        f, g, u, H = _curvature_start(X, group, Y, x, S, log_fact)
+    else:
+        f, g, u = _glmm_objective(X, group, Y, x, np.zeros((R, G)), S,
+                                  log_fact)
+        H = np.array(np.broadcast_to(H0, (R, q, q)))
+    fresh = ~H.any(axis=(1, 2))   # H holds no curvature information yet
+    eye = np.eye(q)
     nit = np.zeros(R, dtype=int)
     failed = ~np.isfinite(f)
 
@@ -730,7 +810,7 @@ def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
                     | ((x[:, -1] >= _LOG_CEIL) & (g[:, -1] < 0.0)))
             pg = g.copy()
             pg[held, -1] = 0.0
-            active &= np.max(np.abs(pg), axis=1) > 1e-7
+            active &= np.abs(pg).max(axis=1) > 1e-7
             over = active & (nit >= 2 * _MAX_ITER)
             failed[over] = True
             active &= ~over
@@ -739,13 +819,13 @@ def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
                 return
             nit[a] += 1
             ga, xa, fa = pg[a], x[a], f[a]
-            H[a[fresh[a]]] = np.eye(q)
-            d = -np.sum(H[a] * ga[:, None, :], axis=2)
+            H[a[fresh[a]]] = eye
+            d = -(H[a] * ga[:, None, :]).sum(axis=2)
             d[held[a], -1] = 0.0
             # a unit step along -g would be arbitrarily long: length 1
             step = np.where(fresh[a], np.minimum(1.0, 1.0 / np.sqrt(
-                np.sum(d * d, axis=1))), 1.0)
-            slope = np.sum(g[a] * d, axis=1)
+                (d * d).sum(axis=1))), 1.0)
+            slope = (g[a] * d).sum(axis=1)
             low = np.where(g[a, -1] < 0.0,
                            np.minimum(xa[:, -1], _LOG_START_MIN), _LOG_FLOOR)
             # below omega = 0.05, a step that lowers log omega is first
@@ -770,19 +850,20 @@ def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
                 t = step[s]
                 xt = xa[s] + t[:, None] * d[s]
                 unclipped = xt[:, -1].copy()
-                np.clip(unclipped, low[s], _LOG_CEIL, out=xt[:, -1])
+                np.minimum(np.maximum(unclipped, low[s]), _LOG_CEIL,
+                           out=xt[:, -1])
                 jump = leap[s]
                 leap[s] = False
                 xt[jump, -1] = _LOG_FLOOR
                 ft, gt, ut = evaluate(a[s], xt, u[a[s]])
                 decrease = np.minimum(
-                    np.sum(g[a[s]] * (xt - xa[s]), axis=1), 0.0)
+                    (g[a[s]] * (xt - xa[s])).sum(axis=1), 0.0)
                 armijo = ft <= fa[s] + 1e-4 * decrease
                 # a floor trial stands only where the floor is a KKT point
                 # along omega; otherwise the same step is tried without it
                 retry = jump & ~(armijo & (gt[:, -1] > 0.0))
                 armijo &= ~retry
-                flat = ((np.sum(gt * d[s], axis=1) >= 0.9 * slope[s])
+                flat = (((gt * d[s]).sum(axis=1) >= 0.9 * slope[s])
                         | (xt[:, -1] != unclipped) | jump)
                 keep = s[armijo]
                 x_new[keep], f_new[keep], g_new[keep], u_new[keep] = (
@@ -814,15 +895,15 @@ def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
             b = a[found]
             sv = x_new[found] - xa[found]
             yv = g_new[found] - g[b]
-            sy = np.sum(sv * yv, axis=1)
-            yy = np.sum(yv * yv, axis=1)
+            sy = (sv * yv).sum(axis=1)
+            yy = (yv * yv).sum(axis=1)
             update = sy > _EPS * yy
             scale = fresh[b] & update
-            H[b[scale]] = (sy[scale] / yy[scale])[:, None, None] * np.eye(q)
+            H[b[scale]] = (sy[scale] / yy[scale])[:, None, None] * eye
             fresh[b] &= ~update
             bu, su, yu, syu = b[update], sv[update], yv[update], sy[update]
-            Hy = np.sum(H[bu] * yu[:, None, :], axis=2)
-            coef = (syu + np.sum(yu * Hy, axis=1)) / (syu * syu)
+            Hy = (H[bu] * yu[:, None, :]).sum(axis=2)
+            coef = (syu + (yu * Hy).sum(axis=1)) / (syu * syu)
             H[bu] += (coef[:, None, None] * su[:, :, None] * su[:, None, :]
                       - (Hy[:, :, None] * su[:, None, :]
                          + su[:, :, None] * Hy[:, None, :])

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.optimize import minimize
-from scipy.special import gammaln, xlogy
+from scipy.special import gammaln, logsumexp, xlogy
 from scipy.stats import norm, poisson
 
 from envdiag import (
@@ -433,6 +433,183 @@ def test_glmm_kernel_does_not_overflow_where_the_curvature_does():
         _, grad, _ = _glmm_loglik_grad(beta[None, :], np.array([1e-6]), X,
                                        y[None, :], np.arange(n) % 5)
     assert np.isfinite(value) and np.all(np.isfinite(grad))
+
+
+def test_glmm_mode_search_converges_where_the_exponential_dominates():
+    """At the overflow point above, E_g e^u dwarfs 1/omega^2 = 1e12, so a
+    Newton step moves a mode by only about 1 and 50 of them stopped at
+    -50 with h'(u) about -2e171, against a root near -410.  The search
+    finds the root: |h'(u)| <= 1e-8 K_g, and a restart from the modes
+    moves them by less than 1e-10."""
+    n = 40
+    X = np.column_stack([np.ones(n), (np.arange(n) + 0.5) / n])
+    y = np.array([0, 0, 0, 0, 0, 2, 0, 0, 0, 1, 2, 1, 0, 1, 0, 1, 1, 2, 0,
+                  1, 2, 2, 0, 3, 2, 2, 3, 2, 2, 5, 7, 4, 8, 5, 7, 13, 5, 15,
+                  11, 10], dtype=float)
+    group = np.arange(n) % 5
+    beta = np.array([444.81024154, -24.38388091])
+    omega = np.array([1e-6])
+    S = np.bincount(group, weights=y)[None, :]
+    E = np.bincount(group, weights=np.exp(X @ beta))[None, :]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        u, K = fitters._group_modes(S, E, omega)
+        again, _ = fitters._group_modes(S, E, omega, u)
+    h1 = S - E * np.exp(u) - u / omega[0] ** 2
+    assert np.all(u < -400.0)
+    assert np.all(np.abs(h1) <= 1e-8 * K), (u, h1, K)
+    assert np.max(np.abs(again - u)) < 1e-10
+
+
+def test_glmm_modes_not_found_give_a_non_finite_value():
+    """With every mean underflowed to 0 (E_g = 0) and omega = 1e4, the
+    root S_g omega^2 lies beyond 50 clipped Newton steps.  Such a mode is
+    NaN, its row's value is not finite and its gradient 0, and the other
+    rows of the batch are computed as alone."""
+    n = 6
+    X = np.column_stack([np.ones(n), np.arange(n) / n])
+    Y = np.tile([1.0, 0.0, 2.0, 0.0, 1.0, 3.0], (2, 1))
+    group = np.arange(n) % 2
+    beta = np.array([[-800.0, 0.0], [0.1, 0.2]])
+    omega = np.array([1e4, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        value, grad, modes = _glmm_loglik_grad(beta, omega, X, Y, group)
+        alone = _glmm_loglik_grad(beta[1:], omega[1:], X, Y[1:], group)
+    assert np.isnan(modes[0]).all() and not np.isfinite(value[0])
+    assert np.all(grad[0] == 0.0)
+    assert value[1] == alone[0][0] and np.array_equal(grad[1], alone[1][0])
+    assert np.array_equal(modes[1], alone[2][0])
+
+
+def _in_node_loglik(beta, omega, X, Y, group):
+    """Adaptive Gauss-Hermite log-likelihoods of the rows of ``Y`` with
+    the terms constant in t, A_g = sum_g (y eta - log y!) and the normal
+    constant, inside every node term of the log-sum-exp: the formulation
+    the kernel used before they moved outside it."""
+    G = int(group.max()) + 1
+    eta = beta @ X.T
+
+    def sums(W):
+        return np.array([np.bincount(group, weights=w, minlength=G)
+                         for w in W])
+
+    A = sums(Y * eta - gammaln(Y + 1.0))
+    S, E = sums(Y), sums(np.exp(eta))
+    u, K = fitters._group_modes(S, E, omega)
+    w = omega[:, None, None]
+    sig = 1.0 / np.sqrt(K)
+    x, wts = np.polynomial.hermite.hermgauss(15)
+    t = u[:, :, None] + sig[:, :, None] * math.sqrt(2.0) * x
+    h = (A[:, :, None] + S[:, :, None] * t - E[:, :, None] * np.exp(t)
+         - t * t / (2.0 * w * w) - np.log(w) - 0.5 * math.log(2.0 * math.pi))
+    contrib = logsumexp(np.log(wts) + x ** 2 + h, axis=2)
+    return np.sum(contrib + 0.5 * math.log(2.0) + np.log(sig), axis=1)
+
+
+def test_glmm_constant_terms_outside_the_node_sums_keep_the_value():
+    """The kernel adds y.eta - sum log y! and the normal constant outside
+    the log-sum-exp over the nodes.  Its value matches the in-node
+    formulation to 1e-12 relative: on the first five glmm-refit parents
+    and their bootstrap rows, at the parent's estimates and at each
+    row's own, and at a point with counts in the hundreds."""
+    worst = 0.0
+
+    def check(beta, omega, X, Y, group):
+        nonlocal worst
+        value = _glmm_loglik_grad(beta, omega, X, Y, group)[0]
+        ref = _in_node_loglik(beta, omega, X, Y, group)
+        worst = max(worst, np.max(np.abs(value - ref) / np.abs(ref)))
+
+    for dataset in range(5):
+        m, Y = _glmm_refit_batch(dataset)
+        d = m.dataset
+        Y = np.vstack([d.y, Y])
+        R = Y.shape[0]
+        check(np.tile(m.beta, (R, 1)), np.full(R, m.omega), d.X, Y, d.group)
+        fits = fit_rows(ModelKind.GLMM_POISSON_RI, d, Y, start=m)
+        assert not fits.errors
+        check(fits.beta, fits.scale, d.X, Y, d.group)
+    rng = np.random.default_rng(15)
+    n = 60
+    X = np.column_stack([np.ones(n), np.linspace(0.0, 1.0, n)])
+    group = np.arange(n) % 6
+    eps = rng.normal(0.0, 0.3, 6)[group]
+    beta = np.array([[5.5, 1.0]])
+    y = rng.poisson(np.exp(X @ beta[0] + eps)).astype(float)
+    assert y.min() >= 100
+    check(beta, np.array([0.3]), X, y[None, :], group)
+    assert worst <= 1e-12, worst
+
+
+def test_glmm_fit_kernel_calls(monkeypatch):
+    """``fit_model`` of the first 40 datasets of the glmm-refit stream
+    takes at most 10 kernel calls on average, the one that evaluates the
+    start and its curvature included (11.25 from the identity start)."""
+    spec = ScenarioSpec(model=ModelKind.GLMM_POISSON_RI,
+                        violation=Violation.NULL_OK, n=40)
+    datasets = [_stream_fit(spec, i)[0].dataset for i in range(40)]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return _glmm_loglik_grad(*args, **kwargs)
+
+    monkeypatch.setattr(fitters, "_glmm_loglik_grad", counted)
+    for d in datasets:
+        fit_model(d, ModelKind.GLMM_POISSON_RI)
+    assert len(calls) / 40 <= 10, len(calls) / 40
+
+
+def test_glmm_fresh_rows_start_from_their_own_curvature():
+    """Without a parent, row r of a poisson-ri batch starts from the
+    inverse of the central-difference Hessian of its own objective at its
+    GLM-and-moment start, or from the identity where that Hessian is not
+    positive definite.  Dataset 7 of the glmm-refit stream has rows of
+    both kinds among its engine draws; a batch of them fits each row as
+    alone, as from its explicit start, and an identity row as from a zero
+    ``H0``."""
+    kind = ModelKind.GLMM_POISSON_RI
+    spec = ScenarioSpec(model=kind, violation=Violation.NULL_OK, n=40)
+    m, boot_seed = _stream_fit(spec, 7)
+    d = m.dataset
+    Y = simulate_response(m, 98 + 9, np.random.default_rng(boot_seed))[:98]
+    glm = glm_rows(d.X, Y)
+    assert not glm.errors
+    x0 = np.column_stack([glm.beta,
+                          fitters._moment_log_omega(d.group, Y, glm.eta)])
+    S, log_fact = fitters._response_constants(d.group, d.n_groups, Y)
+    f, _, _, H0 = fitters._curvature_start(d.X, d.group, Y, x0, S, log_fact)
+    identity = ~H0.any(axis=(1, 2))
+    q = x0.shape[1]
+    for r in range(Y.shape[0]):
+        def grad(th):
+            return _glmm_loglik_grad(th[None, :-1],
+                                     np.array([math.exp(th[-1])]), d.X,
+                                     Y[r:r + 1], d.group)[1][0]
+        hess = np.array([(grad(x0[r] + 1e-4 * e) - grad(x0[r] - 1e-4 * e))
+                         / 2e-4 for e in np.eye(q)])
+        lam = np.linalg.eigvalsh(-0.5 * (hess + hess.T))
+        assert identity[r] == (lam[0] <= 1e-8 * lam[-1]), (r, lam)
+        if not identity[r]:
+            assert np.allclose(H0[r] @ (-hess), np.eye(q), atol=1e-6)
+    assert 2 <= identity.sum() <= 10
+    rows = np.concatenate([np.flatnonzero(identity)[:3],
+                           np.flatnonzero(~identity)[:3]])
+    batch = fit_rows(kind, d, Y[rows])
+    explicit = glmm_rows(d.X, d.group, Y[rows], x0[rows], H0[rows])
+    from_identity = glmm_rows(d.X, d.group, Y[rows], x0[rows],
+                              np.zeros((q, q)))
+    assert not batch.errors
+    for i, r in enumerate(rows):
+        alone = fit_rows(kind, d, Y[r:r + 1])
+        assert np.array_equal(alone.beta[0], batch.beta[i])
+        assert alone.loglik[0] == batch.loglik[i]
+        assert np.array_equal(explicit.beta[i], batch.beta[i])
+        assert explicit.loglik[i] == batch.loglik[i]
+        if identity[r]:
+            assert np.array_equal(from_identity.beta[i], batch.beta[i])
+        assert batch.loglik[i] >= from_identity.loglik[i] - 1e-6
 
 
 def test_glmm_refit_all_zero_response_raises_separation():
