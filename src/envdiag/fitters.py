@@ -751,7 +751,12 @@ def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
     One projected BFGS per row over ``(beta, log omega)``, started at
     ``x0`` (R, p+1), each with its own inverse-Hessian approximation;
     every iteration evaluates the batched kernel on all rows still
-    moving, once per trial step of a weak Wolfe line search.  Row r
+    moving, once per trial step of a backtracking line search: a row's
+    search ends at its first trial that decreases the objective
+    sufficiently (Armijo), and a trial that does not is cut back by
+    quadratic interpolation to [0.1, 0.5] of its step, for at most 30
+    trials.  A step with s'y not positive leaves the row's inverse
+    Hessian as it is (Nocedal & Wright 2006, sections 3.1 and 6.1).  Row r
     starts from the inverse Hessian ``H0[r]``, ``H0`` broadcast to
     (R, q, q) (a refit passes its parent's, :func:`_refit_start`), or, if
     ``H0`` is None, from the curvature of its own objective at ``x0[r]``
@@ -834,14 +839,8 @@ def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
             leap = ((xa[:, -1] < _LOG_START_MIN) & (d[:, -1] < 0.0)
                     & (g[a, -1] >= 0.0))
 
-            # weak Wolfe line search: sufficient decrease, and the slope
-            # along d flattened to 0.9 of its start (or log omega clipped).
-            # Too long a step is cut back by quadratic interpolation, too
-            # short a one grows fourfold; once both are known, bisection.
-            lo = np.zeros(a.size)
-            hi = np.full(a.size, np.inf)
+            # backtracking line search on sufficient decrease (Armijo)
             searching = np.ones(a.size, dtype=bool)
-            found = np.zeros(a.size, dtype=bool)   # sufficient decrease seen
             x_new, f_new, g_new, u_new = xa.copy(), fa.copy(), g[a], u[a]
             for _ in range(30):
                 s = np.flatnonzero(searching)
@@ -849,8 +848,7 @@ def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
                     break
                 t = step[s]
                 xt = xa[s] + t[:, None] * d[s]
-                unclipped = xt[:, -1].copy()
-                np.minimum(np.maximum(unclipped, low[s]), _LOG_CEIL,
+                np.minimum(np.maximum(xt[:, -1], low[s]), _LOG_CEIL,
                            out=xt[:, -1])
                 jump = leap[s]
                 leap[s] = False
@@ -863,38 +861,28 @@ def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
                 # along omega; otherwise the same step is tried without it
                 retry = jump & ~(armijo & (gt[:, -1] > 0.0))
                 armijo &= ~retry
-                flat = (((gt * d[s]).sum(axis=1) >= 0.9 * slope[s])
-                        | (xt[:, -1] != unclipped) | jump)
                 keep = s[armijo]
                 x_new[keep], f_new[keep], g_new[keep], u_new[keep] = (
                     xt[armijo], ft[armijo], gt[armijo], ut[armijo])
-                found[keep] = True
-                searching[s[armijo & flat]] = False
-                short = armijo & ~flat
-                ss = s[short]
-                lo[ss] = t[short]
-                step[ss] = np.where(np.isinf(hi[ss]), 4.0 * t[short],
-                                    0.5 * (lo[ss] + hi[ss]))
+                searching[keep] = False
                 long = ~armijo & ~retry
                 sl, t = s[long], t[long]
-                hi[sl] = t
                 with np.errstate(divide="ignore", invalid="ignore",
                                  over="ignore"):
                     t_quad = -slope[sl] * t * t / (
                         2.0 * (ft[long] - fa[sl] - slope[sl] * t))
-                t_quad = np.clip(
+                step[sl] = np.clip(
                     np.where(np.isfinite(t_quad), t_quad, 0.1 * t),
                     0.1 * t, 0.5 * t)
-                step[sl] = np.where(lo[sl] > 0.0, 0.5 * (lo[sl] + t), t_quad)
 
             # a failed line search restarts from the steepest descent
             # once; twice in a row, the row is as optimal as it can tell
-            lost = ~found
-            active[a[lost & fresh[a]]] = False
-            fresh[a[lost]] = True
-            b = a[found]
-            sv = x_new[found] - xa[found]
-            yv = g_new[found] - g[b]
+            active[a[searching & fresh[a]]] = False
+            fresh[a[searching]] = True
+            moved = ~searching
+            b = a[moved]
+            sv = x_new[moved] - xa[moved]
+            yv = g_new[moved] - g[b]
             sy = (sv * yv).sum(axis=1)
             yy = (yv * yv).sum(axis=1)
             update = sy > _EPS * yy
@@ -909,8 +897,8 @@ def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
                          + su[:, :, None] * Hy[:, None, :])
                       / syu[:, None, None])
             f_old = f[b]
-            x[b], f[b], g[b], u[b] = (x_new[found], f_new[found],
-                                      g_new[found], u_new[found])
+            x[b], f[b], g[b], u[b] = (x_new[moved], f_new[moved],
+                                      g_new[moved], u_new[moved])
             small = (f_old - f[b]) <= _TOL * np.maximum(
                 np.maximum(np.abs(f_old), np.abs(f[b])), 1.0)
             active[b[small]] = False

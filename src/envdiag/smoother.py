@@ -256,14 +256,6 @@ class PSplineDesign:
         d2 = -0.5 * (n * (t2 - t1 * t1) + _LN10 ** 2 * sum_w)
         return d1, d2
 
-    def profile_loglik(self, y: np.ndarray, log10_lams) -> np.ndarray:
-        """Profile log-likelihood of one response at each log10 lambda."""
-        if self.fallback:
-            raise ValueError("no profile likelihood for the linear fallback")
-        y = np.asarray(y, dtype=float)
-        lams = np.atleast_1d(np.asarray(log10_lams, dtype=float))
-        return self._profile_at(lams, *self._profile_terms(y[None, :]))
-
     def _select_lams(self, Uy, Xy, yy) -> tuple[np.ndarray, np.ndarray]:
         """ML log10-lambda of every row of the :meth:`_profile_terms`, and
         whether it sits at a search bound.

@@ -400,6 +400,51 @@ def test_glmm_floor_step_stops_only_at_a_kkt_point():
     assert floor.omega == math.exp(math.log(1e-6))
 
 
+def test_glmm_line_search_ends_at_its_first_sufficient_decrease(monkeypatch):
+    """Row 52 of dataset 9 of the n=10 poisson-ri null stream (the
+    engine's one batched draw at B=99) converges at the omega floor, where
+    its objective changes only by rounding.  A weak Wolfe search there
+    grew and bisected its steps for a whole 30 trials (37 kernel calls in
+    all); a search that ends at the first sufficient decrease refits it in
+    at most 20, to the same optimum."""
+    spec = ScenarioSpec(model=ModelKind.GLMM_POISSON_RI,
+                        violation=Violation.NULL_OK, n=10)
+    m, boot_seed = _stream_fit(spec, 9)
+    Y = simulate_response(m, 98 + 9, np.random.default_rng(boot_seed))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return _glmm_loglik_grad(*args, **kwargs)
+
+    monkeypatch.setattr(fitters, "_glmm_loglik_grad", counted)
+    fit = refit(m, Y[52])
+    assert len(calls) <= 20, len(calls)
+    assert fit.boundary_omega
+    assert abs(fit.loglik - (-14.040167544694384)) <= 1e-9, fit.loglik
+
+
+def test_glmm_objective_rows_out_of_range_alone():
+    """In a batch where one row's linear predictors exceed 500, that row
+    gets +inf, a zero gradient and its warm-start modes back, and the
+    other rows equal a batch without it, bit for bit."""
+    m, Y = _glmm_refit_batch(0, B=4)
+    d = m.dataset
+    x = np.tile(np.append(m.beta, math.log(m.omega)), (3, 1))
+    x[1, 0] = 600.0
+    u0 = np.random.default_rng(16).normal(0.0, 0.5, (3, d.n_groups))
+    S, log_fact = fitters._response_constants(d.group, d.n_groups, Y)
+    f, g, u = fitters._glmm_objective(d.X, d.group, Y, x, u0, S, log_fact)
+    assert f[1] == np.inf and np.all(g[1] == 0.0)
+    assert np.array_equal(u[1], u0[1])
+    keep = [0, 2]
+    f2, g2, u2 = fitters._glmm_objective(d.X, d.group, Y[keep], x[keep],
+                                         u0[keep], S[keep], log_fact[keep])
+    assert np.all(np.isfinite(f2))
+    assert np.array_equal(f[keep], f2) and np.array_equal(g[keep], g2)
+    assert np.array_equal(u[keep], u2)
+
+
 def test_glmm_refit_kernel_calls_per_batch(monkeypatch):
     """``refit_many`` of the first five glmm-refit batches takes at most
     30 kernel calls per batch on average (38.2 before rows with omega at

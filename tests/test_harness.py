@@ -3,6 +3,7 @@ import pytest
 
 from envdiag import (
     METHODS,
+    EnvdiagError,
     ModelKind,
     PowerTable,
     ScenarioSpec,
@@ -11,6 +12,7 @@ from envdiag import (
     run_grid,
     run_scenario,
 )
+from envdiag import harness
 from envdiag.harness import _COEFS, _MIX_SCALE, _SIGMA, resolve_workers
 from envdiag.io import _specs_from_config
 
@@ -151,3 +153,38 @@ def test_worker_count_does_not_change_rates():
     pooled = run_scenario(spec, workers=2)
     assert serial.rates == pooled.rates
     assert serial.ses == pooled.ses
+
+
+def test_failed_dataset_leaves_the_rate_denominators(monkeypatch, caplog):
+    """A dataset whose fit raises is logged, counted in ``n_failed`` and
+    left out of every rate; when every dataset fails, the scenario
+    raises."""
+    spec = _spec(violation=Violation.QUADRATIC, n_datasets=6)
+    flags = [harness._run_one_dataset(spec, i) for i in range(6)]
+    bad_y = generate_dataset(
+        spec, np.random.default_rng(harness._dataset_seeds(spec, 2)[0])).y
+    fit_model = harness.fit_model
+
+    def failing(d, kind):
+        if np.array_equal(d.y, bad_y):
+            raise EnvdiagError("fit failed")
+        return fit_model(d, kind)
+
+    monkeypatch.setattr(harness, "fit_model", failing)
+    res = run_scenario(spec, workers=1)
+    assert (res.n_ok, res.n_failed) == (5, 1)
+    assert "dataset 2 failed: fit failed" in caplog.text
+    kept = flags[:2] + flags[3:]
+    for method in METHODS:
+        rate = sum(f[method] for f in kept) / 5
+        assert res.rates[method] == rate
+        assert res.ses[method] == np.sqrt(rate * (1.0 - rate) / 5)
+    assert any(0.0 < r < 1.0 for r in res.rates.values()), res.rates
+
+    def always(d, kind):
+        raise EnvdiagError("fit failed")
+
+    monkeypatch.setattr(harness, "fit_model", always)
+    with pytest.raises(EnvdiagError,
+                       match="^every dataset in the scenario failed$"):
+        run_scenario(spec, workers=1)

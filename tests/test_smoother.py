@@ -56,6 +56,13 @@ def test_affine_reparameterization_invariance(rng):
     assert np.max(np.abs(fa(grid) - fb(5.0 + 2.0 * grid))) < 1e-6
 
 
+def _profile_loglik(design, y, log10_lams):
+    """Profile log-likelihood of one response at each log10 lambda: the
+    per-row reference of the batched profile the lambda search uses."""
+    u = np.atleast_1d(np.asarray(log10_lams, dtype=float))
+    return design._profile_at(u, *design._profile_terms(y[None, :]))
+
+
 def test_profile_loglik_unimodal_on_fixtures(rng):
     x = np.linspace(0.0, 1.0, 80)
     design = PSplineDesign(x)
@@ -64,7 +71,7 @@ def test_profile_loglik_unimodal_on_fixtures(rng):
         1.0 + x + rng.normal(0, 0.5, 80),
         (x - 0.5) ** 2 + rng.normal(0, 0.1, 80),
     ):
-        prof = design.profile_loglik(y, np.linspace(-8, 8, 65))
+        prof = _profile_loglik(design, y, np.linspace(-8, 8, 65))
         maxima = np.sum(np.diff(np.sign(np.diff(prof))) < 0)
         assert maxima <= 1
 
@@ -181,12 +188,12 @@ def test_selected_profile_reaches_bounded_brent_maximum(rng):
     u_hat, at_bound = design._select_lams(*design._profile_terms(Y))
     scan = np.linspace(-8.0, 8.0, 17)
     for y, u, bound in zip(Y, u_hat, at_bound):
-        best = int(np.argmax(design.profile_loglik(y, scan)))
+        best = int(np.argmax(_profile_loglik(design, y, scan)))
         lo, hi = scan[max(best - 1, 0)], scan[min(best + 1, 16)]
-        brent = minimize_scalar(lambda v: -design.profile_loglik(y, v)[0],
+        brent = minimize_scalar(lambda v: -_profile_loglik(design, y, v)[0],
                                 bounds=(lo, hi), method="bounded",
                                 options={"xatol": 1e-9})
-        assert design.profile_loglik(y, u)[0] >= -brent.fun - 1e-10
+        assert _profile_loglik(design, y, u)[0] >= -brent.fun - 1e-10
         assert design.fit(y).lam_at_bound == bound
     # pure noise pushes some rows to maximal smoothing, flagged
     assert np.any(u_hat[3:] == 8.0)
