@@ -12,7 +12,9 @@ equivalent Gaussian mixed model (penalized coefficient components as
 zero-mean random effects with variance sigma^2 / lambda), searched over
 log10 lambda in [-8, 8] by a grid pre-scan plus safeguarded Newton steps
 on the exact first and second derivatives of the profile (Wood 2011,
-JRSS-B 73:3-36; Ruppert, Wand & Carroll 2003, ch. 5).
+JRSS-B 73:3-36; Ruppert, Wand & Carroll 2003, ch. 5).  Rows whose scan
+maximum is an end of the range with the profile rising out of it stop
+there; only the others take the Newton steps.
 """
 
 from __future__ import annotations
@@ -197,14 +199,19 @@ class PSplineDesign:
         d = s2 / (lam + s2)
         A = self._G.reshape((3,) + shape[1:]) - _lead_sum(
             d[:, None] * self._aa.reshape((-1, 3) + shape[1:]))
-        # one singular value at a time, in order: for the 17-point scan,
-        # (q, 17, B) temporaries would cost more than the loop
-        r0, r1, yVy = Xy[0], Xy[1], 0.0
-        for a0, a1, uy, dj in zip(self._a[0], self._a[1], Uy, d):
-            dUy = dj * uy
-            r0 = r0 - a0 * dUy
-            r1 = r1 - a1 * dUy
-            yVy = yVy + uy * dUy
+        # Xf'V^-1 y = Xf'y - sum_j a_j d_j u_j and y'V^-1 y = y'y - sum_j
+        # u_j d_j u_j as one reduction T[0] - T[1] - ... - T[q], which
+        # keeps the order of the singular values; the y'V^-1 y terms are
+        # stored negated, so that sum is 0 + t_1 + ... + t_q
+        T = np.empty((Uy.shape[0] + 1, 3)
+                     + np.broadcast_shapes(d.shape[1:], Uy.shape[1:]))
+        T[0, :2] = Xy
+        T[0, 2] = 0.0
+        dUy = np.multiply(d, Uy, out=T[1:, 2])
+        np.multiply(self._a.T.reshape((-1, 2) + shape[1:]), dUy[:, None],
+                    out=T[1:, :2])
+        dUy *= -Uy
+        r0, r1, yVy = np.subtract.reduce(T, axis=0)
         det = A[0] * A[2] - A[1] * A[1]
         b0 = (A[2] * r0 - A[1] * r1) / det
         b1 = (A[0] * r1 - A[1] * r0) / det
@@ -262,28 +269,41 @@ class PSplineDesign:
 
         A 17-point scan over [-8, 8] picks each row's best point; its
         neighbours bracket the maximum, which guards against multimodal
-        profiles.  From the best point, all rows take ``_NEWTON_STEPS``
-        Newton steps on the exact derivatives (:meth:`_profile_slope`) in
-        lockstep.  Each step first moves the row's bracket end to the
-        current point on the side where the profile falls; where the
-        profile is not concave, or the Newton point leaves the bracket,
-        the step goes to the bracket's midpoint instead.  The step count
-        is fixed and every operation acts on each row alone, so a row's
-        lambda does not depend on its batch.
+        profiles.  A row whose best point is an end of the range and whose
+        slope there (:meth:`_profile_slope`) points out of it is final at
+        that bound.  The other rows take ``_NEWTON_STEPS`` Newton steps on
+        the exact derivatives in lockstep, the first from that same slope.
+        Each step first moves the row's bracket end to the current point
+        on the side where the profile falls; where the profile is not
+        concave, or the Newton point leaves the bracket, the step goes to
+        the bracket's midpoint instead.  (For a final row the bracket is
+        the bound alone, so the steps would all land on it.)  The step
+        count is fixed and every operation acts on each row alone, so a
+        row's lambda does not depend on its batch.
         """
         scan = self._profile_at(_SCAN[:, None], Uy[:, None], Xy[:, None], yy)
         best = np.argmax(scan, axis=0)
         u = _SCAN[best]
-        lo = _SCAN[np.maximum(best - 1, 0)]
-        hi = _SCAN[np.minimum(best + 1, _SCAN.size - 1)]
-        for _ in range(_NEWTON_STEPS):
-            d1, d2 = self._profile_slope(u, Uy, Xy, yy)
-            lo = np.where(d1 > 0, u, lo)
-            hi = np.where(d1 < 0, u, hi)
-            newton = u + np.divide(d1, -d2, out=np.full_like(u, np.inf),
-                                   where=d2 < 0)
-            u = np.where((newton >= lo) & (newton <= hi), newton,
-                         0.5 * (lo + hi))
+        d1, d2 = self._profile_slope(u, Uy, Xy, yy)
+        # strict signs: at d1 == 0 the steps can still leave the bound
+        final = (((best == 0) & (d1 < 0))
+                 | ((best == _SCAN.size - 1) & (d1 > 0)))
+        move = np.flatnonzero(~final)
+        if move.size:
+            lo = _SCAN[np.maximum(best[move] - 1, 0)]
+            hi = _SCAN[np.minimum(best[move] + 1, _SCAN.size - 1)]
+            Uy, Xy, yy = Uy[:, move], Xy[:, move], yy[move]
+            v, d1, d2 = u[move], d1[move], d2[move]
+            for step in range(_NEWTON_STEPS):
+                if step:
+                    d1, d2 = self._profile_slope(v, Uy, Xy, yy)
+                lo = np.where(d1 > 0, v, lo)
+                hi = np.where(d1 < 0, v, hi)
+                newton = v + np.divide(d1, -d2, out=np.full_like(v, np.inf),
+                                       where=d2 < 0)
+                v = np.where((newton >= lo) & (newton <= hi), newton,
+                             0.5 * (lo + hi))
+            u[move] = v
         at_bound = (u <= _LOG10_LO + 1e-3) | (u >= _LOG10_HI - 1e-3)
         return u, at_bound
 

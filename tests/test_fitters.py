@@ -424,6 +424,56 @@ def test_glmm_line_search_ends_at_its_first_sufficient_decrease(monkeypatch):
     assert abs(fit.loglik - (-14.040167544694384)) <= 1e-9, fit.loglik
 
 
+def test_glmm_failed_line_search_restarts_once_then_stops(monkeypatch):
+    """A row whose line search finds no sufficient decrease restarts from
+    the identity (a step of length 1 along the steepest descent) once,
+    and stops at its second failed search, at its start and without
+    :class:`NonConvergence`; the other rows of the batch are bit-identical
+    to a run where every search succeeds.  Every trial of row 2 of the
+    first glmm-refit batch is made to fail by adding 1e3, more than the
+    row's whole decrease from its start, to its trial values."""
+    m, Y = _glmm_refit_batch(0, B=6)
+    d = m.dataset
+    x0, H0 = _refit_start(m)
+    X0 = np.tile(x0, (Y.shape[0], 1))
+    plain = glmm_rows(d.X, d.group, Y, X0, H0)
+    target = 2
+    objective = fitters._glmm_objective
+    y = Y[target:target + 1]
+    f0, g0, _ = objective(d.X, d.group, y, x0[None, :],
+                          np.zeros((1, d.n_groups)),
+                          *fitters._response_constants(d.group, d.n_groups, y))
+    assert plain.loglik[target] + f0[0] < 1e3
+    calls, trials = [], []
+
+    def failing(X, group, Yc, x, u0, S, log_fact):
+        f, g, u = objective(X, group, Yc, x, u0, S, log_fact)
+        row = np.all(Yc == Y[target], axis=1)
+        if calls and row.any():     # the first call evaluates the starts
+            f = f.copy()
+            f[row] += 1e3
+            trials.append(x[row][0] - x0)
+        calls.append(1)
+        return f, g, u
+
+    monkeypatch.setattr(fitters, "_glmm_objective", failing)
+    fits = glmm_rows(d.X, d.group, Y, X0, H0)
+    assert not fits.errors
+    # 30 trials along the parent's quasi-Newton direction, then 30 along
+    # the steepest descent, and no more (this row gets no post-stop probe:
+    # omega is above 0.05 and its gradient pulls omega up)
+    assert len(trials) == 60
+    assert np.allclose(trials[0], -H0 @ g0[0], rtol=1e-12, atol=0.0)
+    assert np.allclose(trials[30], -g0[0] / np.linalg.norm(g0[0]),
+                       rtol=1e-12, atol=0.0)
+    assert np.array_equal(fits.beta[target], x0[:-1])
+    assert fits.loglik[target] == -f0[0]
+    others = [r for r in range(Y.shape[0]) if r != target]
+    for field in ("beta", "eta", "loglik", "scale"):
+        assert np.array_equal(getattr(fits, field)[others],
+                              getattr(plain, field)[others]), field
+
+
 def test_glmm_objective_rows_out_of_range_alone():
     """In a batch where one row's linear predictors exceed 500, that row
     gets +inf, a zero gradient and its warm-start modes back, and the

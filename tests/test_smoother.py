@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from envdiag import DegenerateX, PSplineDesign
+from envdiag.smoother import _NEWTON_STEPS, _SCAN
 
 LAMBDAS = [1e-8, 1e-4, 1.0, 1e4, 1e8]
 
@@ -116,11 +117,11 @@ def test_smooth_matrix_matches_per_row_fits(rng):
 
 
 def test_lambda_bound_flag(rng):
-    # pure noise pushes the optimum toward maximal smoothing
+    # pure noise pushes the optimum to maximal smoothing, flagged
     x = np.linspace(0, 1, 40)
     y = rng.normal(0, 1.0, 40)
     f = PSplineDesign(x).fit(y)
-    assert 1e-8 <= f.lam <= 1e8
+    assert f.lam == 1e8 and f.lam_at_bound
 
 
 def _pls_reference(design, y, lam):
@@ -223,3 +224,90 @@ def test_zero_response_is_an_exact_fit_at_the_upper_bound(xgrid):
     f = PSplineDesign(xgrid).fit(np.zeros(xgrid.size))
     assert f.lam == 1e8 and f.lam_at_bound
     assert np.all(f.coefs == 0.0)
+
+
+def _select_lams_all_rows(design, Uy, Xy, yy):
+    """The lambda search with every row taking all the Newton steps from
+    its best scan point: the reference of the search in which rows final
+    at a bound skip them."""
+    scan = design._profile_at(_SCAN[:, None], Uy[:, None], Xy[:, None], yy)
+    best = np.argmax(scan, axis=0)
+    u = _SCAN[best]
+    lo = _SCAN[np.maximum(best - 1, 0)]
+    hi = _SCAN[np.minimum(best + 1, _SCAN.size - 1)]
+    for _ in range(_NEWTON_STEPS):
+        d1, d2 = design._profile_slope(u, Uy, Xy, yy)
+        lo = np.where(d1 > 0, u, lo)
+        hi = np.where(d1 < 0, u, hi)
+        newton = u + np.divide(d1, -d2, out=np.full_like(u, np.inf),
+                               where=d2 < 0)
+        u = np.where((newton >= lo) & (newton <= hi), newton,
+                     0.5 * (lo + hi))
+    at_bound = (u <= -8.0 + 1e-3) | (u >= 8.0 - 1e-3)
+    return u, at_bound
+
+
+def _bound_rows(x, rng):
+    """A zero row, noise rows, rows in the span of the basis and smooth
+    rows: final at the upper bound, at the lower one, and interior."""
+    design = PSplineDesign(x)
+    n = x.size
+    return design, np.vstack(
+        [np.zeros(n)]
+        + [design.B @ rng.normal(0, 1.0, design.basis_dim) for _ in range(3)]
+        + [_fixture_rows(x, rng)])
+
+
+def test_rows_final_at_a_bound_skip_the_newton_steps(rng, monkeypatch):
+    x = np.sort(rng.uniform(0, 1, 60))
+    design, Y = _bound_rows(x, rng)
+    terms = design._profile_terms(Y)
+    u, at_bound = design._select_lams(*terms)
+    u_ref, at_bound_ref = _select_lams_all_rows(design, *terms)
+    assert np.array_equal(u, u_ref) and np.array_equal(at_bound, at_bound_ref)
+
+    # the batch holds every kind of row: final at each end, and interior
+    scan = design._profile_at(_SCAN[:, None], terms[0][:, None],
+                              terms[1][:, None], terms[2])
+    best = np.argmax(scan, axis=0)
+    d1 = design._profile_slope(_SCAN[best], *terms)[0]
+    upper = (best == _SCAN.size - 1) & (d1 > 0)
+    lower = (best == 0) & (d1 < 0)
+    assert upper[0] and np.all(lower[1:4])
+    assert np.all(u[upper] == 8.0) and np.all(u[lower] == -8.0)
+    assert np.any(~at_bound)
+
+    # final rows cost the one slope at their scan point; the others
+    # take all the steps
+    calls = []
+    slope = design._profile_slope
+
+    def counted(*args):
+        calls.append(args[0].size)
+        return slope(*args)
+
+    monkeypatch.setattr(design, "_profile_slope", counted)
+    final = np.flatnonzero(upper | lower)
+    design._select_lams(*design._profile_terms(Y[final]))
+    assert calls == [final.size]
+    calls.clear()
+    design._select_lams(*terms)
+    moving = int(np.sum(~(upper | lower)))
+    assert calls == [Y.shape[0]] + [moving] * (_NEWTON_STEPS - 1)
+
+
+@pytest.mark.parametrize("row, end", [(0, 8.0), (1, -8.0)])
+def test_a_row_at_a_bound_with_zero_slope_takes_the_newton_steps(
+        rng, monkeypatch, row, end):
+    # d1 == 0 with a profile that is not concave: each step goes to the
+    # midpoint of the one-unit bracket, off the bound
+    x = np.sort(rng.uniform(0, 1, 60))
+    design, Y = _bound_rows(x, rng)
+    terms = design._profile_terms(Y[row:row + 1])
+    assert design._select_lams(*terms)[0][0] == end
+    monkeypatch.setattr(design, "_profile_slope",
+                        lambda u, *t: (np.zeros_like(u), np.zeros_like(u)))
+    u, at_bound = design._select_lams(*terms)
+    assert u[0] == end - math.copysign(0.5, end) and not at_bound[0]
+    u_ref, at_bound_ref = _select_lams_all_rows(design, *terms)
+    assert np.array_equal(u, u_ref) and np.array_equal(at_bound, at_bound_ref)
