@@ -15,14 +15,14 @@ its fit alone raises.
 * Poisson log-linear model with a random intercept per group, solved by
   quasi-Newton optimization of an adaptive Gauss-Hermite approximation to
   the marginal likelihood (nodes recentred at each group's conditional
-  mode).  One kernel returns the approximation and its exact gradient,
-  differentiated through the modes and curvatures (Pinheiro & Bates
-  1995), for many responses at once.  One optimizer, :func:`glmm_rows`,
-  runs a projected BFGS per response in lockstep over a batch, after the
-  same check: a fit starts from the GLM estimates and the curvature of
-  its own likelihood there, a refit from the parent fit and the
-  curvature of the parent's likelihood there.  The terms that depend on
-  the response alone are computed once per batch.
+  mode, in closed form by the Lambert W function).  One kernel returns
+  the approximation and its exact gradient, differentiated through the
+  modes and curvatures (Pinheiro & Bates 1995), for many responses at
+  once.  One optimizer, :func:`glmm_rows`, runs a projected BFGS per
+  response in lockstep over a batch, after the same check: a fit starts
+  from the GLM estimates and the curvature of its own likelihood there,
+  a refit from the parent fit and the curvature of the parent's.  The
+  terms that depend on the response alone are computed once per batch.
 
 ``fit_model`` and ``refit`` return the one row of :func:`fit_rows` as an
 immutable :class:`~envdiag.data.FittedModel`;
@@ -47,8 +47,10 @@ from .data import (
     RankDeficient,
 )
 
-# Variance floor keeping log-densities finite for zero-residual fits.
-_VAR_FLOOR = np.finfo(float).tiny
+# The least normal double: the variance floor keeping log-densities
+# finite for zero-residual fits, and the floor of W in log W below.
+_TINY = np.finfo(float).tiny
+_LOG_TINY = math.log(_TINY)
 
 # Machine epsilon, for rank tolerances as in numpy.linalg.matrix_rank.
 _EPS = np.finfo(float).eps
@@ -107,7 +109,7 @@ _GH_LOG_WX.setflags(write=False)
 def _gaussian_loglik(y: np.ndarray, mean: np.ndarray, sigma):
     """Gaussian log-density of ``y`` (or of each row of ``y``)."""
     n = y.shape[-1]
-    var = np.maximum(np.multiply(sigma, sigma), _VAR_FLOOR)
+    var = np.maximum(np.multiply(sigma, sigma), _TINY)
     sse = np.sum((y - mean) ** 2, axis=-1)
     return -0.5 * (n * np.log(2.0 * math.pi * var) + sse / var)
 
@@ -191,8 +193,8 @@ def glmm_marginal_loglik(
         raise ValueError("omega must be nonnegative")
     if omega == 0.0:
         return float(_poisson_loglik(y, X @ beta))
-    value, _, _ = _glmm_loglik_grad(beta[None, :], np.array([omega]), X,
-                                    y[None, :], group)
+    value, _ = _glmm_loglik_grad(beta[None, :], np.array([omega]), X,
+                                 y[None, :], group)
     return float(value[0])
 
 
@@ -218,51 +220,36 @@ def _group_sums(group: np.ndarray, G: int, W: np.ndarray) -> np.ndarray:
     return np.bincount(bins, weights=W.ravel(), minlength=R * G).reshape(R, G)
 
 
-def _group_modes(
-    S: np.ndarray, E: np.ndarray, omega: np.ndarray,
-    u0: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Conditional modes and curvatures of h_g, by damped Newton.
+def _lambert_w_exp(L: np.ndarray) -> np.ndarray:
+    """W(e^L), W the Lambert function, in log form (e^L is never formed):
+    three steps W <- W / (1 + W) (1 + L - log W) from l (1 - log(1 + l) /
+    (2 + l)), l = log(1 + e^L) (Iacono & Boyd 2017), to a relative error
+    below 1e-14.  Below L = log(tiny), W = e^L and the steps keep it; W =
+    0 where e^L underflows, L = -inf included."""
+    l = np.logaddexp(0.0, L)
+    W = l * (1.0 - np.log1p(l) / (2.0 + l))
+    L_tiny = np.maximum(L, _LOG_TINY)
+    for _ in range(3):
+        W = W / (1.0 + W) * (1.0 + L_tiny - np.log(np.maximum(W, _TINY)))
+    return W
+
+
+def _group_modes(S: np.ndarray, E: np.ndarray, omega: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Conditional modes and curvatures of h_g, in closed form.
 
     ``S`` and ``E`` are (R, G), ``omega`` is (R,).  h_g'(u) = S - E e^u -
-    c u, c = 1/w^2, is strictly decreasing, so the root is unique: it is
-    S/c - W((E/c) e^(S/c)), W the Lambert function.  Steps are clipped to
-    keep e^u in range.  Each element stops, and stays frozen, once its
-    own step is below 1e-10.  Where E e^u dwarfs c, a Newton step moves u
-    by only about 1; so an element still moving after 8 steps, with L =
-    log(E/c) + S/c > 1, restarts from the root's asymptote, W(e^L) ~ L -
-    log L + log L / L, if that lies more than 1 below it.  An element
-    still moving after 50 steps gets a NaN mode, so that no value is
-    computed from a mode that was not found.
-    """
-    inv_w2 = np.broadcast_to((1.0 / (omega * omega))[:, None], S.shape)
-    u = np.zeros(S.shape) if u0 is None else np.array(u0, dtype=float)
-    flat_u, flat_S = u.reshape(-1), S.ravel()
-    flat_E, flat_c = E.ravel(), inv_w2.ravel()
-    live = np.arange(u.size)
-    for it in range(50):
-        ul, cl = flat_u[live], flat_c[live]
-        Eu = flat_E[live] * np.exp(ul)
-        step = (flat_S[live] - Eu - ul * cl) / (-Eu - cl)
-        np.minimum(np.maximum(step, -4.0, out=step), 4.0, out=step)
-        flat_u[live] = ul - step
-        live = live[np.abs(step) >= 1e-10]
-        if live.size == 0:
-            break
-        if it == 7:
-            ul, cl, Sl = flat_u[live], flat_c[live], flat_S[live]
-            L = (np.log(np.maximum(flat_E[live], _VAR_FLOOR)) - np.log(cl)
-                 + Sl / cl)
-            far = L > 1.0
-            L = np.where(far, L, 1.0)
-            log_L = np.log(L)
-            root = Sl / cl - (L - log_L + log_L / L)
-            jump = far & (root < ul - 1.0)
-            flat_u[live[jump]] = root[jump]
-    else:
-        flat_u[live] = np.nan
-    curv = E * np.exp(u) + inv_w2    # -h''(u)
-    return u, curv
+    c u, c = 1/w^2, is strictly decreasing, so the root is unique: u =
+    S w^2 - W, W = W(e^L) the Lambert function at L = log(E w^2) + S w^2
+    (Corless et al. 1996), and the curvature there is -h''(u) = E e^u + c
+    = c (W + 1).  Where W > 1, where S w^2 - W can cancel, u = log W -
+    log(E w^2) instead (log W + W = L).  E = 0 gives W = 0 and u = S w^2."""
+    w2 = (omega * omega)[:, None]
+    with np.errstate(divide="ignore"):    # -inf where E = 0
+        log_Ew2 = np.log(E) + np.log(w2)
+    W = _lambert_w_exp(log_Ew2 + S * w2)
+    u = np.where(W > 1.0, np.log(np.maximum(W, 1.0)) - log_Ew2, S * w2 - W)
+    return u, (W + 1.0) / w2
 
 
 def _glmm_loglik_grad(
@@ -271,35 +258,34 @@ def _glmm_loglik_grad(
     X: np.ndarray,
     Y: np.ndarray,
     group: np.ndarray,
-    u0: Optional[np.ndarray] = None,
     *,
     eta: Optional[np.ndarray] = None,
     S: Optional[np.ndarray] = None,
     log_fact: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Adaptive Gauss-Hermite log-likelihoods, their exact gradients in
-    ``(beta, log omega)`` and the conditional modes, for R rows.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Adaptive Gauss-Hermite log-likelihoods and their exact gradients
+    in ``(beta, log omega)``, for R rows.
 
     Row r has coefficients ``beta[r]`` (R, p), ``omega[r] > 0`` (R,) and
     response ``Y[r]`` (R, n), on the shared design ``X`` and ``group``.
     Group g contributes ``l_g = log int exp(h_g(t)) dt`` with
       h_g(t) = A_g + S_g t - E_g e^t - c t^2/2 - log(w sqrt(2 pi)),
-    c = 1/w^2, A_g = sum_g (y eta - log y!), approximated at the mode u_g
-    (h_g'(u_g) = 0) with scale sigma_g = K_g^(-1/2), K_g = E_g e^u_g + c.
-    The terms of h_g that do not vary with t leave the log-sum-exp over
-    the nodes, which adding a constant to every term does not change:
-    the nodes carry S_g t - E_g e^t - c t^2/2, and the value adds
-    ``y.eta - sum log y! - G log(w sqrt(2 pi))``.  Both u_g and sigma_g
-    move with E_g and c, so the derivatives add their paths (implicit
-    differentiation of h_g'(u_g) = 0: du/dE = -e^u/K, du/dc = -u/K) to
-    the softmax-weighted node terms.  With dl_g/dA_g = 1, the beta
-    gradient is ``X'y + X'(exp(eta) * dl/dE[group])``.  Nodes whose
-    weight underflows to zero carry no gradient, even where ``e^t``
-    overflows.  A row whose value is not finite gets a zero gradient.
-    ``u0`` (R, G), if given, warm-starts the mode search.  The linear
-    predictors ``eta`` (R, n) and the response's constants, its group
-    totals ``S`` (R, G) and ``log_fact`` = sum log y! (R,), are computed
-    unless given.
+    c = 1/w^2, A_g = sum_g (y eta - log y!), approximated at the mode
+    u_g (h_g'(u_g) = 0, in closed form by :func:`_group_modes`) with
+    scale sigma_g = K_g^(-1/2), K_g = E_g e^u_g + c.  The terms of h_g
+    that do not vary with t leave the log-sum-exp over the nodes, which
+    adding a constant to every term does not change: the nodes carry S_g
+    t - E_g e^t - c t^2/2, and the value adds ``y.eta - sum log y! - G
+    log(w sqrt(2 pi))``.  Both u_g and sigma_g move with E_g and c, so
+    the derivatives add their paths (implicit differentiation of
+    h_g'(u_g) = 0: du/dE = -e^u/K, du/dc = -u/K) to the softmax-weighted
+    node terms.  With dl_g/dA_g = 1, the beta gradient is ``X'y +
+    X'(exp(eta) * dl/dE[group])``.  Nodes whose weight underflows to
+    zero carry no gradient, even where ``e^t`` overflows.  A row whose
+    value is not finite (NaN where E_g = 0 and e^t overflows) gets a
+    zero gradient.  The linear predictors ``eta`` (R, n) and the
+    response's constants, its group totals ``S`` (R, G) and ``log_fact``
+    = sum log y! (R,), are computed unless given.
     """
     if eta is None:
         eta = _rows_eta(X, beta)
@@ -311,8 +297,7 @@ def _glmm_loglik_grad(
     mu = np.exp(eta)
     E = _group_sums(group, G, mu)
 
-    u, K = _group_modes(S, E, omega, u0)
-    modes = u    # of every row; u keeps only the finite rows below
+    u, K = _group_modes(S, E, omega)
     c = 1.0 / (omega * omega)
     sig = 1.0 / np.sqrt(K)
     t = u[:, :, None] + sig[:, :, None] * _GH_Z
@@ -321,8 +306,10 @@ def _glmm_loglik_grad(
     # which the quotients then give
     with np.errstate(over="ignore"):
         et = np.exp(t)
-        logw = _GH_LOG_WX + (S[:, :, None] * t - E[:, :, None] * et
-                             - (0.5 * c)[:, None, None] * t * t)
+        # E_g e^t = 0 * inf, NaN, where E_g = 0 and e^t overflows
+        with np.errstate(invalid="ignore"):
+            logw = _GH_LOG_WX + (S[:, :, None] * t - E[:, :, None] * et
+                                 - (0.5 * c)[:, None, None] * t * t)
         top = logw.max(axis=2)
         p = np.exp(logw - top[:, :, None])
         total = p.sum(axis=2)
@@ -359,7 +346,7 @@ def _glmm_loglik_grad(
     W = Y + mu * dl_dE[:, group]
     grad[ok, :-1] = (W[:, None, :] * X.T).sum(axis=2)
     grad[ok, -1] = dl_ds.sum(axis=1)
-    return value, grad, modes
+    return value, grad
 
 
 # ---------------------------------------------------------------------
@@ -655,33 +642,29 @@ def _response_constants(group: np.ndarray, G: int, Y: np.ndarray
 
 
 def _glmm_objective(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
-                    x: np.ndarray, u0: np.ndarray, S: np.ndarray,
-                    log_fact: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Negated log-likelihoods, their gradients and the modes of the rows
-    of ``Y`` (R, n), with constants ``S`` and ``log_fact``
+                    x: np.ndarray, S: np.ndarray, log_fact: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Negated log-likelihoods and their gradients of the rows of ``Y``
+    (R, n), with constants ``S`` and ``log_fact``
     (:func:`_response_constants`), at ``x`` (R, p+1) = ``(beta, log
-    omega)``, the mode search warm-started at ``u0`` (R, G); +inf, with a
-    zero gradient, where the linear predictors leave the range exp() can
-    take."""
+    omega)``; +inf, with a zero gradient, where the linear predictors
+    leave the range exp() can take."""
     eta = _rows_eta(X, x[:, :-1])
     ok = eta.max(axis=1) <= 500.0
     if ok.all():
-        v, grad, u = _glmm_loglik_grad(x[:, :-1], np.exp(x[:, -1]), X, Y,
-                                       group, u0, eta=eta, S=S,
-                                       log_fact=log_fact)
+        v, grad = _glmm_loglik_grad(x[:, :-1], np.exp(x[:, -1]), X, Y,
+                                    group, eta=eta, S=S, log_fact=log_fact)
         f, g = -v, -grad
     else:
         f = np.full(x.shape[0], np.inf)
         g = np.zeros(x.shape)
-        u = np.array(u0)
         if ok.any():
-            v, grad, modes = _glmm_loglik_grad(
-                x[ok, :-1], np.exp(x[ok, -1]), X, Y[ok], group, u0[ok],
+            v, grad = _glmm_loglik_grad(
+                x[ok, :-1], np.exp(x[ok, -1]), X, Y[ok], group,
                 eta=eta[ok], S=S[ok], log_fact=log_fact[ok])
-            f[ok], g[ok], u[ok] = -v, -grad, modes
+            f[ok], g[ok] = -v, -grad
     f[~np.isfinite(f)] = np.inf
-    return f, g, u
+    return f, g
 
 
 # Central-difference step in (beta, log omega) of the curvature start,
@@ -692,11 +675,10 @@ _CURV_RCOND = 1e-8
 
 def _curvature_start(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
                      x0: np.ndarray, S: np.ndarray, log_fact: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                np.ndarray]:
-    """Objective, gradient and modes (:func:`_glmm_objective`) of the rows
-    of ``Y`` at their starts ``x0`` (R, q), and an inverse Hessian
-    (R, q, q) of each row's objective there.
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Objective and gradient (:func:`_glmm_objective`) of the rows of
+    ``Y`` at their starts ``x0`` (R, q), and an inverse Hessian (R, q, q)
+    of each row's objective there.
 
     Row r's Hessian comes from central differences of the exact gradient
     of its own objective around ``x0[r]``, symmetrized.  Its inverse is
@@ -711,9 +693,7 @@ def _curvature_start(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
     rows = np.concatenate([np.arange(R), np.repeat(np.arange(R), 2 * q)])
     pts = np.concatenate([x0, (x0[:, None, :] + _CURV_STEP * np.vstack(
         [np.eye(q), -np.eye(q)])).reshape(-1, q)])
-    f, g, u = _glmm_objective(X, group, Y[rows], pts,
-                              np.zeros((rows.size, S.shape[1])), S[rows],
-                              log_fact[rows])
+    f, g = _glmm_objective(X, group, Y[rows], pts, S[rows], log_fact[rows])
     fd, gd = f[R:].reshape(R, 2 * q), g[R:].reshape(R, 2 * q, q)
     hess = (gd[:, :q] - gd[:, q:]) / (2.0 * _CURV_STEP)
     hess = 0.5 * (hess + np.swapaxes(hess, 1, 2))
@@ -726,7 +706,7 @@ def _curvature_start(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
     H0 = np.sum((V / lam[:, None, :])[:, :, None, :] * V[:, None, :, :],
                 axis=3)
     H0[~good] = 0.0
-    return f[:R], g[:R], u[:R], H0
+    return f[:R], g[:R], H0
 
 
 def _refit_start(m: FittedModel) -> tuple[np.ndarray, np.ndarray]:
@@ -740,7 +720,7 @@ def _refit_start(m: FittedModel) -> tuple[np.ndarray, np.ndarray]:
     x0 = np.append(m.beta, _log_omega_start(m.omega))
     y = d.y[None, :]
     H0 = _curvature_start(d.X, d.group, y, x0[None, :],
-                          *_response_constants(d.group, d.n_groups, y))[3]
+                          *_response_constants(d.group, d.n_groups, y))[2]
     return x0, H0[0]
 
 
@@ -788,19 +768,16 @@ def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
     that is no worse, the row continues from there.
     """
     R, q = x0.shape
-    G = int(group.max()) + 1
-    S, log_fact = _response_constants(group, G, Y)
+    S, log_fact = _response_constants(group, int(group.max()) + 1, Y)
 
-    def evaluate(rows, x, u0):
-        return _glmm_objective(X, group, Y[rows], x, u0, S[rows],
-                               log_fact[rows])
+    def evaluate(rows, x):
+        return _glmm_objective(X, group, Y[rows], x, S[rows], log_fact[rows])
 
     x = np.array(x0, dtype=float)
     if H0 is None:
-        f, g, u, H = _curvature_start(X, group, Y, x, S, log_fact)
+        f, g, H = _curvature_start(X, group, Y, x, S, log_fact)
     else:
-        f, g, u = _glmm_objective(X, group, Y, x, np.zeros((R, G)), S,
-                                  log_fact)
+        f, g = _glmm_objective(X, group, Y, x, S, log_fact)
         H = np.array(np.broadcast_to(H0, (R, q, q)))
     fresh = ~H.any(axis=(1, 2))   # H holds no curvature information yet
     eye = np.eye(q)
@@ -841,7 +818,7 @@ def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
 
             # backtracking line search on sufficient decrease (Armijo)
             searching = np.ones(a.size, dtype=bool)
-            x_new, f_new, g_new, u_new = xa.copy(), fa.copy(), g[a], u[a]
+            x_new, f_new, g_new = xa.copy(), fa.copy(), g[a]
             for _ in range(30):
                 s = np.flatnonzero(searching)
                 if s.size == 0:
@@ -853,7 +830,7 @@ def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
                 jump = leap[s]
                 leap[s] = False
                 xt[jump, -1] = _LOG_FLOOR
-                ft, gt, ut = evaluate(a[s], xt, u[a[s]])
+                ft, gt = evaluate(a[s], xt)
                 decrease = np.minimum(
                     (g[a[s]] * (xt - xa[s])).sum(axis=1), 0.0)
                 armijo = ft <= fa[s] + 1e-4 * decrease
@@ -862,8 +839,8 @@ def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
                 retry = jump & ~(armijo & (gt[:, -1] > 0.0))
                 armijo &= ~retry
                 keep = s[armijo]
-                x_new[keep], f_new[keep], g_new[keep], u_new[keep] = (
-                    xt[armijo], ft[armijo], gt[armijo], ut[armijo])
+                x_new[keep], f_new[keep], g_new[keep] = (
+                    xt[armijo], ft[armijo], gt[armijo])
                 searching[keep] = False
                 long = ~armijo & ~retry
                 sl, t = s[long], t[long]
@@ -897,8 +874,7 @@ def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
                          + su[:, :, None] * Hy[:, None, :])
                       / syu[:, None, None])
             f_old = f[b]
-            x[b], f[b], g[b], u[b] = (x_new[moved], f_new[moved],
-                                      g_new[moved], u_new[moved])
+            x[b], f[b], g[b] = x_new[moved], f_new[moved], g_new[moved]
             small = (f_old - f[b]) <= _TOL * np.maximum(
                 np.maximum(np.abs(f_old), np.abs(f[b])), 1.0)
             active[b[small]] = False
@@ -910,11 +886,10 @@ def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
     if probe.size:
         xp = x[probe].copy()
         xp[:, -1] = np.where(down[probe], _LOG_FLOOR, _LOG_START_MIN)
-        fp, gp, modes = evaluate(probe, xp, u[probe])
+        fp, gp = evaluate(probe, xp)
         better = fp <= f[probe]
         w = probe[better]
-        x[w], f[w], g[w], u[w] = (xp[better], fp[better], gp[better],
-                                  modes[better])
+        x[w], f[w], g[w] = xp[better], fp[better], gp[better]
         again = np.zeros(R, dtype=bool)
         again[w] = True
         iterate(again)

@@ -205,10 +205,16 @@ def _run_one_dataset(spec: ScenarioSpec, ds_idx: int) -> Optional[dict[str, bool
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
-    """Worker count: explicit argument, else ENVDIAG_THREADS, else 1."""
-    if workers is None:
-        workers = int(os.environ.get("ENVDIAG_THREADS", "1"))
-    return max(1, workers)
+    """Worker count: explicit argument (at least 1), else ENVDIAG_THREADS,
+    else 1.  Raises ValueError, naming the variable, unless
+    ENVDIAG_THREADS is an integer >= 1."""
+    if workers is not None:
+        return max(1, workers)
+    value = os.environ.get("ENVDIAG_THREADS", "1")
+    if not (value.strip().isdecimal() and int(value) >= 1):
+        raise ValueError(
+            f"ENVDIAG_THREADS must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def run_scenario(spec: ScenarioSpec,

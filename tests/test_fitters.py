@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.optimize import minimize
-from scipy.special import gammaln, logsumexp, xlogy
+from scipy.special import gammaln, lambertw, logsumexp, xlogy
 from scipy.stats import norm, poisson
 
 from envdiag import (
@@ -262,9 +262,9 @@ def test_glmm_gradient_matches_central_differences(rng):
         theta = np.append(beta, log_omega)
 
         def kernel(th):
-            v, g, _ = _glmm_loglik_grad(th[None, :-1],
-                                        np.array([math.exp(th[-1])]), X,
-                                        y[None, :], group)
+            v, g = _glmm_loglik_grad(th[None, :-1],
+                                     np.array([math.exp(th[-1])]), X,
+                                     y[None, :], group)
             return v[0], g[0]
 
         def value(th):
@@ -340,8 +340,8 @@ def _lbfgsb_reference(m, y):
     def nll(th):
         if np.max(X @ th[:-1]) > 500.0:
             return 1e12, np.zeros(th.size)
-        v, g, _ = _glmm_loglik_grad(th[None, :-1], np.array([math.exp(th[-1])]),
-                                    X, y[None, :], group)
+        v, g = _glmm_loglik_grad(th[None, :-1], np.array([math.exp(th[-1])]),
+                                 X, y[None, :], group)
         if not np.isfinite(v[0]):
             return 1e12, np.zeros(th.size)
         return -v[0], -g[0]
@@ -440,21 +440,20 @@ def test_glmm_failed_line_search_restarts_once_then_stops(monkeypatch):
     target = 2
     objective = fitters._glmm_objective
     y = Y[target:target + 1]
-    f0, g0, _ = objective(d.X, d.group, y, x0[None, :],
-                          np.zeros((1, d.n_groups)),
-                          *fitters._response_constants(d.group, d.n_groups, y))
+    f0, g0 = objective(d.X, d.group, y, x0[None, :],
+                       *fitters._response_constants(d.group, d.n_groups, y))
     assert plain.loglik[target] + f0[0] < 1e3
     calls, trials = [], []
 
-    def failing(X, group, Yc, x, u0, S, log_fact):
-        f, g, u = objective(X, group, Yc, x, u0, S, log_fact)
+    def failing(X, group, Yc, x, S, log_fact):
+        f, g = objective(X, group, Yc, x, S, log_fact)
         row = np.all(Yc == Y[target], axis=1)
         if calls and row.any():     # the first call evaluates the starts
             f = f.copy()
             f[row] += 1e3
             trials.append(x[row][0] - x0)
         calls.append(1)
-        return f, g, u
+        return f, g
 
     monkeypatch.setattr(fitters, "_glmm_objective", failing)
     fits = glmm_rows(d.X, d.group, Y, X0, H0)
@@ -476,23 +475,20 @@ def test_glmm_failed_line_search_restarts_once_then_stops(monkeypatch):
 
 def test_glmm_objective_rows_out_of_range_alone():
     """In a batch where one row's linear predictors exceed 500, that row
-    gets +inf, a zero gradient and its warm-start modes back, and the
-    other rows equal a batch without it, bit for bit."""
+    gets +inf and a zero gradient, and the other rows equal a batch
+    without it, bit for bit."""
     m, Y = _glmm_refit_batch(0, B=4)
     d = m.dataset
     x = np.tile(np.append(m.beta, math.log(m.omega)), (3, 1))
     x[1, 0] = 600.0
-    u0 = np.random.default_rng(16).normal(0.0, 0.5, (3, d.n_groups))
     S, log_fact = fitters._response_constants(d.group, d.n_groups, Y)
-    f, g, u = fitters._glmm_objective(d.X, d.group, Y, x, u0, S, log_fact)
+    f, g = fitters._glmm_objective(d.X, d.group, Y, x, S, log_fact)
     assert f[1] == np.inf and np.all(g[1] == 0.0)
-    assert np.array_equal(u[1], u0[1])
     keep = [0, 2]
-    f2, g2, u2 = fitters._glmm_objective(d.X, d.group, Y[keep], x[keep],
-                                         u0[keep], S[keep], log_fact[keep])
+    f2, g2 = fitters._glmm_objective(d.X, d.group, Y[keep], x[keep],
+                                     S[keep], log_fact[keep])
     assert np.all(np.isfinite(f2))
     assert np.array_equal(f[keep], f2) and np.array_equal(g[keep], g2)
-    assert np.array_equal(u[keep], u2)
 
 
 def test_glmm_refit_kernel_calls_per_batch(monkeypatch):
@@ -525,17 +521,16 @@ def test_glmm_kernel_does_not_overflow_where_the_curvature_does():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         value = glmm_marginal_loglik(beta, 1e-6, X, y, np.arange(n) % 5)
-        _, grad, _ = _glmm_loglik_grad(beta[None, :], np.array([1e-6]), X,
-                                       y[None, :], np.arange(n) % 5)
+        _, grad = _glmm_loglik_grad(beta[None, :], np.array([1e-6]), X,
+                                    y[None, :], np.arange(n) % 5)
     assert np.isfinite(value) and np.all(np.isfinite(grad))
 
 
 def test_glmm_mode_search_converges_where_the_exponential_dominates():
     """At the overflow point above, E_g e^u dwarfs 1/omega^2 = 1e12, so a
     Newton step moves a mode by only about 1 and 50 of them stopped at
-    -50 with h'(u) about -2e171, against a root near -410.  The search
-    finds the root: |h'(u)| <= 1e-8 K_g, and a restart from the modes
-    moves them by less than 1e-10."""
+    -50 with h'(u) about -2e171, against a root near -410.  The closed
+    form finds the root: |h'(u)| <= 1e-8 K_g."""
     n = 40
     X = np.column_stack([np.ones(n), (np.arange(n) + 0.5) / n])
     y = np.array([0, 0, 0, 0, 0, 2, 0, 0, 0, 1, 2, 1, 0, 1, 0, 1, 1, 2, 0,
@@ -549,32 +544,80 @@ def test_glmm_mode_search_converges_where_the_exponential_dominates():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         u, K = fitters._group_modes(S, E, omega)
-        again, _ = fitters._group_modes(S, E, omega, u)
     h1 = S - E * np.exp(u) - u / omega[0] ** 2
     assert np.all(u < -400.0)
     assert np.all(np.abs(h1) <= 1e-8 * K), (u, h1, K)
-    assert np.max(np.abs(again - u)) < 1e-10
 
 
-def test_glmm_modes_not_found_give_a_non_finite_value():
+def test_glmm_underflowed_means_give_the_exact_mode_and_no_finite_value():
     """With every mean underflowed to 0 (E_g = 0) and omega = 1e4, the
-    root S_g omega^2 lies beyond 50 clipped Newton steps.  Such a mode is
-    NaN, its row's value is not finite and its gradient 0, and the other
-    rows of the batch are computed as alone."""
+    mode is S_g omega^2 exactly, with curvature 1/omega^2.  There e^t
+    overflows at the nodes, so E_g e^t is unknown: the row's value is not
+    finite and its gradient 0, with no warning, and the other row of the
+    batch is computed as alone, bit for bit."""
     n = 6
     X = np.column_stack([np.ones(n), np.arange(n) / n])
     Y = np.tile([1.0, 0.0, 2.0, 0.0, 1.0, 3.0], (2, 1))
     group = np.arange(n) % 2
     beta = np.array([[-800.0, 0.0], [0.1, 0.2]])
     omega = np.array([1e4, 0.5])
+    S = np.bincount(group, weights=Y[0])[None, :]
+    E = np.bincount(group, weights=np.exp(X @ beta[0]))[None, :]
+    assert np.all(E == 0.0) and np.all(S > 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        value, grad, modes = _glmm_loglik_grad(beta, omega, X, Y, group)
+        u, K = fitters._group_modes(S, E, omega[:1])
+        value, grad = _glmm_loglik_grad(beta, omega, X, Y, group)
         alone = _glmm_loglik_grad(beta[1:], omega[1:], X, Y[1:], group)
-    assert np.isnan(modes[0]).all() and not np.isfinite(value[0])
-    assert np.all(grad[0] == 0.0)
+    assert np.array_equal(u, S * omega[0] ** 2)
+    assert np.array_equal(K, np.full(S.shape, 1.0 / omega[0] ** 2))
+    assert not np.isfinite(value[0]) and np.all(grad[0] == 0.0)
     assert value[1] == alone[0][0] and np.array_equal(grad[1], alone[1][0])
-    assert np.array_equal(modes[1], alone[2][0])
+
+
+def _lambert_w_of_exp(L):
+    """W(e^L) by an independent route: scipy's ``lambertw`` of e^L up to
+    L = 700, above it 30 Newton steps on w + log w = L from L - log L."""
+    if L <= 700.0:
+        return lambertw(math.exp(L), tol=1e-15).real
+    w = L - math.log(L)
+    for _ in range(30):
+        w -= (w + math.log(w) - L) / (1.0 + 1.0 / w)
+    return w
+
+
+def test_group_modes_lambert_w_matches_an_independent_one():
+    """The modes are u = S w^2 - W(e^L), L = log(E w^2) + S w^2.  Over
+    omega in {1e-6, 0.05, 1, 1e4}, S in {0, 1, 1000} and E in {0, 1e-300,
+    1, 1e200}, the log-form W is within 1e-14 relative of an independent
+    one wherever W is a normal double, and exactly 0 at E = 0, where u =
+    S w^2; the curvatures are (W + 1) / w^2, and a Newton step on h'(u) =
+    S - E e^u - u / w^2 from each mode moves it by at most 1e-14 max(1,
+    |u|) (1.4e-6 at omega = 1e4, S = 1000, E = 1 from S w^2 - W, which
+    cancels there)."""
+    grid = np.array([(w, s, e) for w in (1e-6, 0.05, 1.0, 1e4)
+                     for s in (0.0, 1.0, 1000.0)
+                     for e in (0.0, 1e-300, 1.0, 1e200)])
+    omega, S, E = grid[:, 0], grid[:, 1:2], grid[:, 2:3]
+    w2 = omega[:, None] ** 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with np.errstate(divide="ignore"):
+            L = np.log(E) + np.log(w2) + S * w2
+        W = fitters._lambert_w_exp(L)
+        u, K = fitters._group_modes(S, E, omega)
+    assert np.array_equal(K, (W + 1.0) / w2)
+    zero = E == 0.0
+    assert np.all(W[zero] == 0.0)
+    assert np.array_equal(u[zero], (S * w2)[zero])
+    live = ~zero
+    step = (S[live] - E[live] * np.exp(u[live]) - u[live] / w2[live]) / K[live]
+    assert np.all(np.abs(step) <= 1e-14 * np.maximum(1.0, np.abs(u[live])))
+    ref = np.array([_lambert_w_of_exp(x) for x in L[live]])
+    normal = ref >= np.finfo(float).tiny
+    assert normal.sum() >= 30
+    rel = np.abs(W[live][normal] - ref[normal]) / ref[normal]
+    assert rel.max() <= 1e-14, rel.max()
 
 
 def _in_node_loglik(beta, omega, X, Y, group):
@@ -674,7 +717,7 @@ def test_glmm_fresh_rows_start_from_their_own_curvature():
     x0 = np.column_stack([glm.beta,
                           fitters._moment_log_omega(d.group, Y, glm.eta)])
     S, log_fact = fitters._response_constants(d.group, d.n_groups, Y)
-    f, _, _, H0 = fitters._curvature_start(d.X, d.group, Y, x0, S, log_fact)
+    f, _, H0 = fitters._curvature_start(d.X, d.group, Y, x0, S, log_fact)
     identity = ~H0.any(axis=(1, 2))
     q = x0.shape[1]
     for r in range(Y.shape[0]):

@@ -145,6 +145,11 @@ def test_resolve_workers_env(monkeypatch):
     monkeypatch.setenv("ENVDIAG_THREADS", "3")
     assert resolve_workers(None) == 3
     assert resolve_workers(2) == 2
+    for bad in ("abc", "-3", "0", "2.5"):
+        monkeypatch.setenv("ENVDIAG_THREADS", bad)
+        with pytest.raises(ValueError, match="ENVDIAG_THREADS"):
+            resolve_workers(None)
+        assert resolve_workers(2) == 2
 
 
 def test_worker_count_does_not_change_rates():
