@@ -62,12 +62,9 @@ from .diagnostics import (
 )
 from .harness import (
     METHODS,
-    PowerRow,
-    PowerTable,
     ScenarioSpec,
     Violation,
     generate_dataset,
-    run_grid,
     run_scenario,
 )
 

@@ -10,11 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
-from .data import EnvdiagError, ModelKind, validate_dataset
-from .fitters import fit_model
-from .io import RunConfig, load_csv, run_diagnose, run_power_study
+from .data import EnvdiagError, ModelKind
+from .io import RunConfig, load_and_fit, run_diagnose, run_power_study
 
 _MODEL_CHOICES = [k.value for k in ModelKind]
 
@@ -62,38 +62,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
-    base = RunConfig()
+    """The config file's settings, if any, with every given flag over them."""
+    config = RunConfig()
     if args.config:
         # utf-8-sig: some editors write a byte-order mark before the JSON
         with open(args.config, "r", encoding="utf-8-sig") as fh:
-            base = RunConfig.from_dict(json.load(fh))
-    overrides = {
-        "data": args.data,
-        "model": args.model,
-        "response": args.response,
-        "group": args.group,
-        "seed": args.seed,
-        "out": args.out,
-    }
-    if args.predictors is not None:
-        overrides["predictors"] = [
-            c.strip() for c in args.predictors.split(",") if c.strip()
-        ]
-    for name in ("plots", "B", "alpha", "m_grid"):
-        if hasattr(args, name):
-            val = getattr(args, name)
-            if name == "plots" and val is not None:
-                val = [p.strip() for p in val.split(",") if p.strip()]
-            overrides[name] = val
-    return base.merged(overrides)
+            config = RunConfig.from_dict(json.load(fh))
+    # every flag but --config is named after the field it sets
+    flags = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+    for name in ("predictors", "plots"):
+        if flags[name] is not None:
+            flags[name] = [c.strip() for c in flags[name].split(",")
+                           if c.strip()]
+    return replace(config, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    config.validate()
-    d = load_csv(config.data, config.response, config.predictors, config.group)
-    validate_dataset(d)
-    m = fit_model(d, ModelKind(config.model))
+    m = load_and_fit(_load_config(args))
     summary = {
         "model": m.kind.value,
         "n": m.n,

@@ -762,10 +762,10 @@ def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
     the same step is tried without the floor.  While the gradient pulls
     omega up, a step may not take it below min(current, 0.05), so that a
     step coupled to beta does not carry it deep into the flat region.  A
-    row that stops with its gradient still pulling omega down is tried at
-    the floor, and one that stops below 0.05 with its gradient pulling
-    omega up is tried at 0.05 (one evaluation for all of them); where
-    that is no worse, the row continues from there.
+    row that stops below 0.05 is tried at the floor if its gradient still
+    pulls omega down, and at 0.05 if it pulls omega up (one evaluation
+    for all of them); where that is no worse, the row continues from
+    there.
     """
     R, q = x0.shape
     S, log_fact = _response_constants(group, int(group.max()) + 1, Y)
@@ -880,8 +880,9 @@ def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
             active[b[small]] = False
 
     iterate(~failed)
-    down = ~failed & (g[:, -1] > 0.0) & (x[:, -1] > _LOG_FLOOR)
-    up = ~failed & (g[:, -1] < 0.0) & (x[:, -1] < _LOG_START_MIN)
+    below = ~failed & (x[:, -1] < _LOG_START_MIN)
+    down = below & (g[:, -1] > 0.0) & (x[:, -1] > _LOG_FLOOR)
+    up = below & (g[:, -1] < 0.0)
     probe = np.flatnonzero(down | up)
     if probe.size:
         xp = x[probe].copy()

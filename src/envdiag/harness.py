@@ -14,7 +14,7 @@ import enum
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
@@ -115,58 +115,16 @@ def generate_dataset(s: ScenarioSpec, stream: np.random.Generator) -> Dataset:
     return Dataset(y=y, X=X, group=group)
 
 
-@dataclass(frozen=True)
-class PowerRow:
-    model: str
-    violation: str
-    n: int
-    method: str
-    rate: float
-    se: float
-    n_datasets: int
-    B: int
-    seed: int
-
-
 @dataclass
 class ScenarioResult:
+    """Rejection rate and its standard error per method over a scenario's
+    datasets that did not fail."""
+
     spec: ScenarioSpec
     rates: dict[str, float]
     ses: dict[str, float]
     n_ok: int
     n_failed: int
-
-    def rows(self) -> list[PowerRow]:
-        return [
-            PowerRow(
-                model=self.spec.model.value,
-                violation=self.spec.violation.value,
-                n=self.spec.n,
-                method=method,
-                rate=self.rates[method],
-                se=self.ses[method],
-                n_datasets=self.spec.n_datasets,
-                B=self.spec.B,
-                seed=self.spec.seed,
-            )
-            for method in METHODS
-        ]
-
-
-@dataclass
-class PowerTable:
-    rows: list[PowerRow] = field(default_factory=list)
-
-    CSV_HEADER = "model,violation,n,method,rate,se,n_datasets,B,seed"
-
-    def to_csv(self) -> str:
-        lines = [self.CSV_HEADER]
-        for r in self.rows:
-            lines.append(
-                f"{r.model},{r.violation},{r.n},{r.method},"
-                f"{r.rate:.17g},{r.se:.17g},{r.n_datasets},{r.B},{r.seed}"
-            )
-        return "\n".join(lines) + "\n"
 
 
 def _dataset_seeds(spec: ScenarioSpec, ds_idx: int) -> tuple:
@@ -258,16 +216,3 @@ def run_scenario(spec: ScenarioSpec,
         n_ok=n_ok,
         n_failed=spec.n_datasets - n_ok,
     )
-
-
-def run_grid(specs: list[ScenarioSpec],
-             workers: Optional[int] = None) -> tuple[PowerTable, list[ScenarioResult]]:
-    """Run every scenario and stack the rows into one table."""
-    table = PowerTable()
-    results = []
-    for spec in specs:
-        res = run_scenario(spec, workers=workers)
-        results.append(res)
-        table.rows.extend(res.rows())
-    return table, results
-

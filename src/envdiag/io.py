@@ -11,14 +11,20 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from . import __version__
-from .data import Dataset, EnvdiagError, ModelKind, validate_dataset
+from . import __version__, harness
+from .data import (
+    Dataset,
+    EnvdiagError,
+    FittedModel,
+    ModelKind,
+    validate_dataset,
+)
 from .diagnostics import (
     DiagnosticResult,
     PlotKind,
@@ -26,7 +32,7 @@ from .diagnostics import (
     diagnose_model,
 )
 from .fitters import fit_model
-from .harness import ScenarioSpec, Violation, resolve_workers, run_grid
+from .harness import METHODS, ScenarioSpec, Violation, resolve_workers
 from .svg import render_diagnostic
 
 
@@ -59,7 +65,7 @@ def _fmt(x: float) -> str:
 
 
 def _of_type(*types):
-    """``_value`` converter accepting only values of exactly ``types``."""
+    """Converter accepting only values of exactly ``types``."""
     def check(v):
         if type(v) not in types:
             raise TypeError(v)
@@ -68,12 +74,38 @@ def _of_type(*types):
 
 
 def _list_of(t):
-    """``_value`` converter accepting only a list of values of exactly ``t``."""
+    """Converter accepting only a list of values of exactly ``t``."""
     def check(v):
         if type(v) is not list or any(type(x) is not t for x in v):
             raise TypeError(v)
         return v
     return check
+
+
+def _fields(raw, types: dict, where: str, required=()) -> dict:
+    """The fields of the JSON object ``raw``, each through its converter.
+
+    ``types`` maps every field ``raw`` may hold to a converter, which
+    raises KeyError or TypeError on a bad value (ValueError passes
+    through with its own message).  ValueError names a top level that is
+    not an object, the unknown fields, a missing ``required`` key or the
+    bad value, in that order.
+    """
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where} must be a JSON object, not {raw!r}")
+    unknown = sorted(set(raw) - set(types))
+    if unknown:
+        raise ValueError(f"unknown fields in {where}: {unknown}")
+    for key in required:
+        if key not in raw:
+            raise ValueError(f"{where} is missing {key!r}")
+    out = {}
+    for key, value in raw.items():
+        try:
+            out[key] = types[key](value)
+        except (KeyError, TypeError):
+            raise ValueError(f"bad {key} {value!r} in {where}") from None
+    return out
 
 
 # what each JSON field of RunConfig may hold
@@ -113,26 +145,17 @@ class RunConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
         """Config from JSON fields; ValueError names a bad or unknown field."""
-        if not isinstance(raw, dict):
-            raise ValueError(
-                f"diagnose config must be a JSON object, not {raw!r}")
-        unknown = set(raw) - set(_RUN_FIELD_TYPES)
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        return cls(**{k: _value(raw, k, _RUN_FIELD_TYPES[k], "config")
-                      for k in raw})
+        return cls(**_fields(raw, _RUN_FIELD_TYPES, "diagnose config"))
 
-    def merged(self, overrides: dict) -> "RunConfig":
-        """New config with non-None override values taking precedence."""
-        data = asdict(self)
-        data.update({k: v for k, v in overrides.items() if v is not None})
-        return RunConfig.from_dict(data)
-
-    def validate(self) -> "RunConfig":
+    def _check_fit_fields(self) -> None:
         if not self.data:
             raise ValueError("config must name a data file")
         if self.model not in _MODEL_NAMES:
             raise ValueError(f"unknown model {self.model!r}")
+
+    def validate(self) -> "RunConfig":
+        """Check every field a diagnose run reads; ValueError names a bad one."""
+        self._check_fit_fields()
         if not self.plots:
             raise ValueError("plots must name at least one plot kind")
         for i, p in enumerate(self.plots):
@@ -217,6 +240,19 @@ def load_csv(
     return Dataset(y=y, X=X, group=grp)
 
 
+def load_and_fit(config: RunConfig) -> FittedModel:
+    """Read the configured CSV and fit the configured model to it: the fit
+    of both ``envdiag fit`` and ``envdiag diagnose``.  Reads only the data
+    and model fields of ``config``."""
+    config._check_fit_fields()
+    d = load_csv(config.data, config.response, config.predictors, config.group)
+    validate_dataset(d)
+    kind = _MODEL_NAMES[config.model]
+    if kind is ModelKind.GLMM_POISSON_RI and d.group is None:
+        raise ValueError("model poisson-ri needs a group column")
+    return fit_model(d, kind)
+
+
 @dataclass(frozen=True)
 class PlotArtifact:
     kind: str
@@ -245,18 +281,13 @@ def run_diagnose(config: RunConfig) -> list[PlotArtifact]:
     directory never holds a partial run.
     """
     config.validate()
-    d = load_csv(config.data, config.response, config.predictors, config.group)
-    validate_dataset(d)
-    kind = _MODEL_NAMES[config.model]
-    if kind is ModelKind.GLMM_POISSON_RI and d.group is None:
-        raise ValueError("model poisson-ri needs a group column")
+    m = load_and_fit(config)
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     written: list[Path] = []
     artifacts: list[PlotArtifact] = []
     try:
-        m = fit_model(d, kind)
         plot_kinds = tuple(_PLOT_NAMES[p] for p in config.plots)
         results, _ = diagnose_model(
             m,
@@ -309,21 +340,32 @@ _SETTING_TYPES = {
     f.name: _of_type(type(f.default)) for f in fields(ScenarioSpec)
     if f.name not in _CELL_AXES
 }
+_CELL_TYPES = {
+    "model": _MODEL_NAMES.__getitem__,
+    "violation": _VIOLATION_NAMES.__getitem__,
+    "n": _of_type(int),
+    **_SETTING_TYPES,
+}
+# the cross-product keys, which exclude "scenarios"
+_GRID_TYPES = {
+    "models": lambda ms: [_MODEL_NAMES[m] for m in _list_of(str)(ms)],
+    "violations": lambda vs: [_VIOLATION_NAMES[v] for v in _list_of(str)(vs)],
+    "sample_sizes": _list_of(int),
+}
 
 
-def _value(raw: dict, key: str, convert, where: str):
-    """``convert(raw[key])``, or ValueError naming a missing key or bad value."""
-    if key not in raw:
-        raise ValueError(f"{where} is missing {key!r}")
-    try:
-        return convert(raw[key])
-    except (KeyError, TypeError, ValueError):
-        raise ValueError(f"bad {key} {raw[key]!r} in {where}") from None
+def _cells(cells) -> list[dict]:
+    """The fields of every ``scenarios`` cell."""
+    if not isinstance(cells, list):
+        raise ValueError("config scenarios must be a list of objects")
+    for i, cell in enumerate(cells):
+        if not isinstance(cell, dict):
+            raise ValueError(f"scenario {i} is not an object: {cell!r}")
+    return [_fields(cell, _CELL_TYPES, f"scenario {i}", _CELL_AXES)
+            for i, cell in enumerate(cells)]
 
 
-def _settings(raw: dict, where: str) -> dict:
-    return {k: _value(raw, k, kind, where)
-            for k, kind in _SETTING_TYPES.items() if k in raw}
+_STUDY_TYPES = {**_SETTING_TYPES, **_GRID_TYPES, "scenarios": _cells}
 
 
 def _specs_from_config(cfg: dict) -> list[ScenarioSpec]:
@@ -332,34 +374,29 @@ def _specs_from_config(cfg: dict) -> list[ScenarioSpec]:
     A malformed config raises ValueError naming the bad value, field or
     missing key.
     """
-    common = _settings(cfg, "config")
-    if "scenarios" not in cfg:
-        models = _value(cfg, "models",
-                        lambda ms: [_MODEL_NAMES[m] for m in ms], "config")
-        violations = _value(cfg, "violations",
-                            lambda vs: [_VIOLATION_NAMES[v] for v in vs],
-                            "config")
-        sizes = _value(cfg, "sample_sizes", _list_of(int), "config")
-        return [ScenarioSpec(model=m, violation=v, n=n, **common)
-                for m in models for v in violations for n in sizes]
-    if not isinstance(cfg["scenarios"], list):
-        raise ValueError("config scenarios must be a list of objects")
-    specs = []
-    for i, cell in enumerate(cfg["scenarios"]):
-        where = f"scenario {i}"
-        if not isinstance(cell, dict):
-            raise ValueError(f"{where} is not an object: {cell!r}")
-        unknown = sorted(set(cell) - set(_CELL_AXES) - set(_SETTING_TYPES))
-        if unknown:
-            raise ValueError(f"unknown fields in {where}: {unknown}")
-        specs.append(ScenarioSpec(
-            model=_value(cell, "model", _MODEL_NAMES.__getitem__, where),
-            violation=_value(cell, "violation", _VIOLATION_NAMES.__getitem__,
-                             where),
-            n=_value(cell, "n", _of_type(int), where),
-            **{**common, **_settings(cell, where)},
-        ))
-    return specs
+    where = "power-study config"
+    listed = isinstance(cfg, dict) and "scenarios" in cfg
+    top = _fields(cfg, _STUDY_TYPES, where, () if listed else _GRID_TYPES)
+    settings = {k: v for k, v in top.items() if k in _SETTING_TYPES}
+    if not listed:
+        return [ScenarioSpec(model=m, violation=v, n=n, **settings)
+                for m in top["models"] for v in top["violations"]
+                for n in top["sample_sizes"]]
+    grid = [k for k in _GRID_TYPES if k in top]
+    if grid:
+        raise ValueError(f"{where} gives both 'scenarios' and {grid}")
+    return [ScenarioSpec(**{**settings, **cell}) for cell in top["scenarios"]]
+
+
+def rates_csv(results: list[harness.ScenarioResult]) -> str:
+    """The ``rates.csv`` text: one row per scenario and method."""
+    lines = ["model,violation,n,method,rate,se,n_datasets,B,seed"]
+    for r in results:
+        s = r.spec
+        lines += [f"{s.model.value},{s.violation.value},{s.n},{method},"
+                  f"{_fmt(r.rates[method])},{_fmt(r.ses[method])},"
+                  f"{s.n_datasets},{s.B},{s.seed}" for method in METHODS]
+    return "\n".join(lines) + "\n"
 
 
 def run_power_study(
@@ -372,21 +409,18 @@ def run_power_study(
     ``config`` either lists explicit ``scenarios`` cells or gives the
     cross product of ``models`` x ``violations`` x ``sample_sizes``.
     """
-    if not isinstance(config, dict):
-        raise ValueError(
-            f"power-study config must be a JSON object, not {config!r}")
-    cfg = dict(config)
-    specs = _specs_from_config(cfg)
-    table, results = run_grid(specs, workers=workers)
+    specs = _specs_from_config(config)
+    # through the module, so that a rebinding of harness.run_scenario holds
+    results = [harness.run_scenario(spec, workers=workers) for spec in specs]
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "rates.csv"
     manifest_path = out / "manifest.json"
-    csv_path.write_text(table.to_csv(), encoding="utf-8")
+    csv_path.write_text(rates_csv(results), encoding="utf-8")
     manifest = {
         "version": __version__,
-        "config": cfg,
+        "config": config,
         "workers": resolve_workers(workers),
         "scenarios": [
             {

@@ -5,16 +5,14 @@ from envdiag import (
     METHODS,
     EnvdiagError,
     ModelKind,
-    PowerTable,
     ScenarioSpec,
     Violation,
     generate_dataset,
-    run_grid,
     run_scenario,
 )
 from envdiag import harness
 from envdiag.harness import _COEFS, _MIX_SCALE, _SIGMA, resolve_workers
-from envdiag.io import _specs_from_config
+from envdiag.io import _specs_from_config, rates_csv
 
 
 def _spec(**kw):
@@ -106,10 +104,11 @@ def test_power_non_decreasing_in_n():
 
 
 def test_power_table_csv_shape():
-    table, results = run_grid([_spec(n_datasets=5), _spec(n_datasets=5, seed=9)])
-    text = table.to_csv()
+    results = [run_scenario(_spec(n_datasets=5)),
+               run_scenario(_spec(n_datasets=5, seed=9))]
+    text = rates_csv(results)
     lines = text.strip().split("\n")
-    assert lines[0] == PowerTable.CSV_HEADER
+    assert lines[0] == "model,violation,n,method,rate,se,n_datasets,B,seed"
     assert len(lines) == 1 + 2 * len(METHODS)
     rate = float(lines[1].split(",")[4])
     assert 0.0 <= rate <= 1.0

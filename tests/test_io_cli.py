@@ -359,10 +359,14 @@ def test_cli_power_study(tmp_path, capsys):
       "B": 10, "alpha": 0.1}, "B must be at least 19"),
     ({"scenarios": [{"model": "lm", "violation": "null", "n": 10}],
       "seed": -3}, "seed must be non-negative"),
+    ({"scenarios": [{"model": "lm", "violation": "null", "n": 10}],
+      "n_dataset": 5}, "'n_dataset'"),
+    ({"scenarios": [{"model": "lm", "violation": "null", "n": 10}],
+      "models": ["poisson"]}, "'models'"),
 ], ids=["unknown-model", "missing-sample-sizes", "unknown-field", "m-grid-0",
         "top-level-list", "scenario-not-object", "scenarios-not-list",
         "n_datasets-float", "B-string", "n-string", "B-below-19",
-        "seed-negative"])
+        "seed-negative", "unknown-top-level-field", "scenarios-with-models"])
 def test_cli_power_study_malformed_config(tmp_path, capsys, cfg, named):
     cfg_path = _write(tmp_path / "grid.json", json.dumps(cfg))
     rc = main(["power-study", "--config", cfg_path,
@@ -391,6 +395,33 @@ def test_cli_diagnose_malformed_config(tmp_path, capsys, cfg, named):
     assert rc == 1
     assert err.startswith("envdiag: error:") and named in err, err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_fit_reads_no_diagnose_setting(tmp_path, capsys):
+    """``fit`` checks only the data and model fields: a B only diagnose
+    would reject does not stop it."""
+    data = _null_lm_csv(tmp_path / "d.csv")
+    cfg_path = _write(tmp_path / "cfg.json",
+                      json.dumps({"data": data, "model": "lm", "B": 10}))
+    assert main(["fit", "--config", cfg_path]) == 0
+    assert json.loads(capsys.readouterr().out)["model"] == "lm"
+    rc = main(["diagnose", "--config", cfg_path,
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "B must be at least 19" in capsys.readouterr().err
+
+
+def test_cli_missing_group_same_error_for_fit_and_diagnose(tmp_path, capsys):
+    data = _mixture_poisson_csv(tmp_path / "d.csv", n=20)
+    errors = []
+    for command in ("fit", "diagnose"):
+        rc = main([command, "--data", data, "--model", "poisson-ri",
+                   "--out", str(tmp_path / command)])
+        assert rc == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0] == "envdiag: error: model poisson-ri needs a group column\n"
+    assert not (tmp_path / "diagnose").exists()
 
 
 def test_cli_fit_ragged_row(tmp_path, capsys):
@@ -523,13 +554,13 @@ def test_public_surface():
         "DiagnosticResult", "EnvdiagError", "EnvelopeMode", "Fits",
         "FittedModel", "FunctionEnsemble", "GlobalEnvelope", "GofResult",
         "LeverageOne", "METHODS", "ModelCapability", "ModelKind",
-        "NonConvergence", "PSplineDesign", "PlotKind", "PowerRow",
-        "PowerTable", "RankDeficient", "ScenarioSpec", "Separation",
+        "NonConvergence", "PSplineDesign", "PlotKind", "RankDeficient",
+        "ScenarioSpec", "Separation",
         "SmoothFit", "TooFewRows", "TooManyRefitFailures", "Violation",
         "default_capability", "diagnose_model", "fit_model", "fit_rows",
         "generate_dataset", "glmm_marginal_loglik", "global_envelope",
         "hat_diagonals", "linear_predictors", "mad_envelope", "refit",
-        "refit_many", "residuals_for", "run_grid", "run_scenario",
+        "refit_many", "residuals_for", "run_scenario",
         "simulate_replicates", "simulate_response",
         "studentized_mad_envelope", "validate_dataset",
     ])
@@ -551,3 +582,16 @@ def test_readme_quick_start_runs(capsys):
     code = readme.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, "README.md", "exec"), {})
     assert capsys.readouterr().out.count("\n") == 2
+
+
+def test_readme_config_examples_parse():
+    """The README's diagnose and power-study configs pass their readers."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = [b.split("```", 1)[0] for b in readme.split("```json\n")[1:]]
+    assert len(blocks) == 2
+    diagnose, study = (json.loads(b) for b in blocks)
+    cfg = RunConfig.from_dict(diagnose).validate()
+    assert cfg.model == "poisson-ri" and cfg.group == "site"
+    specs = _specs_from_config(study)
+    assert len(specs) == 3 * 3 * 4
+    assert {(s.n_datasets, s.B, s.seed) for s in specs} == {(200, 99, 1)}
