@@ -78,7 +78,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    m = load_and_fit(_load_config(args))
+    config = _load_config(args)
+    m = load_and_fit(config)
     summary = {
         "model": m.kind.value,
         "n": m.n,
@@ -94,8 +95,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         summary["boundary_omega"] = m.boundary_omega
     text = json.dumps(summary, indent=2, sort_keys=True)
     print(text)
-    if args.out:
-        out = Path(args.out)
+    if config.out:
+        out = Path(config.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "fit.json").write_text(text + "\n", encoding="utf-8")
     return 0

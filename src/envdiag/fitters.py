@@ -187,15 +187,17 @@ def glmm_marginal_loglik(
     likelihood against a centred normal with sd ``omega``.  The nodes are
     recentred at the group's conditional mode and rescaled by the
     curvature there.  ``omega == 0`` collapses exactly to the ordinary
-    Poisson log-likelihood.
+    Poisson log-likelihood; otherwise the value is -inf where
+    :func:`_glmm_objective` gives +inf.
     """
     if omega < 0:
         raise ValueError("omega must be nonnegative")
     if omega == 0.0:
         return float(_poisson_loglik(y, X @ beta))
-    value, _ = _glmm_loglik_grad(beta[None, :], np.array([omega]), X,
-                                 y[None, :], group)
-    return float(value[0])
+    Y = y[None, :]
+    f, _ = _glmm_objective(X, group, Y, np.append(beta, math.log(omega))[None],
+                           *_response_constants(group, int(group.max()) + 1, Y))
+    return float(-f[0])
 
 
 # Batched kernels work on R rows at once (R responses, or R parameter
@@ -252,23 +254,23 @@ def _group_modes(S: np.ndarray, E: np.ndarray, omega: np.ndarray
     return u, (W + 1.0) / w2
 
 
-def _glmm_loglik_grad(
-    beta: np.ndarray,
-    omega: np.ndarray,
-    X: np.ndarray,
-    Y: np.ndarray,
-    group: np.ndarray,
-    *,
-    eta: Optional[np.ndarray] = None,
-    S: Optional[np.ndarray] = None,
-    log_fact: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Adaptive Gauss-Hermite log-likelihoods and their exact gradients
-    in ``(beta, log omega)``, for R rows.
+def _response_constants(group: np.ndarray, G: int, Y: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Group totals (R, G) and sum log y! (R,) of every row of ``Y``: the
+    parts of the kernel that depend on the response alone."""
+    return _group_sums(group, G, Y), gammaln(Y + 1.0).sum(axis=1)
 
-    Row r has coefficients ``beta[r]`` (R, p), ``omega[r] > 0`` (R,) and
-    response ``Y[r]`` (R, n), on the shared design ``X`` and ``group``.
-    Group g contributes ``l_g = log int exp(h_g(t)) dt`` with
+
+def _glmm_objective(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
+                    x: np.ndarray, S: np.ndarray, log_fact: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Negated adaptive Gauss-Hermite log-likelihoods and their exact
+    gradients in ``(beta, log omega)``, for R rows.
+
+    Row r has response ``Y[r]`` (R, n), its constants ``S[r]`` and
+    ``log_fact[r]`` (:func:`_response_constants`) and parameters ``x[r]``
+    (R, p+1) = ``(beta, log omega)``, on the shared design ``X`` and
+    ``group``.  Group g contributes ``l_g = log int exp(h_g(t)) dt`` with
       h_g(t) = A_g + S_g t - E_g e^t - c t^2/2 - log(w sqrt(2 pi)),
     c = 1/w^2, A_g = sum_g (y eta - log y!), approximated at the mode
     u_g (h_g'(u_g) = 0, in closed form by :func:`_group_modes`) with
@@ -282,17 +284,17 @@ def _glmm_loglik_grad(
     node terms.  With dl_g/dA_g = 1, the beta gradient is ``X'y +
     X'(exp(eta) * dl/dE[group])``.  Nodes whose weight underflows to
     zero carry no gradient, even where ``e^t`` overflows.  A row whose
-    value is not finite (NaN where E_g = 0 and e^t overflows) gets a
-    zero gradient.  The linear predictors ``eta`` (R, n) and the
-    response's constants, its group totals ``S`` (R, G) and ``log_fact``
-    = sum log y! (R,), are computed unless given.
+    linear predictors exceed 500 (the range exp() can take, with room),
+    or whose value is not finite (NaN where E_g = 0 and e^t overflows),
+    gets +inf and a zero gradient.
     """
-    if eta is None:
-        eta = _rows_eta(X, beta)
-    if S is None:
-        S = _group_sums(group, int(group.max()) + 1, Y)
-    if log_fact is None:
-        log_fact = gammaln(Y + 1.0).sum(axis=1)
+    f = np.full(x.shape[0], np.inf)
+    g = np.zeros(x.shape)
+    eta = _rows_eta(X, x[:, :-1])
+    rows = np.flatnonzero(eta.max(axis=1) <= 500.0)
+    if rows.size < x.shape[0]:
+        x, Y, eta, S, log_fact = (a[rows] for a in (x, Y, eta, S, log_fact))
+    omega = np.exp(x[:, -1])
     G = S.shape[1]
     mu = np.exp(eta)
     E = _group_sums(group, G, mu)
@@ -318,11 +320,12 @@ def _glmm_loglik_grad(
         value = ((top + np.log(total) + np.log(sig)).sum(axis=1)
                  + (Y * eta).sum(axis=1) - log_fact
                  - G * (np.log(omega) + 0.5 * math.log(math.pi)))
-        grad = np.zeros((Y.shape[0], X.shape[1] + 1))
         ok = np.isfinite(value)
         if not ok.all():
-            c, Y, mu, S, E, u, K, sig, t, et, p, total = (
-                a[ok] for a in (c, Y, mu, S, E, u, K, sig, t, et, p, total))
+            rows = rows[ok]
+            value, c, Y, mu, S, E, u, K, sig, t, et, p, total = (
+                a[ok] for a in (value, c, Y, mu, S, E, u, K, sig, t, et, p,
+                                total))
         c = c[:, None]
 
         p /= total[:, :, None]
@@ -344,9 +347,10 @@ def _glmm_loglik_grad(
         dl_ds = (c * p_t2 - 1.0 + du_ds * p_dh + sig * dlogsig_ds * p_dhz
                  + dlogsig_ds)
     W = Y + mu * dl_dE[:, group]
-    grad[ok, :-1] = (W[:, None, :] * X.T).sum(axis=2)
-    grad[ok, -1] = dl_ds.sum(axis=1)
-    return value, grad
+    f[rows] = -value
+    g[rows, :-1] = -(W[:, None, :] * X.T).sum(axis=2)
+    g[rows, -1] = -dl_ds.sum(axis=1)
+    return f, g
 
 
 # ---------------------------------------------------------------------
@@ -634,39 +638,6 @@ def _moment_log_omega(group: np.ndarray, Y: np.ndarray,
     return np.array([_log_omega_start(float(w)) for w in omega0])
 
 
-def _response_constants(group: np.ndarray, G: int, Y: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Group totals (R, G) and sum log y! (R,) of every row of ``Y``: the
-    parts of the kernel that depend on the response alone."""
-    return _group_sums(group, G, Y), gammaln(Y + 1.0).sum(axis=1)
-
-
-def _glmm_objective(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
-                    x: np.ndarray, S: np.ndarray, log_fact: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Negated log-likelihoods and their gradients of the rows of ``Y``
-    (R, n), with constants ``S`` and ``log_fact``
-    (:func:`_response_constants`), at ``x`` (R, p+1) = ``(beta, log
-    omega)``; +inf, with a zero gradient, where the linear predictors
-    leave the range exp() can take."""
-    eta = _rows_eta(X, x[:, :-1])
-    ok = eta.max(axis=1) <= 500.0
-    if ok.all():
-        v, grad = _glmm_loglik_grad(x[:, :-1], np.exp(x[:, -1]), X, Y,
-                                    group, eta=eta, S=S, log_fact=log_fact)
-        f, g = -v, -grad
-    else:
-        f = np.full(x.shape[0], np.inf)
-        g = np.zeros(x.shape)
-        if ok.any():
-            v, grad = _glmm_loglik_grad(
-                x[ok, :-1], np.exp(x[ok, -1]), X, Y[ok], group,
-                eta=eta[ok], S=S[ok], log_fact=log_fact[ok])
-            f[ok], g[ok] = -v, -grad
-    f[~np.isfinite(f)] = np.inf
-    return f, g
-
-
 # Central-difference step in (beta, log omega) of the curvature start,
 # and the least ratio of its smallest to largest eigenvalue.
 _CURV_STEP = 1e-4
@@ -759,13 +730,10 @@ def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
     trial stands, ending the search, only if it decreases the objective
     sufficiently over its real displacement and the omega gradient there
     still pulls omega down (the floor is a KKT point along omega); else
-    the same step is tried without the floor.  While the gradient pulls
-    omega up, a step may not take it below min(current, 0.05), so that a
-    step coupled to beta does not carry it deep into the flat region.  A
-    row that stops below 0.05 is tried at the floor if its gradient still
-    pulls omega down, and at 0.05 if it pulls omega up (one evaluation
-    for all of them); where that is no worse, the row continues from
-    there.
+    the same step is tried without the floor.  A row that stops below
+    0.05 is tried at the floor if its gradient still pulls omega down,
+    and at 0.05 if it pulls omega up (one evaluation for all of them);
+    where that is no worse, the row continues from there.
     """
     R, q = x0.shape
     S, log_fact = _response_constants(group, int(group.max()) + 1, Y)
@@ -808,13 +776,9 @@ def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
             step = np.where(fresh[a], np.minimum(1.0, 1.0 / np.sqrt(
                 (d * d).sum(axis=1))), 1.0)
             slope = (g[a] * d).sum(axis=1)
-            low = np.where(g[a, -1] < 0.0,
-                           np.minimum(xa[:, -1], _LOG_START_MIN), _LOG_FLOOR)
             # below omega = 0.05, a step that lowers log omega is first
-            # tried with log omega at the floor, unless the gradient
-            # pulls omega up
-            leap = ((xa[:, -1] < _LOG_START_MIN) & (d[:, -1] < 0.0)
-                    & (g[a, -1] >= 0.0))
+            # tried with log omega at the floor
+            leap = (xa[:, -1] < _LOG_START_MIN) & (d[:, -1] < 0.0)
 
             # backtracking line search on sufficient decrease (Armijo)
             searching = np.ones(a.size, dtype=bool)
@@ -825,7 +789,7 @@ def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
                     break
                 t = step[s]
                 xt = xa[s] + t[:, None] * d[s]
-                np.minimum(np.maximum(xt[:, -1], low[s]), _LOG_CEIL,
+                np.minimum(np.maximum(xt[:, -1], _LOG_FLOOR), _LOG_CEIL,
                            out=xt[:, -1])
                 jump = leap[s]
                 leap[s] = False

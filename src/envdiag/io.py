@@ -140,7 +140,7 @@ class RunConfig:
     alpha: float = 0.05
     seed: int = 0
     m_grid: int = 64
-    out: str = "envdiag_out"
+    out: Optional[str] = None  # diagnose writes to envdiag_out if unset
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -282,7 +282,7 @@ def run_diagnose(config: RunConfig) -> list[PlotArtifact]:
     """
     config.validate()
     m = load_and_fit(config)
-    out_dir = Path(config.out)
+    out_dir = Path("envdiag_out" if config.out is None else config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     written: list[Path] = []

@@ -2,8 +2,8 @@
 
 Each criterion prints one PASS/FAIL line (run with ``pytest -s`` to see
 them as they complete).  The power-study criteria share module-scoped
-scenario runs; on one core the whole module takes on the order of ten
-minutes, dominated by the random-intercept cells.
+scenario runs; on one core of a 2-core Intel Xeon machine the whole module
+took 35 s.
 """
 
 import math

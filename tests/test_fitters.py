@@ -24,7 +24,6 @@ from envdiag import (
 from envdiag import fitters
 from envdiag.diagnostics import simulate_replicates
 from envdiag.fitters import (
-    _glmm_loglik_grad,
     _refit_start,
     fit_rows,
     glm_rows,
@@ -225,6 +224,17 @@ def test_glmm_collapse_at_zero_omega_is_exact(rng):
     assert glmm_marginal_loglik(beta, 0.0, X, y, group) == glm_ll
 
 
+def _loglik_grad(x, X, Y, group):
+    """Log-likelihoods (R,) and their gradients (R, p+1) of the rows of
+    ``Y`` (R, n) at ``x`` (R, p+1) = ``(beta, log omega)``: the kernel
+    :func:`fitters._glmm_objective`, negated, with the constants of
+    :func:`fitters._response_constants`."""
+    f, g = fitters._glmm_objective(
+        X, group, Y, x,
+        *fitters._response_constants(group, int(group.max()) + 1, Y))
+    return -f, -g
+
+
 def _central_differences(f, theta, rel_step=1e-5):
     grad = np.empty(theta.size)
     for j in range(theta.size):
@@ -259,12 +269,11 @@ def test_glmm_gradient_matches_central_differences(rng):
             log_omega = rng.uniform(-4.0, 3.0)
         eps = rng.normal(0.0, 1.0, G)[group]
         y = rng.poisson(np.exp(X @ beta + eps)).astype(float)
-        theta = np.append(beta, log_omega)
+        # the log omega that glmm_marginal_loglik takes of exp(log_omega)
+        theta = np.append(beta, math.log(math.exp(log_omega)))
 
         def kernel(th):
-            v, g = _glmm_loglik_grad(th[None, :-1],
-                                     np.array([math.exp(th[-1])]), X,
-                                     y[None, :], group)
+            v, g = _loglik_grad(th[None, :], X, y[None, :], group)
             return v[0], g[0]
 
         def value(th):
@@ -336,15 +345,14 @@ def _lbfgsb_reference(m, y):
     lockstep quasi-Newton replaced, kept as its reference."""
     X, group = m.dataset.X, m.dataset.group
     log_floor, log_ceil = math.log(1e-6), math.log(1e4)
+    Y = y[None, :]
+    S, log_fact = fitters._response_constants(group, m.dataset.n_groups, Y)
 
     def nll(th):
-        if np.max(X @ th[:-1]) > 500.0:
+        f, g = fitters._glmm_objective(X, group, Y, th[None, :], S, log_fact)
+        if not np.isfinite(f[0]):
             return 1e12, np.zeros(th.size)
-        v, g = _glmm_loglik_grad(th[None, :-1], np.array([math.exp(th[-1])]),
-                                 X, y[None, :], group)
-        if not np.isfinite(v[0]):
-            return 1e12, np.zeros(th.size)
-        return -v[0], -g[0]
+        return f[0], g[0]
 
     x0 = np.append(m.beta, math.log(min(max(m.omega, 0.05), 3.0)))
     res = minimize(nll, x0, method="L-BFGS-B", jac=True,
@@ -400,6 +408,38 @@ def test_glmm_floor_step_stops_only_at_a_kkt_point():
     assert floor.omega == math.exp(math.log(1e-6))
 
 
+def _engine_draw(n: int, dataset: int, row: int):
+    """Parent fit of a dataset of the n-point poisson-ri null stream at
+    seed 1 and row ``row`` of the engine's one batched draw at B=99."""
+    spec = ScenarioSpec(model=ModelKind.GLMM_POISSON_RI,
+                        violation=Violation.NULL_OK, n=n)
+    m, boot_seed = _stream_fit(spec, dataset)
+    return m, simulate_response(m, 98 + 9, np.random.default_rng(boot_seed))[row]
+
+
+def test_glmm_post_stop_probe_up_reaches_an_interior_optimum():
+    """A row that stops below omega = 0.05 with its gradient pulling omega
+    up is tried at 0.05 and continues from there.  Row 32 of dataset 22
+    of the n=20 stream has its optimum at omega 0.46 (log-likelihood
+    -13.6568201716); without that probe it stopped at omega 1.1e-4, 0.138
+    lower."""
+    m, y = _engine_draw(20, 22, 32)
+    fit = refit(m, y)
+    assert abs(fit.omega - 0.46) < 0.01, fit.omega
+    assert fit.loglik >= _lbfgsb_reference(m, y) - 1e-6
+
+
+def test_glmm_post_stop_probe_down_reaches_the_floor():
+    """A row that stops below omega = 0.05 with its gradient pulling omega
+    down is tried at the floor.  Row 69 of dataset 30 of the n=10 stream
+    has its optimum there; without that probe it stopped at omega 4.0e-5,
+    short of the floor."""
+    m, y = _engine_draw(10, 30, 69)
+    fit = refit(m, y)
+    assert fit.boundary_omega, fit.omega
+    assert fit.loglik >= _lbfgsb_reference(m, y) - 1e-6
+
+
 def test_glmm_line_search_ends_at_its_first_sufficient_decrease(monkeypatch):
     """Row 52 of dataset 9 of the n=10 poisson-ri null stream (the
     engine's one batched draw at B=99) converges at the omega floor, where
@@ -413,11 +453,13 @@ def test_glmm_line_search_ends_at_its_first_sufficient_decrease(monkeypatch):
     Y = simulate_response(m, 98 + 9, np.random.default_rng(boot_seed))
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return _glmm_loglik_grad(*args, **kwargs)
+    objective = fitters._glmm_objective
 
-    monkeypatch.setattr(fitters, "_glmm_loglik_grad", counted)
+    def counted(*args):
+        calls.append(1)
+        return objective(*args)
+
+    monkeypatch.setattr(fitters, "_glmm_objective", counted)
     fit = refit(m, Y[52])
     assert len(calls) <= 20, len(calls)
     assert fit.boundary_omega
@@ -498,11 +540,13 @@ def test_glmm_refit_kernel_calls_per_batch(monkeypatch):
     batches = [_glmm_refit_batch(dataset) for dataset in range(5)]
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return _glmm_loglik_grad(*args, **kwargs)
+    objective = fitters._glmm_objective
 
-    monkeypatch.setattr(fitters, "_glmm_loglik_grad", counted)
+    def counted(*args):
+        calls.append(1)
+        return objective(*args)
+
+    monkeypatch.setattr(fitters, "_glmm_objective", counted)
     for m, Y in batches:
         refit_many(m, Y)
     assert len(calls) / 5 <= 30, len(calls) / 5
@@ -521,8 +565,8 @@ def test_glmm_kernel_does_not_overflow_where_the_curvature_does():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         value = glmm_marginal_loglik(beta, 1e-6, X, y, np.arange(n) % 5)
-        _, grad = _glmm_loglik_grad(beta[None, :], np.array([1e-6]), X,
-                                    y[None, :], np.arange(n) % 5)
+        _, grad = _loglik_grad(np.append(beta, math.log(1e-6))[None, :], X,
+                               y[None, :], np.arange(n) % 5)
     assert np.isfinite(value) and np.all(np.isfinite(grad))
 
 
@@ -567,8 +611,9 @@ def test_glmm_underflowed_means_give_the_exact_mode_and_no_finite_value():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         u, K = fitters._group_modes(S, E, omega[:1])
-        value, grad = _glmm_loglik_grad(beta, omega, X, Y, group)
-        alone = _glmm_loglik_grad(beta[1:], omega[1:], X, Y[1:], group)
+        x = np.column_stack([beta, np.log(omega)])
+        value, grad = _loglik_grad(x, X, Y, group)
+        alone = _loglik_grad(x[1:], X, Y[1:], group)
     assert np.array_equal(u, S * omega[0] ** 2)
     assert np.array_equal(K, np.full(S.shape, 1.0 / omega[0] ** 2))
     assert not np.isfinite(value[0]) and np.all(grad[0] == 0.0)
@@ -655,7 +700,8 @@ def test_glmm_constant_terms_outside_the_node_sums_keep_the_value():
 
     def check(beta, omega, X, Y, group):
         nonlocal worst
-        value = _glmm_loglik_grad(beta, omega, X, Y, group)[0]
+        value = _loglik_grad(np.column_stack([beta, np.log(omega)]), X, Y,
+                             group)[0]
         ref = _in_node_loglik(beta, omega, X, Y, group)
         worst = max(worst, np.max(np.abs(value - ref) / np.abs(ref)))
 
@@ -689,11 +735,13 @@ def test_glmm_fit_kernel_calls(monkeypatch):
     datasets = [_stream_fit(spec, i)[0].dataset for i in range(40)]
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return _glmm_loglik_grad(*args, **kwargs)
+    objective = fitters._glmm_objective
 
-    monkeypatch.setattr(fitters, "_glmm_loglik_grad", counted)
+    def counted(*args):
+        calls.append(1)
+        return objective(*args)
+
+    monkeypatch.setattr(fitters, "_glmm_objective", counted)
     for d in datasets:
         fit_model(d, ModelKind.GLMM_POISSON_RI)
     assert len(calls) / 40 <= 10, len(calls) / 40
@@ -722,9 +770,7 @@ def test_glmm_fresh_rows_start_from_their_own_curvature():
     q = x0.shape[1]
     for r in range(Y.shape[0]):
         def grad(th):
-            return _glmm_loglik_grad(th[None, :-1],
-                                     np.array([math.exp(th[-1])]), d.X,
-                                     Y[r:r + 1], d.group)[1][0]
+            return _loglik_grad(th[None, :], d.X, Y[r:r + 1], d.group)[1][0]
         hess = np.array([(grad(x0[r] + 1e-4 * e) - grad(x0[r] - 1e-4 * e))
                          / 2e-4 for e in np.eye(q)])
         lam = np.linalg.eigvalsh(-0.5 * (hess + hess.T))

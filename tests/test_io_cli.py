@@ -411,6 +411,26 @@ def test_cli_fit_reads_no_diagnose_setting(tmp_path, capsys):
     assert "B must be at least 19" in capsys.readouterr().err
 
 
+def test_cli_fit_writes_to_the_config_out(tmp_path, capsys, monkeypatch):
+    """``fit`` writes ``fit.json`` to the config file's ``out`` as to the
+    ``--out`` flag's, and writes nothing with neither."""
+    monkeypatch.chdir(tmp_path)
+    data = _null_lm_csv(tmp_path / "d.csv")
+    cfg_path = _write(tmp_path / "cfg.json",
+                      json.dumps({"data": data, "model": "lm", "out": "res"}))
+    assert main(["fit", "--config", cfg_path]) == 0
+    printed = capsys.readouterr().out
+    assert (tmp_path / "res" / "fit.json").read_text() == printed
+    assert main(["fit", "--config", cfg_path, "--out", "flag"]) == 0
+    assert (tmp_path / "flag" / "fit.json").exists()
+    bare = _write(tmp_path / "bare.json",
+                  json.dumps({"data": data, "model": "lm"}))
+    before = sorted(tmp_path.iterdir())
+    assert main(["fit", "--config", bare]) == 0
+    assert main(["fit", "--data", data, "--model", "lm"]) == 0
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_cli_missing_group_same_error_for_fit_and_diagnose(tmp_path, capsys):
     data = _mixture_poisson_csv(tmp_path / "d.csv", n=20)
     errors = []
