@@ -308,12 +308,13 @@ def _glmm_objective(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
     # which the quotients then give
     with np.errstate(over="ignore"):
         et = np.exp(t)
-        # E_g e^t = 0 * inf, NaN, where E_g = 0 and e^t overflows
+        # E_g e^t = 0 * inf, NaN, where E_g = 0 and e^t overflows; where
+        # E_g e^t = inf at every node, top = -inf and logw - top is NaN
         with np.errstate(invalid="ignore"):
             logw = _GH_LOG_WX + (S[:, :, None] * t - E[:, :, None] * et
                                  - (0.5 * c)[:, None, None] * t * t)
-        top = logw.max(axis=2)
-        p = np.exp(logw - top[:, :, None])
+            top = logw.max(axis=2)
+            p = np.exp(logw - top[:, :, None])
         total = p.sum(axis=2)
         # per group: -log(w sqrt(2 pi)), and log sqrt(2) of the nodes'
         # scale sqrt(2) sigma

@@ -620,6 +620,21 @@ def test_glmm_underflowed_means_give_the_exact_mode_and_no_finite_value():
     assert value[1] == alone[0][0] and np.array_equal(grad[1], alone[1][0])
 
 
+def test_glmm_kernel_at_the_ceiling_with_every_node_overflowed():
+    """A trial point of a refit of dataset 237 of the n=10 poisson-ri null
+    stream (seed 1, B=99): omega at its ceiling and E_g subnormal, so
+    E_g e^t is inf at every node and the largest node term is -inf.  The
+    row gets +inf and a zero gradient, with no warning."""
+    n = 10
+    X = np.column_stack([np.ones(n), (np.arange(n) + 0.5) / n])
+    y = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 2.0, 3.0, 0.0, 8.0])
+    x = np.array([[-899.3042082689942, 173.61838669034208, math.log(1e4)]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        f, g = _loglik_grad(x, X, y[None, :], np.arange(n) % 5)
+    assert f[0] == -np.inf and np.all(g[0] == 0.0)
+
+
 def _lambert_w_of_exp(L):
     """W(e^L) by an independent route: scipy's ``lambertw`` of e^L up to
     L = 700, above it 30 Newton steps on w + log w = L from L - log L."""
