@@ -3,7 +3,7 @@
 Each criterion prints one PASS/FAIL line (run with ``pytest -s`` to see
 them as they complete).  The power-study criteria share module-scoped
 scenario runs; on one core of a 2-core Intel Xeon machine the whole module
-took 35 s.
+took 35 s, before criterion 4b's own runs (about 41 s more).
 """
 
 import math
@@ -191,6 +191,31 @@ def test_criterion_4_type_one_error(null_results):
         if worst > 0.08:
             ok = False
     _report("4", ok, "null rejection rates <= 0.08; " + "; ".join(details))
+
+
+def test_criterion_4b_small_n_type_one_error():
+    """Type I error at small n, with criterion 4's bound: the null cells
+    of every class at n = 10 and 20 (400 datasets, B = 99).  A dataset
+    that fails (``n_failed``) leaves the denominator: at seed 1 that is 5
+    at ``poisson-ri`` n = 10 and 1 at ``poisson`` n = 10, draws with no
+    finite MLE among the bootstrap children.  The six cells add about
+    41 s to Tier-1 on one worker (one core of a 2-core Intel Xeon)."""
+    ok = True
+    details = []
+    for model in (ModelKind.LM, ModelKind.GLM_POISSON, ModelKind.GLMM_POISSON_RI):
+        for n in (10, 20):
+            spec = ScenarioSpec(model=model, violation=Violation.NULL_OK, n=n,
+                                n_datasets=400, B=99, alpha=ALPHA,
+                                seed=STUDY_SEED)
+            res = run_scenario(spec)
+            worst_method = max(res.rates, key=res.rates.get)
+            worst = res.rates[worst_method]
+            details.append(f"{model.value} n={n}: max {worst:.3f} "
+                           f"({worst_method}), n_failed {res.n_failed}")
+            if worst > 0.08:
+                ok = False
+    _report("4b", ok, "small-n null rejection rates <= 0.08; "
+            + "; ".join(details))
 
 
 # ------------------------------------------------------------------ #
