@@ -149,7 +149,8 @@ class FittedModel:
     sigma: Optional[float] = None   # residual sd, LM only
     omega: Optional[float] = None   # random-intercept sd, GLMM only
     degenerate: bool = False        # LM fit with zero residual variance
-    boundary_omega: bool = False    # GLMM omega pinned at the optimizer floor
+    boundary_omega: bool = False    # GLMM omega == 0: the exact GLM, whose
+                                    # bootstrap draws no intercepts
 
     def __post_init__(self):
         beta = _as_float_vector(self.beta, "beta")

@@ -19,7 +19,8 @@ its fit alone raises.
   the approximation and its exact gradient, differentiated through the
   modes and curvatures (Pinheiro & Bates 1995), for many responses at
   once.  One optimizer, :func:`glmm_rows`, runs a projected BFGS per
-  response in lockstep over a batch, after the same check: a fit starts
+  response in lockstep over a batch, in the variance omega^2 >= 0, whose
+  bound 0 is the GLM exactly, after the same check: a fit starts
   from the GLM estimates and the curvature of its own likelihood there,
   a refit from the parent fit and the curvature of the parent's.  The
   terms that depend on the response alone are computed once per batch.
@@ -55,14 +56,10 @@ _LOG_TINY = math.log(_TINY)
 # Machine epsilon, for rank tolerances as in numpy.linalg.matrix_rank.
 _EPS = np.finfo(float).eps
 
-# Bounds of the random-intercept sd, and the least sd a fit starts from:
-# below it the marginal likelihood is nearly flat in log omega.
-_OMEGA_FLOOR = 1e-6
-_OMEGA_CEIL = 1e4
-_OMEGA_START_MIN = 0.05
-_LOG_FLOOR = math.log(_OMEGA_FLOOR)
-_LOG_CEIL = math.log(_OMEGA_CEIL)
-_LOG_START_MIN = math.log(_OMEGA_START_MIN)
+# Ceiling of the random-intercept variance v = omega^2 (its floor 0 is
+# the GLM), and the v below which the likelihood is its series in v.
+_V_CEIL = 1e8
+_V_SERIES = 1e-9
 
 
 class NonConvergence(EnvdiagError):
@@ -195,7 +192,7 @@ def glmm_marginal_loglik(
     if omega == 0.0:
         return float(_poisson_loglik(y, X @ beta))
     Y = y[None, :]
-    f, _ = _glmm_objective(X, group, Y, np.append(beta, math.log(omega))[None],
+    f, _ = _glmm_objective(X, group, Y, np.append(beta, omega * omega)[None],
                            *_response_constants(group, int(group.max()) + 1, Y))
     return float(-f[0])
 
@@ -245,13 +242,15 @@ def _group_modes(S: np.ndarray, E: np.ndarray, omega: np.ndarray
     S w^2 - W, W = W(e^L) the Lambert function at L = log(E w^2) + S w^2
     (Corless et al. 1996), and the curvature there is -h''(u) = E e^u + c
     = c (W + 1).  Where W > 1, where S w^2 - W can cancel, u = log W -
-    log(E w^2) instead (log W + W = L).  E = 0 gives W = 0 and u = S w^2."""
+    log(E w^2) instead (log W + W = L).  E = 0 gives W = 0 and u = S w^2;
+    so does w = 0, the GLM, with u = 0 and an infinite curvature."""
     w2 = (omega * omega)[:, None]
-    with np.errstate(divide="ignore"):    # -inf where E = 0
+    with np.errstate(divide="ignore"):    # -inf where E = 0 or w = 0
         log_Ew2 = np.log(E) + np.log(w2)
-    W = _lambert_w_exp(log_Ew2 + S * w2)
+        W = _lambert_w_exp(log_Ew2 + S * w2)
+        K = (W + 1.0) / w2
     u = np.where(W > 1.0, np.log(np.maximum(W, 1.0)) - log_Ew2, S * w2 - W)
-    return u, (W + 1.0) / w2
+    return u, K
 
 
 def _response_constants(group: np.ndarray, G: int, Y: np.ndarray
@@ -265,12 +264,12 @@ def _glmm_objective(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
                     x: np.ndarray, S: np.ndarray, log_fact: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Negated adaptive Gauss-Hermite log-likelihoods and their exact
-    gradients in ``(beta, log omega)``, for R rows.
+    gradients in ``(beta, v)``, v = omega^2, for R rows.
 
     Row r has response ``Y[r]`` (R, n), its constants ``S[r]`` and
     ``log_fact[r]`` (:func:`_response_constants`) and parameters ``x[r]``
-    (R, p+1) = ``(beta, log omega)``, on the shared design ``X`` and
-    ``group``.  Group g contributes ``l_g = log int exp(h_g(t)) dt`` with
+    (R, p+1) = ``(beta, v)``, on the shared design ``X`` and ``group``.
+    Group g contributes ``l_g = log int exp(h_g(t)) dt`` with
       h_g(t) = A_g + S_g t - E_g e^t - c t^2/2 - log(w sqrt(2 pi)),
     c = 1/w^2, A_g = sum_g (y eta - log y!), approximated at the mode
     u_g (h_g'(u_g) = 0, in closed form by :func:`_group_modes`) with
@@ -281,31 +280,60 @@ def _glmm_objective(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
     log(w sqrt(2 pi))``.  Both u_g and sigma_g move with E_g and c, so
     the derivatives add their paths (implicit differentiation of
     h_g'(u_g) = 0: du/dE = -e^u/K, du/dc = -u/K) to the softmax-weighted
-    node terms.  With dl_g/dA_g = 1, the beta gradient is ``X'y +
-    X'(exp(eta) * dl/dE[group])``.  Nodes whose weight underflows to
-    zero carry no gradient, even where ``e^t`` overflows.  A row whose
-    linear predictors exceed 500 (the range exp() can take, with room),
-    or whose value is not finite (NaN where E_g = 0 and e^t overflows),
-    gets +inf and a zero gradient.
+    node terms; the derivative in log w, a sum of O(1) terms whose total
+    is O(v), is divided by 2v.  Nodes whose weight underflows to zero
+    carry no gradient, even where ``e^t`` overflows.  Below v =
+    ``_V_SERIES``, where that quotient's error (about 1e-16/v relative)
+    meets the series' O(v) one, the value is the first-order series
+    ``l_GLM + U v``, U = 1/2 sum_g [(S_g - E_g)^2 - E_g] (Dean 1992), with
+    its exact gradient: at v = 0, the Poisson log-likelihood, its score
+    and U.  With dl_g/dA_g = 1, the beta gradient is ``X'y +
+    X'(exp(eta) * dl/dE[group])``.  A row whose linear predictors exceed
+    500 (the range exp() can take, with room), or whose value is not
+    finite, gets +inf and a zero gradient.
     """
     f = np.full(x.shape[0], np.inf)
     g = np.zeros(x.shape)
+
+    def store(rows, value, Y, mu, dl_dE, dl_dv):
+        """Scatter finite log-likelihoods and their gradients to ``rows``."""
+        W = Y + mu * dl_dE[:, group]
+        f[rows] = -value
+        g[rows, :-1] = -(W[:, None, :] * X.T).sum(axis=2)
+        g[rows, -1] = -dl_dv
+
     eta = _rows_eta(X, x[:, :-1])
     rows = np.flatnonzero(eta.max(axis=1) <= 500.0)
     if rows.size < x.shape[0]:
         x, Y, eta, S, log_fact = (a[rows] for a in (x, Y, eta, S, log_fact))
-    omega = np.exp(x[:, -1])
+    v = x[:, -1]
     G = S.shape[1]
     mu = np.exp(eta)
     E = _group_sums(group, G, mu)
+    near = v < _V_SERIES
+    if near.any():
+        vn, D = v[near], S[near] - E[near]
+        # (S_g - E_g)^2 overflows only at means far beyond any optimum,
+        # where U = inf and the value is not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            U = 0.5 * (D * D - E[near]).sum(axis=1)
+            value = _poisson_loglik(Y[near], eta[near]) + U * vn
+        ok = np.isfinite(value)
+        i = np.flatnonzero(near)[ok]
+        store(rows[i], value[ok], Y[i], mu[i],
+              -1.0 - vn[ok, None] * (D[ok] + 0.5), U[ok])
+        far = ~near
+        rows, v, Y, eta, mu, S, E, log_fact = (
+            a[far] for a in (rows, v, Y, eta, mu, S, E, log_fact))
+        if rows.size == 0:
+            return f, g
 
+    omega = np.sqrt(v)
     u, K = _group_modes(S, E, omega)
-    c = 1.0 / (omega * omega)
+    c = 1.0 / v
     sig = 1.0 / np.sqrt(K)
     t = u[:, :, None] + sig[:, :, None] * _GH_Z
-    # e^t overflows only at nodes whose weight underflows, and K * K
-    # only where the derivatives it divides are 0 to double precision,
-    # which the quotients then give
+    # e^t overflows only at nodes whose weight underflows
     with np.errstate(over="ignore"):
         et = np.exp(t)
         # E_g e^t = 0 * inf, NaN, where E_g = 0 and e^t overflows; where
@@ -324,9 +352,9 @@ def _glmm_objective(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
         ok = np.isfinite(value)
         if not ok.all():
             rows = rows[ok]
-            value, c, Y, mu, S, E, u, K, sig, t, et, p, total = (
-                a[ok] for a in (value, c, Y, mu, S, E, u, K, sig, t, et, p,
-                                total))
+            value, v, c, Y, mu, S, E, u, K, sig, t, et, p, total = (
+                a[ok] for a in (value, v, c, Y, mu, S, E, u, K, sig, t, et,
+                                p, total))
         c = c[:, None]
 
         p /= total[:, :, None]
@@ -342,15 +370,12 @@ def _glmm_objective(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
         du_dE = -eu / K
         dlogsig_dE = -0.5 * eu * c / (K * K)
         dl_dE = (-p_et + du_dE * p_dh + sig * dlogsig_dE * p_dhz + dlogsig_dE)
-        # log omega: dc = -2c, dh/d log w = c t^2 - 1 at fixed t
+        # log w: dc = -2c, dh/d log w = c t^2 - 1 at fixed t
         du_ds = 2.0 * c * u / K
         dlogsig_ds = c * (1.0 - E * eu * u / K) / K
         dl_ds = (c * p_t2 - 1.0 + du_ds * p_dh + sig * dlogsig_ds * p_dhz
                  + dlogsig_ds)
-    W = Y + mu * dl_dE[:, group]
-    f[rows] = -value
-    g[rows, :-1] = -(W[:, None, :] * X.T).sum(axis=2)
-    g[rows, -1] = -dl_ds.sum(axis=1)
+    store(rows, value, Y, mu, dl_dE, dl_ds.sum(axis=1) / (2.0 * v))
     return f, g
 
 
@@ -395,12 +420,12 @@ def fit_rows(kind: ModelKind, d: Dataset, Y: np.ndarray,
     finite estimate fail with its error and no kernel sees them.
     ``poisson`` rows go to :func:`glm_rows`.  ``poisson-ri`` needs
     grouping labels (ValueError otherwise), and its rows go to
-    :func:`glmm_rows`: from the parent fit ``start`` if one is given (its
-    ``(beta, log omega)``, omega clamped to [0.05, 3], and the inverse
-    Hessian of :func:`_refit_start`, the same for every row), else from
-    each row's GLM fit, whose failure is the row's, a moment guess for
-    omega and the inverse Hessian of the row's own likelihood there.
-    Only ``poisson-ri`` reads ``start``.
+    :func:`glmm_rows`: from the parent fit ``start`` if one is given
+    (:func:`_refit_start`, the same for every row), else from each row's
+    GLM fit, whose failure is the row's, a moment guess for v = omega^2
+    and the inverse Hessian of the row's own likelihood there.  A fresh
+    row returns the better of its optimum and that GLM fit, which is the
+    model at omega = 0 exactly.  Only ``poisson-ri`` reads ``start``.
     """
     X = d.X
     if kind is ModelKind.LM:
@@ -414,15 +439,20 @@ def fit_rows(kind: ModelKind, d: Dataset, Y: np.ndarray,
         if kind is ModelKind.GLM_POISSON:
             return glm
         errors = glm.errors
-        x0 = np.column_stack([glm.beta, _moment_log_omega(d.group, Y,
-                                                          glm.eta)])
+        x0 = np.column_stack([glm.beta, _moment_variance(d.group, Y,
+                                                         glm.eta)])
         H0 = None
     else:
         x_start, H0 = _refit_start(start)
         x0 = np.tile(x_start, (Y.shape[0], 1))
-    return _on_live_rows(
+    fits = _on_live_rows(
         Y, p, errors,
         lambda live: glmm_rows(X, d.group, Y[live], x0[live], H0))
+    if start is None:
+        glm_better = glm.loglik >= fits.loglik
+        for whole, limit in zip(fits[:4], glm[:4]):
+            whole[glm_better] = limit[glm_better]
+    return fits
 
 
 def _on_live_rows(Y: np.ndarray, p: int, errors: dict[int, EnvdiagError],
@@ -620,37 +650,66 @@ def glm_rows(X: np.ndarray, Y: np.ndarray) -> Fits:
     return Fits(beta, eta, _poisson_loglik(Y, eta), np.zeros(R), errors)
 
 
-def _log_omega_start(omega: float) -> float:
-    # away from the floor, where the omega gradient vanishes
-    return math.log(min(max(omega, _OMEGA_START_MIN), 3.0))
-
-
-def _moment_log_omega(group: np.ndarray, Y: np.ndarray,
-                      eta: np.ndarray) -> np.ndarray:
-    """Start of log omega for every row of ``Y`` (R, n), given its GLM
-    linear predictors ``eta``: the sd of the groups' log ratios of
-    observed to fitted totals, clamped as :func:`_log_omega_start`."""
-    G = int(group.max()) + 1
-    S = _group_sums(group, G, Y)
-    E = _group_sums(group, G, np.exp(eta))
-    u_hat = np.log((S + 0.5) / (E + 0.5))
-    omega0 = (np.std(u_hat, axis=1, ddof=1) if G > 1
-              else np.full(Y.shape[0], 0.5))
-    return np.array([_log_omega_start(float(w)) for w in omega0])
-
-
-# Central-difference step in (beta, log omega) of the curvature start,
-# and the least ratio of its smallest to largest eigenvalue.
+# Central-difference step of the curvature start in the optimizer's
+# coordinates (beta, w), and the least ratio of its smallest to largest
+# eigenvalue.
 _CURV_STEP = 1e-4
 _CURV_RCOND = 1e-8
 
 
-def _curvature_start(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
-                     x0: np.ndarray, S: np.ndarray, log_fact: np.ndarray
+def _moment_variance(group: np.ndarray, Y: np.ndarray,
+                     eta: np.ndarray) -> np.ndarray:
+    """Start of v for every row of ``Y`` (R, n), given its GLM linear
+    predictors ``eta``: the variance of the groups' log ratios of observed
+    to fitted totals (0.25 for one group)."""
+    G = int(group.max()) + 1
+    S = _group_sums(group, G, Y)
+    E = _group_sums(group, G, np.exp(eta))
+    u_hat = np.log((S + 0.5) / (E + 0.5))
+    return (np.var(u_hat, axis=1, ddof=1) if G > 1
+            else np.full(Y.shape[0], 0.25))
+
+
+def _in_w(X: np.ndarray, group: np.ndarray, Y: np.ndarray, x0: np.ndarray
+          ) -> tuple[np.ndarray, np.ndarray, Callable]:
+    """The rows of ``Y`` (R, n) in the optimizer's coordinates (beta, w),
+    w = log(1 + v / a): their starts (R, q) from ``x0`` = ``(beta, v)``,
+    their scales a (R,), and ``evaluate(rows, z)``, the objective and
+    gradient of :func:`_glmm_objective` of the rows ``rows`` at z.
+
+    a = G / sum exp(X beta0), one over the start's mean expected group
+    total.  A group total has variance E_g + E_g^2 v to first order, so
+    the information on v falls like 1/(v + a)^2: nearly constant in w,
+    it changes by orders of magnitude in v between 0 and an interior
+    optimum.  w = 0 is v = 0 exactly, and dv/dw = v + a.  A start of w
+    is kept in [``_CURV_STEP``, log(1 + 9/a)] (omega at most 3), so that
+    the curvature start differences inside the bound.
+    """
+    G = int(group.max()) + 1
+    S, log_fact = _response_constants(group, G, Y)
+    a = G / np.exp(_rows_eta(X, x0[:, :-1])).sum(axis=1)
+    z0 = np.array(x0, dtype=float)
+    z0[:, -1] = np.clip(np.log1p(x0[:, -1] / a), _CURV_STEP,
+                        np.log1p(9.0 / a))
+
+    def evaluate(rows, z):
+        ar = a[rows]
+        v = ar * np.expm1(z[:, -1])
+        f, g = _glmm_objective(X, group, Y[rows],
+                               np.column_stack([z[:, :-1], v]), S[rows],
+                               log_fact[rows])
+        g[:, -1] *= v + ar
+        return f, g
+
+    return z0, a, evaluate
+
+
+def _curvature_start(evaluate: Callable, x0: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Objective and gradient (:func:`_glmm_objective`) of the rows of
-    ``Y`` at their starts ``x0`` (R, q), and an inverse Hessian (R, q, q)
-    of each row's objective there.
+    """Objective and gradient of R rows at their starts ``x0`` (R, q),
+    and an inverse Hessian (R, q, q) of each row's objective there;
+    ``evaluate(rows, x)`` is the objective of the rows ``rows`` at ``x``
+    (:func:`_in_w`).
 
     Row r's Hessian comes from central differences of the exact gradient
     of its own objective around ``x0[r]``, symmetrized.  Its inverse is
@@ -665,7 +724,7 @@ def _curvature_start(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
     rows = np.concatenate([np.arange(R), np.repeat(np.arange(R), 2 * q)])
     pts = np.concatenate([x0, (x0[:, None, :] + _CURV_STEP * np.vstack(
         [np.eye(q), -np.eye(q)])).reshape(-1, q)])
-    f, g = _glmm_objective(X, group, Y[rows], pts, S[rows], log_fact[rows])
+    f, g = evaluate(rows, pts)
     fd, gd = f[R:].reshape(R, 2 * q), g[R:].reshape(R, 2 * q, q)
     hess = (gd[:, :q] - gd[:, q:]) / (2.0 * _CURV_STEP)
     hess = 0.5 * (hess + np.swapaxes(hess, 1, 2))
@@ -683,187 +742,155 @@ def _curvature_start(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
 
 def _refit_start(m: FittedModel) -> tuple[np.ndarray, np.ndarray]:
     """Start of every ``poisson-ri`` refit of the parent ``m``: its
-    ``(beta, log omega)``, omega clamped to [0.05, 3], and the inverse
-    Hessian (q, q) of :func:`_curvature_start` of the parent's own
-    likelihood there (0 where it is not positive definite).  Both depend
-    on ``m`` alone, so every row of a batch starts alike.
+    ``(beta, v)``, v = omega^2, and the inverse Hessian (q, q) of
+    :func:`_curvature_start` of the parent's own likelihood at its
+    optimizer start (:func:`_in_w`, so a parent at omega = 0, the exact
+    GLM, starts its refits at w = ``_CURV_STEP``).  Both depend on ``m``
+    alone, so every row of a batch starts alike.
     """
     d = m.dataset
-    x0 = np.append(m.beta, _log_omega_start(m.omega))
-    y = d.y[None, :]
-    H0 = _curvature_start(d.X, d.group, y, x0[None, :],
-                          *_response_constants(d.group, d.n_groups, y))[2]
-    return x0, H0[0]
+    x0 = np.append(m.beta, m.omega * m.omega)
+    z0, _, evaluate = _in_w(d.X, d.group, d.y[None, :], x0[None, :])
+    return x0, _curvature_start(evaluate, z0)[2][0]
 
 
 def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
               x0: np.ndarray, H0: Optional[np.ndarray] = None) -> Fits:
     """Maximize the marginal likelihood of every row of ``Y`` in lockstep.
 
-    One projected BFGS per row over ``(beta, log omega)``, started at
-    ``x0`` (R, p+1), each with its own inverse-Hessian approximation;
-    every iteration evaluates the batched kernel on all rows still
-    moving, once per trial step of a backtracking line search: a row's
-    search ends at its first trial that decreases the objective
-    sufficiently (Armijo), and a trial that does not is cut back by
-    quadratic interpolation to [0.1, 0.5] of its step, for at most 30
-    trials.  A step with s'y not positive leaves the row's inverse
-    Hessian as it is (Nocedal & Wright 2006, sections 3.1 and 6.1).  Row r
-    starts from the inverse Hessian ``H0[r]``, ``H0`` broadcast to
-    (R, q, q) (a refit passes its parent's, :func:`_refit_start`), or, if
-    ``H0`` is None, from the curvature of its own objective at ``x0[r]``
-    (:func:`_curvature_start`, in the same kernel call as the start), with
-    a unit step.  A row whose inverse Hessian is 0 (not positive
-    definite) starts from the identity with a step of length at most 1; a
-    failed line search restarts the row from the identity.  ``log omega``
-    is kept in [log 1e-6, log 1e4]: at a bound with the gradient pointing
-    out, it is held fixed.  A row stops when the relative reduction of
-    its objective is at most 1e-9 or its projected gradient at most
-    1e-7, and is then frozen.  A row
-    that finds no finite optimum within 200 iterations fails with
-    :class:`NonConvergence`.  The scale is omega.
+    One projected BFGS per row over ``(beta, w)``, w = log(1 + v / a),
+    v = omega^2 (:func:`_in_w`), started at ``x0`` (R, p+1) = ``(beta,
+    v)``, each with its own inverse-Hessian approximation; every
+    iteration evaluates the batched kernel on all rows still moving,
+    once per trial step of a backtracking line search: a row's search
+    ends at its first trial that decreases the objective sufficiently
+    (Armijo), and a trial that does not is cut back by quadratic
+    interpolation to [0.1, 0.5] of its step, for at most 30 trials.  A
+    step with s'y not positive leaves the row's inverse Hessian as it is
+    (Nocedal & Wright 2006, sections 3.1 and 6.1).  Row r starts from
+    the inverse Hessian ``H0[r]`` in those coordinates, ``H0`` broadcast
+    to (R, q, q) (a refit passes its parent's, :func:`_refit_start`), or,
+    if ``H0`` is None, from the curvature of its own objective at its
+    start (:func:`_curvature_start`, in the same kernel call as the
+    start), with a unit step.  A row whose inverse Hessian is 0 (not
+    positive definite) starts from the identity with a step of length at
+    most 1; a failed line search restarts the row from the identity.
 
-    Below omega = 0.05 the objective flattens like omega^2 (Self & Liang
-    1987), so a quasi-Newton step moves log omega by only about 0.5 and
-    the relative-reduction stop can fire far from the optimum in log
-    omega.  So a line search from below 0.05 whose direction lowers log
-    omega tries its first step with log omega at the floor instead.  That
-    trial stands, ending the search, only if it decreases the objective
-    sufficiently over its real displacement and the omega gradient there
-    still pulls omega down (the floor is a KKT point along omega); else
-    the same step is tried without the floor.  A row that stops below
-    0.05 is tried at the floor if its gradient still pulls omega down,
-    and at 0.05 if it pulls omega up (one evaluation for all of them);
-    where that is no worse, the row continues from there.
+    Trials are projected onto v in [0, 1e8].  v is held at a bound while
+    its gradient points out, and a step that would take it below 0
+    downhill ends at 0; then beta steps by the inverse of the Hessian's
+    free block (Bertsekas 1982).  At v = 0, the exact GLM, the slope in
+    v is -U (:func:`_glmm_objective`), so a row stays there exactly when
+    U <= 0.  A row stops when the relative reduction of its objective is
+    at most 1e-9 or its projected gradient at most 1e-7, and is then
+    frozen.  A row that finds no finite optimum within 200 iterations
+    fails with :class:`NonConvergence`.  The scale is omega = sqrt(v).
     """
     R, q = x0.shape
-    S, log_fact = _response_constants(group, int(group.max()) + 1, Y)
-
-    def evaluate(rows, x):
-        return _glmm_objective(X, group, Y[rows], x, S[rows], log_fact[rows])
-
-    x = np.array(x0, dtype=float)
+    x, v_scale, evaluate = _in_w(X, group, Y, x0)
+    w_ceil = np.log1p(_V_CEIL / v_scale)
     if H0 is None:
-        f, g, H = _curvature_start(X, group, Y, x, S, log_fact)
+        f, g, H = _curvature_start(evaluate, x)
     else:
-        f, g = _glmm_objective(X, group, Y, x, S, log_fact)
+        f, g = evaluate(np.arange(R), x)
         H = np.array(np.broadcast_to(H0, (R, q, q)))
     fresh = ~H.any(axis=(1, 2))   # H holds no curvature information yet
     eye = np.eye(q)
     nit = np.zeros(R, dtype=int)
     failed = ~np.isfinite(f)
 
-    def iterate(active):
-        """BFGS iterations of the ``active`` rows until each one stops."""
-        while True:
-            # projected gradient: log omega held at a bound it is pushed past
-            held = (((x[:, -1] <= _LOG_FLOOR) & (g[:, -1] > 0.0))
-                    | ((x[:, -1] >= _LOG_CEIL) & (g[:, -1] < 0.0)))
-            pg = g.copy()
-            pg[held, -1] = 0.0
-            active &= np.abs(pg).max(axis=1) > 1e-7
-            over = active & (nit >= 2 * _MAX_ITER)
-            failed[over] = True
-            active &= ~over
-            a = np.flatnonzero(active)
-            if a.size == 0:
-                return
-            nit[a] += 1
-            ga, xa, fa = pg[a], x[a], f[a]
-            H[a[fresh[a]]] = eye
-            d = -(H[a] * ga[:, None, :]).sum(axis=2)
-            d[held[a], -1] = 0.0
-            # a unit step along -g would be arbitrarily long: length 1
-            step = np.where(fresh[a], np.minimum(1.0, 1.0 / np.sqrt(
-                (d * d).sum(axis=1))), 1.0)
-            slope = (g[a] * d).sum(axis=1)
-            # below omega = 0.05, a step that lowers log omega is first
-            # tried with log omega at the floor
-            leap = (xa[:, -1] < _LOG_START_MIN) & (d[:, -1] < 0.0)
+    active = ~failed
+    while True:
+        # projected gradient: w held at a bound it is pushed past
+        held = (((x[:, -1] <= 0.0) & (g[:, -1] > 0.0))
+                | ((x[:, -1] >= w_ceil) & (g[:, -1] < 0.0)))
+        pg = g.copy()
+        pg[held, -1] = 0.0
+        active &= np.abs(pg).max(axis=1) > 1e-7
+        over = active & (nit >= 2 * _MAX_ITER)
+        failed[over] = True
+        active &= ~over
+        a = np.flatnonzero(active)
+        if a.size == 0:
+            break
+        nit[a] += 1
+        ga, xa, fa = pg[a], x[a], f[a]
+        H[a[fresh[a]]] = eye
+        d = -(H[a] * ga[:, None, :]).sum(axis=2)
+        # a row held at a bound, or whose step would cross w = 0 downhill,
+        # steps beta by the inverse of the Hessian's free block (the Schur
+        # complement of H's w entry), and w to the bound or not at all
+        # (Bertsekas 1982)
+        lower = (ga[:, -1] > 0.0) & (xa[:, -1] + d[:, -1] < 0.0)
+        bound = lower | held[a]
+        if bound.any():
+            Hb = H[a[bound]]
+            Hb -= Hb[:, :, -1:] * Hb[:, -1:, :] / Hb[:, -1:, -1:]
+            d[bound] = -(Hb * ga[bound][:, None, :]).sum(axis=2)
+            d[bound, -1] = np.where(lower[bound], -xa[bound, -1], 0.0)
+        # a unit step along -g would be arbitrarily long: length 1
+        step = np.where(fresh[a], np.minimum(1.0, 1.0 / np.sqrt(
+            (d * d).sum(axis=1))), 1.0)
+        slope = (g[a] * d).sum(axis=1)
 
-            # backtracking line search on sufficient decrease (Armijo)
-            searching = np.ones(a.size, dtype=bool)
-            x_new, f_new, g_new = xa.copy(), fa.copy(), g[a]
-            for _ in range(30):
-                s = np.flatnonzero(searching)
-                if s.size == 0:
-                    break
-                t = step[s]
-                xt = xa[s] + t[:, None] * d[s]
-                np.minimum(np.maximum(xt[:, -1], _LOG_FLOOR), _LOG_CEIL,
-                           out=xt[:, -1])
-                jump = leap[s]
-                leap[s] = False
-                xt[jump, -1] = _LOG_FLOOR
-                ft, gt = evaluate(a[s], xt)
-                decrease = np.minimum(
-                    (g[a[s]] * (xt - xa[s])).sum(axis=1), 0.0)
-                armijo = ft <= fa[s] + 1e-4 * decrease
-                # a floor trial stands only where the floor is a KKT point
-                # along omega; otherwise the same step is tried without it
-                retry = jump & ~(armijo & (gt[:, -1] > 0.0))
-                armijo &= ~retry
-                keep = s[armijo]
-                x_new[keep], f_new[keep], g_new[keep] = (
-                    xt[armijo], ft[armijo], gt[armijo])
-                searching[keep] = False
-                long = ~armijo & ~retry
-                sl, t = s[long], t[long]
-                with np.errstate(divide="ignore", invalid="ignore",
-                                 over="ignore"):
-                    t_quad = -slope[sl] * t * t / (
-                        2.0 * (ft[long] - fa[sl] - slope[sl] * t))
-                step[sl] = np.clip(
-                    np.where(np.isfinite(t_quad), t_quad, 0.1 * t),
-                    0.1 * t, 0.5 * t)
+        # backtracking line search on sufficient decrease (Armijo)
+        searching = np.ones(a.size, dtype=bool)
+        x_new, f_new, g_new = xa.copy(), fa.copy(), g[a]
+        for _ in range(30):
+            s = np.flatnonzero(searching)
+            if s.size == 0:
+                break
+            t = step[s]
+            xt = xa[s] + t[:, None] * d[s]
+            np.clip(xt[:, -1], 0.0, w_ceil[a[s]], out=xt[:, -1])
+            ft, gt = evaluate(a[s], xt)
+            decrease = np.minimum((g[a[s]] * (xt - xa[s])).sum(axis=1), 0.0)
+            armijo = ft <= fa[s] + 1e-4 * decrease
+            keep = s[armijo]
+            x_new[keep], f_new[keep], g_new[keep] = (
+                xt[armijo], ft[armijo], gt[armijo])
+            searching[keep] = False
+            sl, t = s[~armijo], t[~armijo]
+            with np.errstate(divide="ignore", invalid="ignore",
+                             over="ignore"):
+                t_quad = -slope[sl] * t * t / (
+                    2.0 * (ft[~armijo] - fa[sl] - slope[sl] * t))
+            step[sl] = np.clip(
+                np.where(np.isfinite(t_quad), t_quad, 0.1 * t),
+                0.1 * t, 0.5 * t)
 
-            # a failed line search restarts from the steepest descent
-            # once; twice in a row, the row is as optimal as it can tell
-            active[a[searching & fresh[a]]] = False
-            fresh[a[searching]] = True
-            moved = ~searching
-            b = a[moved]
-            sv = x_new[moved] - xa[moved]
-            yv = g_new[moved] - g[b]
-            sy = (sv * yv).sum(axis=1)
-            yy = (yv * yv).sum(axis=1)
-            update = sy > _EPS * yy
-            scale = fresh[b] & update
-            H[b[scale]] = (sy[scale] / yy[scale])[:, None, None] * eye
-            fresh[b] &= ~update
-            bu, su, yu, syu = b[update], sv[update], yv[update], sy[update]
-            Hy = (H[bu] * yu[:, None, :]).sum(axis=2)
-            coef = (syu + (yu * Hy).sum(axis=1)) / (syu * syu)
-            H[bu] += (coef[:, None, None] * su[:, :, None] * su[:, None, :]
-                      - (Hy[:, :, None] * su[:, None, :]
-                         + su[:, :, None] * Hy[:, None, :])
-                      / syu[:, None, None])
-            f_old = f[b]
-            x[b], f[b], g[b] = x_new[moved], f_new[moved], g_new[moved]
-            small = (f_old - f[b]) <= _TOL * np.maximum(
-                np.maximum(np.abs(f_old), np.abs(f[b])), 1.0)
-            active[b[small]] = False
-
-    iterate(~failed)
-    below = ~failed & (x[:, -1] < _LOG_START_MIN)
-    down = below & (g[:, -1] > 0.0) & (x[:, -1] > _LOG_FLOOR)
-    up = below & (g[:, -1] < 0.0)
-    probe = np.flatnonzero(down | up)
-    if probe.size:
-        xp = x[probe].copy()
-        xp[:, -1] = np.where(down[probe], _LOG_FLOOR, _LOG_START_MIN)
-        fp, gp = evaluate(probe, xp)
-        better = fp <= f[probe]
-        w = probe[better]
-        x[w], f[w], g[w] = xp[better], fp[better], gp[better]
-        again = np.zeros(R, dtype=bool)
-        again[w] = True
-        iterate(again)
+        # a failed line search restarts from the steepest descent
+        # once; twice in a row, the row is as optimal as it can tell
+        active[a[searching & fresh[a]]] = False
+        fresh[a[searching]] = True
+        moved = ~searching
+        b = a[moved]
+        sv = x_new[moved] - xa[moved]
+        yv = g_new[moved] - g[b]
+        sy = (sv * yv).sum(axis=1)
+        yy = (yv * yv).sum(axis=1)
+        update = sy > _EPS * yy
+        scale = fresh[b] & update
+        H[b[scale]] = (sy[scale] / yy[scale])[:, None, None] * eye
+        fresh[b] &= ~update
+        bu, su, yu, syu = b[update], sv[update], yv[update], sy[update]
+        Hy = (H[bu] * yu[:, None, :]).sum(axis=2)
+        coef = (syu + (yu * Hy).sum(axis=1)) / (syu * syu)
+        H[bu] += (coef[:, None, None] * su[:, :, None] * su[:, None, :]
+                  - (Hy[:, :, None] * su[:, None, :]
+                     + su[:, :, None] * Hy[:, None, :])
+                  / syu[:, None, None])
+        f_old = f[b]
+        x[b], f[b], g[b] = x_new[moved], f_new[moved], g_new[moved]
+        small = (f_old - f[b]) <= _TOL * np.maximum(
+            np.maximum(np.abs(f_old), np.abs(f[b])), 1.0)
+        active[b[small]] = False
     beta = x[:, :-1]
     errors = {int(r): NonConvergence(
         f"quasi-Newton found no finite optimum in {2 * _MAX_ITER} "
         "iterations", beta=beta[r]) for r in np.flatnonzero(failed)}
-    return Fits(beta, _rows_eta(X, beta), -f, np.exp(x[:, -1]), errors)
+    return Fits(beta, _rows_eta(X, beta), -f,
+                np.sqrt(v_scale * np.expm1(x[:, -1])), errors)
 
 
 def _fitted(kind: ModelKind, d: Dataset, fits: Fits) -> FittedModel:
@@ -871,8 +898,8 @@ def _fitted(kind: ModelKind, d: Dataset, fits: Fits) -> FittedModel:
     :class:`FittedModel`; raises the row's error if it failed.
 
     An ``lm`` fit with sigma 0 is ``degenerate``; a ``poisson-ri`` fit
-    with omega pinned at the floor 1e-6 has ``boundary_omega`` set (the
-    model then coincides with the plain GLM up to the floor).
+    with omega = 0 has ``boundary_omega`` set: it is the exact GLM, and a
+    bootstrap from it draws no intercepts (:func:`simulate_response`).
     """
     if fits.errors:
         raise fits.errors[0]
@@ -888,7 +915,7 @@ def _fitted(kind: ModelKind, d: Dataset, fits: Fits) -> FittedModel:
         sigma=scale if lm else None,
         omega=scale if ri else None,
         degenerate=lm and scale == 0.0,
-        boundary_omega=ri and math.log(scale) <= _LOG_FLOOR + 1e-8,
+        boundary_omega=ri and scale == 0.0,
     )
 
 
@@ -935,7 +962,7 @@ def refit(m: FittedModel, y_new: np.ndarray) -> FittedModel:
     The one-row case of :func:`fit_rows` from the parent ``m``, as
     :func:`~envdiag.residuals.refit_many` runs it on many rows, so the
     two give bit-identical estimates, log-likelihoods and residuals.  A
-    random-intercept refit starts from the parent's ``(beta, log omega)``
+    random-intercept refit starts from the parent's ``(beta, omega^2)``
     instead of a fresh GLM fit.  Raises as :func:`fit_model` does.
     """
     d = Dataset(y=np.asarray(y_new, dtype=float), X=m.dataset.X,

@@ -3,7 +3,7 @@
 Each criterion prints one PASS/FAIL line (run with ``pytest -s`` to see
 them as they complete).  The power-study criteria share module-scoped
 scenario runs; on one core of a 2-core Intel Xeon machine the whole module
-took 35 s, before criterion 4b's own runs (about 41 s more).
+took 35 s, before criterion 4b's own runs (about 35 s more).
 """
 
 import math
@@ -199,7 +199,7 @@ def test_criterion_4b_small_n_type_one_error():
     that fails (``n_failed``) leaves the denominator: at seed 1 that is 5
     at ``poisson-ri`` n = 10 and 1 at ``poisson`` n = 10, draws with no
     finite MLE among the bootstrap children.  The six cells add about
-    41 s to Tier-1 on one worker (one core of a 2-core Intel Xeon)."""
+    35 s to Tier-1 on one worker (one core of a 2-core Intel Xeon)."""
     ok = True
     details = []
     for model in (ModelKind.LM, ModelKind.GLM_POISSON, ModelKind.GLMM_POISSON_RI):

@@ -226,7 +226,7 @@ def test_glmm_collapse_at_zero_omega_is_exact(rng):
 
 def _loglik_grad(x, X, Y, group):
     """Log-likelihoods (R,) and their gradients (R, p+1) of the rows of
-    ``Y`` (R, n) at ``x`` (R, p+1) = ``(beta, log omega)``: the kernel
+    ``Y`` (R, n) at ``x`` (R, p+1) = ``(beta, v)``, v = omega^2: the kernel
     :func:`fitters._glmm_objective`, negated, with the constants of
     :func:`fitters._response_constants`."""
     f, g = fitters._glmm_objective(
@@ -235,10 +235,9 @@ def _loglik_grad(x, X, Y, group):
     return -f, -g
 
 
-def _central_differences(f, theta, rel_step=1e-5):
+def _central_differences(f, theta, steps):
     grad = np.empty(theta.size)
-    for j in range(theta.size):
-        h = rel_step * max(1.0, abs(theta[j]))
+    for j, h in enumerate(steps):
         e = np.zeros(theta.size)
         e[j] = h
         grad[j] = (f(theta + e) - f(theta - e)) / (2.0 * h)
@@ -246,14 +245,19 @@ def _central_differences(f, theta, rel_step=1e-5):
 
 
 def test_glmm_gradient_matches_central_differences(rng):
-    """Exact (beta, log omega) gradient of the quadrature kernel.
+    """Exact (beta, v) gradient of the quadrature kernel.
 
     Relative error (absolute below magnitude 1) at most 1e-4 over 240
-    random points: omega free, at the floor and at the ceiling, crossed
-    with several groups, one group and single-observation groups.  At the
-    ceiling the widest nodes overflow e^t and carry zero weight.
+    random points: v free, on both sides of the series threshold
+    ``_V_SERIES`` (at half and twice it, where the v step is a quarter
+    and a half of it, so the differences stay on the point's side), and
+    at the ceiling 1e8, crossed with several groups, one group and
+    single-observation groups.  At the ceiling the widest nodes overflow
+    e^t and carry zero weight.  The value is that of
+    :func:`glmm_marginal_loglik` at omega = sqrt(v).
     """
-    log_omegas = ("free", math.log(1e-6), math.log(1e4))
+    thr = fitters._V_SERIES
+    omegas = ("free", math.sqrt(0.5 * thr), math.sqrt(2.0 * thr), 1e4)
     layouts = ("groups", "one-group", "singletons")
     points = 0
     for trial in range(240):
@@ -264,13 +268,14 @@ def test_glmm_gradient_matches_central_differences(rng):
         group = np.arange(n) % G
         X = np.column_stack([np.ones(n), rng.uniform(-1.0, 1.0, n)])
         beta = rng.uniform(-2.0, 2.0, 2)
-        log_omega = log_omegas[(trial // 3) % 3]
-        if log_omega == "free":
-            log_omega = rng.uniform(-4.0, 3.0)
+        omega = omegas[(trial // 3) % 4]
+        if omega == "free":
+            omega = math.exp(rng.uniform(-4.0, 3.0))
         eps = rng.normal(0.0, 1.0, G)[group]
         y = rng.poisson(np.exp(X @ beta + eps)).astype(float)
-        # the log omega that glmm_marginal_loglik takes of exp(log_omega)
-        theta = np.append(beta, math.log(math.exp(log_omega)))
+        theta = np.append(beta, omega * omega)
+        v_step = (0.5 * theta[-1] if theta[-1] < 4.0 * thr
+                  else 1e-5 * max(1.0, theta[-1]))
 
         def kernel(th):
             v, g = _loglik_grad(th[None, :], X, y[None, :], group)
@@ -282,14 +287,50 @@ def test_glmm_gradient_matches_central_differences(rng):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             v, grad = kernel(theta)
-        assert v == glmm_marginal_loglik(beta, math.exp(log_omega), X, y,
-                                         group)
-        fd = _central_differences(value, theta)
+        assert v == glmm_marginal_loglik(beta, omega, X, y, group)
+        fd = _central_differences(
+            value, theta, [1e-5 * max(1.0, abs(b)) for b in beta] + [v_step])
         err = np.abs(grad - fd) / np.maximum(1.0, np.abs(fd))
         assert np.all(np.isfinite(grad)) and np.all(err <= 1e-4), (
             trial, layout, theta, grad, fd)
         points += 1
     assert points == 240
+
+
+def _dean_score(X, group, y, beta):
+    """Poisson log-likelihood, score X'(y - mu) and Dean's (1992) score
+    for the random-intercept variance, U = 1/2 sum_g [(S_g - E_g)^2 -
+    E_g], at ``beta``, from plain per-group sums."""
+    eta = X @ beta
+    mu = np.exp(eta)
+    G = int(group.max()) + 1
+    S = np.array([y[group == k].sum() for k in range(G)])
+    E = np.array([mu[group == k].sum() for k in range(G)])
+    loglik = np.sum(y * eta - mu - gammaln(y + 1.0))
+    return loglik, X.T @ (y - mu), 0.5 * np.sum((S - E) ** 2 - E)
+
+
+def test_glmm_kernel_at_zero_variance_is_the_glm_and_dean_score():
+    """At v = 0 the kernel is the Poisson log-likelihood (``v ==
+    _poisson_loglik``, bit for bit), its beta gradient the score X'(y -
+    mu) and its v gradient U, on the first five glmm-refit parents and
+    their bootstrap rows, at each row's GLM fit and at the parent's
+    estimates."""
+    for dataset in range(5):
+        m, Y = _glmm_refit_batch(dataset)
+        d = m.dataset
+        Y = np.vstack([d.y, Y])
+        glm = glm_rows(d.X, Y)
+        assert not glm.errors
+        for betas in (glm.beta, np.tile(m.beta, (Y.shape[0], 1))):
+            x = np.column_stack([betas, np.zeros(Y.shape[0])])
+            value, grad = _loglik_grad(x, d.X, Y, d.group)
+            eta = fitters._rows_eta(d.X, betas)
+            assert np.array_equal(value, fitters._poisson_loglik(Y, eta))
+            for r, y in enumerate(Y):
+                _, score, U = _dean_score(d.X, d.group, y, betas[r])
+                assert np.allclose(grad[r, :-1], score, rtol=1e-12, atol=1e-12)
+                assert abs(grad[r, -1] - U) <= 1e-12 * max(1.0, abs(U))
 
 
 def _stream_fit(spec: ScenarioSpec, dataset: int):
@@ -340,11 +381,11 @@ def test_glmm_warm_refit_does_not_stop_early():
 
 
 def _lbfgsb_reference(m, y):
-    """Maximized log-likelihood of a poisson-ri refit by scipy's L-BFGS-B,
-    from the parent start, with the floor probe: the optimizer the
-    lockstep quasi-Newton replaced, kept as its reference."""
+    """Maximized log-likelihood of a poisson-ri refit by scipy's L-BFGS-B
+    over ``(beta, v)`` with v in [0, 1e8], from the parent start: the
+    optimizer the lockstep quasi-Newton replaced, kept as its
+    reference."""
     X, group = m.dataset.X, m.dataset.group
-    log_floor, log_ceil = math.log(1e-6), math.log(1e4)
     Y = y[None, :]
     S, log_fact = fitters._response_constants(group, m.dataset.n_groups, Y)
 
@@ -354,16 +395,10 @@ def _lbfgsb_reference(m, y):
             return 1e12, np.zeros(th.size)
         return f[0], g[0]
 
-    x0 = np.append(m.beta, math.log(min(max(m.omega, 0.05), 3.0)))
-    res = minimize(nll, x0, method="L-BFGS-B", jac=True,
-                   bounds=[(None, None)] * m.p + [(log_floor, log_ceil)],
+    res = minimize(nll, _refit_start(m)[0], method="L-BFGS-B", jac=True,
+                   bounds=[(None, None)] * m.p + [(0.0, 1e8)],
                    options={"maxiter": 200, "ftol": 1e-9, "gtol": 1e-7})
-    x = res.x
-    if res.jac[-1] > 0.0 and x[-1] > log_floor:
-        at_floor = np.append(x[:-1], log_floor)
-        if nll(at_floor)[0] <= res.fun:
-            x = at_floor
-    return -nll(x)[0]
+    return -res.fun
 
 
 def _glmm_refit_batch(dataset: int, B: int = 99):
@@ -375,39 +410,6 @@ def _glmm_refit_batch(dataset: int, B: int = 99):
     return m, _bootstrap_draws(m, boot_seed, B - 1)
 
 
-def test_glmm_refit_many_reaches_lbfgsb_optimum():
-    """On the first five datasets of the glmm-refit stream, every row's
-    maximized log-likelihood is at least the L-BFGS-B value - 1e-6."""
-    worst = math.inf
-    for dataset in range(5):
-        m, Y = _glmm_refit_batch(dataset)
-        _, logliks, failed = refit_many(m, Y)
-        assert not failed.any()
-        for r, y in enumerate(Y):
-            worst = min(worst, logliks[r] - _lbfgsb_reference(m, y))
-    assert worst >= -1e-6, worst
-
-
-def test_glmm_floor_step_stops_only_at_a_kkt_point():
-    """A step that lowers a small omega is first tried at the floor, and
-    that trial stands only where the omega gradient still pulls omega
-    down there.  Row 56 of dataset 14 of the glmm-refit stream (the
-    engine's one batched draw at B=99) has its optimum at omega 0.029;
-    an unconditional floor step left it at the floor, 5e-4 lower in
-    log-likelihood.  Row 3 of the same batch has its optimum at the
-    floor."""
-    spec = ScenarioSpec(model=ModelKind.GLMM_POISSON_RI,
-                        violation=Violation.NULL_OK, n=40)
-    m, boot_seed = _stream_fit(spec, 14)
-    Y = simulate_response(m, 98 + 9, np.random.default_rng(boot_seed))
-    interior = refit(m, Y[56])
-    assert not interior.boundary_omega and interior.omega > 0.02
-    assert interior.loglik >= _lbfgsb_reference(m, Y[56]) - 1e-6
-    floor = refit(m, Y[3])
-    assert floor.boundary_omega
-    assert floor.omega == math.exp(math.log(1e-6))
-
-
 def _engine_draw(n: int, dataset: int, row: int):
     """Parent fit of a dataset of the n-point poisson-ri null stream at
     seed 1 and row ``row`` of the engine's one batched draw at B=99."""
@@ -417,40 +419,85 @@ def _engine_draw(n: int, dataset: int, row: int):
     return m, simulate_response(m, 98 + 9, np.random.default_rng(boot_seed))[row]
 
 
-def test_glmm_post_stop_probe_up_reaches_an_interior_optimum():
-    """A row that stops below omega = 0.05 with its gradient pulling omega
-    up is tried at 0.05 and continues from there.  Row 32 of dataset 22
-    of the n=20 stream has its optimum at omega 0.46 (log-likelihood
-    -13.6568201716); without that probe it stopped at omega 1.1e-4, 0.138
-    lower."""
-    m, y = _engine_draw(20, 22, 32)
-    fit = refit(m, y)
-    assert abs(fit.omega - 0.46) < 0.01, fit.omega
-    assert fit.loglik >= _lbfgsb_reference(m, y) - 1e-6
+def test_glmm_refit_many_reaches_lbfgsb_optimum():
+    """On the first five datasets of the glmm-refit stream, every row's
+    maximized log-likelihood is at least the L-BFGS-B value - 1e-6, and
+    so is every refit of the engine draws that the log-omega optimizer
+    once left short of its optimum: rows 56 (optimum at omega 0.029) and
+    3 (at omega 0) of dataset 14 of that stream, row 69 of dataset 30 of
+    the n=10 stream (at omega 0), and row 32 of dataset 22 of the n=20
+    stream (at omega 0.46, log-likelihood -13.6568201716; drawn when the
+    parent's omega sat at the log-omega floor 1e-6, so it is given here,
+    refitted from the parent at omega 0)."""
+    worst = math.inf
+    for dataset in range(5):
+        m, Y = _glmm_refit_batch(dataset)
+        _, logliks, failed = refit_many(m, Y)
+        assert not failed.any()
+        for r, y in enumerate(Y):
+            worst = min(worst, logliks[r] - _lbfgsb_reference(m, y))
+    cases = [_engine_draw(n, dataset, row)
+             for n, dataset, row in ((40, 14, 56), (40, 14, 3), (10, 30, 69))]
+    y = np.zeros(20)
+    y[[11, 15, 17, 18, 19]] = [1.0, 3.0, 4.0, 1.0, 2.0]
+    cases.append((_engine_draw(20, 22, 0)[0], y))
+    for m, y in cases:
+        worst = min(worst, refit(m, y).loglik - _lbfgsb_reference(m, y))
+    assert refit(*cases[-1]).loglik >= -13.6568201716 - 1e-9
+    assert worst >= -1e-6, worst
 
 
-def test_glmm_post_stop_probe_down_reaches_the_floor():
-    """A row that stops below omega = 0.05 with its gradient pulling omega
-    down is tried at the floor.  Row 69 of dataset 30 of the n=10 stream
-    has its optimum there; without that probe it stopped at omega 4.0e-5,
-    short of the floor."""
-    m, y = _engine_draw(10, 30, 69)
-    fit = refit(m, y)
-    assert fit.boundary_omega, fit.omega
-    assert fit.loglik >= _lbfgsb_reference(m, y) - 1e-6
+def test_glmm_refit_rows_at_zero_variance_are_kkt_points():
+    """v = 0 is a KKT point of a refit exactly when U <= 0 at the row's
+    GLM fit, U Dean's score (the slope of the log-likelihood in v there).
+    Of the engine draws of dataset 0 of the n=10 poisson-ri null stream
+    (B=99), every row that ends at omega = 0 has U <= 0, and none ends
+    below its GLM log-likelihood; rows end on both sides of the bound."""
+    spec = ScenarioSpec(model=ModelKind.GLMM_POISSON_RI,
+                        violation=Violation.NULL_OK, n=10)
+    m, boot_seed = _stream_fit(spec, 0)
+    d = m.dataset
+    Y = simulate_response(m, 98 + 9, np.random.default_rng(boot_seed))
+    fits = fit_rows(spec.model, d, Y, start=m)
+    glm = fit_rows(ModelKind.GLM_POISSON, d, Y)
+    ok = ~fits.failed & ~glm.failed
+    assert np.array_equal(fits.failed, glm.failed)
+    at_zero = ok & (fits.scale == 0.0)
+    assert 10 <= at_zero.sum() <= ok.sum() - 10
+    for r in np.flatnonzero(ok):
+        U = _dean_score(d.X, d.group, Y[r], glm.beta[r])[2]
+        assert not (at_zero[r] and U > 0.0), (r, U)
+        assert fits.loglik[r] >= glm.loglik[r] - 1e-9, r
+
+
+def test_glmm_fit_is_at_least_its_glm_fit():
+    """A fresh fit returns the better of its optimum and its GLM start,
+    the model at omega = 0.  The observed fit of dataset 6 of the n=10
+    poisson-ri null stream ended 0.0146 below its GLM log-likelihood, at
+    omega 0.722, under the log-omega optimizer; it is now the GLM fit."""
+    spec = ScenarioSpec(model=ModelKind.GLMM_POISSON_RI,
+                        violation=Violation.NULL_OK, n=10)
+    m, _ = _stream_fit(spec, 6)
+    glm = fit_model(Dataset(y=m.dataset.y, X=m.dataset.X),
+                    ModelKind.GLM_POISSON)
+    assert m.loglik >= glm.loglik
+    assert m.boundary_omega and m.omega == 0.0
+    assert np.array_equal(m.beta, glm.beta)
 
 
 def test_glmm_line_search_ends_at_its_first_sufficient_decrease(monkeypatch):
-    """Row 52 of dataset 9 of the n=10 poisson-ri null stream (the
-    engine's one batched draw at B=99) converges at the omega floor, where
-    its objective changes only by rounding.  A weak Wolfe search there
-    grew and bisected its steps for a whole 30 trials (37 kernel calls in
-    all); a search that ends at the first sufficient decrease refits it in
-    at most 20, to the same optimum."""
+    """A refit of dataset 9 of the n=10 poisson-ri null stream whose
+    optimum is at omega 0 (row 52 of the engine's one batched draw at
+    B=99 when the parent's omega sat at the log-omega fit's floor 1e-6;
+    the parent is now at omega 0 and draws no intercepts, so the response
+    is given here).  A weak Wolfe search at that floor grew and bisected
+    its steps for a whole 30 trials (37 kernel calls in all); a search
+    that ends at the first sufficient decrease refits it in at most 20,
+    to the same optimum."""
     spec = ScenarioSpec(model=ModelKind.GLMM_POISSON_RI,
                         violation=Violation.NULL_OK, n=10)
-    m, boot_seed = _stream_fit(spec, 9)
-    Y = simulate_response(m, 98 + 9, np.random.default_rng(boot_seed))
+    m, _ = _stream_fit(spec, 9)
+    y = np.array([1.0, 1.0, 0.0, 1.0, 2.0, 1.0, 3.0, 5.0, 5.0, 8.0])
     calls = []
 
     objective = fitters._glmm_objective
@@ -460,7 +507,7 @@ def test_glmm_line_search_ends_at_its_first_sufficient_decrease(monkeypatch):
         return objective(*args)
 
     monkeypatch.setattr(fitters, "_glmm_objective", counted)
-    fit = refit(m, Y[52])
+    fit = refit(m, y)
     assert len(calls) <= 20, len(calls)
     assert fit.boundary_omega
     assert abs(fit.loglik - (-14.040167544694384)) <= 1e-9, fit.loglik
@@ -481,9 +528,9 @@ def test_glmm_failed_line_search_restarts_once_then_stops(monkeypatch):
     plain = glmm_rows(d.X, d.group, Y, X0, H0)
     target = 2
     objective = fitters._glmm_objective
-    y = Y[target:target + 1]
-    f0, g0 = objective(d.X, d.group, y, x0[None, :],
-                       *fitters._response_constants(d.group, d.n_groups, y))
+    # the optimizer's coordinates (beta, w), w = log(1 + v / a)
+    z0, scale, evaluate = fitters._in_w(d.X, d.group, Y, X0)
+    f0, g0 = evaluate(np.array([target]), z0[target:target + 1])
     assert plain.loglik[target] + f0[0] < 1e3
     calls, trials = [], []
 
@@ -493,7 +540,9 @@ def test_glmm_failed_line_search_restarts_once_then_stops(monkeypatch):
         if calls and row.any():     # the first call evaluates the starts
             f = f.copy()
             f[row] += 1e3
-            trials.append(x[row][0] - x0)
+            z = x[row][0].copy()
+            z[-1] = np.log1p(z[-1] / scale[target])
+            trials.append(z - z0[target])
         calls.append(1)
         return f, g
 
@@ -501,8 +550,7 @@ def test_glmm_failed_line_search_restarts_once_then_stops(monkeypatch):
     fits = glmm_rows(d.X, d.group, Y, X0, H0)
     assert not fits.errors
     # 30 trials along the parent's quasi-Newton direction, then 30 along
-    # the steepest descent, and no more (this row gets no post-stop probe:
-    # omega is above 0.05 and its gradient pulls omega up)
+    # the steepest descent, and no more
     assert len(trials) == 60
     assert np.allclose(trials[0], -H0 @ g0[0], rtol=1e-12, atol=0.0)
     assert np.allclose(trials[30], -g0[0] / np.linalg.norm(g0[0]),
@@ -521,7 +569,7 @@ def test_glmm_objective_rows_out_of_range_alone():
     without it, bit for bit."""
     m, Y = _glmm_refit_batch(0, B=4)
     d = m.dataset
-    x = np.tile(np.append(m.beta, math.log(m.omega)), (3, 1))
+    x = np.tile(np.append(m.beta, m.omega ** 2), (3, 1))
     x[1, 0] = 600.0
     S, log_fact = fitters._response_constants(d.group, d.n_groups, Y)
     f, g = fitters._glmm_objective(d.X, d.group, Y, x, S, log_fact)
@@ -553,21 +601,30 @@ def test_glmm_refit_kernel_calls_per_batch(monkeypatch):
 
 
 def test_glmm_kernel_does_not_overflow_where_the_curvature_does():
-    """At omega = 1e-6 and linear predictors up to 444.5 (inside the
-    optimizer's eta <= 500 guard, so it evaluates such trials), K_g^2
-    overflows; the derivative it divides is 0 and no warning is raised."""
+    """At linear predictors up to 444.5 (inside the optimizer's eta <= 500
+    guard, so it evaluates such trials), K_g^2 overflowed at omega = 1e-6,
+    the floor of the log-omega fit.  At the least v of the quadrature,
+    ``_V_SERIES``, K_g is below 1e12, and value and gradient are finite.
+    Below it (v = 1e-12, omega = 1e-6) the kernel is its series about v =
+    0, whose slope U overflows with E_g near 1e193: the value is not
+    finite and the gradient 0.  Neither raises a warning."""
     n = 40
     X = np.column_stack([np.ones(n), (np.arange(n) + 0.5) / n])
     y = np.array([0, 0, 0, 0, 0, 2, 0, 0, 0, 1, 2, 1, 0, 1, 0, 1, 1, 2, 0,
                   1, 2, 2, 0, 3, 2, 2, 3, 2, 2, 5, 7, 4, 8, 5, 7, 13, 5, 15,
                   11, 10], dtype=float)
     beta = np.array([444.81024154, -24.38388091])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        value = glmm_marginal_loglik(beta, 1e-6, X, y, np.arange(n) % 5)
-        _, grad = _loglik_grad(np.append(beta, math.log(1e-6))[None, :], X,
-                               y[None, :], np.arange(n) % 5)
-    assert np.isfinite(value) and np.all(np.isfinite(grad))
+    for v in (fitters._V_SERIES, 1e-12):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            value = glmm_marginal_loglik(beta, math.sqrt(v), X, y,
+                                         np.arange(n) % 5)
+            _, grad = _loglik_grad(np.append(beta, v)[None, :], X,
+                                   y[None, :], np.arange(n) % 5)
+        if v >= fitters._V_SERIES:
+            assert np.isfinite(value) and np.all(np.isfinite(grad))
+        else:
+            assert value == -np.inf and np.all(grad == 0.0)
 
 
 def test_glmm_mode_search_converges_where_the_exponential_dominates():
@@ -611,7 +668,7 @@ def test_glmm_underflowed_means_give_the_exact_mode_and_no_finite_value():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         u, K = fitters._group_modes(S, E, omega[:1])
-        x = np.column_stack([beta, np.log(omega)])
+        x = np.column_stack([beta, omega ** 2])
         value, grad = _loglik_grad(x, X, Y, group)
         alone = _loglik_grad(x[1:], X, Y[1:], group)
     assert np.array_equal(u, S * omega[0] ** 2)
@@ -628,7 +685,7 @@ def test_glmm_kernel_at_the_ceiling_with_every_node_overflowed():
     n = 10
     X = np.column_stack([np.ones(n), (np.arange(n) + 0.5) / n])
     y = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 2.0, 3.0, 0.0, 8.0])
-    x = np.array([[-899.3042082689942, 173.61838669034208, math.log(1e4)]])
+    x = np.array([[-899.3042082689942, 173.61838669034208, 1e8]])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         f, g = _loglik_grad(x, X, y[None, :], np.arange(n) % 5)
@@ -710,12 +767,15 @@ def test_glmm_constant_terms_outside_the_node_sums_keep_the_value():
     the log-sum-exp over the nodes.  Its value matches the in-node
     formulation to 1e-12 relative: on the first five glmm-refit parents
     and their bootstrap rows, at the parent's estimates and at each
-    row's own, and at a point with counts in the hundreds."""
+    row's own where the kernel is the quadrature (v at least
+    ``_V_SERIES``), and at a point with counts in the hundreds."""
     worst = 0.0
 
     def check(beta, omega, X, Y, group):
         nonlocal worst
-        value = _loglik_grad(np.column_stack([beta, np.log(omega)]), X, Y,
+        far = omega ** 2 >= fitters._V_SERIES
+        beta, omega, Y = beta[far], omega[far], Y[far]
+        value = _loglik_grad(np.column_stack([beta, omega ** 2]), X, Y,
                              group)[0]
         ref = _in_node_loglik(beta, omega, X, Y, group)
         worst = max(worst, np.max(np.abs(value - ref) / np.abs(ref)))
@@ -778,15 +838,20 @@ def test_glmm_fresh_rows_start_from_their_own_curvature():
     glm = glm_rows(d.X, Y)
     assert not glm.errors
     x0 = np.column_stack([glm.beta,
-                          fitters._moment_log_omega(d.group, Y, glm.eta)])
-    S, log_fact = fitters._response_constants(d.group, d.n_groups, Y)
-    f, _, H0 = fitters._curvature_start(d.X, d.group, Y, x0, S, log_fact)
+                          fitters._moment_variance(d.group, Y, glm.eta)])
+    z0, _, evaluate = fitters._in_w(d.X, d.group, Y, x0)
+    f, _, H0 = fitters._curvature_start(evaluate, z0)
     identity = ~H0.any(axis=(1, 2))
     q = x0.shape[1]
     for r in range(Y.shape[0]):
+        # the gradient in (beta, w), v = a expm1(w), a = G / sum exp(X beta)
+        a = d.n_groups / np.exp(d.X @ x0[r, :-1]).sum()
+
         def grad(th):
-            return _loglik_grad(th[None, :], d.X, Y[r:r + 1], d.group)[1][0]
-        hess = np.array([(grad(x0[r] + 1e-4 * e) - grad(x0[r] - 1e-4 * e))
+            x = np.append(th[:-1], a * np.expm1(th[-1]))
+            g = _loglik_grad(x[None, :], d.X, Y[r:r + 1], d.group)[1][0]
+            return np.append(g[:-1], g[-1] * (x[-1] + a))
+        hess = np.array([(grad(z0[r] + 1e-4 * e) - grad(z0[r] - 1e-4 * e))
                          / 2e-4 for e in np.eye(q)])
         lam = np.linalg.eigvalsh(-0.5 * (hess + hess.T))
         assert identity[r] == (lam[0] <= 1e-8 * lam[-1]), (r, lam)
@@ -814,7 +879,8 @@ def test_glmm_fresh_rows_start_from_their_own_curvature():
 def test_glmm_refit_all_zero_response_raises_separation():
     """An all-zero response has its estimate on the boundary, as the GLM
     start used to report; so the replaced bootstrap draws of a sparse
-    random-intercept model are exactly its all-zero draws."""
+    random-intercept model are exactly its draws without a finite MLE,
+    its all-zero draws among them."""
     n = 12
     X = np.column_stack([np.ones(n), np.linspace(0.0, 1.0, n)])
     d = Dataset(y=[0, 1, 0, 0, 0, 0, 1, 0, 0, 1, 0, 1], X=X,
@@ -825,9 +891,13 @@ def test_glmm_refit_all_zero_response_raises_separation():
     B, seed = 99, 4
     reps = simulate_replicates(m, B, seed)
     Y = simulate_response(m, B - 1 + int(0.1 * B), np.random.default_rng(seed))
-    zero = ~Y[:B - 1 + reps.n_failed].any(axis=1)
-    assert reps.n_failed == zero.sum() > 0
-    assert not zero[-1]  # the last row drawn on filled the last slot
+    drawn = Y[:B - 1 + reps.n_failed]
+    no_mle = fitters._no_mle_rows(X, drawn)
+    zero = np.flatnonzero(~drawn.any(axis=1))
+    assert reps.n_failed == len(no_mle) and zero.size > 0
+    assert set(zero) <= set(no_mle)
+    # the last row drawn filled the last slot
+    assert len(drawn) - 1 not in no_mle
 
 
 def test_poisson_response_without_finite_mle_raises_separation():
