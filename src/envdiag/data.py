@@ -149,8 +149,7 @@ class FittedModel:
     sigma: Optional[float] = None   # residual sd, LM only
     omega: Optional[float] = None   # random-intercept sd, GLMM only
     degenerate: bool = False        # LM fit with zero residual variance
-    boundary_omega: bool = False    # GLMM omega == 0: the exact GLM, whose
-                                    # bootstrap draws no intercepts
+    boundary_omega: bool = False    # omega == 0: the GLM, draws no intercepts
 
     def __post_init__(self):
         beta = _as_float_vector(self.beta, "beta")

@@ -19,11 +19,11 @@ its fit alone raises.
   the approximation and its exact gradient, differentiated through the
   modes and curvatures (Pinheiro & Bates 1995), for many responses at
   once.  One optimizer, :func:`glmm_rows`, runs a projected BFGS per
-  response in lockstep over a batch, in the variance omega^2 >= 0, whose
-  bound 0 is the GLM exactly, after the same check: a fit starts
-  from the GLM estimates and the curvature of its own likelihood there,
-  a refit from the parent fit and the curvature of the parent's.  The
-  terms that depend on the response alone are computed once per batch.
+  response in lockstep over a batch, in the variance omega^2 >= 0 (0 is
+  the GLM exactly), after the same check: a fit starts from the GLM
+  estimates and the curvature of its own likelihood there, a refit from
+  the parent fit and the curvature of the parent's.  The terms that
+  depend on the response alone are computed once per batch.
 
 ``fit_model`` and ``refit`` return the one row of :func:`fit_rows` as an
 immutable :class:`~envdiag.data.FittedModel`;
@@ -56,10 +56,10 @@ _LOG_TINY = math.log(_TINY)
 # Machine epsilon, for rank tolerances as in numpy.linalg.matrix_rank.
 _EPS = np.finfo(float).eps
 
-# Ceiling of the random-intercept variance v = omega^2 (its floor 0 is
-# the GLM), and the v below which the likelihood is its series in v.
+# Ceiling of the random-intercept variance v = omega^2, whose floor 0 is
+# the GLM, and the bound of the series about v = 0 (:func:`_glmm_objective`).
 _V_CEIL = 1e8
-_V_SERIES = 1e-9
+_SERIES_MAX = 3e-8
 
 
 class NonConvergence(EnvdiagError):
@@ -280,28 +280,21 @@ def _glmm_objective(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
     log(w sqrt(2 pi))``.  Both u_g and sigma_g move with E_g and c, so
     the derivatives add their paths (implicit differentiation of
     h_g'(u_g) = 0: du/dE = -e^u/K, du/dc = -u/K) to the softmax-weighted
-    node terms; the derivative in log w, a sum of O(1) terms whose total
-    is O(v), is divided by 2v.  Nodes whose weight underflows to zero
-    carry no gradient, even where ``e^t`` overflows.  Below v =
-    ``_V_SERIES``, where that quotient's error (about 1e-16/v relative)
-    meets the series' O(v) one, the value is the first-order series
+    node terms; the derivative in log w, O(1) terms summing to O(P), is
+    divided by 2v.  Nodes whose weight underflows to zero carry no
+    gradient, even where ``e^t`` overflows.  Where P = v max_g (E_g +
+    (S_g - E_g)^2) is at most ``_SERIES_MAX``, the value is the series
     ``l_GLM + U v``, U = 1/2 sum_g [(S_g - E_g)^2 - E_g] (Dean 1992), with
-    its exact gradient: at v = 0, the Poisson log-likelihood, its score
-    and U.  With dl_g/dA_g = 1, the beta gradient is ``X'y +
-    X'(exp(eta) * dl/dE[group])``.  A row whose linear predictors exceed
-    500 (the range exp() can take, with room), or whose value is not
-    finite, gets +inf and a zero gradient.
+    its exact gradient, so v = 0 gives the Poisson log-likelihood, its
+    score and U: its error, about P, and the quotient's, about 1e-14 / P
+    (relative to max(1, |U|)), are both at most about 4e-7 there.  With
+    dl_g/dA_g = 1, the beta gradient is ``X'y + X'(exp(eta) *
+    dl/dE[group])``.  A row whose linear predictors exceed 500 (the range
+    exp() can take, with room), or whose value is not finite, gets +inf
+    and a zero gradient.
     """
     f = np.full(x.shape[0], np.inf)
     g = np.zeros(x.shape)
-
-    def store(rows, value, Y, mu, dl_dE, dl_dv):
-        """Scatter finite log-likelihoods and their gradients to ``rows``."""
-        W = Y + mu * dl_dE[:, group]
-        f[rows] = -value
-        g[rows, :-1] = -(W[:, None, :] * X.T).sum(axis=2)
-        g[rows, -1] = -dl_dv
-
     eta = _rows_eta(X, x[:, :-1])
     rows = np.flatnonzero(eta.max(axis=1) <= 500.0)
     if rows.size < x.shape[0]:
@@ -310,24 +303,17 @@ def _glmm_objective(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
     G = S.shape[1]
     mu = np.exp(eta)
     E = _group_sums(group, G, mu)
-    near = v < _V_SERIES
-    if near.any():
-        vn, D = v[near], S[near] - E[near]
-        # (S_g - E_g)^2 overflows only at means far beyond any optimum,
-        # where U = inf and the value is not finite
-        with np.errstate(over="ignore", invalid="ignore"):
-            U = 0.5 * (D * D - E[near]).sum(axis=1)
-            value = _poisson_loglik(Y[near], eta[near]) + U * vn
-        ok = np.isfinite(value)
-        i = np.flatnonzero(near)[ok]
-        store(rows[i], value[ok], Y[i], mu[i],
-              -1.0 - vn[ok, None] * (D[ok] + 0.5), U[ok])
-        far = ~near
-        rows, v, Y, eta, mu, S, E, log_fact = (
-            a[far] for a in (rows, v, Y, eta, mu, S, E, log_fact))
-        if rows.size == 0:
-            return f, g
-
+    D = S - E
+    A = (Y * eta).sum(axis=1) - log_fact
+    # D_g^2 overflows only at means far beyond any optimum; there U = inf,
+    # so the row is not finite at v = 0 (0 * inf) and the quadrature's above
+    with np.errstate(over="ignore", invalid="ignore"):
+        dl_dv = 0.5 * (D * D - E).sum(axis=1)    # U
+        far = v * (D * D + E).max(axis=1) > _SERIES_MAX
+        value = A - E.sum(axis=1) + dl_dv * v
+    dl_dE = np.where(far[:, None], 0.0, -1.0 - v[:, None] * (D + 0.5))
+    q = slice(None) if far.all() else np.flatnonzero(far)
+    v, S, E = v[q], S[q], E[q]     # the quadrature's rows
     omega = np.sqrt(v)
     u, K = _group_modes(S, E, omega)
     c = 1.0 / v
@@ -346,15 +332,13 @@ def _glmm_objective(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
         total = p.sum(axis=2)
         # per group: -log(w sqrt(2 pi)), and log sqrt(2) of the nodes'
         # scale sqrt(2) sigma
-        value = ((top + np.log(total) + np.log(sig)).sum(axis=1)
-                 + (Y * eta).sum(axis=1) - log_fact
-                 - G * (np.log(omega) + 0.5 * math.log(math.pi)))
-        ok = np.isfinite(value)
+        value[q] = ((top + np.log(total) + np.log(sig)).sum(axis=1) + A[q]
+                    - G * (np.log(omega) + 0.5 * math.log(math.pi)))
+        ok = np.isfinite(value[q])
         if not ok.all():
-            rows = rows[ok]
-            value, v, c, Y, mu, S, E, u, K, sig, t, et, p, total = (
-                a[ok] for a in (value, v, c, Y, mu, S, E, u, K, sig, t, et,
-                                p, total))
+            q = np.flatnonzero(far)[ok]
+            v, c, S, E, u, K, sig, t, et, p, total = (
+                a[ok] for a in (v, c, S, E, u, K, sig, t, et, p, total))
         c = c[:, None]
 
         p /= total[:, :, None]
@@ -369,13 +353,22 @@ def _glmm_objective(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
         # d log sigma
         du_dE = -eu / K
         dlogsig_dE = -0.5 * eu * c / (K * K)
-        dl_dE = (-p_et + du_dE * p_dh + sig * dlogsig_dE * p_dhz + dlogsig_dE)
+        dl_dE[q] = (-p_et + du_dE * p_dh + sig * dlogsig_dE * p_dhz
+                    + dlogsig_dE)
         # log w: dc = -2c, dh/d log w = c t^2 - 1 at fixed t
         du_ds = 2.0 * c * u / K
         dlogsig_ds = c * (1.0 - E * eu * u / K) / K
         dl_ds = (c * p_t2 - 1.0 + du_ds * p_dh + sig * dlogsig_ds * p_dhz
                  + dlogsig_ds)
-    store(rows, value, Y, mu, dl_dE, dl_ds.sum(axis=1) / (2.0 * v))
+    dl_dv[q] = dl_ds.sum(axis=1) / (2.0 * v)
+
+    # rows not finite get +inf and 0; their dl/dE, 0 or -1, keeps W finite
+    W = Y + mu * dl_dE[:, group]
+    f[rows] = -value
+    g[rows, :-1] = -(W[:, None, :] * X.T).sum(axis=2)
+    g[rows, -1] = -dl_dv
+    bad = rows[~np.isfinite(value)]
+    f[bad], g[bad] = np.inf, 0.0
     return f, g
 
 
@@ -420,12 +413,13 @@ def fit_rows(kind: ModelKind, d: Dataset, Y: np.ndarray,
     finite estimate fail with its error and no kernel sees them.
     ``poisson`` rows go to :func:`glm_rows`.  ``poisson-ri`` needs
     grouping labels (ValueError otherwise), and its rows go to
-    :func:`glmm_rows`: from the parent fit ``start`` if one is given
-    (:func:`_refit_start`, the same for every row), else from each row's
-    GLM fit, whose failure is the row's, a moment guess for v = omega^2
-    and the inverse Hessian of the row's own likelihood there.  A fresh
-    row returns the better of its optimum and that GLM fit, which is the
-    model at omega = 0 exactly.  Only ``poisson-ri`` reads ``start``.
+    :func:`glmm_rows`: a refit from the estimates and inverse Hessian
+    (:func:`_parent_curvature`) of the parent fit ``start``; a fit, and a
+    refit of a parent at omega = 0 (the exact GLM, whose bootstrap draws
+    no intercepts: it says nothing of where v lies), from each row's GLM
+    fit, whose failure is the row's, and v = 0.25 (a fit with the inverse
+    Hessian of its own likelihood there), returning the better of its
+    optimum and that GLM fit.  Only ``poisson-ri`` reads ``start``.
     """
     X = d.X
     if kind is ModelKind.LM:
@@ -434,21 +428,20 @@ def fit_rows(kind: ModelKind, d: Dataset, Y: np.ndarray,
         raise ValueError("random-intercept fit requires grouping labels")
     p = X.shape[1]
     errors = _no_mle_rows(X, Y)
-    if kind is ModelKind.GLM_POISSON or start is None:
+    glm_start = start is None or start.boundary_omega
+    if kind is ModelKind.GLM_POISSON or glm_start:
         glm = _on_live_rows(Y, p, errors, lambda live: glm_rows(X, Y[live]))
         if kind is ModelKind.GLM_POISSON:
             return glm
         errors = glm.errors
-        x0 = np.column_stack([glm.beta, _moment_variance(d.group, Y,
-                                                         glm.eta)])
-        H0 = None
+        x0 = np.column_stack([glm.beta, np.full(len(Y), 0.25)])
     else:
-        x_start, H0 = _refit_start(start)
-        x0 = np.tile(x_start, (Y.shape[0], 1))
+        x0 = np.tile(np.append(start.beta, start.omega ** 2), (len(Y), 1))
+    H0 = None if start is None else _parent_curvature(start)
     fits = _on_live_rows(
         Y, p, errors,
         lambda live: glmm_rows(X, d.group, Y[live], x0[live], H0))
-    if start is None:
+    if glm_start:
         glm_better = glm.loglik >= fits.loglik
         for whole, limit in zip(fits[:4], glm[:4]):
             whole[glm_better] = limit[glm_better]
@@ -657,33 +650,18 @@ _CURV_STEP = 1e-4
 _CURV_RCOND = 1e-8
 
 
-def _moment_variance(group: np.ndarray, Y: np.ndarray,
-                     eta: np.ndarray) -> np.ndarray:
-    """Start of v for every row of ``Y`` (R, n), given its GLM linear
-    predictors ``eta``: the variance of the groups' log ratios of observed
-    to fitted totals (0.25 for one group)."""
-    G = int(group.max()) + 1
-    S = _group_sums(group, G, Y)
-    E = _group_sums(group, G, np.exp(eta))
-    u_hat = np.log((S + 0.5) / (E + 0.5))
-    return (np.var(u_hat, axis=1, ddof=1) if G > 1
-            else np.full(Y.shape[0], 0.25))
-
-
 def _in_w(X: np.ndarray, group: np.ndarray, Y: np.ndarray, x0: np.ndarray
           ) -> tuple[np.ndarray, np.ndarray, Callable]:
     """The rows of ``Y`` (R, n) in the optimizer's coordinates (beta, w),
-    w = log(1 + v / a): their starts (R, q) from ``x0`` = ``(beta, v)``,
-    their scales a (R,), and ``evaluate(rows, z)``, the objective and
-    gradient of :func:`_glmm_objective` of the rows ``rows`` at z.
+    w = log(1 + v / a), a = G / sum exp(X beta0) per row: their starts
+    (R, q) from ``x0`` = ``(beta0, v)``, a (R,), and ``evaluate(rows,
+    z)``, :func:`_glmm_objective` of the rows ``rows`` at z.
 
-    a = G / sum exp(X beta0), one over the start's mean expected group
-    total.  A group total has variance E_g + E_g^2 v to first order, so
-    the information on v falls like 1/(v + a)^2: nearly constant in w,
-    it changes by orders of magnitude in v between 0 and an interior
-    optimum.  w = 0 is v = 0 exactly, and dv/dw = v + a.  A start of w
-    is kept in [``_CURV_STEP``, log(1 + 9/a)] (omega at most 3), so that
-    the curvature start differences inside the bound.
+    A group total has variance E_g + E_g^2 v to first order, so the
+    information on v falls like 1/(v + a)^2, nearly constant in w; w = 0
+    is v = 0 exactly.  Starts of w are kept in [``_CURV_STEP``, log(1 +
+    9/a)] (omega at most 3), where the curvature start differences
+    inside the bound.
     """
     G = int(group.max()) + 1
     S, log_fact = _response_constants(group, G, Y)
@@ -740,51 +718,47 @@ def _curvature_start(evaluate: Callable, x0: np.ndarray
     return f[:R], g[:R], H0
 
 
-def _refit_start(m: FittedModel) -> tuple[np.ndarray, np.ndarray]:
-    """Start of every ``poisson-ri`` refit of the parent ``m``: its
-    ``(beta, v)``, v = omega^2, and the inverse Hessian (q, q) of
-    :func:`_curvature_start` of the parent's own likelihood at its
-    optimizer start (:func:`_in_w`, so a parent at omega = 0, the exact
-    GLM, starts its refits at w = ``_CURV_STEP``).  Both depend on ``m``
-    alone, so every row of a batch starts alike.
-    """
+def _parent_curvature(m: FittedModel) -> np.ndarray:
+    """The inverse Hessian (q, q) of :func:`_curvature_start` of the
+    parent ``m``'s own likelihood at its optimizer start (:func:`_in_w`)
+    from ``(beta, omega^2)``, also at omega = 0, the exact GLM (whose
+    bootstrap draws no intercepts): the first of every refit of ``m``."""
     d = m.dataset
-    x0 = np.append(m.beta, m.omega * m.omega)
-    z0, _, evaluate = _in_w(d.X, d.group, d.y[None, :], x0[None, :])
-    return x0, _curvature_start(evaluate, z0)[2][0]
+    x0 = np.append(m.beta, m.omega * m.omega)[None, :]
+    z0, _, evaluate = _in_w(d.X, d.group, d.y[None, :], x0)
+    return _curvature_start(evaluate, z0)[2][0]
 
 
 def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
               x0: np.ndarray, H0: Optional[np.ndarray] = None) -> Fits:
     """Maximize the marginal likelihood of every row of ``Y`` in lockstep.
 
-    One projected BFGS per row over ``(beta, w)``, w = log(1 + v / a),
-    v = omega^2 (:func:`_in_w`), started at ``x0`` (R, p+1) = ``(beta,
-    v)``, each with its own inverse-Hessian approximation; every
-    iteration evaluates the batched kernel on all rows still moving,
-    once per trial step of a backtracking line search: a row's search
-    ends at its first trial that decreases the objective sufficiently
-    (Armijo), and a trial that does not is cut back by quadratic
-    interpolation to [0.1, 0.5] of its step, for at most 30 trials.  A
-    step with s'y not positive leaves the row's inverse Hessian as it is
-    (Nocedal & Wright 2006, sections 3.1 and 6.1).  Row r starts from
-    the inverse Hessian ``H0[r]`` in those coordinates, ``H0`` broadcast
-    to (R, q, q) (a refit passes its parent's, :func:`_refit_start`), or,
-    if ``H0`` is None, from the curvature of its own objective at its
-    start (:func:`_curvature_start`, in the same kernel call as the
-    start), with a unit step.  A row whose inverse Hessian is 0 (not
-    positive definite) starts from the identity with a step of length at
-    most 1; a failed line search restarts the row from the identity.
+    One projected BFGS per row over ``(beta, w)`` (:func:`_in_w`) from
+    ``x0`` (R, p+1) = ``(beta, v)``, v = omega^2, each with its own
+    inverse-Hessian approximation; every iteration evaluates the batched
+    kernel on all rows still moving, once per trial step of a
+    backtracking line search: a row's search ends at its first trial
+    that decreases the objective sufficiently (Armijo), and a trial that
+    does not is cut back by quadratic interpolation to [0.1, 0.5] of its
+    step, for at most 30 trials.  A step with s'y not positive leaves the
+    row's inverse Hessian as it is (Nocedal & Wright 2006, sections 3.1
+    and 6.1).  Row r starts from the inverse Hessian ``H0[r]``, ``H0``
+    broadcast to (R, q, q) (a refit passes its parent's,
+    :func:`_parent_curvature`), or, if ``H0`` is None, from the curvature
+    of its own objective at its start (:func:`_curvature_start`, in the
+    same kernel call), with a unit step.  A row whose inverse Hessian is 0
+    (not positive definite) starts from the identity with a step of
+    length at most 1; a failed line search restarts it from the identity.
 
-    Trials are projected onto v in [0, 1e8].  v is held at a bound while
-    its gradient points out, and a step that would take it below 0
-    downhill ends at 0; then beta steps by the inverse of the Hessian's
-    free block (Bertsekas 1982).  At v = 0, the exact GLM, the slope in
-    v is -U (:func:`_glmm_objective`), so a row stays there exactly when
-    U <= 0.  A row stops when the relative reduction of its objective is
-    at most 1e-9 or its projected gradient at most 1e-7, and is then
-    frozen.  A row that finds no finite optimum within 200 iterations
-    fails with :class:`NonConvergence`.  The scale is omega = sqrt(v).
+    Trials are projected onto v in [0, 1e8].  A row whose v is held at a
+    bound, its gradient pointing out, or whose step would take v below 0
+    downhill steps beta by the inverse of the Hessian's free block, and v
+    to 0 or not at all (Bertsekas 1982).  At v = 0, the exact GLM (whose
+    bootstrap draws no intercepts), the slope in v is -U, so a row stays
+    there exactly when U <= 0.  A row stops when the relative reduction of its
+    objective is at most 1e-9 or its projected gradient at most 1e-7, and
+    is then frozen; one that finds no finite optimum within 200
+    iterations fails with :class:`NonConvergence`.  The scale is omega.
     """
     R, q = x0.shape
     x, v_scale, evaluate = _in_w(X, group, Y, x0)
@@ -817,17 +791,13 @@ def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
         ga, xa, fa = pg[a], x[a], f[a]
         H[a[fresh[a]]] = eye
         d = -(H[a] * ga[:, None, :]).sum(axis=2)
-        # a row held at a bound, or whose step would cross w = 0 downhill,
-        # steps beta by the inverse of the Hessian's free block (the Schur
-        # complement of H's w entry), and w to the bound or not at all
-        # (Bertsekas 1982)
+        # the free block's inverse Hessian: the Schur complement of H's w entry
         lower = (ga[:, -1] > 0.0) & (xa[:, -1] + d[:, -1] < 0.0)
         bound = lower | held[a]
-        if bound.any():
-            Hb = H[a[bound]]
-            Hb -= Hb[:, :, -1:] * Hb[:, -1:, :] / Hb[:, -1:, -1:]
-            d[bound] = -(Hb * ga[bound][:, None, :]).sum(axis=2)
-            d[bound, -1] = np.where(lower[bound], -xa[bound, -1], 0.0)
+        Hb = H[a[bound]]
+        Hb -= Hb[:, :, -1:] * Hb[:, -1:, :] / Hb[:, -1:, -1:]
+        d[bound] = -(Hb * ga[bound][:, None, :]).sum(axis=2)
+        d[bound, -1] = np.where(lower[bound], -xa[bound, -1], 0.0)
         # a unit step along -g would be arbitrarily long: length 1
         step = np.where(fresh[a], np.minimum(1.0, 1.0 / np.sqrt(
             (d * d).sum(axis=1))), 1.0)
@@ -963,7 +933,8 @@ def refit(m: FittedModel, y_new: np.ndarray) -> FittedModel:
     :func:`~envdiag.residuals.refit_many` runs it on many rows, so the
     two give bit-identical estimates, log-likelihoods and residuals.  A
     random-intercept refit starts from the parent's ``(beta, omega^2)``
-    instead of a fresh GLM fit.  Raises as :func:`fit_model` does.
+    instead of a GLM fit, unless omega = 0.  Raises as :func:`fit_model`
+    does.
     """
     d = Dataset(y=np.asarray(y_new, dtype=float), X=m.dataset.X,
                 group=m.dataset.group)

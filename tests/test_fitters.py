@@ -24,7 +24,6 @@ from envdiag import (
 from envdiag import fitters
 from envdiag.diagnostics import simulate_replicates
 from envdiag.fitters import (
-    _refit_start,
     fit_rows,
     glm_rows,
     glmm_rows,
@@ -248,16 +247,15 @@ def test_glmm_gradient_matches_central_differences(rng):
     """Exact (beta, v) gradient of the quadrature kernel.
 
     Relative error (absolute below magnitude 1) at most 1e-4 over 240
-    random points: v free, on both sides of the series threshold
-    ``_V_SERIES`` (at half and twice it, where the v step is a quarter
-    and a half of it, so the differences stay on the point's side), and
-    at the ceiling 1e8, crossed with several groups, one group and
+    random points: v free, on both sides of the series bound P = v max_g
+    (E_g + (S_g - E_g)^2) = ``_SERIES_MAX`` (at half and twice it, where
+    the v step is 0.4 v, so the differences stay on the point's side),
+    and at the ceiling 1e8, crossed with several groups, one group and
     single-observation groups.  At the ceiling the widest nodes overflow
     e^t and carry zero weight.  The value is that of
     :func:`glmm_marginal_loglik` at omega = sqrt(v).
     """
-    thr = fitters._V_SERIES
-    omegas = ("free", math.sqrt(0.5 * thr), math.sqrt(2.0 * thr), 1e4)
+    places = ("free", 0.5, 2.0, "ceiling")    # 0.5, 2: P / _SERIES_MAX
     layouts = ("groups", "one-group", "singletons")
     points = 0
     for trial in range(240):
@@ -268,14 +266,21 @@ def test_glmm_gradient_matches_central_differences(rng):
         group = np.arange(n) % G
         X = np.column_stack([np.ones(n), rng.uniform(-1.0, 1.0, n)])
         beta = rng.uniform(-2.0, 2.0, 2)
-        omega = omegas[(trial // 3) % 4]
-        if omega == "free":
+        place = places[(trial // 3) % 4]
+        if place == "free":
             omega = math.exp(rng.uniform(-4.0, 3.0))
         eps = rng.normal(0.0, 1.0, G)[group]
         y = rng.poisson(np.exp(X @ beta + eps)).astype(float)
+        near = place in (0.5, 2.0)
+        if near:
+            S = np.bincount(group, weights=y, minlength=G)
+            E = np.bincount(group, weights=np.exp(X @ beta), minlength=G)
+            omega = math.sqrt(place * fitters._SERIES_MAX
+                              / np.max(E + (S - E) ** 2))
+        elif place == "ceiling":
+            omega = 1e4
         theta = np.append(beta, omega * omega)
-        v_step = (0.5 * theta[-1] if theta[-1] < 4.0 * thr
-                  else 1e-5 * max(1.0, theta[-1]))
+        v_step = 0.4 * theta[-1] if near else 1e-5 * max(1.0, theta[-1])
 
         def kernel(th):
             v, g = _loglik_grad(th[None, :], X, y[None, :], group)
@@ -311,10 +316,10 @@ def _dean_score(X, group, y, beta):
 
 
 def test_glmm_kernel_at_zero_variance_is_the_glm_and_dean_score():
-    """At v = 0 the kernel is the Poisson log-likelihood (``v ==
-    _poisson_loglik``, bit for bit), its beta gradient the score X'(y -
-    mu) and its v gradient U, on the first five glmm-refit parents and
-    their bootstrap rows, at each row's GLM fit and at the parent's
+    """At v = 0 the kernel is the Poisson log-likelihood
+    (``_poisson_loglik``, to rounding), its beta gradient the score
+    X'(y - mu) and its v gradient U, on the first five glmm-refit parents
+    and their bootstrap rows, at each row's GLM fit and at the parent's
     estimates."""
     for dataset in range(5):
         m, Y = _glmm_refit_batch(dataset)
@@ -326,7 +331,8 @@ def test_glmm_kernel_at_zero_variance_is_the_glm_and_dean_score():
             x = np.column_stack([betas, np.zeros(Y.shape[0])])
             value, grad = _loglik_grad(x, d.X, Y, d.group)
             eta = fitters._rows_eta(d.X, betas)
-            assert np.array_equal(value, fitters._poisson_loglik(Y, eta))
+            assert np.allclose(value, fitters._poisson_loglik(Y, eta),
+                               rtol=1e-14, atol=0.0)
             for r, y in enumerate(Y):
                 _, score, U = _dean_score(d.X, d.group, y, betas[r])
                 assert np.allclose(grad[r, :-1], score, rtol=1e-12, atol=1e-12)
@@ -365,11 +371,12 @@ def _glmm_refit_case(dataset: int, child: int, n: int = 40):
 
 
 def test_glmm_warm_refit_does_not_stop_early():
-    """Warm-started refit reaches the cold-start optimum.
+    """A refit reaches the cold-start optimum.
 
     At this child some quadrature nodes overflow e^t while their weight
     underflows; a 0 * inf in the gradient once stopped L-BFGS-B at a point
-    2.0 lower in log-likelihood.
+    2.0 lower in log-likelihood.  (The parent is now at omega = 0, so the
+    refit starts from its own GLM fit.)
     """
     m, y = _glmm_refit_case(dataset=31, child=35)
     with warnings.catch_warnings():
@@ -378,6 +385,12 @@ def test_glmm_warm_refit_does_not_stop_early():
     cold = fit_model(Dataset(y=y, X=m.dataset.X, group=m.dataset.group),
                      ModelKind.GLMM_POISSON_RI)
     assert abs(warm.loglik - cold.loglik) <= 1e-6
+
+
+def _refit_start(m):
+    """The start :func:`fit_rows` gives every refit of a parent ``m`` with
+    omega > 0: its ``(beta, omega^2)`` and inverse Hessian."""
+    return np.append(m.beta, m.omega ** 2), fitters._parent_curvature(m)
 
 
 def _lbfgsb_reference(m, y):
@@ -427,8 +440,8 @@ def test_glmm_refit_many_reaches_lbfgsb_optimum():
     3 (at omega 0) of dataset 14 of that stream, row 69 of dataset 30 of
     the n=10 stream (at omega 0), and row 32 of dataset 22 of the n=20
     stream (at omega 0.46, log-likelihood -13.6568201716; drawn when the
-    parent's omega sat at the log-omega floor 1e-6, so it is given here,
-    refitted from the parent at omega 0)."""
+    parent's omega sat at the log-omega floor 1e-6, so it is given here;
+    its parent is now at omega 0, so the refit starts from its GLM fit)."""
     worst = math.inf
     for dataset in range(5):
         m, Y = _glmm_refit_batch(dataset)
@@ -470,11 +483,37 @@ def test_glmm_refit_rows_at_zero_variance_are_kkt_points():
         assert fits.loglik[r] >= glm.loglik[r] - 1e-9, r
 
 
+def test_glmm_refit_of_a_parent_at_zero_variance_starts_from_its_glm_fit():
+    """A parent at omega = 0 is the GLM and says nothing of where v lies,
+    so each of its refits starts from its own GLM fit and v = 0.25 (with
+    the parent's inverse Hessian) and returns the better of its optimum
+    and that GLM fit.  Two responses of the n=10 poisson-ri null stream
+    whose refits from such a parent, started from its estimates at w =
+    ``_CURV_STEP``, ended at the worse of two modes: row 9 of the engine
+    draw of dataset 6 stopped at its GLM fit, a KKT point (U = -0.38),
+    0.034 below the interior mode at omega 0.51; and a response of
+    dataset 22 (row 83 drawn when its parent sat at the log-omega floor)
+    stopped at an interior optimum 0.0055 below its GLM fit."""
+    spec = ScenarioSpec(model=ModelKind.GLMM_POISSON_RI,
+                        violation=Violation.NULL_OK, n=10)
+    m6, y6 = _engine_draw(10, 6, 9)
+    m22, _ = _stream_fit(spec, 22)
+    y22 = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 3.0, 0.0, 1.0, 1.0, 3.0])
+    for m, y, best in ((m6, y6, -8.7369174579), (m22, y22, -9.6764185940)):
+        assert m.boundary_omega
+        fit = refit(m, y)
+        glm = fit_model(Dataset(y=y, X=m.dataset.X), ModelKind.GLM_POISSON)
+        assert fit.loglik >= glm.loglik
+        assert fit.loglik >= best - 1e-9, fit.loglik
+    assert refit(m6, y6).omega > 0.5
+
+
 def test_glmm_fit_is_at_least_its_glm_fit():
     """A fresh fit returns the better of its optimum and its GLM start,
     the model at omega = 0.  The observed fit of dataset 6 of the n=10
     poisson-ri null stream ended 0.0146 below its GLM log-likelihood, at
-    omega 0.722, under the log-omega optimizer; it is now the GLM fit."""
+    omega 0.722, under the log-omega optimizer; it is now at omega = 0,
+    the GLM fit."""
     spec = ScenarioSpec(model=ModelKind.GLMM_POISSON_RI,
                         violation=Violation.NULL_OK, n=10)
     m, _ = _stream_fit(spec, 6)
@@ -482,7 +521,7 @@ def test_glmm_fit_is_at_least_its_glm_fit():
                     ModelKind.GLM_POISSON)
     assert m.loglik >= glm.loglik
     assert m.boundary_omega and m.omega == 0.0
-    assert np.array_equal(m.beta, glm.beta)
+    assert np.allclose(m.beta, glm.beta, rtol=0.0, atol=1e-6)
 
 
 def test_glmm_line_search_ends_at_its_first_sufficient_decrease(monkeypatch):
@@ -490,10 +529,10 @@ def test_glmm_line_search_ends_at_its_first_sufficient_decrease(monkeypatch):
     optimum is at omega 0 (row 52 of the engine's one batched draw at
     B=99 when the parent's omega sat at the log-omega fit's floor 1e-6;
     the parent is now at omega 0 and draws no intercepts, so the response
-    is given here).  A weak Wolfe search at that floor grew and bisected
-    its steps for a whole 30 trials (37 kernel calls in all); a search
-    that ends at the first sufficient decrease refits it in at most 20,
-    to the same optimum."""
+    is given here, and the refit starts from its GLM fit).  A weak Wolfe
+    search at that floor grew and bisected its steps for a whole 30
+    trials (37 kernel calls in all); a search that ends at the first
+    sufficient decrease refits it in at most 20, to the same optimum."""
     spec = ScenarioSpec(model=ModelKind.GLMM_POISSON_RI,
                         violation=Violation.NULL_OK, n=10)
     m, _ = _stream_fit(spec, 9)
@@ -601,30 +640,46 @@ def test_glmm_refit_kernel_calls_per_batch(monkeypatch):
 
 
 def test_glmm_kernel_does_not_overflow_where_the_curvature_does():
-    """At linear predictors up to 444.5 (inside the optimizer's eta <= 500
-    guard, so it evaluates such trials), K_g^2 overflowed at omega = 1e-6,
-    the floor of the log-omega fit.  At the least v of the quadrature,
-    ``_V_SERIES``, K_g is below 1e12, and value and gradient are finite.
-    Below it (v = 1e-12, omega = 1e-6) the kernel is its series about v =
-    0, whose slope U overflows with E_g near 1e193: the value is not
-    finite and the gradient 0.  Neither raises a warning."""
+    """At omega = 1e-6 and linear predictors up to 444.5 (inside the
+    optimizer's eta <= 500 guard, so it evaluates such trials), K_g^2
+    overflows; the derivative it divides is 0 and no warning is raised.
+    There (S_g - E_g)^2 overflows too, so the point is no place for the
+    series about v = 0: the kernel is the quadrature, and finite."""
     n = 40
     X = np.column_stack([np.ones(n), (np.arange(n) + 0.5) / n])
     y = np.array([0, 0, 0, 0, 0, 2, 0, 0, 0, 1, 2, 1, 0, 1, 0, 1, 1, 2, 0,
                   1, 2, 2, 0, 3, 2, 2, 3, 2, 2, 5, 7, 4, 8, 5, 7, 13, 5, 15,
                   11, 10], dtype=float)
     beta = np.array([444.81024154, -24.38388091])
-    for v in (fitters._V_SERIES, 1e-12):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            value = glmm_marginal_loglik(beta, math.sqrt(v), X, y,
-                                         np.arange(n) % 5)
-            _, grad = _loglik_grad(np.append(beta, v)[None, :], X,
-                                   y[None, :], np.arange(n) % 5)
-        if v >= fitters._V_SERIES:
-            assert np.isfinite(value) and np.all(np.isfinite(grad))
-        else:
-            assert value == -np.inf and np.all(grad == 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        value = glmm_marginal_loglik(beta, 1e-6, X, y, np.arange(n) % 5)
+        _, grad = _loglik_grad(np.append(beta, 1e-12)[None, :], X,
+                               y[None, :], np.arange(n) % 5)
+    assert np.isfinite(value) and np.all(np.isfinite(grad))
+
+
+def test_glmm_kernel_uses_the_series_only_where_it_holds():
+    """The series l_GLM + U v about v = 0 holds while v E_g and v (S_g -
+    E_g)^2 are small, not for every small v.  At beta = (22, 0) on a
+    10-point design, E_g is about 7e9 and U v about +6.4e10 at v = 5e-10,
+    so the series would give a log-likelihood of +2.8e10; the kernel is
+    the quadrature there.  Its value is a log-probability, at most 0, and
+    at least the mean of the conditional log-likelihood over the
+    intercepts (Jensen), l_GLM - sum exp(eta) (e^(v/2) - 1)."""
+    n = 10
+    X = np.column_stack([np.ones(n), (np.arange(n) + 0.5) / n])
+    y = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 2.0, 3.0, 0.0, 8.0])
+    group = np.arange(n) % 5
+    beta = np.array([22.0, 0.0])
+    v = 5e-10
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        value = glmm_marginal_loglik(beta, math.sqrt(v), X, y, group)
+    glm, _, U = _dean_score(X, group, y, beta)
+    assert glm + U * v > 1e10
+    jensen = glm - np.exp(X @ beta).sum() * math.expm1(0.5 * v)
+    assert jensen <= value <= 0.0, (jensen, value)
 
 
 def test_glmm_mode_search_converges_where_the_exponential_dominates():
@@ -767,13 +822,18 @@ def test_glmm_constant_terms_outside_the_node_sums_keep_the_value():
     the log-sum-exp over the nodes.  Its value matches the in-node
     formulation to 1e-12 relative: on the first five glmm-refit parents
     and their bootstrap rows, at the parent's estimates and at each
-    row's own where the kernel is the quadrature (v at least
-    ``_V_SERIES``), and at a point with counts in the hundreds."""
+    row's own where the kernel is the quadrature (v max_g (E_g + (S_g -
+    E_g)^2) above ``_SERIES_MAX``), and at a point with counts in the
+    hundreds."""
     worst = 0.0
 
     def check(beta, omega, X, Y, group):
         nonlocal worst
-        far = omega ** 2 >= fitters._V_SERIES
+        G = int(group.max()) + 1
+        S = fitters._group_sums(group, G, Y)
+        E = fitters._group_sums(group, G, np.exp(fitters._rows_eta(X, beta)))
+        far = (omega ** 2 * (E + (S - E) ** 2).max(axis=1)
+               > fitters._SERIES_MAX)
         beta, omega, Y = beta[far], omega[far], Y[far]
         value = _loglik_grad(np.column_stack([beta, omega ** 2]), X, Y,
                              group)[0]
@@ -825,8 +885,8 @@ def test_glmm_fit_kernel_calls(monkeypatch):
 def test_glmm_fresh_rows_start_from_their_own_curvature():
     """Without a parent, row r of a poisson-ri batch starts from the
     inverse of the central-difference Hessian of its own objective at its
-    GLM-and-moment start, or from the identity where that Hessian is not
-    positive definite.  Dataset 7 of the glmm-refit stream has rows of
+    GLM estimates and v = 0.25, or from the identity where that Hessian
+    is not positive definite.  Dataset 7 of the glmm-refit stream has rows of
     both kinds among its engine draws; a batch of them fits each row as
     alone, as from its explicit start, and an identity row as from a zero
     ``H0``."""
@@ -837,8 +897,7 @@ def test_glmm_fresh_rows_start_from_their_own_curvature():
     Y = simulate_response(m, 98 + 9, np.random.default_rng(boot_seed))[:98]
     glm = glm_rows(d.X, Y)
     assert not glm.errors
-    x0 = np.column_stack([glm.beta,
-                          fitters._moment_variance(d.group, Y, glm.eta)])
+    x0 = np.column_stack([glm.beta, np.full(Y.shape[0], 0.25)])
     z0, _, evaluate = fitters._in_w(d.X, d.group, Y, x0)
     f, _, H0 = fitters._curvature_start(evaluate, z0)
     identity = ~H0.any(axis=(1, 2))
