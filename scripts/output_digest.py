@@ -8,8 +8,11 @@ dataset and bootstrap seeds.  Prints one digest per dataset and one over
 all of them.  Each digest covers the observed curves, the lower and upper
 bands, the envelope statistics, the p-values and reject flags of every
 plot, and the GOF p-value and flag; a dataset that fails is hashed by
-its exception class and message.  Two versions of the library whose
-digests agree produced bit-identical outputs:
+its exception class and message.  Each dataset line then gives the
+dataset's calls of the ``poisson-ri`` likelihood kernel and the rows
+they evaluated (0 for ``lm`` and ``poisson``); the ``all`` line hashes
+the digests only.  Two versions of the library whose digests agree
+produced bit-identical outputs:
 
     python3 scripts/output_digest.py --model lm --violation null --n 80 --B 199
     python3 scripts/output_digest.py --model poisson --violation mixture --n 80 --B 99
@@ -33,6 +36,7 @@ from envdiag import (  # noqa: E402
     PlotKind,
     diagnose_model,
     fit_model,
+    fitters,
 )
 from envdiag.harness import (  # noqa: E402
     ScenarioSpec,
@@ -47,6 +51,21 @@ def _update(h, *arrays) -> None:
         a = np.ascontiguousarray(a, dtype=float)
         h.update(str(a.shape).encode())
         h.update(a.tobytes())
+
+
+class KernelCount:
+    """Calls of ``fitters._glmm_objective`` and the rows they evaluated,
+    counted by rebinding the module attribute."""
+
+    def __init__(self):
+        self.calls = self.rows = 0
+        self._kernel = fitters._glmm_objective
+        fitters._glmm_objective = self
+
+    def __call__(self, X, group, Y, *rest):
+        self.calls += 1
+        self.rows += Y.shape[0]
+        return self._kernel(X, group, Y, *rest)
 
 
 def dataset_digest(spec: ScenarioSpec, index: int) -> str:
@@ -88,10 +107,12 @@ def main() -> int:
                         violation=Violation(args.violation), n=args.n,
                         n_datasets=args.datasets, B=args.B, seed=args.seed)
     total = hashlib.sha256()
+    count = KernelCount()
     for i in range(args.datasets):
+        count.calls = count.rows = 0
         digest = dataset_digest(spec, i)
         total.update(digest.encode())
-        print(f"{i} {digest}")
+        print(f"{i} {digest} {count.calls} {count.rows}")
     print(f"all {total.hexdigest()}")
     return 0
 

@@ -19,11 +19,13 @@ its fit alone raises.
   the approximation and its exact gradient, differentiated through the
   modes and curvatures (Pinheiro & Bates 1995), for many responses at
   once.  One optimizer, :func:`glmm_rows`, runs a projected BFGS per
-  response in lockstep over a batch, in the variance omega^2 >= 0 (0 is
-  the GLM exactly), after the same check: a fit starts from the GLM
-  estimates and the curvature of its own likelihood there, a refit from
-  the parent fit and the curvature of the parent's.  The terms that
-  depend on the response alone are computed once per batch.
+  response in lockstep over a batch, each kernel call taking one
+  line-search trial of every response still moving, in the variance
+  omega^2 >= 0 (0 is the GLM exactly), after the same check: a fit
+  starts from the GLM estimates and the curvature of its own likelihood
+  there, a refit from the parent fit and the curvature of the parent's.
+  The terms that depend on the response alone are computed once per
+  batch.
 
 ``fit_model`` and ``refit`` return the one row of :func:`fit_rows` as an
 immutable :class:`~envdiag.data.FittedModel`;
@@ -735,20 +737,22 @@ def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
 
     One projected BFGS per row over ``(beta, w)`` (:func:`_in_w`) from
     ``x0`` (R, p+1) = ``(beta, v)``, v = omega^2, each with its own
-    inverse-Hessian approximation; every iteration evaluates the batched
-    kernel on all rows still moving, once per trial step of a
-    backtracking line search: a row's search ends at its first trial
-    that decreases the objective sufficiently (Armijo), and a trial that
-    does not is cut back by quadratic interpolation to [0.1, 0.5] of its
-    step, for at most 30 trials.  A step with s'y not positive leaves the
-    row's inverse Hessian as it is (Nocedal & Wright 2006, sections 3.1
-    and 6.1).  Row r starts from the inverse Hessian ``H0[r]``, ``H0``
-    broadcast to (R, q, q) (a refit passes its parent's,
-    :func:`_parent_curvature`), or, if ``H0`` is None, from the curvature
-    of its own objective at its start (:func:`_curvature_start`, in the
-    same kernel call), with a unit step.  A row whose inverse Hessian is 0
-    (not positive definite) starts from the identity with a step of
-    length at most 1; a failed line search restarts it from the identity.
+    inverse-Hessian approximation and backtracking line search: a row's
+    search ends at its first trial that decreases the objective
+    sufficiently (Armijo), and a trial that does not is cut back by
+    quadratic interpolation to [0.1, 0.5] of its step, for at most 30
+    trials.  A step with s'y not positive leaves the row's inverse
+    Hessian as it is (Nocedal & Wright 2006, sections 3.1 and 6.1).
+    Every kernel call evaluates one trial of every row still moving,
+    whether it starts a search or continues one, so a batch takes as
+    many calls as its slowest row takes alone.  Row r starts from the
+    inverse Hessian ``H0[r]``, ``H0`` broadcast to (R, q, q) (a refit
+    passes its parent's, :func:`_parent_curvature`), or, if ``H0`` is
+    None, from the curvature of its own objective at its start
+    (:func:`_curvature_start`, in the same kernel call), with a unit
+    step.  A row whose inverse Hessian is 0 (not positive definite)
+    starts from the identity with a step of length at most 1; a failed
+    line search restarts it from the identity.
 
     Trials are projected onto v in [0, 1e8].  A row whose v is held at a
     bound, its gradient pointing out, or whose step would take v below 0
@@ -771,6 +775,8 @@ def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
     fresh = ~H.any(axis=(1, 2))   # H holds no curvature information yet
     eye = np.eye(q)
     nit = np.zeros(R, dtype=int)
+    tries = np.zeros(R, dtype=int)   # trials of the row's current search
+    d, t = np.zeros((R, q)), np.zeros(R)   # its direction and next step
     failed = ~np.isfinite(f)
 
     active = ~failed
@@ -780,63 +786,56 @@ def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
                 | ((x[:, -1] >= w_ceil) & (g[:, -1] < 0.0)))
         pg = g.copy()
         pg[held, -1] = 0.0
-        active &= np.abs(pg).max(axis=1) > 1e-7
-        over = active & (nit >= 2 * _MAX_ITER)
+        # a row between searches: stop tests, then its direction and step
+        new = active & (tries == 0)
+        active &= ~new | (np.abs(pg).max(axis=1) > 1e-7)
+        over = new & active & (nit >= 2 * _MAX_ITER)
         failed[over] = True
         active &= ~over
+        n = np.flatnonzero(new & active)
+        nit[n] += 1
+        H[n[fresh[n]]] = eye
+        gn, xn = pg[n], x[n]
+        d[n] = -(H[n] * gn[:, None, :]).sum(axis=2)
+        # the free block's inverse Hessian: the Schur complement of H's w entry
+        lower = (gn[:, -1] > 0.0) & (xn[:, -1] + d[n, -1] < 0.0)
+        bound = lower | held[n]
+        nb = n[bound]
+        Hb = H[nb]
+        Hb -= Hb[:, :, -1:] * Hb[:, -1:, :] / Hb[:, -1:, -1:]
+        d[nb] = -(Hb * gn[bound][:, None, :]).sum(axis=2)
+        d[nb, -1] = np.where(lower[bound], -xn[bound, -1], 0.0)
+        # a unit step along -g would be arbitrarily long: length 1
+        t[n] = np.where(fresh[n], np.minimum(1.0, 1.0 / np.sqrt(
+            (d[n] * d[n]).sum(axis=1))), 1.0)
         a = np.flatnonzero(active)
         if a.size == 0:
             break
-        nit[a] += 1
-        ga, xa, fa = pg[a], x[a], f[a]
-        H[a[fresh[a]]] = eye
-        d = -(H[a] * ga[:, None, :]).sum(axis=2)
-        # the free block's inverse Hessian: the Schur complement of H's w entry
-        lower = (ga[:, -1] > 0.0) & (xa[:, -1] + d[:, -1] < 0.0)
-        bound = lower | held[a]
-        Hb = H[a[bound]]
-        Hb -= Hb[:, :, -1:] * Hb[:, -1:, :] / Hb[:, -1:, -1:]
-        d[bound] = -(Hb * ga[bound][:, None, :]).sum(axis=2)
-        d[bound, -1] = np.where(lower[bound], -xa[bound, -1], 0.0)
-        # a unit step along -g would be arbitrarily long: length 1
-        step = np.where(fresh[a], np.minimum(1.0, 1.0 / np.sqrt(
-            (d * d).sum(axis=1))), 1.0)
-        slope = (g[a] * d).sum(axis=1)
 
-        # backtracking line search on sufficient decrease (Armijo)
-        searching = np.ones(a.size, dtype=bool)
-        x_new, f_new, g_new = xa.copy(), fa.copy(), g[a]
-        for _ in range(30):
-            s = np.flatnonzero(searching)
-            if s.size == 0:
-                break
-            t = step[s]
-            xt = xa[s] + t[:, None] * d[s]
-            np.clip(xt[:, -1], 0.0, w_ceil[a[s]], out=xt[:, -1])
-            ft, gt = evaluate(a[s], xt)
-            decrease = np.minimum((g[a[s]] * (xt - xa[s])).sum(axis=1), 0.0)
-            armijo = ft <= fa[s] + 1e-4 * decrease
-            keep = s[armijo]
-            x_new[keep], f_new[keep], g_new[keep] = (
-                xt[armijo], ft[armijo], gt[armijo])
-            searching[keep] = False
-            sl, t = s[~armijo], t[~armijo]
-            with np.errstate(divide="ignore", invalid="ignore",
-                             over="ignore"):
-                t_quad = -slope[sl] * t * t / (
-                    2.0 * (ft[~armijo] - fa[sl] - slope[sl] * t))
-            step[sl] = np.clip(
-                np.where(np.isfinite(t_quad), t_quad, 0.1 * t),
-                0.1 * t, 0.5 * t)
-
+        # one trial of every moving row, backtracking on sufficient
+        # decrease (Armijo)
+        xa, fa, ga, ta = x[a], f[a], g[a], t[a]
+        xt = xa + ta[:, None] * d[a]
+        np.clip(xt[:, -1], 0.0, w_ceil[a], out=xt[:, -1])
+        ft, gt = evaluate(a, xt)
+        decrease = np.minimum((ga * (xt - xa)).sum(axis=1), 0.0)
+        armijo = ft <= fa + 1e-4 * decrease
+        slope = (ga * d[a]).sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            t_quad = -slope * ta * ta / (2.0 * (ft - fa - slope * ta))
+        t[a] = np.clip(np.where(np.isfinite(t_quad), t_quad, 0.1 * ta),
+                       0.1 * ta, 0.5 * ta)
+        # a search ends at its first sufficient decrease or 30th trial
+        tries[a] = np.where(armijo, 0, (tries[a] + 1) % 30)
         # a failed line search restarts from the steepest descent
         # once; twice in a row, the row is as optimal as it can tell
-        active[a[searching & fresh[a]]] = False
-        fresh[a[searching]] = True
-        moved = ~searching
-        b = a[moved]
-        sv = x_new[moved] - xa[moved]
-        yv = g_new[moved] - g[b]
+        spent = a[~armijo & (tries[a] == 0)]
+        active[spent[fresh[spent]]] = False
+        fresh[spent] = True
+
+        b = a[armijo]
+        sv = xt[armijo] - xa[armijo]
+        yv = gt[armijo] - ga[armijo]
         sy = (sv * yv).sum(axis=1)
         yy = (yv * yv).sum(axis=1)
         update = sy > _EPS * yy
@@ -850,8 +849,8 @@ def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
                   - (Hy[:, :, None] * su[:, None, :]
                      + su[:, :, None] * Hy[:, None, :])
                   / syu[:, None, None])
-        f_old = f[b]
-        x[b], f[b], g[b] = x_new[moved], f_new[moved], g_new[moved]
+        f_old = fa[armijo]
+        x[b], f[b], g[b] = xt[armijo], ft[armijo], gt[armijo]
         small = (f_old - f[b]) <= _TOL * np.maximum(
             np.maximum(np.abs(f_old), np.abs(f[b])), 1.0)
         active[b[small]] = False
