@@ -135,7 +135,8 @@ def validate_dataset(d: Dataset) -> Dataset:
 class FittedModel:
     """Parameter estimates plus everything needed to simulate and refit.
 
-    ``eta`` is always the marginal linear predictor ``X @ beta``; for the
+    ``eta`` is the marginal linear predictor, ``X @ beta`` up to rounding
+    (for ``lm``, the fitted values ``Q Q'y`` of the design's QR); for the
     random-intercept model the predicted group effects are deliberately
     excluded so that linear predictors are comparable across bootstrap
     replicates.
@@ -175,12 +176,13 @@ class FittedModel:
 
 
 def linear_predictors(m: FittedModel) -> np.ndarray:
-    """Marginal linear predictors ``X @ beta``.
+    """Marginal linear predictors: a copy of ``m.eta``, the ones the
+    residuals are taken from.
 
     For the random-intercept model the predicted group intercepts are
     excluded, so two fits with identical ``beta`` yield identical output.
     """
-    return np.array(m.dataset.X @ m.beta)
+    return np.array(m.eta)
 
 
 RefitRows = tuple[np.ndarray, np.ndarray, np.ndarray]
