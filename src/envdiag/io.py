@@ -178,7 +178,8 @@ def load_csv(
     Group labels may be arbitrary strings; they are re-encoded to
     contiguous integers in order of first appearance.  Blank lines are
     skipped; a row with fewer or more cells than the header raises
-    :class:`RaggedRow`.  Errors name rows by their line in the file.
+    :class:`RaggedRow`, and a header that names a column twice raises
+    ``ValueError``.  Errors name rows by their line in the file.
     """
     # utf-8-sig: spreadsheets write a byte-order mark before the header
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -190,6 +191,10 @@ def load_csv(
         header = [h.strip() for h in header]
         rows = [(reader.line_num, r) for r in reader
                 if r and any(cell.strip() for cell in r)]
+    for i, col in enumerate(header):
+        if col in header[:i]:
+            raise ValueError(f"column {col!r} appears twice in the header "
+                             f"of {path}")
     if not rows:
         raise EmptyFile(f"{path} has no data rows")
 

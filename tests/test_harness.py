@@ -132,6 +132,14 @@ def test_glmm_needs_ten_observations():
         _spec(model=ModelKind.GLMM_POISSON_RI, n=8)
 
 
+def test_every_dataset_needs_four_observations():
+    # every dataset gets the smoother plots, whose P-spline basis needs
+    # four points
+    with pytest.raises(ValueError, match="n=3"):
+        _spec(n=3)
+    assert _spec(n=4).n == 4
+
+
 def test_m_grid_must_be_positive():
     with pytest.raises(ValueError, match="m_grid"):
         _spec(m_grid=0)

@@ -114,6 +114,17 @@ def test_load_csv_missing_column(tmp_path):
         load_csv(p, response="z")
 
 
+@pytest.mark.parametrize("header,col", [("y,x,x", "x"), ("y,x,y", "y")])
+def test_load_csv_rejects_a_column_named_twice(tmp_path, capsys, header,
+                                               col):
+    p = _write(tmp_path / "d.csv", f"{header}\n1,0,2\n2,0.5,3\n3,1,5\n")
+    with pytest.raises(ValueError, match=f"column '{col}' appears twice"):
+        load_csv(p, response="y")
+    assert main(["fit", "--data", p, "--model", "lm"]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"envdiag: error: column '{col}' appears twice")
+
+
 def test_load_csv_empty_file(tmp_path):
     p = _write(tmp_path / "d.csv", "")
     with pytest.raises(EmptyFile):
