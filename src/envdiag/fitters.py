@@ -19,13 +19,12 @@ its fit alone raises.
   the approximation and its exact gradient, differentiated through the
   modes and curvatures (Pinheiro & Bates 1995), for many responses at
   once.  One optimizer, :func:`glmm_rows`, runs a projected BFGS per
-  response in lockstep over a batch, each kernel call taking one
-  line-search trial of every response still moving, in the variance
-  omega^2 >= 0 (0 is the GLM exactly), after the same check: a fit
-  starts from the GLM estimates and the curvature of its own likelihood
-  there, a refit from the parent fit and the curvature of the parent's.
-  The terms that depend on the response alone are computed once per
-  batch.
+  response in the variance omega^2 >= 0 (0 is the GLM exactly), after
+  the same check: a fit starts from the GLM estimates and the curvature
+  of its own likelihood there, a refit from the parent fit and the
+  curvature of the parent's.  Each kernel call takes one line-search
+  trial of every response of a batch still moving; the terms that
+  depend on the response alone are computed once per batch.
 
 ``fit_model`` and ``refit`` return the one row of :func:`fit_rows` as an
 immutable :class:`~envdiag.data.FittedModel`;
@@ -743,12 +742,11 @@ def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
     quadratic interpolation to [0.1, 0.5] of its step, for at most 30
     trials.  A step with s'y not positive leaves the row's inverse
     Hessian as it is (Nocedal & Wright 2006, sections 3.1 and 6.1).
-    Every kernel call evaluates one trial of every row still moving,
-    whether it starts a search or continues one, so a batch takes as
-    many calls as its slowest row takes alone.  Row r starts from the
-    inverse Hessian ``H0[r]``, ``H0`` broadcast to (R, q, q) (a refit
-    passes its parent's, :func:`_parent_curvature`), or, if ``H0`` is
-    None, from the curvature of its own objective at its start
+    Every kernel call evaluates one trial of every row still moving, so
+    a batch takes as many calls as its slowest row alone.  Row r starts
+    from the inverse Hessian ``H0[r]``, ``H0`` broadcast to (R, q, q) (a
+    refit passes its parent's, :func:`_parent_curvature`), or, if ``H0``
+    is None, from the curvature of its own objective at its start
     (:func:`_curvature_start`, in the same kernel call), with a unit
     step.  A row whose inverse Hessian is 0 (not positive definite)
     starts from the identity with a step of length at most 1; a failed

@@ -69,8 +69,7 @@ class ScenarioSpec:
         if self.model is ModelKind.GLMM_POISSON_RI and self.n < 10:
             raise ValueError("random-intercept scenarios need n >= 10")
         if self.n < 4:
-            raise ValueError(f"n must be at least 4, the fewest points "
-                             f"the smoother plots take, got n={self.n}")
+            raise ValueError(f"n must be at least 4, got n={self.n}")
         if self.x_design not in ("equispaced", "uniform"):
             raise ValueError(f"unknown x_design {self.x_design!r}")
         _check_settings(self.B, self.alpha, self.seed, self.m_grid)
