@@ -91,10 +91,11 @@ _MAX_ITER = 100
 _TOL = 1e-9
 
 # The 15-node Gauss-Hermite rule behind the random-intercept likelihood:
-# scaled nodes sqrt(2) x_k and log w_k + x_k^2 (read-only).
+# scaled nodes sqrt(2) x_k and log w_k + x_k^2 (read-only), shaped (15, 1,
+# 1) for the kernel's node-first arrays.
 _GH_X, _GH_W = np.polynomial.hermite.hermgauss(15)
-_GH_Z = math.sqrt(2.0) * _GH_X
-_GH_LOG_WX = np.log(_GH_W) + _GH_X**2
+_GH_Z = (math.sqrt(2.0) * _GH_X)[:, None, None]
+_GH_LOG_WX = (np.log(_GH_W) + _GH_X**2)[:, None, None]
 _GH_Z.setflags(write=False)
 _GH_LOG_WX.setflags(write=False)
 
@@ -202,7 +203,9 @@ def glmm_marginal_loglik(
 # vectors) and keep every row independent of the others: only
 # elementwise operations and reductions along a row's own axes, never a
 # matrix product across rows, so a row's result does not depend on the
-# batch it is computed in.
+# batch it is computed in.  A sum runs over the last axis, or is spelt
+# out: numpy sums a leading axis in order, but pairwise once the other
+# axes hold a single element.
 
 
 def _rows_eta(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -228,9 +231,9 @@ def _lambert_w_exp(L: np.ndarray) -> np.ndarray:
     0 where e^L underflows, L = -inf included."""
     l = np.logaddexp(0.0, L)
     W = l * (1.0 - np.log1p(l) / (2.0 + l))
-    L_tiny = np.maximum(L, _LOG_TINY)
+    L1 = 1.0 + np.maximum(L, _LOG_TINY)
     for _ in range(3):
-        W = W / (1.0 + W) * (1.0 + L_tiny - np.log(np.maximum(W, _TINY)))
+        W = W / (1.0 + W) * (L1 - np.log(np.maximum(W, _TINY)))
     return W
 
 
@@ -246,11 +249,12 @@ def _group_modes(S: np.ndarray, E: np.ndarray, omega: np.ndarray
     log(E w^2) instead (log W + W = L).  E = 0 gives W = 0 and u = S w^2;
     so does w = 0, the GLM, with u = 0 and an infinite curvature."""
     w2 = (omega * omega)[:, None]
+    Sw2 = S * w2
     with np.errstate(divide="ignore"):    # -inf where E = 0 or w = 0
         log_Ew2 = np.log(E) + np.log(w2)
-        W = _lambert_w_exp(log_Ew2 + S * w2)
+        W = _lambert_w_exp(log_Ew2 + Sw2)
         K = (W + 1.0) / w2
-    u = np.where(W > 1.0, np.log(np.maximum(W, 1.0)) - log_Ew2, S * w2 - W)
+    u = np.where(W > 1.0, np.log(np.maximum(W, 1.0)) - log_Ew2, Sw2 - W)
     return u, K
 
 
@@ -259,6 +263,19 @@ def _response_constants(group: np.ndarray, G: int, Y: np.ndarray
     """Group totals (R, G) and sum log y! (R,) of every row of ``Y``: the
     parts of the kernel that depend on the response alone."""
     return _group_sums(group, G, Y), gammaln(Y + 1.0).sum(axis=1)
+
+
+def _node_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the first axis of ``a``, the 15 quadrature nodes, in one
+    fixed order: the first eight pairwise, then the other seven one by
+    one (numpy's pairwise order for 15 terms).  Only elementwise adds, so
+    each entry's sum does not depend on the other axes."""
+    h = a[0:8:2] + a[1:8:2]
+    h = h[0::2] + h[1::2]
+    s = h[0] + h[1]
+    for k in range(8, 15):
+        s += a[k]
+    return s
 
 
 def _glmm_objective(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
@@ -293,12 +310,16 @@ def _glmm_objective(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
     dl/dE[group])``.  A row whose linear predictors exceed 500 (the range
     exp() can take, with room), or whose value is not finite, gets +inf
     and a zero gradient.
+
+    The node terms are laid out node first, (15, R, G); the node max is
+    exact and the node sums take one fixed order (:func:`_node_sum`), so
+    a row's result does not depend on the batch.
     """
-    f = np.full(x.shape[0], np.inf)
-    g = np.zeros(x.shape)
+    R = x.shape[0]
     eta = _rows_eta(X, x[:, :-1])
-    rows = np.flatnonzero(eta.max(axis=1) <= 500.0)
-    if rows.size < x.shape[0]:
+    rows = slice(None)
+    if not eta.max(initial=-np.inf) <= 500.0:
+        rows = np.flatnonzero(eta.max(axis=1) <= 500.0)
         x, Y, eta, S, log_fact = (a[rows] for a in (x, Y, eta, S, log_fact))
     v = x[:, -1]
     G = S.shape[1]
@@ -309,68 +330,94 @@ def _glmm_objective(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
     # D_g^2 overflows only at means far beyond any optimum; there U = inf,
     # so the row is not finite at v = 0 (0 * inf) and the quadrature's above
     with np.errstate(over="ignore", invalid="ignore"):
-        dl_dv = 0.5 * (D * D - E).sum(axis=1)    # U
-        far = v * (D * D + E).max(axis=1) > _SERIES_MAX
+        D2 = D * D
+        dl_dv = 0.5 * (D2 - E).sum(axis=1)    # U
+        far = v * (D2 + E).max(axis=1) > _SERIES_MAX
         value = A - E.sum(axis=1) + dl_dv * v
-    dl_dE = np.where(far[:, None], 0.0, -1.0 - v[:, None] * (D + 0.5))
-    q = slice(None) if far.all() else np.flatnonzero(far)
-    v, S, E = v[q], S[q], E[q]     # the quadrature's rows
+    if far.all():
+        value, ok, dl_dE, dl_dv = _glmm_nodes(S, E, v, A)
+        if not ok.all():
+            dl_dE_q, dl_dv_q = dl_dE, dl_dv
+            dl_dE, dl_dv = np.zeros(E.shape), np.zeros(v.shape)
+            dl_dE[ok], dl_dv[ok] = dl_dE_q, dl_dv_q
+    else:
+        q = np.flatnonzero(far)
+        dl_dE = np.where(far[:, None], 0.0, -1.0 - v[:, None] * (D + 0.5))
+        if q.size:
+            value[q], ok, dl_dE_q, dl_dv_q = _glmm_nodes(S[q], E[q], v[q],
+                                                         A[q])
+            dl_dE[q[ok]], dl_dv[q[ok]] = dl_dE_q, dl_dv_q
+
+    # rows not finite get +inf and 0; their dl/dE, 0 or -1, keeps W finite
+    W = Y + mu * dl_dE[:, group]
+    f = -value
+    g = np.empty(x.shape)
+    # the observation sum runs inside the p columns, whatever R is
+    g[:, :-1] = -np.add.reduce(X[:, :, None] * W.T[:, None, :], axis=0).T
+    g[:, -1] = -dl_dv
+    bad = ~np.isfinite(f)
+    if bad.any():
+        f[bad], g[bad] = np.inf, 0.0
+    if isinstance(rows, slice):
+        return f, g
+    f_all, g_all = np.full(R, np.inf), np.zeros((R, g.shape[1]))
+    f_all[rows], g_all[rows] = f, g
+    return f_all, g_all
+
+
+def _glmm_nodes(S: np.ndarray, E: np.ndarray, v: np.ndarray, A: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The quadrature rows of :func:`_glmm_objective`: their values, the
+    mask of the finite ones and, for those, dl/dE (R, G) and dl/dv."""
+    G = S.shape[1]
     omega = np.sqrt(v)
     u, K = _group_modes(S, E, omega)
-    c = 1.0 / v
+    # c per group, so that no product with it broadcasts along a short axis
+    c = (1.0 / v)[:, None] * np.ones(G)
     sig = 1.0 / np.sqrt(K)
-    t = u[:, :, None] + sig[:, :, None] * _GH_Z
+    t = u + sig * _GH_Z
     # e^t overflows only at nodes whose weight underflows
     with np.errstate(over="ignore"):
         et = np.exp(t)
         # E_g e^t = 0 * inf, NaN, where E_g = 0 and e^t overflows; where
         # E_g e^t = inf at every node, top = -inf and logw - top is NaN
         with np.errstate(invalid="ignore"):
-            logw = _GH_LOG_WX + (S[:, :, None] * t - E[:, :, None] * et
-                                 - (0.5 * c)[:, None, None] * t * t)
-            top = logw.max(axis=2)
-            p = np.exp(logw - top[:, :, None])
-        total = p.sum(axis=2)
+            logw = _GH_LOG_WX + (S * t - E * et - (0.5 * c) * t * t)
+            top = logw.max(axis=0)
+            p = np.exp(logw - top)
+        total = _node_sum(p)
         # per group: -log(w sqrt(2 pi)), and log sqrt(2) of the nodes'
         # scale sqrt(2) sigma
-        value[q] = ((top + np.log(total) + np.log(sig)).sum(axis=1) + A[q]
-                    - G * (np.log(omega) + 0.5 * math.log(math.pi)))
-        ok = np.isfinite(value[q])
+        value = ((top + np.log(total) + np.log(sig)).sum(axis=1) + A
+                 - G * (np.log(omega) + 0.5 * math.log(math.pi)))
+        ok = np.isfinite(value)
         if not ok.all():
-            q = np.flatnonzero(far)[ok]
-            v, c, S, E, u, K, sig, t, et, p, total = (
-                a[ok] for a in (v, c, S, E, u, K, sig, t, et, p, total))
-        c = c[:, None]
+            v, c, S, E, u, K, sig, total = (
+                a[ok] for a in (v, c, S, E, u, K, sig, total))
+            t, et, p = t[:, ok], et[:, ok], p[:, ok]
 
-        p /= total[:, :, None]
+        p /= total
         et[p == 0.0] = 0.0
-        dh = S[:, :, None] - E[:, :, None] * et - c[:, :, None] * t  # h'(t)
-        p_et = (p * et).sum(axis=2)
-        p_dh = (p * dh).sum(axis=2)
-        p_dhz = (p * dh * _GH_Z).sum(axis=2)
-        p_t2 = (p * t * t).sum(axis=2)
+        dh = S - E * et - c * t     # h'(t)
+        prods = np.empty((15, 4) + p.shape[1:])
+        np.multiply(p, et, out=prods[:, 0])
+        np.multiply(p, dh, out=prods[:, 1])
+        np.multiply(prods[:, 1], _GH_Z, out=prods[:, 2])
+        np.multiply(p * t, t, out=prods[:, 3])
+        p_et, p_dh, p_dhz, p_t2 = _node_sum(prods)
         eu = np.exp(u)
         # t_k = u + sigma z_k; d log sigma = -dK / (2K), d sigma = sigma
         # d log sigma
         du_dE = -eu / K
         dlogsig_dE = -0.5 * eu * c / (K * K)
-        dl_dE[q] = (-p_et + du_dE * p_dh + sig * dlogsig_dE * p_dhz
-                    + dlogsig_dE)
+        dl_dE = (-p_et + du_dE * p_dh + sig * dlogsig_dE * p_dhz
+                 + dlogsig_dE)
         # log w: dc = -2c, dh/d log w = c t^2 - 1 at fixed t
         du_ds = 2.0 * c * u / K
         dlogsig_ds = c * (1.0 - E * eu * u / K) / K
         dl_ds = (c * p_t2 - 1.0 + du_ds * p_dh + sig * dlogsig_ds * p_dhz
                  + dlogsig_ds)
-    dl_dv[q] = dl_ds.sum(axis=1) / (2.0 * v)
-
-    # rows not finite get +inf and 0; their dl/dE, 0 or -1, keeps W finite
-    W = Y + mu * dl_dE[:, group]
-    f[rows] = -value
-    g[rows, :-1] = -(W[:, None, :] * X.T).sum(axis=2)
-    g[rows, -1] = -dl_dv
-    bad = rows[~np.isfinite(value)]
-    f[bad], g[bad] = np.inf, 0.0
-    return f, g
+    return value, ok, dl_dE, dl_ds.sum(axis=1) / (2.0 * v)
 
 
 # ---------------------------------------------------------------------
@@ -656,7 +703,8 @@ def _in_w(X: np.ndarray, group: np.ndarray, Y: np.ndarray, x0: np.ndarray
     """The rows of ``Y`` (R, n) in the optimizer's coordinates (beta, w),
     w = log(1 + v / a), a = G / sum exp(X beta0) per row: their starts
     (R, q) from ``x0`` = ``(beta0, v)``, a (R,), and ``evaluate(rows,
-    z)``, :func:`_glmm_objective` of the rows ``rows`` at z.
+    z)``, :func:`_glmm_objective` of the rows ``rows`` (indices, or a
+    slice) at z.
 
     A group total has variance E_g + E_g^2 v to first order, so the
     information on v falls like 1/(v + a)^2, nearly constant in w; w = 0
@@ -673,10 +721,9 @@ def _in_w(X: np.ndarray, group: np.ndarray, Y: np.ndarray, x0: np.ndarray
 
     def evaluate(rows, z):
         ar = a[rows]
-        v = ar * np.expm1(z[:, -1])
-        f, g = _glmm_objective(X, group, Y[rows],
-                               np.column_stack([z[:, :-1], v]), S[rows],
-                               log_fact[rows])
+        x = z.copy()
+        x[:, -1] = v = ar * np.expm1(z[:, -1])
+        f, g = _glmm_objective(X, group, Y[rows], x, S[rows], log_fact[rows])
         g[:, -1] *= v + ar
         return f, g
 
@@ -761,103 +808,139 @@ def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
     objective is at most 1e-9 or its projected gradient at most 1e-7, and
     is then frozen; one that finds no finite optimum within 200
     iterations fails with :class:`NonConvergence`.  The scale is omega.
+
+    The loop holds the state of the rows still moving only, packed
+    together; a row that stops leaves it.  A kernel call and the
+    bookkeeping around it so see no stopped row, and gather nothing
+    while no row has stopped.
     """
     R, q = x0.shape
     x, v_scale, evaluate = _in_w(X, group, Y, x0)
-    w_ceil = np.log1p(_V_CEIL / v_scale)
     if H0 is None:
         f, g, H = _curvature_start(evaluate, x)
     else:
-        f, g = evaluate(np.arange(R), x)
+        f, g = evaluate(slice(None), x)
         H = np.array(np.broadcast_to(H0, (R, q, q)))
-    fresh = ~H.any(axis=(1, 2))   # H holds no curvature information yet
-    eye = np.eye(q)
-    nit = np.zeros(R, dtype=int)
-    tries = np.zeros(R, dtype=int)   # trials of the row's current search
-    d, t = np.zeros((R, q)), np.zeros(R)   # its direction and next step
+    x_out, f_out = x.copy(), f.copy()
     failed = ~np.isfinite(f)
+    eye = np.eye(q)
 
-    active = ~failed
+    # the rows still moving, packed: live[i] is the batch row of entry i
+    live = np.flatnonzero(~failed)
+    x, f, g, H = x[live], f[live], g[live], H[live]
+    w_ceil = np.log1p(_V_CEIL / v_scale[live])
+    fresh = ~H.any(axis=(1, 2))   # H holds no curvature information yet
+    nit = np.zeros(live.size, dtype=int)
+    tries = np.zeros(live.size, dtype=int)   # trials of the current search
+    d = np.zeros((live.size, q))   # its direction
+    t = np.zeros(live.size)   # and next step
+    stop = np.zeros(live.size, dtype=bool)
     while True:
         # projected gradient: w held at a bound it is pushed past
-        held = (((x[:, -1] <= 0.0) & (g[:, -1] > 0.0))
-                | ((x[:, -1] >= w_ceil) & (g[:, -1] < 0.0)))
+        w, gw = x[:, -1], g[:, -1]
+        held = ((w <= 0.0) & (gw > 0.0)) | ((w >= w_ceil) & (gw < 0.0))
         pg = g.copy()
         pg[held, -1] = 0.0
         # a row between searches: stop tests, then its direction and step
-        new = active & (tries == 0)
-        active &= ~new | (np.abs(pg).max(axis=1) > 1e-7)
-        over = new & active & (nit >= 2 * _MAX_ITER)
-        failed[over] = True
-        active &= ~over
-        n = np.flatnonzero(new & active)
-        nit[n] += 1
-        H[n[fresh[n]]] = eye
-        gn, xn = pg[n], x[n]
-        d[n] = -(H[n] * gn[:, None, :]).sum(axis=2)
+        new = tries == 0
+        stop |= new & ~(np.abs(pg).max(axis=1) > 1e-7)
+        over = new & (nit >= 2 * _MAX_ITER)
+        if over.any():
+            over &= ~stop
+            stop |= over
+        if stop.any():
+            done = live[stop]
+            x_out[done], f_out[done] = x[stop], f[stop]
+            failed[live[over]] = True
+            keep = ~stop
+            live = live[keep]
+            if live.size == 0:
+                break
+            x, f, g, H, w_ceil, fresh, nit, tries, d, t, held, pg, new = (
+                a[keep] for a in (x, f, g, H, w_ceil, fresh, nit, tries, d,
+                                  t, held, pg, new))
+            stop = np.zeros(live.size, dtype=bool)
+        nit += new
+        restart = new & fresh
+        H[restart] = eye
+        # a searching row keeps its direction: H and pg have not moved
+        d = np.where(new[:, None], -(H * pg[:, None, :]).sum(axis=2), d)
         # the free block's inverse Hessian: the Schur complement of H's w entry
-        lower = (gn[:, -1] > 0.0) & (xn[:, -1] + d[n, -1] < 0.0)
-        bound = lower | held[n]
-        nb = n[bound]
-        Hb = H[nb]
-        Hb -= Hb[:, :, -1:] * Hb[:, -1:, :] / Hb[:, -1:, -1:]
-        d[nb] = -(Hb * gn[bound][:, None, :]).sum(axis=2)
-        d[nb, -1] = np.where(lower[bound], -xn[bound, -1], 0.0)
+        lower = new & (pg[:, -1] > 0.0) & (x[:, -1] + d[:, -1] < 0.0)
+        bound = lower | (new & held)
+        if bound.any():
+            Hb = H[bound]
+            Hb -= Hb[:, :, -1:] * Hb[:, -1:, :] / Hb[:, -1:, -1:]
+            db = -(Hb * pg[bound][:, None, :]).sum(axis=2)
+            db[:, -1] = np.where(lower[bound], -x[bound, -1], 0.0)
+            d[bound] = db
         # a unit step along -g would be arbitrarily long: length 1
-        t[n] = np.where(fresh[n], np.minimum(1.0, 1.0 / np.sqrt(
-            (d[n] * d[n]).sum(axis=1))), 1.0)
-        a = np.flatnonzero(active)
-        if a.size == 0:
-            break
+        if restart.any():
+            t = np.where(new, np.where(fresh, np.minimum(1.0, 1.0 / np.sqrt(
+                (d * d).sum(axis=1))), 1.0), t)
+        else:
+            t = np.where(new, 1.0, t)
 
         # one trial of every moving row, backtracking on sufficient
         # decrease (Armijo)
-        xa, fa, ga, ta = x[a], f[a], g[a], t[a]
-        xt = xa + ta[:, None] * d[a]
-        np.clip(xt[:, -1], 0.0, w_ceil[a], out=xt[:, -1])
-        ft, gt = evaluate(a, xt)
-        decrease = np.minimum((ga * (xt - xa)).sum(axis=1), 0.0)
-        armijo = ft <= fa + 1e-4 * decrease
-        slope = (ga * d[a]).sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            t_quad = -slope * ta * ta / (2.0 * (ft - fa - slope * ta))
-        t[a] = np.clip(np.where(np.isfinite(t_quad), t_quad, 0.1 * ta),
-                       0.1 * ta, 0.5 * ta)
-        # a search ends at its first sufficient decrease or 30th trial
-        tries[a] = np.where(armijo, 0, (tries[a] + 1) % 30)
-        # a failed line search restarts from the steepest descent
-        # once; twice in a row, the row is as optimal as it can tell
-        spent = a[~armijo & (tries[a] == 0)]
-        active[spent[fresh[spent]]] = False
-        fresh[spent] = True
+        xt = x + t[:, None] * d
+        xt[:, -1] = np.minimum(np.maximum(xt[:, -1], 0.0), w_ceil)
+        ft, gt = evaluate(slice(None) if live.size == R else live, xt)
+        step = xt - x
+        armijo = ft <= f + 1e-4 * np.minimum((g * step).sum(axis=1), 0.0)
+        if armijo.all():
+            b = slice(None)
+            tries[:] = 0
+        else:
+            b = np.flatnonzero(armijo)
+            slope = (g * d).sum(axis=1)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                t_quad = -slope * t * t / (2.0 * (ft - f - slope * t))
+            t_quad = np.where(np.isfinite(t_quad), t_quad, 0.1 * t)
+            t = np.minimum(np.maximum(t_quad, 0.1 * t), 0.5 * t)
+            # a search ends at its first sufficient decrease or 30th trial
+            tries = np.where(armijo, 0, (tries + 1) % 30)
+            # a failed line search restarts from the steepest descent
+            # once; twice in a row, the row is as optimal as it can tell
+            spent = ~armijo & (tries == 0)
+            stop |= spent & fresh
+            fresh |= spent
 
-        b = a[armijo]
-        sv = xt[armijo] - xa[armijo]
-        yv = gt[armijo] - ga[armijo]
+        # the BFGS update of the rows that moved (only they: the trial
+        # gradients of the others can be far larger)
+        sv = step[b]
+        yv = gt[b] - g[b]
         sy = (sv * yv).sum(axis=1)
         yy = (yv * yv).sum(axis=1)
         update = sy > _EPS * yy
-        scale = fresh[b] & update
-        H[b[scale]] = (sy[scale] / yy[scale])[:, None, None] * eye
-        fresh[b] &= ~update
-        bu, su, yu, syu = b[update], sv[update], yv[update], sy[update]
-        Hy = (H[bu] * yu[:, None, :]).sum(axis=2)
-        coef = (syu + (yu * Hy).sum(axis=1)) / (syu * syu)
-        H[bu] += (coef[:, None, None] * su[:, :, None] * su[:, None, :]
-                  - (Hy[:, :, None] * su[:, None, :]
-                     + su[:, :, None] * Hy[:, None, :])
-                  / syu[:, None, None])
-        f_old = fa[armijo]
-        x[b], f[b], g[b] = xt[armijo], ft[armijo], gt[armijo]
-        small = (f_old - f[b]) <= _TOL * np.maximum(
-            np.maximum(np.abs(f_old), np.abs(f[b])), 1.0)
-        active[b[small]] = False
-    beta = x[:, :-1]
+        fb = fresh[b]
+        scale = fb & update
+        if scale.any():
+            H[np.flatnonzero(armijo)[scale]] = (
+                (sy[scale] / yy[scale])[:, None, None] * eye)
+        fresh[b] = fb & ~update
+        if not update.all():
+            b = np.flatnonzero(armijo)[update]
+            sv, yv, sy = sv[update], yv[update], sy[update]
+        Hy = (H[b] * yv[:, None, :]).sum(axis=2)
+        coef = (sy + (yv * Hy).sum(axis=1)) / (sy * sy)
+        Hys = Hy[:, :, None] * sv[:, None, :]   # and its transpose, s Hy'
+        H[b] += ((coef[:, None] * sv)[:, :, None] * sv[:, None, :]
+                 - (Hys + np.swapaxes(Hys, 1, 2)) / sy[:, None, None])
+        stop |= armijo & ((f - ft) <= _TOL * np.maximum(
+            np.maximum(np.abs(f), np.abs(ft)), 1.0))
+        if armijo.all():
+            x, f, g = xt, ft, gt
+        else:
+            x = np.where(armijo[:, None], xt, x)
+            f = np.where(armijo, ft, f)
+            g = np.where(armijo[:, None], gt, g)
+    beta = x_out[:, :-1]
     errors = {int(r): NonConvergence(
         f"quasi-Newton found no finite optimum in {2 * _MAX_ITER} "
         "iterations", beta=beta[r]) for r in np.flatnonzero(failed)}
-    return Fits(beta, _rows_eta(X, beta), -f,
-                np.sqrt(v_scale * np.expm1(x[:, -1])), errors)
+    return Fits(beta, _rows_eta(X, beta), -f_out,
+                np.sqrt(v_scale * np.expm1(x_out[:, -1])), errors)
 
 
 def _fitted(kind: ModelKind, d: Dataset, fits: Fits) -> FittedModel:

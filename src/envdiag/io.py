@@ -178,8 +178,9 @@ def load_csv(
     Group labels may be arbitrary strings; they are re-encoded to
     contiguous integers in order of first appearance.  Blank lines are
     skipped; a row with fewer or more cells than the header raises
-    :class:`RaggedRow`, and a header that names a column twice raises
-    ``ValueError``.  Errors name rows by their line in the file.
+    :class:`RaggedRow`.  A header that names a column twice, and a column
+    given two roles (the response, a predictor twice, or the group),
+    raise ``ValueError``.  Errors name rows by their line in the file.
     """
     # utf-8-sig: spreadsheets write a byte-order mark before the header
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -202,6 +203,15 @@ def load_csv(
         predictors = [
             c for c in header if c != response and c != group
         ]
+    roles = ([("the response", response)]
+             + [("a predictor", c) for c in predictors]
+             + ([("the group", group)] if group else []))
+    for i, (role, col) in enumerate(roles):
+        for other, earlier in roles[:i]:
+            if col == earlier:
+                raise ValueError(
+                    f"predictors name {col!r} twice" if role == other
+                    else f"column {col!r} is both {other} and {role}")
     for col in [response, *predictors] + ([group] if group else []):
         if col not in header:
             raise MissingColumn(f"column {col!r} not found in {path}")

@@ -621,6 +621,49 @@ def test_glmm_objective_rows_out_of_range_alone():
     assert np.array_equal(f[keep], f2) and np.array_equal(g[keep], g2)
 
 
+@pytest.mark.parametrize("G", [1, 5])
+def test_glmm_objective_row_is_the_same_alone_and_in_any_batch(G):
+    """Row r of the kernel is the same, bit for bit, alone, in a batch of
+    two and in the whole batch of 98, on a batch that mixes the series
+    about v = 0 (v = 0, and v > 0 small enough), the quadrature, and a
+    row whose linear predictors exceed 500: the node max and the node
+    and observation sums do not depend on the batch."""
+    rng = np.random.default_rng(23)
+    n, R = 40, 98
+    X = np.column_stack([np.ones(n), (np.arange(n) + 0.5) / n])
+    group = np.arange(n) % G
+    Y = rng.poisson(np.exp(0.5 + X[:, 1]), size=(R, n)).astype(float)
+    x = np.column_stack([rng.normal(0.5, 0.3, R), rng.normal(1.0, 0.3, R),
+                         rng.uniform(0.01, 2.0, R)])
+    x[0:20:2, -1] = 0.0
+    x[1:20:2, -1] = 1e-13
+    x[20, 0] = 600.0
+    S, log_fact = fitters._response_constants(group, G, Y)
+    with np.errstate(over="ignore"):    # row 20's means overflow
+        E = fitters._group_sums(group, G,
+                                np.exp(fitters._rows_eta(X, x[:, :-1])))
+        P = x[:, -1] * (E + (S - E) ** 2).max(axis=1)
+    series = P <= fitters._SERIES_MAX
+    assert series[0:20:2].all() and series[1:20:2].all()
+    assert not series[21:].any()
+
+    def kernel(rows):
+        return fitters._glmm_objective(X, group, Y[rows], x[rows], S[rows],
+                                       log_fact[rows])
+
+    def same(a, b):
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    f, g = kernel(np.arange(R))
+    assert f[20] == np.inf and np.all(g[20] == 0.0)
+    assert np.all(np.isfinite(np.delete(f, 20)))
+    for r in range(R):
+        for rows in ([r], [r, (r + 37) % R], [(r + 61) % R, r]):
+            fr, gr = kernel(np.array(rows))
+            i = rows.index(r)
+            assert same(fr[i], f[r]) and same(gr[i], g[r]), (r, rows)
+
+
 def test_glmm_refit_kernel_calls_per_batch(monkeypatch):
     """``refit_many`` of the first five glmm-refit batches takes at most
     30 kernel calls per batch on average: 14.4, against 17.0 when every

@@ -125,6 +125,28 @@ def test_load_csv_rejects_a_column_named_twice(tmp_path, capsys, header,
         f"envdiag: error: column '{col}' appears twice")
 
 
+@pytest.mark.parametrize("predictors,group,message", [
+    (["x", "y"], None, "column 'y' is both the response and a predictor"),
+    (["x", "x"], None, "predictors name 'x' twice"),
+    (["x"], "y", "column 'y' is both the response and the group"),
+    (["x", "site"], "site", "column 'site' is both a predictor and the group"),
+])
+def test_load_csv_rejects_a_column_in_two_roles(tmp_path, predictors, group,
+                                                message):
+    p = _write(tmp_path / "d.csv",
+               "y,x,site\n1,0,a\n2,0.5,b\n3,1,a\n5,0.2,b\n")
+    with pytest.raises(ValueError, match=message):
+        load_csv(p, response="y", predictors=predictors, group=group)
+
+
+def test_fit_rejects_the_response_as_a_predictor(tmp_path, capsys):
+    p = _write(tmp_path / "d.csv", "y,x\n1,0\n2,0.5\n3,1\n5,0.2\n")
+    assert main(["fit", "--data", p, "--model", "lm",
+                 "--predictors", "x,y"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "envdiag: error: column 'y' is both the response and a predictor")
+
+
 def test_load_csv_empty_file(tmp_path):
     p = _write(tmp_path / "d.csv", "")
     with pytest.raises(EmptyFile):
