@@ -335,18 +335,12 @@ def _glmm_objective(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
         far = v * (D2 + E).max(axis=1) > _SERIES_MAX
         value = A - E.sum(axis=1) + dl_dv * v
     if far.all():
-        value, ok, dl_dE, dl_dv = _glmm_nodes(S, E, v, A)
-        if not ok.all():
-            dl_dE_q, dl_dv_q = dl_dE, dl_dv
-            dl_dE, dl_dv = np.zeros(E.shape), np.zeros(v.shape)
-            dl_dE[ok], dl_dv[ok] = dl_dE_q, dl_dv_q
+        value, dl_dE, dl_dv = _glmm_nodes(S, E, v, A)
     else:
-        q = np.flatnonzero(far)
         dl_dE = np.where(far[:, None], 0.0, -1.0 - v[:, None] * (D + 0.5))
-        if q.size:
-            value[q], ok, dl_dE_q, dl_dv_q = _glmm_nodes(S[q], E[q], v[q],
-                                                         A[q])
-            dl_dE[q[ok]], dl_dv[q[ok]] = dl_dE_q, dl_dv_q
+        if far.any():
+            value[far], dl_dE[far], dl_dv[far] = _glmm_nodes(
+                S[far], E[far], v[far], A[far])
 
     # rows not finite get +inf and 0; their dl/dE, 0 or -1, keeps W finite
     W = Y + mu * dl_dE[:, group]
@@ -366,9 +360,10 @@ def _glmm_objective(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
 
 
 def _glmm_nodes(S: np.ndarray, E: np.ndarray, v: np.ndarray, A: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The quadrature rows of :func:`_glmm_objective`: their values, the
-    mask of the finite ones and, for those, dl/dE (R, G) and dl/dv."""
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The quadrature rows of :func:`_glmm_objective`: their values,
+    dl/dE (R, G) and dl/dv, the derivatives 0 where the value is not
+    finite."""
     G = S.shape[1]
     omega = np.sqrt(v)
     u, K = _group_modes(S, E, omega)
@@ -399,6 +394,7 @@ def _glmm_nodes(S: np.ndarray, E: np.ndarray, v: np.ndarray, A: np.ndarray
         p /= total
         et[p == 0.0] = 0.0
         dh = S - E * et - c * t     # h'(t)
+        # the node sums of the gradient: p e^t, p h', p h' z and p t^2
         prods = np.empty((15, 4) + p.shape[1:])
         np.multiply(p, et, out=prods[:, 0])
         np.multiply(p, dh, out=prods[:, 1])
@@ -417,7 +413,12 @@ def _glmm_nodes(S: np.ndarray, E: np.ndarray, v: np.ndarray, A: np.ndarray
         dlogsig_ds = c * (1.0 - E * eu * u / K) / K
         dl_ds = (c * p_t2 - 1.0 + du_ds * p_dh + sig * dlogsig_ds * p_dhz
                  + dlogsig_ds)
-    return value, ok, dl_dE, dl_ds.sum(axis=1) / (2.0 * v)
+    dl_dv = dl_ds.sum(axis=1) / (2.0 * v)
+    if ok.all():
+        return value, dl_dE, dl_dv
+    dE, dv = np.zeros(ok.shape + (G,)), np.zeros(ok.shape)
+    dE[ok], dv[ok] = dl_dE, dl_dv
+    return value, dE, dv
 
 
 # ---------------------------------------------------------------------
