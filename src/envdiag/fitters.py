@@ -203,9 +203,10 @@ def glmm_marginal_loglik(
 # vectors) and keep every row independent of the others: only
 # elementwise operations and reductions along a row's own axes, never a
 # matrix product across rows, so a row's result does not depend on the
-# batch it is computed in.  A sum runs over the last axis, or is spelt
-# out: numpy sums a leading axis in order, but pairwise once the other
-# axes hold a single element.
+# batch it is computed in.  A sum runs over the last axis of a
+# C-contiguous array, pairwise along each row's own elements, or is
+# spelt out (:func:`_node_sum`): the order numpy takes over any other
+# axis depends on the memory layout of the whole array.
 
 
 def _rows_eta(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -338,16 +339,14 @@ def _glmm_objective(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
         value, dl_dE, dl_dv = _glmm_nodes(S, E, v, A)
     else:
         dl_dE = np.where(far[:, None], 0.0, -1.0 - v[:, None] * (D + 0.5))
-        if far.any():
-            value[far], dl_dE[far], dl_dv[far] = _glmm_nodes(
-                S[far], E[far], v[far], A[far])
+        value[far], dl_dE[far], dl_dv[far] = _glmm_nodes(
+            S[far], E[far], v[far], A[far])
 
     # rows not finite get +inf and 0; their dl/dE, 0 or -1, keeps W finite
     W = Y + mu * dl_dE[:, group]
     f = -value
     g = np.empty(x.shape)
-    # the observation sum runs inside the p columns, whatever R is
-    g[:, :-1] = -np.add.reduce(X[:, :, None] * W.T[:, None, :], axis=0).T
+    g[:, :-1] = -(W[:, None, :] * np.ascontiguousarray(X.T)).sum(axis=2)
     g[:, -1] = -dl_dv
     bad = ~np.isfinite(f)
     if bad.any():
@@ -704,8 +703,7 @@ def _in_w(X: np.ndarray, group: np.ndarray, Y: np.ndarray, x0: np.ndarray
     """The rows of ``Y`` (R, n) in the optimizer's coordinates (beta, w),
     w = log(1 + v / a), a = G / sum exp(X beta0) per row: their starts
     (R, q) from ``x0`` = ``(beta0, v)``, a (R,), and ``evaluate(rows,
-    z)``, :func:`_glmm_objective` of the rows ``rows`` (indices, or a
-    slice) at z.
+    z)``, :func:`_glmm_objective` of the rows ``rows`` (indices) at z.
 
     A group total has variance E_g + E_g^2 v to first order, so the
     information on v falls like 1/(v + a)^2, nearly constant in w; w = 0
@@ -811,16 +809,15 @@ def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
     iterations fails with :class:`NonConvergence`.  The scale is omega.
 
     The loop holds the state of the rows still moving only, packed
-    together; a row that stops leaves it.  A kernel call and the
-    bookkeeping around it so see no stopped row, and gather nothing
-    while no row has stopped.
+    together; a row that stops leaves it, so a kernel call and the
+    bookkeeping around it see no stopped row.
     """
     R, q = x0.shape
     x, v_scale, evaluate = _in_w(X, group, Y, x0)
     if H0 is None:
         f, g, H = _curvature_start(evaluate, x)
     else:
-        f, g = evaluate(slice(None), x)
+        f, g = evaluate(np.arange(R), x)
         H = np.array(np.broadcast_to(H0, (R, q, q)))
     x_out, f_out = x.copy(), f.copy()
     failed = ~np.isfinite(f)
@@ -836,7 +833,7 @@ def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
     d = np.zeros((live.size, q))   # its direction
     t = np.zeros(live.size)   # and next step
     stop = np.zeros(live.size, dtype=bool)
-    while True:
+    while live.size:
         # projected gradient: w held at a bound it is pushed past
         w, gw = x[:, -1], g[:, -1]
         held = ((w <= 0.0) & (gw > 0.0)) | ((w >= w_ceil) & (gw < 0.0))
@@ -845,10 +842,8 @@ def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
         # a row between searches: stop tests, then its direction and step
         new = tries == 0
         stop |= new & ~(np.abs(pg).max(axis=1) > 1e-7)
-        over = new & (nit >= 2 * _MAX_ITER)
-        if over.any():
-            over &= ~stop
-            stop |= over
+        over = new & ~stop & (nit >= 2 * _MAX_ITER)
+        stop |= over
         if stop.any():
             done = live[stop]
             x_out[done], f_out[done] = x[stop], f[stop]
@@ -886,7 +881,7 @@ def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
         # decrease (Armijo)
         xt = x + t[:, None] * d
         xt[:, -1] = np.minimum(np.maximum(xt[:, -1], 0.0), w_ceil)
-        ft, gt = evaluate(slice(None) if live.size == R else live, xt)
+        ft, gt = evaluate(live, xt)
         step = xt - x
         armijo = ft <= f + 1e-4 * np.minimum((g * step).sum(axis=1), 0.0)
         if armijo.all():

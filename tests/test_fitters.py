@@ -621,20 +621,24 @@ def test_glmm_objective_rows_out_of_range_alone():
     assert np.array_equal(f[keep], f2) and np.array_equal(g[keep], g2)
 
 
+@pytest.mark.parametrize("p", [1, 2])
 @pytest.mark.parametrize("G", [1, 5])
-def test_glmm_objective_row_is_the_same_alone_and_in_any_batch(G):
+def test_glmm_objective_row_is_the_same_alone_and_in_any_batch(G, p):
     """Row r of the kernel is the same, bit for bit, alone, in a batch of
     two and in the whole batch of 98, on a batch that mixes the series
     about v = 0 (v = 0, and v > 0 small enough), the quadrature, and a
     row whose linear predictors exceed 500: the node max and the node
-    and observation sums do not depend on the batch."""
+    and observation sums do not depend on the batch, with one column
+    (the intercept alone, where a single row's observation sum has no
+    other axis) or two."""
     rng = np.random.default_rng(23)
     n, R = 40, 98
-    X = np.column_stack([np.ones(n), (np.arange(n) + 0.5) / n])
+    X = np.column_stack([np.ones(n), (np.arange(n) + 0.5) / n])[:, :p]
     group = np.arange(n) % G
-    Y = rng.poisson(np.exp(0.5 + X[:, 1]), size=(R, n)).astype(float)
+    Y = rng.poisson(np.exp(0.5 + (np.arange(n) + 0.5) / n),
+                    size=(R, n)).astype(float)
     x = np.column_stack([rng.normal(0.5, 0.3, R), rng.normal(1.0, 0.3, R),
-                         rng.uniform(0.01, 2.0, R)])
+                         rng.uniform(0.01, 2.0, R)])[:, [*range(p), 2]]
     x[0:20:2, -1] = 0.0
     x[1:20:2, -1] = 1e-13
     x[20, 0] = 600.0
@@ -662,6 +666,23 @@ def test_glmm_objective_row_is_the_same_alone_and_in_any_batch(G):
             fr, gr = kernel(np.array(rows))
             i = rows.index(r)
             assert same(fr[i], f[r]) and same(gr[i], g[r]), (r, rows)
+
+
+def test_glmm_rows_with_no_finite_start_fail_at_once():
+    """A row whose start is not finite (linear predictors above 500, so
+    the kernel gives +inf) fails with NonConvergence at its start, with
+    no search; a batch of such rows alone returns at once."""
+    m, Y = _glmm_refit_batch(0, B=3)
+    d = m.dataset
+    x0 = np.tile(np.append(m.beta, m.omega ** 2), (2, 1))
+    x0[:, 0] = 600.0
+    for H0 in (None, np.eye(x0.shape[1])):
+        fits = glmm_rows(d.X, d.group, Y, x0, H0)
+        assert set(fits.errors) == {0, 1}
+        assert all(isinstance(e, NonConvergence)
+                   for e in fits.errors.values())
+        assert np.array_equal(fits.beta, x0[:, :-1])
+        assert np.all(fits.loglik == -np.inf)
 
 
 def test_glmm_refit_kernel_calls_per_batch(monkeypatch):

@@ -147,6 +147,20 @@ def test_fit_rejects_the_response_as_a_predictor(tmp_path, capsys):
         "envdiag: error: column 'y' is both the response and a predictor")
 
 
+def test_fit_poisson_ri_with_no_finite_start_reports_an_error(tmp_path,
+                                                              capsys):
+    """Counts near 1e230 pass the input checks, but their GLM start has
+    linear predictors above 500, where the likelihood is +inf: the fit
+    fails at its start and the CLI says so."""
+    rows = [f"{(1 + i % 3) * 10 ** 230}.0,{i / 20},{i % 4}"
+            for i in range(20)]
+    p = _write(tmp_path / "d.csv", "\n".join(["y,x,site"] + rows) + "\n")
+    assert main(["fit", "--data", p, "--model", "poisson-ri",
+                 "--group", "site"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "envdiag: error: quasi-Newton found no finite optimum")
+
+
 def test_load_csv_empty_file(tmp_path):
     p = _write(tmp_path / "d.csv", "")
     with pytest.raises(EmptyFile):
