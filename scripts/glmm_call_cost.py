@@ -13,10 +13,19 @@ kernel and those spent inside ``fitters.glmm_rows`` but outside the
 kernel: the optimizer's own bookkeeping.  The refits' one kernel call
 outside ``glmm_rows``, for the parent's curvature, counts as a call.
 Both functions are counted and timed by rebinding the module
-attributes, as ``scripts/output_digest.py`` counts the kernel.  Times
-are raw wall clock from the last of ``--passes`` passes over the
-datasets, with one BLAS thread; read them as shares, or compare two
-versions on the same machine:
+attributes, as ``scripts/output_digest.py`` counts the kernel.
+
+The call and row counts are exact: the same on every run.  The times are
+raw wall clock from the last of ``--passes`` passes over the datasets,
+with one BLAS thread; read them only as shares within one run (inside
+against outside the kernel, fits against refits).  Do not compare the
+times of two versions from two separate runs: on a shared 2-core
+machine, separate-process runs gave per-pair ratios of 0.39 to 1.69 for
+the same quantity.  To compare two versions, capture the ``glmm_rows``
+calls once and replay them through both versions' ``fitters`` in one
+process, the two interleaved per call in random order, over several
+rounds, as ``call_cost_final_revision`` in ``BENCH_23.json`` records.
+Run it as:
 
     python3 scripts/glmm_call_cost.py --n 40 --B 99
     python3 scripts/glmm_call_cost.py --n 10 --B 99 --datasets 40

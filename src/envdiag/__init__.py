@@ -18,7 +18,6 @@ from .data import (
     ModelKind,
     RankDeficient,
     TooFewRows,
-    linear_predictors,
     validate_dataset,
 )
 from .fitters import (

@@ -14,6 +14,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from .data import EnvdiagError, ModelKind
+from .diagnostics import DEFAULT_ALPHA, DEFAULT_B, DEFAULT_GRID
 from .io import RunConfig, load_and_fit, run_diagnose, run_power_study
 
 _MODEL_CHOICES = [k.value for k in ModelKind]
@@ -48,10 +49,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument(
         "--plots", help="comma-separated subset of qq,pp,res_vs_fits,scale_location"
     )
-    p_diag.add_argument("--B", type=int, help="ensemble size (default 199)")
-    p_diag.add_argument("--alpha", type=float, help="envelope level (default 0.05)")
+    p_diag.add_argument("--B", type=int,
+                        help=f"ensemble size (default {DEFAULT_B})")
+    p_diag.add_argument("--alpha", type=float,
+                        help=f"envelope level (default {DEFAULT_ALPHA})")
     p_diag.add_argument("--grid", type=int, dest="m_grid",
-                        help="smoother evaluation grid size (default 64)")
+                        help=f"smoother evaluation grid size "
+                             f"(default {DEFAULT_GRID})")
 
     p_pow = sub.add_parser("power-study", help="run a simulation grid")
     p_pow.add_argument("--config", required=True, help="JSON grid config")

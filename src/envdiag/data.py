@@ -175,16 +175,6 @@ class FittedModel:
         return self.dataset.p
 
 
-def linear_predictors(m: FittedModel) -> np.ndarray:
-    """Marginal linear predictors: a copy of ``m.eta``, the ones the
-    residuals are taken from.
-
-    For the random-intercept model the predicted group intercepts are
-    excluded, so two fits with identical ``beta`` yield identical output.
-    """
-    return np.array(m.eta)
-
-
 RefitRows = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -200,7 +190,9 @@ class ModelCapability:
     residuals (R, n), maximized log-likelihoods (R,) and a mask (R,) of
     failed rows; row r must not depend on the other rows.  ``residuals``
     gives those of the observed fit.  Smoother plots put the residuals
-    against :func:`linear_predictors`.
+    against the marginal linear predictors ``m.eta``, which exclude the
+    predicted group intercepts of the random-intercept model, so the
+    plot's x is the same for the observed fit and every replicate.
     """
 
     simulate: Callable[[FittedModel, int, np.random.Generator], np.ndarray]

@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .data import EnvdiagError, FittedModel, ModelCapability, linear_predictors
+from .data import EnvdiagError, FittedModel, ModelCapability
 from .envelope import (
     EnvelopeMode,
     FunctionEnsemble,
@@ -258,7 +258,7 @@ def diagnose_model(
     if kinds:
         # row 0 is the observed residual vector, the rest the replicates
         E = np.vstack([observed, reps.residuals])
-        plots = _plot_functionals(kinds, E, linear_predictors(m), m_grid)
+        plots = _plot_functionals(kinds, E, m.eta, m_grid)
         for kind in kinds:
             grid, values, points = plots[kind]
             ensemble = FunctionEnsemble(grid=grid, values=values)

@@ -473,7 +473,7 @@ def fit_rows(kind: ModelKind, d: Dataset, Y: np.ndarray,
     if kind is ModelKind.LM:
         return lm_rows(X, Y)
     if kind is not ModelKind.GLM_POISSON and d.group is None:
-        raise ValueError("random-intercept fit requires grouping labels")
+        raise ValueError("model poisson-ri needs a group column")
     p = X.shape[1]
     errors = _no_mle_rows(X, Y)
     glm_start = start is None or start.boundary_omega
@@ -806,7 +806,9 @@ def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
     there exactly when U <= 0.  A row stops when the relative reduction of its
     objective is at most 1e-9 or its projected gradient at most 1e-7, and
     is then frozen; one that finds no finite optimum within 200
-    iterations fails with :class:`NonConvergence`.  The scale is omega.
+    iterations, or whose objective is not finite at its start, fails with
+    :class:`NonConvergence`, whose message tells the two apart.  The scale
+    is omega.
 
     The loop holds the state of the rows still moving only, packed
     together; a row that stops leaves it, so a kernel call and the
@@ -820,7 +822,8 @@ def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
         f, g = evaluate(np.arange(R), x)
         H = np.array(np.broadcast_to(H0, (R, q, q)))
     x_out, f_out = x.copy(), f.copy()
-    failed = ~np.isfinite(f)
+    no_start = ~np.isfinite(f)
+    failed = no_start.copy()
     eye = np.eye(q)
 
     # the rows still moving, packed: live[i] is the batch row of entry i
@@ -933,8 +936,10 @@ def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
             g = np.where(armijo[:, None], gt, g)
     beta = x_out[:, :-1]
     errors = {int(r): NonConvergence(
-        f"quasi-Newton found no finite optimum in {2 * _MAX_ITER} "
-        "iterations", beta=beta[r]) for r in np.flatnonzero(failed)}
+        "quasi-Newton found no finite optimum" + (
+            ": the likelihood is not finite at its start" if no_start[r]
+            else f" in {2 * _MAX_ITER} iterations"), beta=beta[r])
+        for r in np.flatnonzero(failed)}
     return Fits(beta, _rows_eta(X, beta), -f_out,
                 np.sqrt(v_scale * np.expm1(x_out[:, -1])), errors)
 

@@ -21,7 +21,13 @@ from typing import Optional
 import numpy as np
 
 from .data import Dataset, EnvdiagError, ModelKind, validate_dataset
-from .diagnostics import PlotKind, _check_settings, diagnose_model
+from .diagnostics import (
+    DEFAULT_ALPHA,
+    DEFAULT_GRID,
+    PlotKind,
+    _check_settings,
+    diagnose_model,
+)
 from .fitters import fit_model
 
 logger = logging.getLogger(__name__)
@@ -58,10 +64,9 @@ class ScenarioSpec:
     n: int
     n_datasets: int = 200
     B: int = 99
-    alpha: float = 0.05
+    alpha: float = DEFAULT_ALPHA
     seed: int = 0
-    x_design: str = "equispaced"   # or "uniform"
-    m_grid: int = 64
+    m_grid: int = DEFAULT_GRID
 
     def __post_init__(self):
         if self.n_datasets < 1:
@@ -70,8 +75,6 @@ class ScenarioSpec:
             raise ValueError("random-intercept scenarios need n >= 10")
         if self.n < 4:
             raise ValueError(f"n must be at least 4, got n={self.n}")
-        if self.x_design not in ("equispaced", "uniform"):
-            raise ValueError(f"unknown x_design {self.x_design!r}")
         _check_settings(self.B, self.alpha, self.seed, self.m_grid)
 
 
@@ -79,17 +82,14 @@ def generate_dataset(s: ScenarioSpec, stream: np.random.Generator) -> Dataset:
     """Draw one dataset for the scenario.
 
     The linear predictor is ``beta0 + 4 x + beta2 x^2`` on x equispaced in
-    (0, 1) (or uniform draws, sorted); the fitted design is always
-    ``[1, x]``, so the quadratic configuration misspecifies the mean on
-    purpose.  The mixture configuration inflates a random tenth of the
-    responses by a factor-4 scale (sd for the linear model, rate for the
-    Poisson models), leaving the marginal mean model correct.
+    (0, 1); the fitted design is always ``[1, x]``, so the quadratic
+    configuration misspecifies the mean on purpose.  The mixture
+    configuration inflates a random tenth of the responses by a factor-4
+    scale (sd for the linear model, rate for the Poisson models), leaving
+    the marginal mean model correct.
     """
     n = s.n
-    if s.x_design == "uniform":
-        x = np.sort(stream.uniform(0.0, 1.0, size=n))
-    else:
-        x = (np.arange(1, n + 1) - 0.5) / n
+    x = (np.arange(1, n + 1) - 0.5) / n
     b0, b1, b2 = _COEFS[s.violation]
     eta = b0 + b1 * x + b2 * x * x
 

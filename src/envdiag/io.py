@@ -9,6 +9,7 @@ reruns with the same seed are byte-identical.
 from __future__ import annotations
 
 import csv
+import enum
 import json
 import os
 from dataclasses import dataclass, field, fields
@@ -26,6 +27,9 @@ from .data import (
     validate_dataset,
 )
 from .diagnostics import (
+    DEFAULT_ALPHA,
+    DEFAULT_B,
+    DEFAULT_GRID,
     DiagnosticResult,
     PlotKind,
     _check_settings,
@@ -136,10 +140,10 @@ class RunConfig:
     plots: list[str] = field(
         default_factory=lambda: ["res_vs_fits", "qq"]
     )
-    B: int = 199
-    alpha: float = 0.05
+    B: int = DEFAULT_B
+    alpha: float = DEFAULT_ALPHA
     seed: int = 0
-    m_grid: int = 64
+    m_grid: int = DEFAULT_GRID
     out: Optional[str] = None  # diagnose writes to envdiag_out if unset
 
     @classmethod
@@ -262,10 +266,7 @@ def load_and_fit(config: RunConfig) -> FittedModel:
     config._check_fit_fields()
     d = load_csv(config.data, config.response, config.predictors, config.group)
     validate_dataset(d)
-    kind = _MODEL_NAMES[config.model]
-    if kind is ModelKind.GLMM_POISSON_RI and d.group is None:
-        raise ValueError("model poisson-ri needs a group column")
-    return fit_model(d, kind)
+    return fit_model(d, _MODEL_NAMES[config.model])
 
 
 @dataclass(frozen=True)
@@ -414,6 +415,16 @@ def rates_csv(results: list[harness.ScenarioResult]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _scenario_record(r: harness.ScenarioResult) -> dict:
+    """A scenario's manifest entry: every ScenarioSpec field (enums by
+    their values) plus the counts of datasets that ran and failed."""
+    record = {}
+    for f in fields(ScenarioSpec):
+        value = getattr(r.spec, f.name)
+        record[f.name] = value.value if isinstance(value, enum.Enum) else value
+    return {**record, "n_ok": r.n_ok, "n_failed": r.n_failed}
+
+
 def run_power_study(
     config: dict,
     out_dir: str,
@@ -437,20 +448,7 @@ def run_power_study(
         "version": __version__,
         "config": config,
         "workers": resolve_workers(workers),
-        "scenarios": [
-            {
-                "model": r.spec.model.value,
-                "violation": r.spec.violation.value,
-                "n": r.spec.n,
-                "n_datasets": r.spec.n_datasets,
-                "B": r.spec.B,
-                "alpha": r.spec.alpha,
-                "seed": r.spec.seed,
-                "n_ok": r.n_ok,
-                "n_failed": r.n_failed,
-            }
-            for r in results
-        ],
+        "scenarios": [_scenario_record(r) for r in results],
     }
     manifest_path.write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"

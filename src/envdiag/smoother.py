@@ -66,7 +66,8 @@ class SmoothFit:
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return (self._design.grid_design(x.ravel()) @ self.coefs).reshape(x.shape)
+        G = self._design.grid_design(x.ravel())
+        return _rows_eta(G, self.coefs[None, :])[0].reshape(x.shape)
 
 
 def _lead_sum(T: np.ndarray) -> np.ndarray:
@@ -309,24 +310,26 @@ class PSplineDesign:
 
     # -- fitting -------------------------------------------------------
 
-    def coefs(self, Y: np.ndarray, lams: Optional[np.ndarray]) -> np.ndarray:
-        """Penalized least squares coefficients of every row of Y.
+    def coefs(self, Y: np.ndarray,
+              lams: Optional[np.ndarray] = None) -> np.ndarray:
+        """Penalized least squares coefficients of every row of Y, as
+        ``(rows, basis_dim)``: the one place where a response is smoothed.
 
-        Row b is fitted at smoothing parameter ``lams[b]`` in closed form
-        in the mixed-model basis: the fixed effects are the generalized
-        least squares estimate, the random effects their ridge solution
-        ``Vt' diag(s / (s^2 + lambda)) U' (y - Xf beta)``.  Returns
-        ``(rows, basis_dim)``; the linear fallback ignores ``lams`` and
-        returns least squares (intercept, slope) rows.
+        Row b is fitted at smoothing parameter ``lams[b]``, or, if ``lams``
+        is None, at its maximum-likelihood lambda (:meth:`_select_lams`),
+        in closed form in the mixed-model basis: the fixed effects are the
+        generalized least squares estimate, the random effects their ridge
+        solution ``Vt' diag(s / (s^2 + lambda)) U' (y - Xf beta)``.  The
+        linear fallback ignores ``lams`` and returns least squares
+        (intercept, slope) rows.  Row b does not depend on the other rows.
         """
         Y = np.asarray(Y, dtype=float)
         if self.fallback:
             return lm_rows(self._line_design, Y)[0]
-        return self._coefs(np.asarray(lams, dtype=float),
-                           *self._profile_terms(Y))
-
-    def _coefs(self, lams: np.ndarray, Uy, Xy, yy) -> np.ndarray:
-        """:meth:`coefs` from the :meth:`_profile_terms` of the rows."""
+        Uy, Xy, yy = self._profile_terms(Y)
+        if lams is None:
+            lams = 10.0 ** self._select_lams(Uy, Xy, yy)[0]
+        lams = np.asarray(lams, dtype=float)
         beta = self._gls(lams, Uy, Xy, yy).beta
         shrink = self._s[:, None] / (self._s2[:, None] + lams)
         b = shrink * (Uy - self._a[0][:, None] * beta[0]
@@ -336,26 +339,30 @@ class PSplineDesign:
     def fit(self, y: np.ndarray, lam: Optional[float] = None) -> SmoothFit:
         """Fit to a response vector; ``lam=None`` selects it by ML.
 
-        With fewer than 4 distinct x values the fit is the least squares
-        straight line, flagged ``fallback_linear``.
+        The one-row case of :meth:`coefs`: evaluated on a grid, the fit
+        equals its row of :meth:`smooth_matrix` bit for bit.  With fewer
+        than 4 distinct x values the fit is the least squares straight
+        line, flagged ``fallback_linear``, and ``lam`` is nan.
         """
         y = np.asarray(y, dtype=float)
         if y.shape != self.x.shape:
             raise ValueError("x and y must have the same length")
         at_bound = False
         if self.fallback:
-            lam = math.nan
+            lams = np.full(1, math.nan)
         elif lam is None:
             u_hat, bound_mask = self._select_lams(
                 *self._profile_terms(y[None, :]))
-            lam = 10.0 ** float(u_hat[0])
+            lams = 10.0 ** u_hat
             at_bound = bool(bound_mask[0])
-        elif not (LAM_LO <= lam <= LAM_HI):
+        elif LAM_LO <= lam <= LAM_HI:
+            lams = np.full(1, float(lam))
+        else:
             raise ValueError(f"lam must lie in [{LAM_LO}, {LAM_HI}]")
 
         return SmoothFit(
-            coefs=self.coefs(y[None, :], np.full(1, float(lam)))[0],
-            lam=float(lam),
+            coefs=self.coefs(y[None, :], lams)[0],
+            lam=float(lams[0]),
             _design=self,
             fallback_linear=self.fallback,
             lam_at_bound=at_bound,
@@ -369,19 +376,10 @@ class PSplineDesign:
         return BSpline.design_matrix(pts, self.t, 3, extrapolate=False).toarray()
 
     def smooth_matrix(self, Y: np.ndarray, grid: np.ndarray) -> np.ndarray:
-        """Fit every row of Y and evaluate each fit on the grid.
-
-        Smoothing parameters are selected per row, exactly as
-        :meth:`fit` would, but the likelihood search and the coefficient
-        solve run for all rows at once.  This is the bootstrap hot path.
-        """
+        """Fit every row of Y at its ML lambda (:meth:`coefs`) and evaluate
+        each fit on the grid; row b equals ``fit(Y[b])(grid)`` bit for bit.
+        This is the bootstrap hot path."""
         Y = np.asarray(Y, dtype=float)
         if Y.ndim != 2 or Y.shape[1] != self.x.size:
             raise ValueError(f"Y must be B x {self.x.size}")
-        if self.fallback:
-            C = self.coefs(Y, None)
-        else:
-            terms = self._profile_terms(Y)
-            C = self._coefs(10.0 ** self._select_lams(*terms)[0], *terms)
-        return _rows_eta(self.grid_design(grid), C)
-
+        return _rows_eta(self.grid_design(grid), self.coefs(Y))

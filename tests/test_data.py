@@ -6,12 +6,15 @@ from hypothesis import strategies as st
 from envdiag import (
     BadGrouping,
     Dataset,
-    FittedModel,
     ModelKind,
+    PlotKind,
     RankDeficient,
+    ScenarioSpec,
     TooFewRows,
+    Violation,
+    diagnose_model,
     fit_model,
-    linear_predictors,
+    generate_dataset,
     refit,
     simulate_response,
     validate_dataset,
@@ -57,31 +60,20 @@ def test_dataset_arrays_are_read_only():
         d.y[0] = 5.0
 
 
-def test_linear_predictors_identity_like_design():
-    d = Dataset(y=[0.0, 1.0, 2.0], X=[[1, 0], [1, 1], [1, 2]])
-    m = FittedModel(kind=ModelKind.LM, beta=[0.0, 1.0], eta=[0.0, 1.0, 2.0],
-                    loglik=0.0, dataset=d, sigma=1.0)
-    assert np.allclose(linear_predictors(m), [0.0, 1.0, 2.0])
-
-
-def test_linear_predictors_direct_product():
-    d = Dataset(y=[0.0, 0.0, 0.0], X=[[1, 0], [1, 0.5], [1, 1]])
-    m = FittedModel(kind=ModelKind.LM, beta=[-2.0, 4.0],
-                    eta=d.X @ np.array([-2.0, 4.0]), loglik=0.0,
-                    dataset=d, sigma=1.0)
-    assert np.allclose(linear_predictors(m), [-2.0, 0.0, 2.0])
-
-
-def test_linear_predictors_exclude_random_effects():
-    # two fits with identical beta must have identical eta, whatever the
-    # predicted intercepts would be
-    x = np.array([0.0, 1.0, 2.0, 3.0])
-    d = Dataset(y=[1.0, 0.0, 2.0, 1.0], X=np.column_stack([np.ones(4), x]),
-                group=[0, 0, 1, 1])
-    beta = np.array([1.0, 0.0])
-    m = FittedModel(kind=ModelKind.GLMM_POISSON_RI, beta=beta,
-                    eta=d.X @ beta, loglik=-4.0, dataset=d, omega=2.0)
-    assert np.all(linear_predictors(m) == 1.0)
+def test_smoother_plot_x_of_a_random_intercept_fit_is_the_marginal_eta():
+    """The smoother plots put the residuals against ``m.eta``, the marginal
+    ``X beta``: the predicted group intercepts are left out, so the x of
+    the observed plot is that of every replicate."""
+    spec = ScenarioSpec(model=ModelKind.GLMM_POISSON_RI,
+                        violation=Violation.NULL_OK, n=40)
+    d = generate_dataset(spec, np.random.default_rng(3))
+    m = fit_model(d, ModelKind.GLMM_POISSON_RI)
+    assert m.omega > 0.0
+    results, _ = diagnose_model(m, kinds=(PlotKind.RES_VS_FITS,), B=39,
+                                seed=1)
+    x = results[PlotKind.RES_VS_FITS].points[:, 0]
+    assert np.array_equal(x, m.eta)
+    assert np.allclose(x, d.X @ m.beta, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", list(ModelKind))

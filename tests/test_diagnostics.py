@@ -22,7 +22,6 @@ from envdiag import (
     diagnose_model,
     fit_model,
     global_envelope,
-    linear_predictors,
     refit,
     refit_many,
     residuals_for,
@@ -175,7 +174,7 @@ def test_plot_envelope_wiring_matches_envelope_test(rng):
 def test_smoother_kinds_share_observed_grid(rng):
     m = _lm_null_model(rng)
     res = _one_plot(m, PlotKind.RES_VS_FITS, B=29, seed=1, m_grid=32)
-    eta = linear_predictors(m)
+    eta = m.eta
     expected = np.linspace(eta.min(), eta.max(), 32)
     assert np.array_equal(res.grid, expected)
     res2 = _one_plot(m, PlotKind.SCALE_LOCATION, B=29, seed=1, m_grid=32)

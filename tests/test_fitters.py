@@ -681,8 +681,26 @@ def test_glmm_rows_with_no_finite_start_fail_at_once():
         assert set(fits.errors) == {0, 1}
         assert all(isinstance(e, NonConvergence)
                    for e in fits.errors.values())
+        assert all(str(e) == "quasi-Newton found no finite optimum: the "
+                   "likelihood is not finite at its start"
+                   for e in fits.errors.values())
         assert np.array_equal(fits.beta, x0[:, :-1])
         assert np.all(fits.loglik == -np.inf)
+
+
+def test_glmm_rows_stopped_by_the_iteration_cap_say_so(monkeypatch):
+    """A row that is still moving after 2 * _MAX_ITER iterations fails
+    with the message that names the cap, not the one of a start that is
+    not finite."""
+    m, Y = _glmm_refit_batch(0, B=9)
+    d = m.dataset
+    x0 = np.tile(np.append(m.beta, m.omega ** 2), (len(Y), 1))
+    monkeypatch.setattr(fitters, "_MAX_ITER", 1)
+    fits = glmm_rows(d.X, d.group, Y, x0)
+    assert fits.errors
+    for e in fits.errors.values():
+        assert isinstance(e, NonConvergence)
+        assert str(e) == "quasi-Newton found no finite optimum in 2 iterations"
 
 
 def test_glmm_refit_kernel_calls_per_batch(monkeypatch):

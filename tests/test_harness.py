@@ -70,13 +70,6 @@ def test_generate_mixture_lm_variance_identity():
     assert np.concatenate(devs).var() == pytest.approx(target, rel=0.02)
 
 
-def test_generate_uniform_design_option():
-    d = generate_dataset(_spec(x_design="uniform"), np.random.default_rng(1))
-    x = d.X[:, 1]
-    assert np.all(np.diff(x) >= 0) and x.min() >= 0 and x.max() <= 1
-    assert np.unique(x).size == x.size
-
-
 def test_scenario_rates_reproducible():
     spec = _spec(n_datasets=8)
     a = run_scenario(spec)

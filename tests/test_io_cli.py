@@ -294,6 +294,18 @@ def test_power_study_single_cell(tmp_path):
     assert Path(csv_path).read_bytes() == Path(csv2).read_bytes()
 
 
+def test_power_study_manifest_records_every_scenario_setting(tmp_path):
+    cfg = {"scenarios": [{"model": "poisson", "violation": "mixture",
+                          "n": 20, "m_grid": 32}],
+           "n_datasets": 2, "B": 39, "seed": 4}
+    _, manifest_path = run_power_study(cfg, str(tmp_path / "out"))
+    record = json.loads(Path(manifest_path).read_text())["scenarios"][0]
+    assert record == {"model": "poisson", "violation": "mixture", "n": 20,
+                      "n_datasets": 2, "B": 39, "alpha": 0.05, "seed": 4,
+                      "m_grid": 32, "n_ok": record["n_ok"],
+                      "n_failed": 2 - record["n_ok"]}
+
+
 def test_power_study_grid_row_count(tmp_path):
     cfg = {
         "models": ["lm"],
@@ -410,10 +422,13 @@ def test_cli_power_study(tmp_path, capsys):
       "n_dataset": 5}, "'n_dataset'"),
     ({"scenarios": [{"model": "lm", "violation": "null", "n": 10}],
       "models": ["poisson"]}, "'models'"),
+    ({"scenarios": [{"model": "lm", "violation": "null", "n": 10,
+                     "x_design": "uniform"}]}, "'x_design'"),
 ], ids=["unknown-model", "missing-sample-sizes", "unknown-field", "m-grid-0",
         "top-level-list", "scenario-not-object", "scenarios-not-list",
         "n_datasets-float", "B-string", "n-string", "B-below-19",
-        "seed-negative", "unknown-top-level-field", "scenarios-with-models"])
+        "seed-negative", "unknown-top-level-field", "scenarios-with-models",
+        "x_design"])
 def test_cli_power_study_malformed_config(tmp_path, capsys, cfg, named):
     cfg_path = _write(tmp_path / "grid.json", json.dumps(cfg))
     rc = main(["power-study", "--config", cfg_path,
@@ -626,7 +641,7 @@ def test_public_surface():
         "SmoothFit", "TooFewRows", "TooManyRefitFailures", "Violation",
         "default_capability", "diagnose_model", "fit_model", "fit_rows",
         "generate_dataset", "glmm_marginal_loglik", "global_envelope",
-        "hat_diagonals", "linear_predictors", "mad_envelope", "refit",
+        "hat_diagonals", "mad_envelope", "refit",
         "refit_many", "residuals_for", "run_scenario",
         "simulate_replicates", "simulate_response",
         "studentized_mad_envelope", "validate_dataset",
