@@ -49,8 +49,8 @@ def main() -> int:
     for kind in kinds:
         res = results[kind]
         path = out / f"{kind.value}.svg"
-        path.write_text(render_diagnostic(res, title=f"poisson: {kind.value}",
-                                          alpha=0.05), encoding="utf-8")
+        path.write_text(render_diagnostic(res, title=f"poisson: {kind.value}"),
+                        encoding="utf-8")
         verdict = "outside" if res.reject else "inside"
         print(f"{kind.value:15s} p={res.p_value:.4f} ({verdict}) -> {path}")
     return 0

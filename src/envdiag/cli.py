@@ -91,12 +91,13 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         "beta": [float(b) for b in m.beta],
         "loglik": float(m.loglik),
     }
-    if m.sigma is not None:
-        summary["sigma"] = float(m.sigma)
-        summary["degenerate"] = m.degenerate
-    if m.omega is not None:
-        summary["omega"] = float(m.omega)
-        summary["boundary_omega"] = m.boundary_omega
+    # the scale under its name, and whether it is 0 (see FittedModel)
+    names = {ModelKind.LM: ("sigma", "degenerate"),
+             ModelKind.GLMM_POISSON_RI: ("omega", "boundary_omega")}
+    if m.kind in names:
+        scale, at_zero = names[m.kind]
+        summary[scale] = m.scale
+        summary[at_zero] = m.scale == 0.0
     text = json.dumps(summary, indent=2, sort_keys=True)
     print(text)
     if config.out:

@@ -140,6 +140,12 @@ class FittedModel:
     random-intercept model the predicted group effects are deliberately
     excluded so that linear predictors are comparable across bootstrap
     replicates.
+
+    ``scale`` is the scale of :class:`~envdiag.fitters.Fits`: the
+    residual sd sigma for ``lm`` (0 for a fit with zero residual
+    variance), the random-intercept sd omega for ``poisson-ri`` (0 for
+    the exact GLM, whose bootstrap draws no intercepts) and 0 for
+    ``poisson``.
     """
 
     kind: ModelKind
@@ -147,10 +153,7 @@ class FittedModel:
     eta: np.ndarray
     loglik: float
     dataset: Dataset
-    sigma: Optional[float] = None   # residual sd, LM only
-    omega: Optional[float] = None   # random-intercept sd, GLMM only
-    degenerate: bool = False        # LM fit with zero residual variance
-    boundary_omega: bool = False    # omega == 0: the GLM, draws no intercepts
+    scale: float
 
     def __post_init__(self):
         beta = _as_float_vector(self.beta, "beta")
@@ -161,10 +164,10 @@ class FittedModel:
         object.__setattr__(self, "eta", eta)
         if not np.isfinite(self.loglik):
             raise ValueError("loglik must be finite")
-        if (self.sigma is not None) != (self.kind is ModelKind.LM):
-            raise ValueError("sigma is present iff kind is LM")
-        if (self.omega is not None) != (self.kind is ModelKind.GLMM_POISSON_RI):
-            raise ValueError("omega is present iff kind is GLMM_POISSON_RI")
+        if not (np.isfinite(self.scale) and self.scale >= 0.0):
+            raise ValueError("scale must be finite and nonnegative")
+        if self.kind is ModelKind.GLM_POISSON and self.scale != 0.0:
+            raise ValueError("scale of a poisson fit must be 0")
 
     @property
     def n(self) -> int:

@@ -66,11 +66,17 @@ class DiagnosticResult:
     grid: np.ndarray
     observed: np.ndarray
     envelope: GlobalEnvelope
-    reject: bool
-    p_value: float
-    B: int
-    seed: int
     points: Optional[np.ndarray] = None  # (n, 2) scatter overlay
+
+    @property
+    def reject(self) -> bool:
+        """Whether the observed curve leaves the envelope."""
+        return self.envelope.observed_outside
+
+    @property
+    def p_value(self) -> float:
+        """The Monte Carlo p-value of the envelope test."""
+        return self.envelope.p_value
 
 
 class GofResult(NamedTuple):
@@ -269,10 +275,6 @@ def diagnose_model(
                 grid=ensemble.grid,
                 observed=ensemble.values[0],
                 envelope=env,
-                reject=env.observed_outside,
-                p_value=env.p_value,
-                B=E.shape[0],
-                seed=seed,
                 points=points,
             )
     gof = _gof_from_logliks(m.loglik, reps.logliks, alpha) if with_gof else None

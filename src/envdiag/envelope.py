@@ -95,7 +95,9 @@ class GlobalEnvelope:
 def _critical_index(alpha: float, B: int) -> int:
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    k = math.ceil((1.0 - alpha) * B)
+    # the tolerance absorbs the rounding of (1 - alpha) * B, which is
+    # 123.00000000000001 at alpha = 0.18, B = 150 (exactly 123)
+    k = math.ceil((1.0 - alpha) * B - 1e-9)
     if k >= B:
         raise AlphaTooSmall(
             f"alpha={alpha} below 1/B={1.0 / B}: no rejection achievable"

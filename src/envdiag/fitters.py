@@ -476,7 +476,7 @@ def fit_rows(kind: ModelKind, d: Dataset, Y: np.ndarray,
         raise ValueError("model poisson-ri needs a group column")
     p = X.shape[1]
     errors = _no_mle_rows(X, Y)
-    glm_start = start is None or start.boundary_omega
+    glm_start = start is None or start.scale == 0.0
     if kind is ModelKind.GLM_POISSON or glm_start:
         glm = _on_live_rows(Y, p, errors, lambda live: glm_rows(X, Y[live]))
         if kind is ModelKind.GLM_POISSON:
@@ -484,7 +484,7 @@ def fit_rows(kind: ModelKind, d: Dataset, Y: np.ndarray,
         errors = glm.errors
         x0 = np.column_stack([glm.beta, np.full(len(Y), 0.25)])
     else:
-        x0 = np.tile(np.append(start.beta, start.omega ** 2), (len(Y), 1))
+        x0 = np.tile(np.append(start.beta, start.scale ** 2), (len(Y), 1))
     H0 = None if start is None else _parent_curvature(start)
     fits = _on_live_rows(
         Y, p, errors,
@@ -771,7 +771,7 @@ def _parent_curvature(m: FittedModel) -> np.ndarray:
     from ``(beta, omega^2)``, also at omega = 0, the exact GLM (whose
     bootstrap draws no intercepts): the first of every refit of ``m``."""
     d = m.dataset
-    x0 = np.append(m.beta, m.omega * m.omega)[None, :]
+    x0 = np.append(m.beta, m.scale * m.scale)[None, :]
     z0, _, evaluate = _in_w(d.X, d.group, d.y[None, :], x0)
     return _curvature_start(evaluate, z0)[2][0]
 
@@ -946,27 +946,16 @@ def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
 
 def _fitted(kind: ModelKind, d: Dataset, fits: Fits) -> FittedModel:
     """The one row of ``fits``, a fit of ``d.y``, as a
-    :class:`FittedModel`; raises the row's error if it failed.
-
-    An ``lm`` fit with sigma 0 is ``degenerate``; a ``poisson-ri`` fit
-    with omega = 0 has ``boundary_omega`` set: it is the exact GLM, and a
-    bootstrap from it draws no intercepts (:func:`simulate_response`).
-    """
+    :class:`FittedModel`; raises the row's error if it failed."""
     if fits.errors:
         raise fits.errors[0]
-    scale = float(fits.scale[0])
-    lm = kind is ModelKind.LM
-    ri = kind is ModelKind.GLMM_POISSON_RI
     return FittedModel(
         kind=kind,
         beta=fits.beta[0],
         eta=fits.eta[0],
         loglik=float(fits.loglik[0]),
         dataset=d,
-        sigma=scale if lm else None,
-        omega=scale if ri else None,
-        degenerate=lm and scale == 0.0,
-        boundary_omega=ri and scale == 0.0,
+        scale=float(fits.scale[0]),
     )
 
 
@@ -997,12 +986,12 @@ def simulate_response(m: FittedModel, R: int,
     """
     shape = (R, m.n)
     if m.kind is ModelKind.LM:
-        if m.sigma == 0.0:
+        if m.scale == 0.0:
             return np.tile(m.eta, (R, 1))
-        return m.eta + m.sigma * stream.standard_normal(shape)
+        return m.eta + m.scale * stream.standard_normal(shape)
     eta = m.eta
-    if m.kind is ModelKind.GLMM_POISSON_RI and m.omega > 0.0:
-        eps = stream.normal(0.0, m.omega, size=(R, m.dataset.n_groups))
+    if m.scale > 0.0:
+        eps = stream.normal(0.0, m.scale, size=(R, m.dataset.n_groups))
         eta = eta + eps[:, m.dataset.group]
     return stream.poisson(np.exp(eta), size=shape).astype(float)
 

@@ -320,8 +320,7 @@ def run_diagnose(config: RunConfig) -> list[PlotArtifact]:
             _write_artifact_csv(csv_path, res)
             written.append(csv_path)
             svg_path.write_text(
-                render_diagnostic(res, title=f"{config.model}: {pk.value}",
-                                  alpha=config.alpha),
+                render_diagnostic(res, title=f"{config.model}: {pk.value}"),
                 encoding="utf-8",
             )
             written.append(svg_path)

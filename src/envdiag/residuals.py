@@ -37,12 +37,6 @@ def hat_diagonals(X: np.ndarray) -> np.ndarray:
     return np.sum(q * q, axis=1)
 
 
-def _scale(m: FittedModel) -> float:
-    """sigma of an ``lm`` fit, omega of a ``poisson-ri`` one, else 0: the
-    scale of :class:`~envdiag.fitters.Fits`."""
-    return m.sigma if m.kind is ModelKind.LM else m.omega or 0.0
-
-
 def _poisson_means(group: np.ndarray, Y: np.ndarray, eta: np.ndarray,
                    omega: np.ndarray) -> np.ndarray:
     """Fitted means of every row of ``Y`` (R, n) at linear predictors
@@ -74,7 +68,7 @@ def residuals_for(m: FittedModel) -> np.ndarray:
     refit.
     """
     return _default_residuals(m.kind, m.dataset, m.dataset.y[None, :],
-                              m.eta[None, :], np.array([_scale(m)]))[0]
+                              m.eta[None, :], np.array([m.scale]))[0]
 
 
 def _default_residuals(kind: ModelKind, d: Dataset, Y: np.ndarray,

@@ -54,12 +54,13 @@ def _tick_label(t, span):
     return f"{t:.3g}"
 
 
-def render_diagnostic(result, title=None, alpha=None):
+def render_diagnostic(result, title=None):
     """Render a DiagnosticResult as a standalone SVG document.
 
     The envelope is a single closed polygon; the center function is a
     dashed line; the observed function is a solid line with point
-    markers.  The annotation states the p-value and test outcome.
+    markers.  The annotation states the p-value, the test outcome and
+    the envelope's alpha.
     """
     grid = result.grid
     env = result.envelope
@@ -77,11 +78,10 @@ def render_diagnostic(result, title=None, alpha=None):
     sy = _Scale(y_lo, y_hi, HEIGHT - MARGIN_B, MARGIN_T)
 
     kind = result.kind.value
-    xlabel, ylabel = _AXIS_LABELS.get(kind, ("x", "y"))
+    xlabel, ylabel = _AXIS_LABELS[kind]
     verdict = "outside envelope" if result.reject else "inside envelope"
-    note = f"{kind}: p = {result.p_value:.4g} ({verdict})"
-    if alpha is not None:
-        note += f" at alpha = {alpha:g}"
+    note = (f"{kind}: p = {result.p_value:.4g} ({verdict})"
+            f" at alpha = {env.alpha:g}")
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from envdiag import (
     BadGrouping,
     Dataset,
+    FittedModel,
     ModelKind,
     PlotKind,
     RankDeficient,
@@ -60,6 +61,19 @@ def test_dataset_arrays_are_read_only():
         d.y[0] = 5.0
 
 
+@pytest.mark.parametrize("kind, scale, error", [
+    (ModelKind.LM, -1.0, ValueError), (ModelKind.LM, float("nan"), ValueError),
+    (ModelKind.GLMM_POISSON_RI, float("inf"), ValueError),
+    (ModelKind.GLM_POISSON, 0.5, ValueError), (ModelKind.LM, None, TypeError)])
+def test_fitted_model_rejects_a_bad_scale(kind, scale, error):
+    """The scale is required, finite and nonnegative, and 0 for poisson."""
+    d = Dataset(y=np.ones(3), X=np.ones((3, 1)))
+    given = {} if scale is None else {"scale": scale}
+    with pytest.raises(error):
+        FittedModel(kind=kind, beta=[0.0], eta=np.zeros(3), loglik=0.0,
+                    dataset=d, **given)
+
+
 def test_smoother_plot_x_of_a_random_intercept_fit_is_the_marginal_eta():
     """The smoother plots put the residuals against ``m.eta``, the marginal
     ``X beta``: the predicted group intercepts are left out, so the x of
@@ -68,7 +82,7 @@ def test_smoother_plot_x_of_a_random_intercept_fit_is_the_marginal_eta():
                         violation=Violation.NULL_OK, n=40)
     d = generate_dataset(spec, np.random.default_rng(3))
     m = fit_model(d, ModelKind.GLMM_POISSON_RI)
-    assert m.omega > 0.0
+    assert m.scale > 0.0
     results, _ = diagnose_model(m, kinds=(PlotKind.RES_VS_FITS,), B=39,
                                 seed=1)
     x = results[PlotKind.RES_VS_FITS].points[:, 0]

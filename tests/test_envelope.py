@@ -67,11 +67,17 @@ def test_mad_identical_rows_degenerate():
     assert np.sum(env.stats > env.critical) == 0
 
 
-def test_mad_critical_index_at_alpha_005_B_200(rng):
-    vals = rng.standard_normal((200, 3))
-    env = mad_envelope(_ensemble(vals), 0.05)
+@pytest.mark.parametrize("alpha, B, k", [
+    (0.05, 200, 190),
+    # (1 - alpha) * B rounds to 123.00000000000001 and 58.00000000000001
+    (0.18, 150, 123), (0.42, 100, 58)])
+def test_mad_critical_index(rng, alpha, B, k):
+    """The critical value is the k-th smallest statistic, k = (1 - alpha)
+    B rounded up, exactly even where the product does not round to k."""
+    vals = rng.standard_normal((B, 3))
+    env = mad_envelope(_ensemble(vals), alpha)
     stats = np.sort(env.stats)
-    assert env.critical == stats[189]  # the 190th smallest
+    assert env.critical == stats[k - 1]
 
 
 def test_studentized_hand_example():

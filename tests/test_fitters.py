@@ -76,8 +76,7 @@ def test_lm_exact_linear_data_is_degenerate():
     d = Dataset(y=[1.0, 2.0, 3.0], X=[[1, 1], [1, 2], [1, 3]])
     m = fit_model(d, ModelKind.LM)
     assert np.allclose(m.beta, [0.0, 1.0], atol=1e-12)
-    assert m.sigma == 0.0
-    assert m.degenerate
+    assert m.scale == 0.0
     assert np.allclose(m.dataset.y - m.eta, 0.0)
 
 
@@ -91,7 +90,7 @@ def test_lm_constant_response_degenerate():
     d = Dataset(y=[2.0, 2.0, 2.0, 2.0], X=[[1, 0], [1, 1], [1, 2], [1, 7]])
     m = fit_model(d, ModelKind.LM)
     assert np.allclose(m.beta, [2.0, 0.0], atol=1e-12)
-    assert m.sigma == 0.0 and m.degenerate
+    assert m.scale == 0.0
 
 
 def test_lm_matches_closed_form_on_random_data(rng):
@@ -179,7 +178,7 @@ def test_glmm_nests_glm_when_variance_is_zero(rng):
     d = Dataset(y=y, X=X, group=np.arange(n) % 5)
     mm = fit_model(d, ModelKind.GLMM_POISSON_RI)
     mg = fit_model(Dataset(y=y, X=X), ModelKind.GLM_POISSON)
-    assert mm.omega < 1e-4
+    assert mm.scale < 1e-4
     assert np.max(np.abs(mm.beta - mg.beta)) < 1e-4
 
 
@@ -210,7 +209,7 @@ def test_glmm_two_groups_matches_grid_search_oracle():
         b_lo, b_hi = bs[i] - db, bs[i] + db
         w_lo, w_hi = max(ws[j] - dw, 1e-4), ws[j] + dw
     assert abs(m.beta[0] - bs[i]) < 1e-3
-    assert abs(m.omega - ws[j]) < 1e-3
+    assert abs(m.scale - ws[j]) < 1e-3
 
 
 def test_glmm_collapse_at_zero_omega_is_exact(rng):
@@ -390,7 +389,7 @@ def test_glmm_warm_refit_does_not_stop_early():
 def _refit_start(m):
     """The start :func:`fit_rows` gives every refit of a parent ``m`` with
     omega > 0: its ``(beta, omega^2)`` and inverse Hessian."""
-    return np.append(m.beta, m.omega ** 2), fitters._parent_curvature(m)
+    return np.append(m.beta, m.scale ** 2), fitters._parent_curvature(m)
 
 
 def _lbfgsb_reference(m, y):
@@ -500,12 +499,12 @@ def test_glmm_refit_of_a_parent_at_zero_variance_starts_from_its_glm_fit():
     m22, _ = _stream_fit(spec, 22)
     y22 = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 3.0, 0.0, 1.0, 1.0, 3.0])
     for m, y, best in ((m6, y6, -8.7369174579), (m22, y22, -9.6764185940)):
-        assert m.boundary_omega
+        assert m.scale == 0.0
         fit = refit(m, y)
         glm = fit_model(Dataset(y=y, X=m.dataset.X), ModelKind.GLM_POISSON)
         assert fit.loglik >= glm.loglik
         assert fit.loglik >= best - 1e-9, fit.loglik
-    assert refit(m6, y6).omega > 0.5
+    assert refit(m6, y6).scale > 0.5
 
 
 def test_glmm_fit_is_at_least_its_glm_fit():
@@ -520,8 +519,23 @@ def test_glmm_fit_is_at_least_its_glm_fit():
     glm = fit_model(Dataset(y=m.dataset.y, X=m.dataset.X),
                     ModelKind.GLM_POISSON)
     assert m.loglik >= glm.loglik
-    assert m.boundary_omega and m.omega == 0.0
+    assert m.scale == 0.0
     assert np.allclose(m.beta, glm.beta, rtol=0.0, atol=1e-6)
+
+
+def test_glmm_refits_of_a_built_boundary_fit_equal_those_of_the_fit():
+    """A poisson-ri model built at scale 0 from the estimates of a fit at
+    omega = 0 (dataset 6 of the n=10 poisson-ri null stream) is that fit:
+    its refits of 20 of the fit's draws are the same, bit for bit."""
+    spec = ScenarioSpec(model=ModelKind.GLMM_POISSON_RI,
+                        violation=Violation.NULL_OK, n=10)
+    m, boot_seed = _stream_fit(spec, 6)
+    assert m.scale == 0.0
+    built = FittedModel(kind=m.kind, beta=m.beta, eta=m.eta,
+                        loglik=m.loglik, dataset=m.dataset, scale=0.0)
+    Y = simulate_response(m, 20, np.random.default_rng(boot_seed))
+    for a, b in zip(refit_many(m, Y), refit_many(built, Y)):
+        assert np.array_equal(a, b)
 
 
 def test_glmm_line_search_ends_at_its_first_sufficient_decrease(monkeypatch):
@@ -549,7 +563,7 @@ def test_glmm_line_search_ends_at_its_first_sufficient_decrease(monkeypatch):
     monkeypatch.setattr(fitters, "_glmm_objective", counted)
     fit = refit(m, y)
     assert len(calls) <= 20, len(calls)
-    assert fit.boundary_omega
+    assert fit.scale == 0.0
     assert abs(fit.loglik - (-14.040167544694384)) <= 1e-9, fit.loglik
 
 
@@ -609,7 +623,7 @@ def test_glmm_objective_rows_out_of_range_alone():
     without it, bit for bit."""
     m, Y = _glmm_refit_batch(0, B=4)
     d = m.dataset
-    x = np.tile(np.append(m.beta, m.omega ** 2), (3, 1))
+    x = np.tile(np.append(m.beta, m.scale ** 2), (3, 1))
     x[1, 0] = 600.0
     S, log_fact = fitters._response_constants(d.group, d.n_groups, Y)
     f, g = fitters._glmm_objective(d.X, d.group, Y, x, S, log_fact)
@@ -674,7 +688,7 @@ def test_glmm_rows_with_no_finite_start_fail_at_once():
     no search; a batch of such rows alone returns at once."""
     m, Y = _glmm_refit_batch(0, B=3)
     d = m.dataset
-    x0 = np.tile(np.append(m.beta, m.omega ** 2), (2, 1))
+    x0 = np.tile(np.append(m.beta, m.scale ** 2), (2, 1))
     x0[:, 0] = 600.0
     for H0 in (None, np.eye(x0.shape[1])):
         fits = glmm_rows(d.X, d.group, Y, x0, H0)
@@ -694,7 +708,7 @@ def test_glmm_rows_stopped_by_the_iteration_cap_say_so(monkeypatch):
     not finite."""
     m, Y = _glmm_refit_batch(0, B=9)
     d = m.dataset
-    x0 = np.tile(np.append(m.beta, m.omega ** 2), (len(Y), 1))
+    x0 = np.tile(np.append(m.beta, m.scale ** 2), (len(Y), 1))
     monkeypatch.setattr(fitters, "_MAX_ITER", 1)
     fits = glmm_rows(d.X, d.group, Y, x0)
     assert fits.errors
@@ -957,7 +971,7 @@ def test_glmm_constant_terms_outside_the_node_sums_keep_the_value():
         d = m.dataset
         Y = np.vstack([d.y, Y])
         R = Y.shape[0]
-        check(np.tile(m.beta, (R, 1)), np.full(R, m.omega), d.X, Y, d.group)
+        check(np.tile(m.beta, (R, 1)), np.full(R, m.scale), d.X, Y, d.group)
         fits = fit_rows(ModelKind.GLMM_POISSON_RI, d, Y, start=m)
         assert not fits.errors
         check(fits.beta, fits.scale, d.X, Y, d.group)
@@ -1331,7 +1345,7 @@ def _failure_case(case: str, monkeypatch):
             kind=ModelKind.LM if lm else ModelKind.GLM_POISSON,
             beta=np.zeros(3), eta=np.zeros(n), loglik=0.0,
             dataset=Dataset(y=y, X=np.column_stack([X, x])),
-            sigma=1.0 if lm else None)
+            scale=1.0 if lm else 0.0)
         return m, np.vstack([y, y]), [0, 1], RankDeficient
     if case == "glm-max-iter-1":
         m = fit_model(Dataset(y=y, X=X), ModelKind.GLM_POISSON)
@@ -1381,14 +1395,14 @@ def test_glm_rows_flag_rank_loss_and_nonconvergence(case, monkeypatch):
 # ------------------------------------------------------------------ #
 
 
-def _toy_lm(sigma=1.0, n=4):
+def _toy_lm(scale=1.0, n=4):
     d = Dataset(y=np.zeros(n), X=np.ones((n, 1)))
     return FittedModel(kind=ModelKind.LM, beta=[0.0], eta=np.zeros(n),
-                       loglik=0.0, dataset=d, sigma=sigma)
+                       loglik=0.0, dataset=d, scale=scale)
 
 
 def test_simulate_lm_zero_sigma_returns_eta_exactly():
-    m = _toy_lm(sigma=0.0)
+    m = _toy_lm(scale=0.0)
     stream = np.random.default_rng(1)
     out = simulate_response(m, 5, stream)
     assert out.shape == (5, m.n)
@@ -1400,7 +1414,7 @@ def test_simulate_lm_zero_sigma_returns_eta_exactly():
 def test_simulate_glm_mean_matches_rate(rng):
     d = Dataset(y=np.ones(5), X=np.ones((5, 1)))
     m = FittedModel(kind=ModelKind.GLM_POISSON, beta=[0.0], eta=np.zeros(5),
-                    loglik=-5.0, dataset=d)
+                    loglik=-5.0, dataset=d, scale=0.0)
     draws = simulate_response(m, 20000, rng).mean(axis=1)
     assert abs(draws.mean() - 1.0) < 0.02
 
@@ -1410,9 +1424,10 @@ def test_simulate_glmm_zero_omega_identical_to_glm():
     d = Dataset(y=np.ones(n), X=np.ones((n, 1)), group=np.arange(n) % 3)
     eta = np.linspace(-0.5, 0.5, n)
     mr = FittedModel(kind=ModelKind.GLMM_POISSON_RI, beta=[0.0], eta=eta,
-                     loglik=-5.0, dataset=d, omega=0.0)
+                     loglik=-5.0, dataset=d, scale=0.0)
     mg = FittedModel(kind=ModelKind.GLM_POISSON, beta=[0.0], eta=eta,
-                     loglik=-5.0, dataset=Dataset(y=np.ones(n), X=d.X))
+                     loglik=-5.0, dataset=Dataset(y=np.ones(n), X=d.X),
+                     scale=0.0)
     a = simulate_response(mr, 7, np.random.default_rng(5))
     b = simulate_response(mg, 7, np.random.default_rng(5))
     assert a.shape == (7, n)
@@ -1476,11 +1491,11 @@ def test_loglik_matches_stored_value(kind, rng):
     m = fit_model(d, kind)
     # the likelihood at the stored estimates, from scipy's densities
     if kind is ModelKind.LM:
-        want = norm.logpdf(y, loc=m.eta, scale=m.sigma).sum()
+        want = norm.logpdf(y, loc=m.eta, scale=m.scale).sum()
     elif kind is ModelKind.GLM_POISSON:
         want = poisson.logpmf(y, np.exp(m.eta)).sum()
     else:
-        want = glmm_marginal_loglik(m.beta, m.omega, X, y, group)
+        want = glmm_marginal_loglik(m.beta, m.scale, X, y, group)
     assert abs(want - m.loglik) < 1e-10
 
 

@@ -335,14 +335,22 @@ def test_shipped_power_study_presets_build():
 # ------------------------------------------------------------------ #
 
 
+_FIT_KEYS = {"beta", "loglik", "model", "n", "p"}
+
+
 def test_cli_fit_prints_summary(tmp_path, capsys):
-    data = _null_lm_csv(tmp_path / "d.csv")
-    rc = main(["fit", "--data", data, "--model", "lm"])
-    assert rc == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["model"] == "lm"
-    assert len(out["beta"]) == 2
-    assert "sigma" in out
+    """The summary holds exactly these keys: the scale under its name
+    and whether it is 0, for the classes that have one."""
+    cases = (("lm", _null_lm_csv, {"sigma", "degenerate"}),
+             ("poisson", _mixture_poisson_csv, set()))
+    for model, make_csv, scale_keys in cases:
+        data = make_csv(tmp_path / f"{model}.csv")
+        rc = main(["fit", "--data", data, "--model", model])
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out)
+        assert set(out) == _FIT_KEYS | scale_keys
+        assert out["model"] == model
+        assert len(out["beta"]) == 2
 
 
 def test_cli_diagnose_roundtrip(tmp_path, capsys):
@@ -613,7 +621,7 @@ def test_cli_random_intercept_roundtrip(tmp_path, capsys):
     assert rc == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["model"] == "poisson-ri"
-    assert "omega" in summary and "boundary_omega" in summary
+    assert set(summary) == _FIT_KEYS | {"omega", "boundary_omega"}
 
     rc = main(["diagnose", "--data", data, "--model", "poisson-ri",
                "--group", "site", "--plots", "qq", "--B", "49",

@@ -21,7 +21,7 @@ def _poisson_model(y, mu):
     eta = np.log(np.asarray(mu, dtype=float))
     d = Dataset(y=y, X=np.ones((y.size, 1)))
     return FittedModel(kind=ModelKind.GLM_POISSON, beta=[0.0], eta=eta,
-                       loglik=0.0, dataset=d)
+                       loglik=0.0, dataset=d, scale=0.0)
 
 
 def test_hat_diagonals_balanced_three_point_design():
@@ -33,7 +33,7 @@ def test_hat_diagonals_balanced_three_point_design():
 def test_standardized_residuals_perfect_fit_are_zero():
     d = Dataset(y=[1.0, 2.0, 3.0, 4.0], X=[[1, 0], [1, 1], [1, 2], [1, 3]])
     m = fit_model(d, ModelKind.LM)
-    assert m.degenerate and m.sigma == 0.0
+    assert m.scale == 0.0
     assert np.array_equal(residuals_for(m), np.zeros(4))
 
 
@@ -43,7 +43,7 @@ def test_standardized_residuals_match_direct_formula(rng):
     y = rng.normal(size=n)
     m = fit_model(Dataset(y=y, X=X), ModelKind.LM)
     h = hat_diagonals(X)
-    expected = (y - m.eta) / (m.sigma * np.sqrt(1 - h))
+    expected = (y - m.eta) / (m.scale * np.sqrt(1 - h))
     assert np.allclose(residuals_for(m), expected, atol=1e-12)
 
 
@@ -76,7 +76,7 @@ def test_deviance_zero_at_mean():
     mu = np.exp(eta)
     d = Dataset(y=mu, X=np.ones((2, 1)))
     m = FittedModel(kind=ModelKind.GLM_POISSON, beta=[0.0], eta=eta,
-                    loglik=0.0, dataset=d)
+                    loglik=0.0, dataset=d, scale=0.0)
     assert np.array_equal(residuals_for(m), np.zeros(2))
 
 
@@ -121,8 +121,8 @@ def test_glmm_fitted_means_use_conditional_modes(rng):
     y = np.array([0.0, 1.0, 0.0, 8.0, 9.0, 10.0])
     d = Dataset(y=y, X=np.ones((6, 1)), group=[0, 0, 0, 1, 1, 1])
     m = FittedModel(kind=ModelKind.GLMM_POISSON_RI, beta=[1.0],
-                    eta=np.full(6, 1.0), loglik=-20.0, dataset=d, omega=1.5)
+                    eta=np.full(6, 1.0), loglik=-20.0, dataset=d, scale=1.5)
     mu = _poisson_means(m.dataset.group, m.dataset.y[None, :],
-                        m.eta[None, :], np.array([m.omega]))[0]
+                        m.eta[None, :], np.array([m.scale]))[0]
     assert mu[0] < np.exp(1.0) < mu[3]
     assert np.allclose(mu[:3], mu[0]) and np.allclose(mu[3:], mu[3])
