@@ -5,18 +5,22 @@ Runs ``fit_model`` and ``diagnose_model`` (all four plots plus the
 log-likelihood goodness-of-fit baseline) on the first N datasets of the
 stream a power study with the given seed draws, with that study's
 dataset and bootstrap seeds.  Prints one digest per dataset and one over
-all of them.  Each digest covers the observed curves, the lower and upper
-bands, the envelope statistics, the p-values and reject flags of every
-plot, and the GOF p-value and flag; a dataset that fails is hashed by
-its exception class and message.  Each dataset line then gives the
-dataset's calls of the ``poisson-ri`` likelihood kernel and the rows
-they evaluated (0 for ``lm`` and ``poisson``); the ``all`` line hashes
-the digests only.  Two versions of the library whose digests agree
-produced bit-identical outputs:
+all of them.  Each digest covers every array of a plot that the CSV
+and SVG writers and the benchmark's correctness gate read: the grid, the
+observed curve, the scatter points, the envelope's center, lower and
+upper bands, statistics, critical value and degenerate grid points, and
+the p-value and reject flag; then the GOF p-value and flag.  A dataset
+that fails is hashed by its exception class and message.  Each dataset
+line then gives the dataset's calls of the ``poisson-ri`` likelihood
+kernel and the rows they evaluated (0 for ``lm`` and ``poisson``); the
+``all`` line hashes the digests only.  Two versions of the library whose
+digests agree produced bit-identical outputs.  Digests of versions of
+this script that hashed fewer arrays are not comparable with these:
 
     python3 scripts/output_digest.py --model lm --violation null --n 80 --B 199
     python3 scripts/output_digest.py --model poisson --violation mixture --n 80 --B 99
     python3 scripts/output_digest.py --model poisson-ri --violation null --n 40 --B 99
+    python3 scripts/output_digest.py --model poisson-ri --violation null --n 10 --B 99
 
 The library is imported from ``src/`` next to this script.
 """
@@ -82,10 +86,11 @@ def dataset_digest(spec: ScenarioSpec, index: int) -> str:
         h.update(f"{type(exc).__name__}: {exc}".encode())
         return h.hexdigest()
     for kind in PlotKind:
-        r = results[kind]
+        r, env = results[kind], results[kind].envelope
         h.update(kind.value.encode())
-        _update(h, r.observed, r.envelope.lower, r.envelope.upper,
-                r.envelope.stats, [r.p_value, float(r.reject)])
+        _update(h, r.grid, r.observed, r.points, env.center, env.lower,
+                env.upper, env.stats, [env.critical], env.degenerate_points,
+                [r.p_value, float(r.reject)])
     _update(h, [gof.p_value, float(gof.reject)])
     return h.hexdigest()
 

@@ -43,10 +43,8 @@ from .smoother import (
 )
 from .envelope import (
     AlphaTooSmall,
-    EnvelopeMode,
     FunctionEnsemble,
     GlobalEnvelope,
-    global_envelope,
     mad_envelope,
     studentized_mad_envelope,
 )

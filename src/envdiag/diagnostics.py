@@ -1,8 +1,12 @@
 """Bootstrap construction of global envelopes around residual plots.
 
-For a fitted model the pipeline is: simulate new responses from the
-fitted parameters, refit, recompute residuals, reduce them to the plot's
-functional, and repeat to build an ensemble for the envelope engine.
+:func:`diagnose_model` runs in two stages.  The bootstrap stage
+(:func:`simulate_replicates`) uses the model's capability to simulate
+new responses from the fitted parameters, refit and recompute residuals,
+B-1 times.  The verdict stage (``_verdicts``) reads no model, only the
+residual rows, the observed linear predictors and the log-likelihoods:
+it reduces each row to each plot's functional and ranks the observed
+curve in a global envelope.
 All draws of a dataset, the B-1 and the spares, come from one random
 stream in one batched ``simulate`` call; the B-1 are refitted as one
 batch by the model capability's ``refit_many``, and failed refits are
@@ -29,11 +33,10 @@ from scipy.special import ndtr, ndtri
 
 from .data import EnvdiagError, FittedModel, ModelCapability
 from .envelope import (
-    EnvelopeMode,
     FunctionEnsemble,
     GlobalEnvelope,
     _critical_index,
-    global_envelope,
+    studentized_mad_envelope,
 )
 from .fitters import simulate_response
 from .residuals import refit_many, residuals_for
@@ -233,6 +236,29 @@ def _gof_from_logliks(observed: float, null_logliks: np.ndarray,
     return GofResult(p_value=p, reject=bool(p <= alpha))
 
 
+def _verdicts(E: np.ndarray, eta: np.ndarray, logliks: Optional[np.ndarray],
+              kinds, alpha: float, m_grid: int
+              ) -> tuple[dict[PlotKind, DiagnosticResult], Optional[GofResult]]:
+    """The verdict stage: each plot's envelope test and the GOF baseline.
+
+    ``E`` (B, n) holds the observed residuals in row 0 and the replicates
+    below; ``eta`` the observed linear predictors (the smoothers' x);
+    ``logliks`` the observed maximized log-likelihood followed by the
+    refits' own, or None for no goodness-of-fit baseline.
+    """
+    plots = _plot_functionals(kinds, E, eta, m_grid)
+    results = {}
+    for kind in kinds:
+        grid, values, points = plots[kind]
+        ensemble = FunctionEnsemble(grid=grid, values=values)
+        results[kind] = DiagnosticResult(
+            kind=kind, grid=ensemble.grid, observed=ensemble.values[0],
+            envelope=studentized_mad_envelope(ensemble, alpha), points=points)
+    gof = (None if logliks is None
+           else _gof_from_logliks(logliks[0], logliks[1:], alpha))
+    return results, gof
+
+
 def diagnose_model(
     m: FittedModel,
     kinds: tuple[PlotKind, ...] = tuple(PlotKind),
@@ -245,14 +271,15 @@ def diagnose_model(
 ) -> tuple[dict[PlotKind, DiagnosticResult], Optional[GofResult]]:
     """All requested diagnostics from a single set of bootstrap replicates.
 
-    Every band is the Studentized MAD global envelope.  Sharing the
-    replicate residuals across plot kinds (and the goodness-of-fit
-    baseline) gives results identical to a call per kind with the same
-    seed, at a fraction of the cost.  The goodness-of-fit baseline ranks
-    the observed maximized log-likelihood among the refits' own: an
-    observed value in the low tail indicates lack of fit, ``p = (1 +
-    #{loglik_b <= loglik_obs}) / B``.  The settings are checked before
-    any refit (:func:`_check_settings`).
+    The settings are checked before any refit (:func:`_check_settings`),
+    then the bootstrap stage runs and the verdict stage (:func:`_verdicts`)
+    gives the results.  Every band is the Studentized MAD global envelope.
+    Sharing the replicate residuals across plot kinds (and the
+    goodness-of-fit baseline) gives results identical to a call per kind
+    with the same seed, at a fraction of the cost.  The goodness-of-fit
+    baseline ranks the observed maximized log-likelihood among the
+    refits' own: an observed value in the low tail indicates lack of fit,
+    ``p = (1 + #{loglik_b <= loglik_obs}) / B``.
     """
     _check_settings(B, alpha, seed, m_grid)
     cap = capability or default_capability()
@@ -260,22 +287,6 @@ def diagnose_model(
     # reason rather than through B refits that all fail the same way
     observed = cap.residuals(m)
     reps = simulate_replicates(m, B, seed, cap)
-    results = {}
-    if kinds:
-        # row 0 is the observed residual vector, the rest the replicates
-        E = np.vstack([observed, reps.residuals])
-        plots = _plot_functionals(kinds, E, m.eta, m_grid)
-        for kind in kinds:
-            grid, values, points = plots[kind]
-            ensemble = FunctionEnsemble(grid=grid, values=values)
-            env = global_envelope(ensemble, alpha,
-                                  EnvelopeMode.STUDENTIZED_MAD)
-            results[kind] = DiagnosticResult(
-                kind=kind,
-                grid=ensemble.grid,
-                observed=ensemble.values[0],
-                envelope=env,
-                points=points,
-            )
-    gof = _gof_from_logliks(m.loglik, reps.logliks, alpha) if with_gof else None
-    return results, gof
+    logliks = np.append(m.loglik, reps.logliks) if with_gof else None
+    return _verdicts(np.vstack([observed, reps.residuals]), m.eta, logliks,
+                     kinds, alpha, m_grid)

@@ -2,16 +2,16 @@
 
 Given B functions sampled on the same evaluation set (the first row being
 the observed function), each row is ranked by its maximal distance from
-the ensemble mean, either raw (MAD) or divided pointwise by the ensemble
-standard deviation (Studentized MAD).  The envelope at level alpha is the
-band that exactly the most extreme fraction alpha of rows escape, which
-turns the plot into a Monte Carlo test: the observed function leaves the
-band somewhere iff its statistic exceeds the critical quantile.
+the ensemble mean, either raw (:func:`mad_envelope`) or divided pointwise
+by the ensemble standard deviation (:func:`studentized_mad_envelope`).
+The envelope at level alpha is the band that exactly the most extreme
+fraction alpha of rows escape, which turns the plot into a Monte Carlo
+test: the observed function leaves the band somewhere iff its statistic
+exceeds the critical quantile.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -26,11 +26,6 @@ _VAR_EPS = 1e-24
 
 class AlphaTooSmall(EnvdiagError):
     """alpha < 1/B: no rejection is achievable with this ensemble size."""
-
-
-class EnvelopeMode(enum.Enum):
-    MAD = "mad"
-    STUDENTIZED_MAD = "studentized_mad"
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,10 +80,9 @@ class GlobalEnvelope:
     critical: float
     stats: np.ndarray
     alpha: float
-    mode: EnvelopeMode
     p_value: float
     observed_outside: bool
-    pointwise_sd: Optional[np.ndarray] = None      # Studentized mode only
+    pointwise_sd: Optional[np.ndarray] = None      # Studentized only
     degenerate_points: Optional[np.ndarray] = None  # bool mask, Studentized
 
 
@@ -108,7 +102,6 @@ def _critical_index(alpha: float, B: int) -> int:
 def _band(
     e: FunctionEnsemble,
     alpha: float,
-    mode: EnvelopeMode,
     center: np.ndarray,
     stats: np.ndarray,
     scale: float | np.ndarray,
@@ -125,7 +118,6 @@ def _band(
         critical=critical,
         stats=stats,
         alpha=alpha,
-        mode=mode,
         p_value=float(np.count_nonzero(stats >= stats[0])) / e.B,
         observed_outside=bool(stats[0] > critical),
         pointwise_sd=sd,
@@ -141,7 +133,7 @@ def mad_envelope(e: FunctionEnsemble, alpha: float) -> GlobalEnvelope:
     """
     center = e.values.mean(axis=0)
     stats = np.max(np.abs(e.values - center[None, :]), axis=1)
-    return _band(e, alpha, EnvelopeMode.MAD, center, stats, 1.0)
+    return _band(e, alpha, center, stats, 1.0)
 
 
 def studentized_mad_envelope(e: FunctionEnsemble, alpha: float) -> GlobalEnvelope:
@@ -164,14 +156,6 @@ def studentized_mad_envelope(e: FunctionEnsemble, alpha: float) -> GlobalEnvelop
     else:
         scaled = np.abs(dev[:, ~degenerate]) / sd[None, ~degenerate]
         stats = np.max(scaled, axis=1)
-    return _band(e, alpha, EnvelopeMode.STUDENTIZED_MAD, center, stats,
-                 np.where(degenerate, 0.0, sd), sd, degenerate)
-
-
-def global_envelope(e: FunctionEnsemble, alpha: float,
-                    mode: EnvelopeMode) -> GlobalEnvelope:
-    """The envelope of the given mode at level alpha."""
-    if mode is EnvelopeMode.MAD:
-        return mad_envelope(e, alpha)
-    return studentized_mad_envelope(e, alpha)
+    return _band(e, alpha, center, stats, np.where(degenerate, 0.0, sd),
+                 sd, degenerate)
 

@@ -106,10 +106,12 @@ _GH_LOG_WX.setflags(write=False)
 
 
 def _gaussian_loglik(y: np.ndarray, mean: np.ndarray, sigma):
-    """Gaussian log-density of ``y`` (or of each row of ``y``)."""
+    """Gaussian log-density of ``y`` (or of each row of ``y``).  At
+    ``sigma == 0`` it is unbounded and taken as ``-(n/2) log(2 pi tiny)``:
+    a degenerate ``lm`` fit's residue is rounding noise and counts as 0."""
     n = y.shape[-1]
     var = np.maximum(np.multiply(sigma, sigma), _TINY)
-    sse = np.sum((y - mean) ** 2, axis=-1)
+    sse = np.where(sigma == 0, 0.0, np.sum((y - mean) ** 2, axis=-1))
     return -0.5 * (n * np.log(2.0 * math.pi * var) + sse / var)
 
 

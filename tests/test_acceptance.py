@@ -100,7 +100,7 @@ def test_criterion_1_envelope_exactness():
                     equiv = np.array_equal(exits, exceed)
                     if not (contained and equiv):
                         ok = False
-                        worst = f"B={B} m={m} mode={env.mode.value}"
+                        worst = f"B={B} m={m} {make.__name__}"
     _report("1", ok, "containment and outside-set equivalence on "
                      f"synthetic ensembles{'; failed at ' + worst if worst else ''}")
 

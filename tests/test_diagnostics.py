@@ -8,7 +8,7 @@ from envdiag import (
     AlphaTooSmall,
     Dataset,
     EnvdiagError,
-    EnvelopeMode,
+    FittedModel,
     LeverageOne,
     ModelCapability,
     ModelKind,
@@ -21,12 +21,12 @@ from envdiag import (
     default_capability,
     diagnose_model,
     fit_model,
-    global_envelope,
     refit,
     refit_many,
     residuals_for,
     simulate_replicates,
     simulate_response,
+    studentized_mad_envelope,
 )
 from envdiag.diagnostics import _plot_functionals
 from envdiag.envelope import FunctionEnsemble
@@ -167,7 +167,7 @@ def test_plot_envelope_wiring_matches_envelope_test(rng):
             np.sort(simulate_replicates(m, 49, 3).residuals, axis=1),
         ]),
     )
-    env = global_envelope(ensemble, 0.05, EnvelopeMode.STUDENTIZED_MAD)
+    env = studentized_mad_envelope(ensemble, 0.05)
     assert env.observed_outside == res.reject and env.p_value == res.p_value
 
 
@@ -559,6 +559,64 @@ def test_glm_mixture_qq_beats_scale_location(rng):
     assert qq_hits > sl_hits
 
 
+def _known_sigma_model(sigma0):
+    """A Gaussian linear model with known sd ``sigma0``, written here and
+    not one of the built-in classes: its fit function and its capability
+    (least-squares refits, residuals ``(y - fit) / sigma0`` and the
+    log-likelihood at ``sigma0``)."""
+    def fit_rows(X, Y):
+        beta = np.linalg.lstsq(X, Y.T, rcond=None)[0].T
+        eta = beta @ X.T
+        E = (Y - eta) / sigma0
+        logliks = -0.5 * (Y.shape[1] * np.log(2 * np.pi * sigma0**2)
+                          + np.sum(E * E, axis=1))
+        return beta, eta, E, logliks
+
+    def fit(d):
+        beta, eta, _, logliks = fit_rows(d.X, d.y[None, :])
+        return FittedModel(kind=ModelKind.LM, beta=beta[0], eta=eta[0],
+                           loglik=float(logliks[0]), dataset=d, scale=sigma0)
+
+    def simulate(m, R, stream):
+        return m.eta + sigma0 * stream.standard_normal((R, m.n))
+
+    def refit_many(m, Y):
+        _, _, E, logliks = fit_rows(m.dataset.X, Y)
+        return E, logliks, np.zeros(Y.shape[0], dtype=bool)
+
+    def residuals(m):
+        return (m.dataset.y - m.eta) / sigma0
+
+    return fit, ModelCapability(simulate=simulate, refit_many=refit_many,
+                                residuals=residuals)
+
+
+def test_any_fitted_model_with_simulate_residuals_and_predict(rng):
+    """The paper's tool works for any fitted model with simulate,
+    residuals and predict: a known-sd Gaussian model given only as a
+    capability keeps every plot and the GOF baseline at level under its
+    own data, and its QQ plot detects data drawn with twice the sd."""
+    n, B, alpha, reps, sigma0 = 40, 39, 0.05, 100, 0.5
+    x = (np.arange(n) + 0.5) / n
+    X = np.column_stack([np.ones(n), x])
+    fit, cap = _known_sigma_model(sigma0)
+    bound = reps * (alpha + 3 * np.sqrt(alpha * (1 - alpha) / reps))
+    for sd in (sigma0, 2 * sigma0):
+        hits = dict.fromkeys([*PlotKind, "gof"], 0)
+        for i in range(reps):
+            y = 1 + 2 * x + sd * rng.standard_normal(n)
+            results, gof = diagnose_model(
+                fit(Dataset(y=y, X=X)), B=B, alpha=alpha, seed=i,
+                capability=cap, with_gof=True)
+            for kind, r in results.items():
+                hits[kind] += r.reject
+            hits["gof"] += gof.reject
+        if sd == sigma0:
+            assert all(h <= bound for h in hits.values()), hits
+        else:
+            assert hits[PlotKind.QQ] >= 90, hits
+
+
 # ------------------------------------------------------------------ #
 # goodness-of-fit baseline
 # ------------------------------------------------------------------ #
@@ -588,3 +646,23 @@ def test_gof_null_rate_controlled(rng):
         res = diagnose_model(m, kinds=(), B=99, seed=seed, with_gof=True)[1]
         hits += int(res.reject)
     assert hits / reps <= 0.07
+
+
+@pytest.mark.parametrize("line", [(1.0, 2.0), (3.0, -0.5), (1000.0, 2000.0)],
+                         ids=["1+2x", "3-0.5x", "1000(1+2x)"])
+def test_degenerate_lm_loglik_depends_on_n_only(line):
+    """An exactly linear response gives sigma = 0, whose likelihood is
+    unbounded: its log-likelihood is -(n/2) log(2 pi tiny), not rounding
+    noise over the variance floor, so every refit gets the same value
+    and the GOF baseline cannot reject the exact fit."""
+    n = 30
+    x = (np.arange(n) + 0.5) / n
+    d = Dataset(y=line[0] + line[1] * x, X=np.column_stack([np.ones(n), x]))
+    m = fit_model(d, ModelKind.LM)
+    assert m.scale == 0.0
+    assert m.loglik == -(n / 2) * np.log(2 * np.pi * np.finfo(float).tiny)
+    assert m.loglik == 10598.378121987822
+    reps = simulate_replicates(m, 39, 1)
+    assert np.all(reps.logliks == m.loglik)
+    gof = diagnose_model(m, kinds=(), B=39, seed=1, with_gof=True)[1]
+    assert gof.p_value == 1.0 and not gof.reject

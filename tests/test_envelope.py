@@ -5,9 +5,7 @@ from hypothesis import strategies as st
 
 from envdiag import (
     AlphaTooSmall,
-    EnvelopeMode,
     FunctionEnsemble,
-    global_envelope,
     mad_envelope,
     studentized_mad_envelope,
 )
@@ -135,7 +133,7 @@ def test_envelope_test_center_observed():
     # the full ensemble: it can never reject, and p is maximal
     sims = np.random.default_rng(3).normal(1.5, 1.0, (19, 4))
     e = _ensemble(np.vstack([sims.mean(axis=0), sims]))
-    env = global_envelope(e, 0.2, EnvelopeMode.MAD)
+    env = mad_envelope(e, 0.2)
     assert np.allclose(env.center, e.values[0])
     assert not env.observed_outside
     assert env.p_value == 1.0
@@ -143,7 +141,7 @@ def test_envelope_test_center_observed():
 
 def test_envelope_test_extreme_observed():
     e = _ensemble([[3.0], [1.0], [2.0], [0.0]])
-    env = global_envelope(e, 0.5, EnvelopeMode.MAD)
+    env = mad_envelope(e, 0.5)
     assert env.observed_outside
     assert env.p_value == pytest.approx(0.5)
 
@@ -207,7 +205,7 @@ def test_null_exactness_rejection_rate(rng):
     reps = 2000
     for _ in range(reps):
         e = _ensemble(rng.standard_normal((100, 4)))
-        env = global_envelope(e, 0.05, EnvelopeMode.STUDENTIZED_MAD)
+        env = studentized_mad_envelope(e, 0.05)
         hits += int(env.observed_outside)
     rate = hits / reps
     assert rate <= 0.05 + 3 * np.sqrt(0.05 * 0.95 / reps)

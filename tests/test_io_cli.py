@@ -353,6 +353,21 @@ def test_cli_fit_prints_summary(tmp_path, capsys):
         assert len(out["beta"]) == 2
 
 
+def test_cli_fit_exactly_linear_lm(tmp_path, capsys):
+    """An exactly linear response prints the lm keys, ``degenerate`` true
+    and the finite log-likelihood -(n/2) log(2 pi tiny) of sigma = 0."""
+    n = 30
+    x = (np.arange(n) + 0.5) / n
+    lines = ["y,x"] + [f"{float(3 - 0.5 * xi)!r},{float(xi)!r}" for xi in x]
+    data = _write(tmp_path / "d.csv", "\n".join(lines) + "\n")
+    assert main(["fit", "--data", data, "--model", "lm"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert set(out) == _FIT_KEYS | {"sigma", "degenerate"}
+    assert out["degenerate"] is True and out["sigma"] == 0.0
+    assert out["loglik"] == pytest.approx(
+        -(n / 2) * np.log(2 * np.pi * np.finfo(float).tiny), rel=1e-12)
+
+
 def test_cli_diagnose_roundtrip(tmp_path, capsys):
     data = _null_lm_csv(tmp_path / "d.csv")
     cfg_path = _write(
@@ -641,14 +656,14 @@ def test_public_surface():
     """One entry point per pipeline step; submodules are not exported."""
     assert sorted(envdiag.__all__) == sorted([
         "AlphaTooSmall", "BadGrouping", "Dataset", "DegenerateX",
-        "DiagnosticResult", "EnvdiagError", "EnvelopeMode", "Fits",
+        "DiagnosticResult", "EnvdiagError", "Fits",
         "FittedModel", "FunctionEnsemble", "GlobalEnvelope", "GofResult",
         "LeverageOne", "METHODS", "ModelCapability", "ModelKind",
         "NonConvergence", "PSplineDesign", "PlotKind", "RankDeficient",
         "ScenarioSpec", "Separation",
         "SmoothFit", "TooFewRows", "TooManyRefitFailures", "Violation",
         "default_capability", "diagnose_model", "fit_model", "fit_rows",
-        "generate_dataset", "glmm_marginal_loglik", "global_envelope",
+        "generate_dataset", "glmm_marginal_loglik",
         "hat_diagonals", "mad_envelope", "refit",
         "refit_many", "residuals_for", "run_scenario",
         "simulate_replicates", "simulate_response",
