@@ -10,10 +10,9 @@ bootstrap seeds, and reports two lines: the observed fits
 the likelihood kernel ``fitters._glmm_objective`` and the rows they
 evaluated, then, per kernel call, the milliseconds spent inside the
 kernel and those spent inside ``fitters.glmm_rows`` but outside the
-kernel: the optimizer's own bookkeeping.  The refits' one kernel call
-outside ``glmm_rows``, for the parent's curvature, counts as a call.
-Both functions are counted and timed by rebinding the module
-attributes, as ``scripts/output_digest.py`` counts the kernel.
+kernel: the optimizer's own bookkeeping.  Both functions are counted
+and timed by rebinding the module attributes, as
+``scripts/output_digest.py`` counts the kernel.
 
 The call and row counts are exact: the same on every run.  The times are
 raw wall clock from the last of ``--passes`` passes over the datasets,

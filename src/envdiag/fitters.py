@@ -13,18 +13,19 @@ its fit alone raises.
   each with its own step halving and stop, after one existence check,
   :func:`_no_mle_rows`, has set aside the responses with no finite MLE.
 * Poisson log-linear model with a random intercept per group, solved by
-  quasi-Newton optimization of an adaptive Gauss-Hermite approximation to
-  the marginal likelihood (nodes recentred at each group's conditional
-  mode, in closed form by the Lambert W function).  One kernel returns
-  the approximation and its exact gradient, differentiated through the
-  modes and curvatures (Pinheiro & Bates 1995), for many responses at
-  once.  One optimizer, :func:`glmm_rows`, runs a projected BFGS per
-  response in the variance omega^2 >= 0 (0 is the GLM exactly), after
-  the same check: a fit starts from the GLM estimates and the curvature
-  of its own likelihood there, a refit from the parent fit and the
-  curvature of the parent's.  Each kernel call takes one line-search
-  trial of every response of a batch still moving; the terms that
-  depend on the response alone are computed once per batch.
+  Newton's method on an adaptive Gauss-Hermite approximation to the
+  marginal likelihood (nodes recentred at each group's conditional mode,
+  in closed form by the Lambert W function).  One kernel returns the
+  approximation with its exact gradient and Hessian, differentiated
+  through the modes and curvatures (Pinheiro & Bates 1995), for many
+  responses at once.  One optimizer, :func:`glmm_rows`, runs a projected
+  Newton per response in the variance omega^2 >= 0 (0 is the GLM
+  exactly), after the same check, with an eigenvalue floor and an
+  Armijo line search: a fit starts from its GLM estimates, a refit from
+  the parent fit, each from the Hessian of its own likelihood there.
+  Each kernel call takes one line-search trial of every response of a
+  batch still moving; the terms that depend on the response alone are
+  computed once per batch.
 
 ``fit_model`` and ``refit`` return the one row of :func:`fit_rows` as an
 immutable :class:`~envdiag.data.FittedModel`;
@@ -85,19 +86,23 @@ class Separation(EnvdiagError):
         self.direction = direction
 
 
-# Iteration budget (IRLS iterations; twice as many quasi-Newton ones) and
-# relative change in the objective at which the iterative fitters stop.
+# Iteration budget of the iterative fitters (IRLS, and the random-intercept
+# Newton) and the relative change in the deviance at which IRLS stops.
+# The Newton stops where its step predicts a decrease of at most
+# _NEWTON_TOL of the objective, about its remaining error: well below
+# the IRLS tolerance, and a decrease the line search can still see.
 _MAX_ITER = 100
 _TOL = 1e-9
+_NEWTON_TOL = 1e-12
 
 # The 15-node Gauss-Hermite rule behind the random-intercept likelihood:
-# scaled nodes sqrt(2) x_k and log w_k + x_k^2 (read-only), shaped (15, 1,
+# scaled nodes z_k = sqrt(2) x_k and log w_k (read-only), shaped (15, 1,
 # 1) for the kernel's node-first arrays.
 _GH_X, _GH_W = np.polynomial.hermite.hermgauss(15)
 _GH_Z = (math.sqrt(2.0) * _GH_X)[:, None, None]
-_GH_LOG_WX = (np.log(_GH_W) + _GH_X**2)[:, None, None]
+_GH_LOG_W = np.log(_GH_W)[:, None, None]
 _GH_Z.setflags(write=False)
-_GH_LOG_WX.setflags(write=False)
+_GH_LOG_W.setflags(write=False)
 
 
 # ---------------------------------------------------------------------
@@ -120,6 +125,13 @@ def _poisson_loglik(y: np.ndarray, eta: np.ndarray):
     return np.sum(y * eta - np.exp(eta) - gammaln(y + 1.0), axis=-1)
 
 
+def _check_counts(Y: np.ndarray) -> None:
+    """Raise ValueError unless every entry of ``Y`` is a nonnegative
+    integer."""
+    if np.any(Y < 0) or np.any(Y != np.floor(Y)):
+        raise ValueError("Poisson response must be nonnegative integers")
+
+
 def _no_mle_rows(X: np.ndarray, Y: np.ndarray) -> dict[int, EnvdiagError]:
     """Rows of ``Y`` (R, n) with no finite Poisson MLE on ``X``, each with
     the error a fit of it raises.
@@ -139,10 +151,9 @@ def _no_mle_rows(X: np.ndarray, Y: np.ndarray) -> dict[int, EnvdiagError]:
     (scaling a separating direction reaches the bound); a negative
     optimum gives :class:`Separation` with the direction N c, an LP that
     fails :class:`NonConvergence`.  Raises ValueError unless every entry
-    of ``Y`` is a nonnegative integer.
+    of ``Y`` is a nonnegative integer (:func:`_check_counts`).
     """
-    if np.any(Y < 0) or np.any(Y != np.floor(Y)):
-        raise ValueError("Poisson response must be nonnegative integers")
+    _check_counts(Y)
     p = X.shape[1]
     pos = Y > 0
     n_pos = np.count_nonzero(pos, axis=1)
@@ -189,15 +200,18 @@ def glmm_marginal_loglik(
     recentred at the group's conditional mode and rescaled by the
     curvature there.  ``omega == 0`` collapses exactly to the ordinary
     Poisson log-likelihood; otherwise the value is -inf where
-    :func:`_glmm_objective` gives +inf.
+    :func:`_glmm_objective` gives +inf.  Raises ValueError unless ``y``
+    holds nonnegative integers, as :func:`fit_model` does.
     """
     if omega < 0:
         raise ValueError("omega must be nonnegative")
+    _check_counts(y)
     if omega == 0.0:
         return float(_poisson_loglik(y, X @ beta))
     Y = y[None, :]
-    f, _ = _glmm_objective(X, group, Y, np.append(beta, omega * omega)[None],
-                           *_response_constants(group, int(group.max()) + 1, Y))
+    S, log_fact = _response_constants(group, int(group.max()) + 1, Y)
+    f = _glmm_objective(X, group, Y, np.append(beta, omega * omega)[None],
+                        S, log_fact)[0]
     return float(-f[0])
 
 
@@ -263,9 +277,17 @@ def _group_modes(S: np.ndarray, E: np.ndarray, omega: np.ndarray
 
 def _response_constants(group: np.ndarray, G: int, Y: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Group totals (R, G) and sum log y! (R,) of every row of ``Y``: the
-    parts of the kernel that depend on the response alone."""
-    return _group_sums(group, G, Y), gammaln(Y + 1.0).sum(axis=1)
+    """Group totals (R, G) and sum log y! (R,) of every row of the counts
+    ``Y``: the parts of the kernel that depend on the response alone.
+    The log y! come from a table of log k! up to the largest count,
+    where it has fewer entries than ``Y`` (bit for bit ``gammaln(y +
+    1)``)."""
+    top = Y.max(initial=0.0)
+    if top < Y.size:
+        log_fact = gammaln(np.arange(top + 1.0) + 1.0)[Y.astype(np.intp)]
+    else:
+        log_fact = gammaln(Y + 1.0)
+    return _group_sums(group, G, Y), log_fact.sum(axis=1)
 
 
 def _node_sum(a: np.ndarray) -> np.ndarray:
@@ -283,42 +305,53 @@ def _node_sum(a: np.ndarray) -> np.ndarray:
 
 def _glmm_objective(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
                     x: np.ndarray, S: np.ndarray, log_fact: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Negated adaptive Gauss-Hermite log-likelihoods and their exact
-    gradients in ``(beta, v)``, v = omega^2, for R rows.
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Negated adaptive Gauss-Hermite log-likelihoods, their exact
+    gradients and their exact Hessians in ``(beta, v)``, v = omega^2, for
+    R rows.
 
     Row r has response ``Y[r]`` (R, n), its constants ``S[r]`` and
     ``log_fact[r]`` (:func:`_response_constants`) and parameters ``x[r]``
     (R, p+1) = ``(beta, v)``, on the shared design ``X`` and ``group``.
     Group g contributes ``l_g = log int exp(h_g(t)) dt`` with
-      h_g(t) = A_g + S_g t - E_g e^t - c t^2/2 - log(w sqrt(2 pi)),
-    c = 1/w^2, A_g = sum_g (y eta - log y!), approximated at the mode
-    u_g (h_g'(u_g) = 0, in closed form by :func:`_group_modes`) with
-    scale sigma_g = K_g^(-1/2), K_g = E_g e^u_g + c.  The terms of h_g
-    that do not vary with t leave the log-sum-exp over the nodes, which
-    adding a constant to every term does not change: the nodes carry S_g
-    t - E_g e^t - c t^2/2, and the value adds ``y.eta - sum log y! - G
-    log(w sqrt(2 pi))``.  Both u_g and sigma_g move with E_g and c, so
-    the derivatives add their paths (implicit differentiation of
-    h_g'(u_g) = 0: du/dE = -e^u/K, du/dc = -u/K) to the softmax-weighted
-    node terms; the derivative in log w, O(1) terms summing to O(P), is
-    divided by 2v.  Nodes whose weight underflows to zero carry no
-    gradient, even where ``e^t`` overflows.  Where P = v max_g (E_g +
-    (S_g - E_g)^2) is at most ``_SERIES_MAX``, the value is the series
-    ``l_GLM + U v``, U = 1/2 sum_g [(S_g - E_g)^2 - E_g] (Dean 1992), with
-    its exact gradient, so v = 0 gives the Poisson log-likelihood, its
-    score and U: its error, about P, and the quotient's, about 1e-14 / P
-    (relative to max(1, |U|)), are both at most about 4e-7 there.  With
-    dl_g/dA_g = 1, the beta gradient is ``X'y + X'(exp(eta) *
-    dl/dE[group])``.  A row whose linear predictors exceed 500 (the range
-    exp() can take, with room), or whose value is not finite, gets +inf
-    and a zero gradient.
+      h_g(t) = A_g + S_g t - E_g e^t - t^2/(2v) - log sqrt(2 pi v),
+    A_g = sum_g (y eta - log y!).  The nodes are centred at the mode u_g
+    (h_g'(u_g) = 0, in closed form by :func:`_group_modes`) and scaled by
+    sigma_g = K_g^(-1/2), K_g = B_g + 1/v, B_g = E_g e^u_g.  About the
+    mode, with kappa = v K = 1 + v B and m = S - B = u/v, the rule is
+      l_g = A_g + S u - B - m u/2 - log(kappa)/2 - log(pi)/2
+            + log sum_k w_k exp(r_k),
+    the Laplace approximation and its correction, r_k = -B phi3(y_k) at
+    the node offsets y_k = sigma z_k, phi3(y) = e^y - 1 - y - y^2/2 (h
+    beyond its quadratic about the mode).  Its derivatives in E_g and v
+    follow u, B, kappa and log sigma (du/dE = -v e^u / kappa, du/dv = m /
+    kappa, dy = y dlog sigma): the Laplace part's with dh/du = 0 at the
+    mode, the correction's as weighted node averages of the derivatives
+    of r and their covariances.  Each of those node terms is a multiple
+    of phi3, y phi2 or y^2 phi1, phi2 = phi3', phi1 = phi2', so six node
+    sums give F_E, F_v, F_EE, F_Ev and F_vv (F = l_g - A_g), and no term
+    is divided by a power of v: nothing cancels as v -> 0.  Nodes whose
+    weight underflows to zero carry no derivative, even where e^y
+    overflows.  With a_g = sum_g exp(eta) x and dl_g/dA_g = 1,
+      dl/dbeta = X'y + sum_g F_E a_g,   dl/dv = sum_g F_v,
+      d2l/dbeta dbeta' = sum_g [F_EE a_g a_g' + F_E sum_g exp(eta) x x'],
+      d2l/dbeta dv = sum_g F_Ev a_g,    d2l/dv2 = sum_g F_vv.
+    Where P = v max_g (E_g + (S_g - E_g)^2) is at most ``_SERIES_MAX``,
+    the value is the series ``l_GLM + U v``, U = 1/2 sum_g [(S_g - E_g)^2
+    - E_g] (Dean 1992), relative error about P, with its exact
+    derivatives, so v = 0 gives the Poisson log-likelihood, its score, U
+    and X' diag(exp(eta)) X; the series has no curvature in v, so its
+    d2l/dv2 is that of the next term, sum_g [E_g^2/2 - E_g (S_g - E_g +
+    1/2)^2], the quadrature's F_vv at v = 0.  A row whose linear
+    predictors exceed 500 (the range exp() can take, with room), or whose
+    value, gradient or Hessian is not finite, gets +inf and a zero
+    gradient and Hessian.
 
     The node terms are laid out node first, (15, R, G); the node max is
     exact and the node sums take one fixed order (:func:`_node_sum`), so
     a row's result does not depend on the batch.
     """
-    R = x.shape[0]
+    R, q = x.shape
     eta = _rows_eta(X, x[:, :-1])
     rows = slice(None)
     if not eta.max(initial=-np.inf) <= 500.0:
@@ -330,96 +363,146 @@ def _glmm_objective(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
     E = _group_sums(group, G, mu)
     D = S - E
     A = (Y * eta).sum(axis=1) - log_fact
-    # D_g^2 overflows only at means far beyond any optimum; there U = inf,
-    # so the row is not finite at v = 0 (0 * inf) and the quadrature's above
+    # what overflows makes its row not finite, which the row pays for
+    # below: D_g^2 only at means far beyond any optimum (there U = inf, so
+    # the row is not finite at v = 0, 0 * inf), e^y only at nodes whose
+    # weight underflows (:func:`_glmm_nodes`)
     with np.errstate(over="ignore", invalid="ignore"):
         D2 = D * D
         dl_dv = 0.5 * (D2 - E).sum(axis=1)    # U
         far = v * (D2 + E).max(axis=1) > _SERIES_MAX
         value = A - E.sum(axis=1) + dl_dv * v
-    if far.all():
-        value, dl_dE, dl_dv = _glmm_nodes(S, E, v, A)
-    else:
-        dl_dE = np.where(far[:, None], 0.0, -1.0 - v[:, None] * (D + 0.5))
-        value[far], dl_dE[far], dl_dv[far] = _glmm_nodes(
-            S[far], E[far], v[far], A[far])
+        if far.all():
+            value, dl_dE, dl_dv, F_EE, F_Ev, F_vv = _glmm_nodes(S, E, v, A)
+        else:
+            F_Ev = -(D + 0.5)
+            dl_dE = np.where(far[:, None], 0.0, -1.0 + v[:, None] * F_Ev)
+            F_EE = v[:, None] * np.ones(G)
+            F_vv = (0.5 * E * E - E * F_Ev * F_Ev).sum(axis=1)
+            (value[far], dl_dE[far], dl_dv[far], F_EE[far], F_Ev[far],
+             F_vv[far]) = _glmm_nodes(S[far], E[far], v[far], A[far])
 
-    # rows not finite get +inf and 0; their dl/dE, 0 or -1, keeps W finite
-    W = Y + mu * dl_dE[:, group]
-    f = -value
-    g = np.empty(x.shape)
-    g[:, :-1] = -(W[:, None, :] * np.ascontiguousarray(X.T)).sum(axis=2)
-    g[:, -1] = -dl_dv
-    bad = ~np.isfinite(f)
+        p = q - 1
+        Xt = np.ascontiguousarray(X.T)
+        F_E_mu = mu * dl_dE[:, group]
+        W = Y + F_E_mu
+        f = -value
+        g = np.empty(x.shape)
+        g[:, :-1] = -(W[:, None, :] * Xt).sum(axis=2)
+        g[:, -1] = -dl_dv
+        # a_g (R', p, G), and the Hessian of the negated log-likelihood
+        a = _group_sums(group, G, (mu[:, None, :] * Xt).reshape(-1, X.shape[0])
+                        ).reshape(-1, p, G)
+        XX = (Xt[:, None, :] * Xt).reshape(p * p, -1)
+        H = np.empty(x.shape + (q,))
+        H[:, :-1, :-1] = -(
+            (F_E_mu[:, None, :] * XX).sum(axis=2).reshape(-1, p, p)
+            + ((F_EE[:, None, :] * a)[:, :, None, :]
+               * a[:, None, :, :]).sum(axis=3))
+        H[:, -1, :-1] = H[:, :-1, -1] = -(F_Ev[:, None, :] * a).sum(axis=2)
+        H[:, -1, -1] = -F_vv
+        bad = ~(np.isfinite(f) & np.isfinite(g).all(axis=1)
+                & np.isfinite(H).all(axis=(1, 2)))
     if bad.any():
-        f[bad], g[bad] = np.inf, 0.0
+        f[bad], g[bad], H[bad] = np.inf, 0.0, 0.0
     if isinstance(rows, slice):
-        return f, g
-    f_all, g_all = np.full(R, np.inf), np.zeros((R, g.shape[1]))
-    f_all[rows], g_all[rows] = f, g
-    return f_all, g_all
+        return f, g, H
+    out = np.full(R, np.inf), np.zeros((R, q)), np.zeros((R, q, q))
+    for whole, part in zip(out, (f, g, H)):
+        whole[rows] = part
+    return out
 
 
 def _glmm_nodes(S: np.ndarray, E: np.ndarray, v: np.ndarray, A: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                ) -> tuple[np.ndarray, ...]:
     """The quadrature rows of :func:`_glmm_objective`: their values,
-    dl/dE (R, G) and dl/dv, the derivatives 0 where the value is not
-    finite."""
+    dl/dE (R, G), dl/dv, F_EE (R, G), F_Ev (R, G) and F_vv (R,).  Run
+    under the caller's ``errstate``, which ignores overflows; a row whose
+    value is not finite has derivatives that may not be either."""
     G = S.shape[1]
-    omega = np.sqrt(v)
-    u, K = _group_modes(S, E, omega)
-    # c per group, so that no product with it broadcasts along a short axis
-    c = (1.0 / v)[:, None] * np.ones(G)
-    sig = 1.0 / np.sqrt(K)
-    t = u + sig * _GH_Z
-    # e^t overflows only at nodes whose weight underflows
-    with np.errstate(over="ignore"):
-        et = np.exp(t)
-        # E_g e^t = 0 * inf, NaN, where E_g = 0 and e^t overflows; where
-        # E_g e^t = inf at every node, top = -inf and logw - top is NaN
-        with np.errstate(invalid="ignore"):
-            logw = _GH_LOG_WX + (S * t - E * et - (0.5 * c) * t * t)
-            top = logw.max(axis=0)
-            p = np.exp(logw - top)
-        total = _node_sum(p)
-        # per group: -log(w sqrt(2 pi)), and log sqrt(2) of the nodes'
-        # scale sqrt(2) sigma
-        value = ((top + np.log(total) + np.log(sig)).sum(axis=1) + A
-                 - G * (np.log(omega) + 0.5 * math.log(math.pi)))
-        ok = np.isfinite(value)
-        if not ok.all():
-            v, c, S, E, u, K, sig, total = (
-                a[ok] for a in (v, c, S, E, u, K, sig, total))
-            t, et, p = t[:, ok], et[:, ok], p[:, ok]
+    u, K = _group_modes(S, E, np.sqrt(v))
+    vg = v[:, None]
+    c = 1.0 / vg
+    eu = np.exp(u)
+    B = E * eu
+    kap = vg * K
+    m = c * u
+    # node offsets y = sigma z from the mode and the basis of r = -B phi3(y)
+    y = _GH_Z / np.sqrt(K)
+    f1 = np.expm1(y)
+    f2 = f1 - y
+    f3 = f2 - 0.5 * y * y
+    # -inf where e^y overflows; NaN there where B = 0 (the value is then
+    # not finite), and where B = inf at every node
+    logw = _GH_LOG_W - B * f3
+    top = logw.max(axis=0)
+    p = np.exp(logw - top)
+    total = _node_sum(p)
+    value = ((S * u - B - 0.5 * m * u - 0.5 * np.log(kap) + top
+              + np.log(total)).sum(axis=1) + A - 0.5 * G * math.log(math.pi))
+    p /= total
+    g2y = f2 * y
+    g1yy = f1 * y * y
+    if not y[-1].max(initial=0.0) < 700.0:   # e^y y^2 overflows, p = 0
+        zero = p == 0.0
+        f3[zero] = g2y[zero] = g1yy[zero] = 0.0
+    prods = np.empty((15, 6) + p.shape[1:])
+    np.multiply(p, f3, out=prods[:, 0])
+    np.multiply(p, g2y, out=prods[:, 1])
+    np.multiply(p, g1yy, out=prods[:, 2])
+    np.multiply(prods[:, 0], f3, out=prods[:, 3])
+    np.multiply(prods[:, 0], g2y, out=prods[:, 4])
+    np.multiply(prods[:, 1], g2y, out=prods[:, 5])
+    M3, M2, M1, V33, V32, V22 = _node_sum(prods)
+    V33 -= M3 * M3
+    V32 -= M3 * M2
+    V22 -= M2 * M2
 
-        p /= total
-        et[p == 0.0] = 0.0
-        dh = S - E * et - c * t     # h'(t)
-        # the node sums of the gradient: p e^t, p h', p h' z and p t^2
-        prods = np.empty((15, 4) + p.shape[1:])
-        np.multiply(p, et, out=prods[:, 0])
-        np.multiply(p, dh, out=prods[:, 1])
-        np.multiply(prods[:, 1], _GH_Z, out=prods[:, 2])
-        np.multiply(p * t, t, out=prods[:, 3])
-        p_et, p_dh, p_dhz, p_t2 = _node_sum(prods)
-        eu = np.exp(u)
-        # t_k = u + sigma z_k; d log sigma = -dK / (2K), d sigma = sigma
-        # d log sigma
-        du_dE = -eu / K
-        dlogsig_dE = -0.5 * eu * c / (K * K)
-        dl_dE = (-p_et + du_dE * p_dh + sig * dlogsig_dE * p_dhz
-                 + dlogsig_dE)
-        # log w: dc = -2c, dh/d log w = c t^2 - 1 at fixed t
-        du_ds = 2.0 * c * u / K
-        dlogsig_ds = c * (1.0 - E * eu * u / K) / K
-        dl_ds = (c * p_t2 - 1.0 + du_ds * p_dh + sig * dlogsig_ds * p_dhz
-                 + dlogsig_ds)
-    dl_dv = dl_ds.sum(axis=1) / (2.0 * v)
-    if ok.all():
-        return value, dl_dE, dl_dv
-    dE, dv = np.zeros(ok.shape + (G,)), np.zeros(ok.shape)
-    dE[ok], dv[ok] = dl_dE, dl_dv
-    return value, dE, dv
+    # first derivatives in theta = (E, v), stacked (2, R, G), and second
+    # ones, (2, 2, R, G), of u, B = E e^u, kappa = 1 + v B (u = v (S - B)
+    # at the mode) and log sigma = (log v - log kappa) / 2; the node
+    # offsets move as dy = y dlog sigma
+    d = np.empty((4, 2) + B.shape)
+    d_u, d_B, d_k, d_s = d
+    np.multiply(-vg, eu, out=d_u[0])
+    d_u[1] = m
+    d_u /= kap
+    d_B[0] = eu
+    np.multiply(B, m, out=d_B[1])
+    d_B /= kap
+    np.multiply(vg, d_B, out=d_k)
+    d_k[1] += B
+    np.multiply(-0.5 / kap, d_k, out=d_s)
+    d_s[1] += 0.5 * c
+    own = np.zeros((2, 2) + B.shape)    # v's own terms in B and kappa
+    own[1] += d_B
+    own[:, 1] += d_B
+    dd_B = B * d_u[:, None] * d_u - B * own
+    dd_B[0] += eu * d_u
+    dd_B[:, 0] += eu * d_u
+    dd_B /= kap
+    Z = (d_k[:, None] * d_k / kap - vg * dd_B - own) / kap  # -d2 log kappa
+    ss = d_s[:, None] * d_s
+    dd_s = 0.5 * Z + ss
+    dd_s[1, 1] -= 0.5 * c * c
+    # the Laplace part's: at fixed u (dh/du = 0 at the mode) -e^u in E
+    # and m^2/2 in v, and those of -log(kappa)/2; the correction's:
+    # <r_theta> and <r_theta phi> + Cov(r_theta, r_phi), r_theta =
+    # -(B_theta phi3 + B s_theta y phi2)
+    C = B * d_s
+    Bs = d_B[:, None] * d_s
+    BC = d_B[:, None] * C
+    F2 = (0.5 * Z - dd_B * M3 - (Bs + Bs.swapaxes(0, 1) + B * dd_s) * M2
+          - B * ss * M1 + d_B[:, None] * d_B * V33
+          + (BC + BC.swapaxes(0, 1)) * V32 + C[:, None] * C * V22)
+    F2[0] -= eu * d_u
+    F2[1, 0] -= eu * d_u[1]
+    F2[1, 1] -= m * d_B[1]
+    dl_dE = -eu - 0.5 * d_k[0] / kap - (d_B[0] * M3 + C[0] * M2)
+    dl_dv = 0.5 * m * m - 0.5 * d_k[1] / kap - (d_B[1] * M3 + C[1] * M2)
+    F_EE, F_Ev, F_vv = F2[0, 0], F2[0, 1], F2[1, 1]
+    return (value, dl_dE, dl_dv.sum(axis=1), F_EE, F_Ev,
+            F_vv.sum(axis=1))
 
 
 # ---------------------------------------------------------------------
@@ -463,13 +546,12 @@ def fit_rows(kind: ModelKind, d: Dataset, Y: np.ndarray,
     finite estimate fail with its error and no kernel sees them.
     ``poisson`` rows go to :func:`glm_rows`.  ``poisson-ri`` needs
     grouping labels (ValueError otherwise), and its rows go to
-    :func:`glmm_rows`: a refit from the estimates and inverse Hessian
-    (:func:`_parent_curvature`) of the parent fit ``start``; a fit, and a
-    refit of a parent at omega = 0 (the exact GLM, whose bootstrap draws
-    no intercepts: it says nothing of where v lies), from each row's GLM
-    fit, whose failure is the row's, and v = 0.25 (a fit with the inverse
-    Hessian of its own likelihood there), returning the better of its
-    optimum and that GLM fit.  Only ``poisson-ri`` reads ``start``.
+    :func:`glmm_rows`: a refit from the estimates ``(beta, omega^2)`` of
+    the parent fit ``start``; a fit, and a refit of a parent at omega = 0
+    (the exact GLM, whose bootstrap draws no intercepts: it says nothing
+    of where v lies), from each row's GLM fit, whose failure is the
+    row's, and v = 0.25, returning the better of its optimum and that
+    GLM fit.  Only ``poisson-ri`` reads ``start``.
     """
     X = d.X
     if kind is ModelKind.LM:
@@ -487,10 +569,9 @@ def fit_rows(kind: ModelKind, d: Dataset, Y: np.ndarray,
         x0 = np.column_stack([glm.beta, np.full(len(Y), 0.25)])
     else:
         x0 = np.tile(np.append(start.beta, start.scale ** 2), (len(Y), 1))
-    H0 = None if start is None else _parent_curvature(start)
     fits = _on_live_rows(
         Y, p, errors,
-        lambda live: glmm_rows(X, d.group, Y[live], x0[live], H0))
+        lambda live: glmm_rows(X, d.group, Y[live], x0[live]))
     if glm_start:
         glm_better = glm.loglik >= fits.loglik
         for whole, limit in zip(fits[:4], glm[:4]):
@@ -693,257 +774,164 @@ def glm_rows(X: np.ndarray, Y: np.ndarray) -> Fits:
     return Fits(beta, eta, _poisson_loglik(Y, eta), np.zeros(R), errors)
 
 
-# Central-difference step of the curvature start in the optimizer's
-# coordinates (beta, w), and the least ratio of its smallest to largest
-# eigenvalue.
-_CURV_STEP = 1e-4
-_CURV_RCOND = 1e-8
-
-
-def _in_w(X: np.ndarray, group: np.ndarray, Y: np.ndarray, x0: np.ndarray
-          ) -> tuple[np.ndarray, np.ndarray, Callable]:
-    """The rows of ``Y`` (R, n) in the optimizer's coordinates (beta, w),
-    w = log(1 + v / a), a = G / sum exp(X beta0) per row: their starts
-    (R, q) from ``x0`` = ``(beta0, v)``, a (R,), and ``evaluate(rows,
-    z)``, :func:`_glmm_objective` of the rows ``rows`` (indices) at z.
-
-    A group total has variance E_g + E_g^2 v to first order, so the
-    information on v falls like 1/(v + a)^2, nearly constant in w; w = 0
-    is v = 0 exactly.  Starts of w are kept in [``_CURV_STEP``, log(1 +
-    9/a)] (omega at most 3), where the curvature start differences
-    inside the bound.
-    """
-    G = int(group.max()) + 1
-    S, log_fact = _response_constants(group, G, Y)
-    a = G / np.exp(_rows_eta(X, x0[:, :-1])).sum(axis=1)
-    z0 = np.array(x0, dtype=float)
-    z0[:, -1] = np.clip(np.log1p(x0[:, -1] / a), _CURV_STEP,
-                        np.log1p(9.0 / a))
-
-    def evaluate(rows, z):
-        ar = a[rows]
-        x = z.copy()
-        x[:, -1] = v = ar * np.expm1(z[:, -1])
-        f, g = _glmm_objective(X, group, Y[rows], x, S[rows], log_fact[rows])
-        g[:, -1] *= v + ar
-        return f, g
-
-    return z0, a, evaluate
-
-
-def _curvature_start(evaluate: Callable, x0: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Objective and gradient of R rows at their starts ``x0`` (R, q),
-    and an inverse Hessian (R, q, q) of each row's objective there;
-    ``evaluate(rows, x)`` is the objective of the rows ``rows`` at ``x``
-    (:func:`_in_w`).
-
-    Row r's Hessian comes from central differences of the exact gradient
-    of its own objective around ``x0[r]``, symmetrized.  Its inverse is
-    kept only if every difference point has a finite value and every
-    eigenvalue is finite and above 1e-8 times the largest; otherwise the
-    row's inverse Hessian is 0, no curvature information.  All R starts
-    and their 2q difference points are evaluated in one kernel call, and
-    the inverse is built from elementwise products, so a row's result
-    does not depend on the batch.
-    """
-    R, q = x0.shape
-    rows = np.concatenate([np.arange(R), np.repeat(np.arange(R), 2 * q)])
-    pts = np.concatenate([x0, (x0[:, None, :] + _CURV_STEP * np.vstack(
-        [np.eye(q), -np.eye(q)])).reshape(-1, q)])
-    f, g = evaluate(rows, pts)
-    fd, gd = f[R:].reshape(R, 2 * q), g[R:].reshape(R, 2 * q, q)
-    hess = (gd[:, :q] - gd[:, q:]) / (2.0 * _CURV_STEP)
-    hess = 0.5 * (hess + np.swapaxes(hess, 1, 2))
-    good = (np.all(np.isfinite(fd), axis=1)
-            & np.all(np.isfinite(hess), axis=(1, 2)))
-    hess[~good] = np.eye(q)
-    lam, V = np.linalg.eigh(hess)
-    good &= lam[:, 0] > _CURV_RCOND * lam[:, -1]
-    lam[~good] = 1.0
-    H0 = np.sum((V / lam[:, None, :])[:, :, None, :] * V[:, None, :, :],
-                axis=3)
-    H0[~good] = 0.0
-    return f[:R], g[:R], H0
-
-
-def _parent_curvature(m: FittedModel) -> np.ndarray:
-    """The inverse Hessian (q, q) of :func:`_curvature_start` of the
-    parent ``m``'s own likelihood at its optimizer start (:func:`_in_w`)
-    from ``(beta, omega^2)``, also at omega = 0, the exact GLM (whose
-    bootstrap draws no intercepts): the first of every refit of ``m``."""
-    d = m.dataset
-    x0 = np.append(m.beta, m.scale * m.scale)[None, :]
-    z0, _, evaluate = _in_w(d.X, d.group, d.y[None, :], x0)
-    return _curvature_start(evaluate, z0)[2][0]
+def _newton_steps(g: np.ndarray, H: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Newton steps -H^-1 g of R rows, H (R, q, q) with its eigenvalues
+    taken in absolute value and floored at 1e-8 times the largest, so a
+    step goes downhill where H is indefinite; and the mask of the rows
+    whose H is positive definite above that floor.  One stacked ``eigh``
+    and elementwise row sums, so a row's step does not depend on the
+    batch."""
+    lam, V = np.linalg.eigh(H)
+    floor = 1e-8 * np.abs(lam).max(axis=1)
+    Vg = (V * g[:, :, None]).sum(axis=1) / np.maximum(np.abs(lam),
+                                                       floor[:, None])
+    return -(V * Vg[:, None, :]).sum(axis=2), lam[:, 0] > floor
 
 
 def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
-              x0: np.ndarray, H0: Optional[np.ndarray] = None) -> Fits:
+              x0: np.ndarray) -> Fits:
     """Maximize the marginal likelihood of every row of ``Y`` in lockstep.
 
-    One projected BFGS per row over ``(beta, w)`` (:func:`_in_w`) from
-    ``x0`` (R, p+1) = ``(beta, v)``, v = omega^2, each with its own
-    inverse-Hessian approximation and backtracking line search: a row's
-    search ends at its first trial that decreases the objective
-    sufficiently (Armijo), and a trial that does not is cut back by
-    quadratic interpolation to [0.1, 0.5] of its step, for at most 30
-    trials.  A step with s'y not positive leaves the row's inverse
-    Hessian as it is (Nocedal & Wright 2006, sections 3.1 and 6.1).
-    Every kernel call evaluates one trial of every row still moving, so
-    a batch takes as many calls as its slowest row alone.  Row r starts
-    from the inverse Hessian ``H0[r]``, ``H0`` broadcast to (R, q, q) (a
-    refit passes its parent's, :func:`_parent_curvature`), or, if ``H0``
-    is None, from the curvature of its own objective at its start
-    (:func:`_curvature_start`, in the same kernel call), with a unit
-    step.  A row whose inverse Hessian is 0 (not positive definite)
-    starts from the identity with a step of length at most 1; a failed
-    line search restarts it from the identity.
+    One projected Newton per row from ``x0`` (R, p+1) = ``(beta, v)``, v
+    = omega^2, over ``(beta, w)``, v = a (e^w - 1) with a = G / sum
+    exp(X beta0) of the row's start: a group total has variance E_g +
+    E_g^2 v to first order, so the information on v falls like 1/(v +
+    a)^2, nearly constant in w, and w = 0 is v = 0 exactly.  Fits and
+    refits start alike, from ``x0`` and the Hessian that
+    :func:`_glmm_objective` returns there with the gradient.  Steps come
+    from :func:`_newton_steps`; where the Hessian is not positive
+    definite, w is decoupled from beta for the step (|h_ww| for h_ww).  A
+    row's backtracking line search ends at its first trial that
+    decreases the objective sufficiently (Armijo), and a trial that does
+    not is cut back by quadratic interpolation to [0.1, 0.5] of its step
+    (Nocedal & Wright 2006, sections 3.1 and 3.4).  Every kernel call
+    evaluates one trial of every row still moving, so a batch takes as
+    many calls as its slowest row alone.
 
-    Trials are projected onto v in [0, 1e8].  A row whose v is held at a
-    bound, its gradient pointing out, or whose step would take v below 0
-    downhill steps beta by the inverse of the Hessian's free block, and v
-    to 0 or not at all (Bertsekas 1982).  At v = 0, the exact GLM (whose
-    bootstrap draws no intercepts), the slope in v is -U, so a row stays
-    there exactly when U <= 0.  A row stops when the relative reduction of its
-    objective is at most 1e-9 or its projected gradient at most 1e-7, and
-    is then frozen; one that finds no finite optimum within 200
-    iterations, or whose objective is not finite at its start, fails with
-    :class:`NonConvergence`, whose message tells the two apart.  The scale
-    is omega.
+    Trials are projected onto v in [0, 1e8] (Bertsekas 1982).  A row
+    whose w is held at a bound, its gradient pointing out, or whose step
+    would take w below 0 against a gradient that does not push it down,
+    steps beta alone, by Newton on the free block.  At v = 0, the exact
+    GLM (whose bootstrap draws no intercepts), the slope in v is -U, so a
+    row stays there exactly when U <= 0.  A row stops when its projected
+    gradient is at most 1e-7, or when the Hessian of its step is positive
+    definite and the step predicts a decrease of at most 1e-12 of
+    max(|objective|, 1); it is then frozen.  A row fails with
+    :class:`NonConvergence`, whose message tells the three apart, when
+    its objective is not finite at its start, when it is still moving
+    after ``_MAX_ITER`` iterations, or when 30 trials of one search find
+    no sufficient decrease.  The scale is omega.
 
     The loop holds the state of the rows still moving only, packed
     together; a row that stops leaves it, so a kernel call and the
     bookkeeping around it see no stopped row.
     """
     R, q = x0.shape
-    x, v_scale, evaluate = _in_w(X, group, Y, x0)
-    if H0 is None:
-        f, g, H = _curvature_start(evaluate, x)
-    else:
-        f, g = evaluate(np.arange(R), x)
-        H = np.array(np.broadcast_to(H0, (R, q, q)))
+    G = int(group.max()) + 1
+    S, log_fact = _response_constants(group, G, Y)
+    a_w = G / np.exp(_rows_eta(X, x0[:, :-1])).sum(axis=1)
+
+    def evaluate(rows, z):
+        """The objective, gradient and Hessian in (beta, w) of the rows
+        ``rows`` at ``z``."""
+        x = z.copy()
+        x[:, -1] = v = a_w[rows] * np.expm1(z[:, -1])
+        f, g, H = _glmm_objective(X, group, Y[rows], x, S[rows],
+                                  log_fact[rows])
+        J = (v + a_w[rows])[:, None]    # dv/dw = d2v/dw2
+        H[:, -1] *= J
+        H[:, :, -1] *= J
+        H[:, -1, -1] += g[:, -1] * J[:, 0]
+        g[:, -1] *= J[:, 0]
+        return f, g, H
+
+    x = np.array(x0, dtype=float)
+    x[:, -1] = np.log1p(x0[:, -1] / a_w)
+    f, g, H = evaluate(slice(None), x)
     x_out, f_out = x.copy(), f.copy()
-    no_start = ~np.isfinite(f)
-    failed = no_start.copy()
-    eye = np.eye(q)
+    why = {int(r): ": the likelihood is not finite at its start"
+           for r in np.flatnonzero(~np.isfinite(f))}
 
     # the rows still moving, packed: live[i] is the batch row of entry i
-    live = np.flatnonzero(~failed)
+    live = np.flatnonzero(np.isfinite(f))
     x, f, g, H = x[live], f[live], g[live], H[live]
-    w_ceil = np.log1p(_V_CEIL / v_scale[live])
-    fresh = ~H.any(axis=(1, 2))   # H holds no curvature information yet
+    w_ceil = np.log1p(_V_CEIL / a_w[live])
     nit = np.zeros(live.size, dtype=int)
     tries = np.zeros(live.size, dtype=int)   # trials of the current search
     d = np.zeros((live.size, q))   # its direction
     t = np.zeros(live.size)   # and next step
     stop = np.zeros(live.size, dtype=bool)
     while live.size:
-        # projected gradient: w held at a bound it is pushed past
+        # the Newton step of a row between searches, of beta alone where w
+        # is held or stepped below 0 against its gradient; where H is not
+        # positive definite, with w decoupled
+        new = tries == 0
+        dn, pd = _newton_steps(g, H)
         w, gw = x[:, -1], g[:, -1]
         held = ((w <= 0.0) & (gw > 0.0)) | ((w >= w_ceil) & (gw < 0.0))
+        fixed = held | (new & ~(gw > 0.0) & (w + dn[:, -1] < 0.0))
+        redo = fixed | ~pd
+        if redo.any():
+            gb, Hb, fb = g[redo], H[redo], fixed[redo]
+            gb[fb, -1] = Hb[:, -1, :-1] = Hb[:, :-1, -1] = 0.0
+            Hb[:, -1, -1] = np.where(fb, 1.0, np.abs(Hb[:, -1, -1]))
+            dn[redo], pdb = _newton_steps(gb, Hb)
+            pd[redo] = pdb & fb
         pg = g.copy()
         pg[held, -1] = 0.0
-        # a row between searches: stop tests, then its direction and step
-        new = tries == 0
-        stop |= new & ~(np.abs(pg).max(axis=1) > 1e-7)
-        over = new & ~stop & (nit >= 2 * _MAX_ITER)
+        # stop tests, with the decrease the step predicts, -pg'dn / 2
+        stop |= new & (~(np.abs(pg).max(axis=1) > 1e-7) | (pd & ~(
+            -(pg * dn).sum(axis=1) > 2.0 * _NEWTON_TOL * np.maximum(
+                np.abs(f), 1.0))))
+        over = new & ~stop & (nit >= _MAX_ITER)
         stop |= over
+        why.update((int(r), f" in {_MAX_ITER} iterations") for r in live[over])
         if stop.any():
             done = live[stop]
             x_out[done], f_out[done] = x[stop], f[stop]
-            failed[live[over]] = True
             keep = ~stop
             live = live[keep]
             if live.size == 0:
                 break
-            x, f, g, H, w_ceil, fresh, nit, tries, d, t, held, pg, new = (
-                a[keep] for a in (x, f, g, H, w_ceil, fresh, nit, tries, d,
-                                  t, held, pg, new))
+            x, f, g, H, w_ceil, nit, tries, d, t, new, dn = (
+                a[keep] for a in (x, f, g, H, w_ceil, nit, tries, d, t, new,
+                                  dn))
             stop = np.zeros(live.size, dtype=bool)
         nit += new
-        restart = new & fresh
-        H[restart] = eye
-        # a searching row keeps its direction: H and pg have not moved
-        d = np.where(new[:, None], -(H * pg[:, None, :]).sum(axis=2), d)
-        # the free block's inverse Hessian: the Schur complement of H's w entry
-        lower = new & (pg[:, -1] > 0.0) & (x[:, -1] + d[:, -1] < 0.0)
-        bound = lower | (new & held)
-        if bound.any():
-            Hb = H[bound]
-            Hb -= Hb[:, :, -1:] * Hb[:, -1:, :] / Hb[:, -1:, -1:]
-            db = -(Hb * pg[bound][:, None, :]).sum(axis=2)
-            db[:, -1] = np.where(lower[bound], -x[bound, -1], 0.0)
-            d[bound] = db
-        # a unit step along -g would be arbitrarily long: length 1
-        if restart.any():
-            t = np.where(new, np.where(fresh, np.minimum(1.0, 1.0 / np.sqrt(
-                (d * d).sum(axis=1))), 1.0), t)
-        else:
-            t = np.where(new, 1.0, t)
+        # a searching row keeps its direction
+        d = np.where(new[:, None], dn, d)
+        t = np.where(new, 1.0, t)
 
         # one trial of every moving row, backtracking on sufficient
         # decrease (Armijo)
         xt = x + t[:, None] * d
         xt[:, -1] = np.minimum(np.maximum(xt[:, -1], 0.0), w_ceil)
-        ft, gt = evaluate(live, xt)
-        step = xt - x
-        armijo = ft <= f + 1e-4 * np.minimum((g * step).sum(axis=1), 0.0)
+        ft, gt, Ht = evaluate(live, xt)
+        armijo = ft <= f + 1e-4 * np.minimum((g * (xt - x)).sum(axis=1), 0.0)
         if armijo.all():
-            b = slice(None)
             tries[:] = 0
-        else:
-            b = np.flatnonzero(armijo)
-            slope = (g * d).sum(axis=1)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                t_quad = -slope * t * t / (2.0 * (ft - f - slope * t))
-            t_quad = np.where(np.isfinite(t_quad), t_quad, 0.1 * t)
-            t = np.minimum(np.maximum(t_quad, 0.1 * t), 0.5 * t)
-            # a search ends at its first sufficient decrease or 30th trial
-            tries = np.where(armijo, 0, (tries + 1) % 30)
-            # a failed line search restarts from the steepest descent
-            # once; twice in a row, the row is as optimal as it can tell
-            spent = ~armijo & (tries == 0)
-            stop |= spent & fresh
-            fresh |= spent
-
-        # the BFGS update of the rows that moved (only they: the trial
-        # gradients of the others can be far larger)
-        sv = step[b]
-        yv = gt[b] - g[b]
-        sy = (sv * yv).sum(axis=1)
-        yy = (yv * yv).sum(axis=1)
-        update = sy > _EPS * yy
-        fb = fresh[b]
-        scale = fb & update
-        if scale.any():
-            H[np.flatnonzero(armijo)[scale]] = (
-                (sy[scale] / yy[scale])[:, None, None] * eye)
-        fresh[b] = fb & ~update
-        if not update.all():
-            b = np.flatnonzero(armijo)[update]
-            sv, yv, sy = sv[update], yv[update], sy[update]
-        Hy = (H[b] * yv[:, None, :]).sum(axis=2)
-        coef = (sy + (yv * Hy).sum(axis=1)) / (sy * sy)
-        Hys = Hy[:, :, None] * sv[:, None, :]   # and its transpose, s Hy'
-        H[b] += ((coef[:, None] * sv)[:, :, None] * sv[:, None, :]
-                 - (Hys + np.swapaxes(Hys, 1, 2)) / sy[:, None, None])
-        stop |= armijo & ((f - ft) <= _TOL * np.maximum(
-            np.maximum(np.abs(f), np.abs(ft)), 1.0))
-        if armijo.all():
-            x, f, g = xt, ft, gt
-        else:
-            x = np.where(armijo[:, None], xt, x)
-            f = np.where(armijo, ft, f)
-            g = np.where(armijo[:, None], gt, g)
+            x, f, g, H = xt, ft, gt, Ht
+            continue
+        slope = (g * d).sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            t_quad = -slope * t * t / (2.0 * (ft - f - slope * t))
+        t_quad = np.where(np.isfinite(t_quad), t_quad, 0.1 * t)
+        t = np.minimum(np.maximum(t_quad, 0.1 * t), 0.5 * t)
+        tries = np.where(armijo, 0, tries + 1)
+        lost = tries == 30
+        stop |= lost
+        why.update((int(r), ": its line search found no sufficient decrease")
+                   for r in live[lost])
+        x = np.where(armijo[:, None], xt, x)
+        f = np.where(armijo, ft, f)
+        g = np.where(armijo[:, None], gt, g)
+        H = np.where(armijo[:, None, None], Ht, H)
     beta = x_out[:, :-1]
-    errors = {int(r): NonConvergence(
-        "quasi-Newton found no finite optimum" + (
-            ": the likelihood is not finite at its start" if no_start[r]
-            else f" in {2 * _MAX_ITER} iterations"), beta=beta[r])
-        for r in np.flatnonzero(failed)}
+    errors = {r: NonConvergence("Newton found no finite optimum" + why[r],
+                                beta=beta[r]) for r in sorted(why)}
     return Fits(beta, _rows_eta(X, beta), -f_out,
-                np.sqrt(v_scale * np.expm1(x_out[:, -1])), errors)
+                np.sqrt(a_w * np.expm1(x_out[:, -1])), errors)
 
 
 def _fitted(kind: ModelKind, d: Dataset, fits: Fits) -> FittedModel:

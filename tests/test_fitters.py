@@ -222,15 +222,50 @@ def test_glmm_collapse_at_zero_omega_is_exact(rng):
     assert glmm_marginal_loglik(beta, 0.0, X, y, group) == glm_ll
 
 
+def test_glmm_marginal_loglik_rejects_a_response_fit_model_rejects():
+    """A fractional or negative count raises the ValueError that
+    ``fit_model`` raises for it, at omega = 0 (the Poisson
+    log-likelihood) and above."""
+    n = 6
+    X = np.column_stack([np.ones(n), np.linspace(0.0, 1.0, n)])
+    group = np.arange(n) % 2
+    for bad in (0.5, -1.0):
+        y = np.array([1.0, 0.0, 2.0, 1.0, 3.0, bad])
+        with pytest.raises(ValueError) as fit_error:
+            fit_model(Dataset(y=y, X=X, group=group),
+                      ModelKind.GLMM_POISSON_RI)
+        for omega in (0.0, 0.5):
+            with pytest.raises(ValueError) as error:
+                glmm_marginal_loglik(np.array([0.1, 0.2]), omega, X, y, group)
+            assert str(error.value) == str(fit_error.value)
+
+
+def test_response_constants_take_log_factorials_from_a_table():
+    """sum log y! of every row equals ``gammaln(y + 1).sum()`` bit for bit,
+    from the table of log k! (a refit batch, and one row) and from
+    ``gammaln`` where the largest count is not below the number of
+    counts."""
+    rng = np.random.default_rng(4)
+    group = np.arange(40) % 5
+    big = np.zeros((1, 40))
+    big[0, -1] = 1e6
+    for Y in (rng.poisson(3.0, size=(98, 40)).astype(float),
+              rng.poisson(3.0, size=(1, 40)).astype(float), big):
+        S, log_fact = fitters._response_constants(group, 5, Y)
+        assert np.array_equal(log_fact, gammaln(Y + 1.0).sum(axis=1))
+        assert np.array_equal(S, np.array(
+            [np.bincount(group, weights=y, minlength=5) for y in Y]))
+
+
 def _loglik_grad(x, X, Y, group):
-    """Log-likelihoods (R,) and their gradients (R, p+1) of the rows of
-    ``Y`` (R, n) at ``x`` (R, p+1) = ``(beta, v)``, v = omega^2: the kernel
-    :func:`fitters._glmm_objective`, negated, with the constants of
-    :func:`fitters._response_constants`."""
-    f, g = fitters._glmm_objective(
+    """Log-likelihoods (R,), their gradients (R, p+1) and Hessians (R,
+    p+1, p+1) of the rows of ``Y`` (R, n) at ``x`` (R, p+1) = ``(beta,
+    v)``, v = omega^2: the kernel :func:`fitters._glmm_objective`,
+    negated, with the constants of :func:`fitters._response_constants`."""
+    f, g, H = fitters._glmm_objective(
         X, group, Y, x,
         *fitters._response_constants(group, int(group.max()) + 1, Y))
-    return -f, -g
+    return -f, -g, -H
 
 
 def _central_differences(f, theta, steps):
@@ -242,22 +277,67 @@ def _central_differences(f, theta, steps):
     return grad
 
 
-def test_glmm_gradient_matches_central_differences(rng):
-    """Exact (beta, v) gradient of the quadrature kernel.
+def _check_kernel_derivatives(beta, v, X, y, group, v_step):
+    """The kernel's value at ``(beta, v)`` is :func:`glmm_marginal_loglik`
+    at omega = sqrt(v) (to rounding at v = 0, where that is the Poisson
+    log-likelihood), with no warning; its gradient matches central
+    differences of the value, and its Hessian central differences of the
+    gradient, to 1e-4 relative (absolute below magnitude 1), with steps
+    1e-5 max(1, |beta_j|) and ``v_step``.  The Hessian's beta columns are
+    checked everywhere; its v-v entry where the kernel is the quadrature,
+    and where it is the series (P <= ``_SERIES_MAX``, no curvature in v)
+    against the series' next term, sum_g [E_g^2/2 - E_g (S_g - E_g +
+    1/2)^2]."""
+    theta = np.append(beta, v)
+    q = theta.size
 
-    Relative error (absolute below magnitude 1) at most 1e-4 over 240
-    random points: v free, on both sides of the series bound P = v max_g
-    (E_g + (S_g - E_g)^2) = ``_SERIES_MAX`` (at half and twice it, where
-    the v step is 0.4 v, so the differences stay on the point's side),
-    and at the ceiling 1e8, crossed with several groups, one group and
-    single-observation groups.  At the ceiling the widest nodes overflow
-    e^t and carry zero weight.  The value is that of
-    :func:`glmm_marginal_loglik` at omega = sqrt(v).
+    def kernel(th):
+        value, grad, hess = _loglik_grad(th[None, :], X, y[None, :], group)
+        return value[0], grad[0], hess[0]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        value, grad, hess = kernel(theta)
+    ref = glmm_marginal_loglik(beta, math.sqrt(v), X, y, group)
+    assert value == ref or (v == 0.0 and abs(value - ref) <= 1e-14 * abs(ref))
+    steps = [1e-5 * max(1.0, abs(b)) for b in beta] + [v_step]
+    fd = _central_differences(lambda th: kernel(th)[0], theta, steps)
+    err = np.abs(grad - fd) / np.maximum(1.0, np.abs(fd))
+    assert np.all(np.isfinite(grad)) and np.all(err <= 1e-4), (
+        theta, grad, fd)
+    jac = np.column_stack([_central_differences(
+        lambda th: kernel(th)[1][i], theta, steps) for i in range(q)]).T
+    G = int(group.max()) + 1
+    S = np.bincount(group, weights=y, minlength=G)
+    E = np.bincount(group, weights=np.exp(X @ beta), minlength=G)
+    if v * np.max(E + (S - E) ** 2) <= fitters._SERIES_MAX:
+        jac[-1, -1] = np.sum(0.5 * E * E - E * (S - E + 0.5) ** 2)
+    err = np.abs(hess - jac) / np.maximum(1.0, np.abs(jac))
+    # the v column, but for its last entry, is the v row
+    assert np.array_equal(hess[:-1, -1], hess[-1, :-1])
+    err[:-1, -1] = 0.0
+    assert np.all(np.isfinite(hess)) and np.all(err <= 1e-4), (
+        theta, hess, jac)
+
+
+def test_glmm_gradient_matches_central_differences(rng):
+    """Exact (beta, v) gradient and Hessian of the quadrature kernel
+    (:func:`_check_kernel_derivatives`).
+
+    240 random points: v free, on both sides of the series bound P = v
+    max_g (E_g + (S_g - E_g)^2) = ``_SERIES_MAX`` (at half and twice it,
+    where the v step is 0.4 v, so the differences stay on the point's
+    side), and at the ceiling 1e8, crossed with several groups, one
+    group and single-observation groups.  At the ceiling the widest
+    nodes overflow e^t and carry zero weight.  Then 120 more: at v = 0
+    (v step 0.4 times the series bound) and v log-uniform in [1e-6, 10]
+    (step 1e-3 v), moved to twice the series bound where it falls
+    within a factor 2 of it.
     """
     places = ("free", 0.5, 2.0, "ceiling")    # 0.5, 2: P / _SERIES_MAX
     layouts = ("groups", "one-group", "singletons")
     points = 0
-    for trial in range(240):
+    for trial in range(360):
         n = int(rng.integers(2, 40))
         layout = layouts[trial % 3]
         G = {"groups": int(rng.integers(2, n + 1)), "one-group": 1,
@@ -265,42 +345,32 @@ def test_glmm_gradient_matches_central_differences(rng):
         group = np.arange(n) % G
         X = np.column_stack([np.ones(n), rng.uniform(-1.0, 1.0, n)])
         beta = rng.uniform(-2.0, 2.0, 2)
-        place = places[(trial // 3) % 4]
+        place = (places[(trial // 3) % 4] if trial < 240
+                 else ("zero", "low")[(trial // 3) % 2])
         if place == "free":
             omega = math.exp(rng.uniform(-4.0, 3.0))
         eps = rng.normal(0.0, 1.0, G)[group]
         y = rng.poisson(np.exp(X @ beta + eps)).astype(float)
+        S = np.bincount(group, weights=y)
+        E = np.bincount(group, weights=np.exp(X @ beta))
+        bound = fitters._SERIES_MAX / np.max(E + (S - E) ** 2)
         near = place in (0.5, 2.0)
         if near:
-            S = np.bincount(group, weights=y, minlength=G)
-            E = np.bincount(group, weights=np.exp(X @ beta), minlength=G)
-            omega = math.sqrt(place * fitters._SERIES_MAX
-                              / np.max(E + (S - E) ** 2))
+            omega = math.sqrt(place * bound)
         elif place == "ceiling":
             omega = 1e4
-        theta = np.append(beta, omega * omega)
-        v_step = 0.4 * theta[-1] if near else 1e-5 * max(1.0, theta[-1])
-
-        def kernel(th):
-            v, g = _loglik_grad(th[None, :], X, y[None, :], group)
-            return v[0], g[0]
-
-        def value(th):
-            return kernel(th)[0]
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            v, grad = kernel(theta)
-        assert v == glmm_marginal_loglik(beta, omega, X, y, group)
-        fd = _central_differences(
-            value, theta, [1e-5 * max(1.0, abs(b)) for b in beta] + [v_step])
-        err = np.abs(grad - fd) / np.maximum(1.0, np.abs(fd))
-        assert np.all(np.isfinite(grad)) and np.all(err <= 1e-4), (
-            trial, layout, theta, grad, fd)
+        elif place == "zero":
+            omega = 0.0
+        elif place == "low":
+            omega = math.sqrt(10.0 ** rng.uniform(-6.0, 1.0))
+            if 0.5 <= omega ** 2 / bound <= 2.0:
+                omega = math.sqrt(2.0 * bound)
+        v = omega * omega
+        v_step = {"zero": 0.4 * bound, "low": 1e-3 * v}.get(
+            place, 0.4 * v if near else 1e-5 * max(1.0, v))
+        _check_kernel_derivatives(beta, v, X, y, group, v_step)
         points += 1
-    assert points == 240
-
-
+    assert points == 360
 def _dean_score(X, group, y, beta):
     """Poisson log-likelihood, score X'(y - mu) and Dean's (1992) score
     for the random-intercept variance, U = 1/2 sum_g [(S_g - E_g)^2 -
@@ -328,7 +398,7 @@ def test_glmm_kernel_at_zero_variance_is_the_glm_and_dean_score():
         assert not glm.errors
         for betas in (glm.beta, np.tile(m.beta, (Y.shape[0], 1))):
             x = np.column_stack([betas, np.zeros(Y.shape[0])])
-            value, grad = _loglik_grad(x, d.X, Y, d.group)
+            value, grad, _ = _loglik_grad(x, d.X, Y, d.group)
             eta = fitters._rows_eta(d.X, betas)
             assert np.allclose(value, fitters._poisson_loglik(Y, eta),
                                rtol=1e-14, atol=0.0)
@@ -386,28 +456,23 @@ def test_glmm_warm_refit_does_not_stop_early():
     assert abs(warm.loglik - cold.loglik) <= 1e-6
 
 
-def _refit_start(m):
-    """The start :func:`fit_rows` gives every refit of a parent ``m`` with
-    omega > 0: its ``(beta, omega^2)`` and inverse Hessian."""
-    return np.append(m.beta, m.scale ** 2), fitters._parent_curvature(m)
-
-
 def _lbfgsb_reference(m, y):
     """Maximized log-likelihood of a poisson-ri refit by scipy's L-BFGS-B
     over ``(beta, v)`` with v in [0, 1e8], from the parent start: the
-    optimizer the lockstep quasi-Newton replaced, kept as its
-    reference."""
+    optimizer the lockstep fitter replaced, kept as its reference."""
     X, group = m.dataset.X, m.dataset.group
     Y = y[None, :]
     S, log_fact = fitters._response_constants(group, m.dataset.n_groups, Y)
 
     def nll(th):
-        f, g = fitters._glmm_objective(X, group, Y, th[None, :], S, log_fact)
+        f, g, _ = fitters._glmm_objective(X, group, Y, th[None, :], S,
+                                          log_fact)
         if not np.isfinite(f[0]):
             return 1e12, np.zeros(th.size)
         return f[0], g[0]
 
-    res = minimize(nll, _refit_start(m)[0], method="L-BFGS-B", jac=True,
+    res = minimize(nll, np.append(m.beta, m.scale ** 2), method="L-BFGS-B",
+                   jac=True,
                    bounds=[(None, None)] * m.p + [(0.0, 1e8)],
                    options={"maxiter": 200, "ftol": 1e-9, "gtol": 1e-7})
     return -res.fun
@@ -484,11 +549,11 @@ def test_glmm_refit_rows_at_zero_variance_are_kkt_points():
 
 def test_glmm_refit_of_a_parent_at_zero_variance_starts_from_its_glm_fit():
     """A parent at omega = 0 is the GLM and says nothing of where v lies,
-    so each of its refits starts from its own GLM fit and v = 0.25 (with
-    the parent's inverse Hessian) and returns the better of its optimum
-    and that GLM fit.  Two responses of the n=10 poisson-ri null stream
-    whose refits from such a parent, started from its estimates at w =
-    ``_CURV_STEP``, ended at the worse of two modes: row 9 of the engine
+    so each of its refits starts from its own GLM fit and v = 0.25 and
+    returns the better of its optimum and that GLM fit.  Two responses of
+    the n=10 poisson-ri null stream whose refits from such a parent,
+    started from its estimates at v just above 0 by a quasi-Newton
+    search, ended at the worse of two modes: row 9 of the engine
     draw of dataset 6 stopped at its GLM fit, a KKT point (U = -0.38),
     0.034 below the interior mode at omega 0.51; and a response of
     dataset 22 (row 83 drawn when its parent sat at the log-omega floor)
@@ -546,8 +611,8 @@ def test_glmm_line_search_ends_at_its_first_sufficient_decrease(monkeypatch):
     is given here, and the refit starts from its GLM fit).  A weak Wolfe
     search at that floor grew and bisected its steps for a whole 30
     trials (37 kernel calls in all); a search that ends at the first
-    sufficient decrease refits it in at most 20 (8 now), to the same
-    optimum."""
+    sufficient decrease refits it in at most 20 (8 by quasi-Newton, 5 by
+    Newton), to the same optimum."""
     spec = ScenarioSpec(model=ModelKind.GLMM_POISSON_RI,
                         violation=Violation.NULL_OK, n=10)
     m, _ = _stream_fit(spec, 9)
@@ -567,50 +632,46 @@ def test_glmm_line_search_ends_at_its_first_sufficient_decrease(monkeypatch):
     assert abs(fit.loglik - (-14.040167544694384)) <= 1e-9, fit.loglik
 
 
-def test_glmm_failed_line_search_restarts_once_then_stops(monkeypatch):
-    """A row whose line search finds no sufficient decrease restarts from
-    the identity (a step of length 1 along the steepest descent) once,
-    and stops at its second failed search, at its start and without
-    :class:`NonConvergence`; the other rows of the batch are bit-identical
-    to a run where every search succeeds.  Every trial of row 2 of the
-    first glmm-refit batch is made to fail by adding 1e3, more than the
-    row's whole decrease from its start, to its trial values."""
+def test_glmm_failed_line_search_fails_the_row(monkeypatch):
+    """A row whose line search finds no sufficient decrease in 30 trials
+    is not a fit: it fails with :class:`NonConvergence`, whose message
+    names the line search, at the last point it accepted (here its
+    start), and the other rows of the batch are bit-identical to a run
+    where every search succeeds.  Every trial of row 2 of the first
+    glmm-refit batch is made to fail by adding 1e3, more than the row's
+    whole decrease from its start, to its trial values."""
     m, Y = _glmm_refit_batch(0, B=6)
     d = m.dataset
-    x0, H0 = _refit_start(m)
-    X0 = np.tile(x0, (Y.shape[0], 1))
-    plain = glmm_rows(d.X, d.group, Y, X0, H0)
+    X0 = np.tile(np.append(m.beta, m.scale ** 2), (Y.shape[0], 1))
+    plain = glmm_rows(d.X, d.group, Y, X0)
+    assert not plain.errors
     target = 2
     objective = fitters._glmm_objective
-    # the optimizer's coordinates (beta, w), w = log(1 + v / a)
-    z0, scale, evaluate = fitters._in_w(d.X, d.group, Y, X0)
-    f0, g0 = evaluate(np.array([target]), z0[target:target + 1])
-    assert plain.loglik[target] + f0[0] < 1e3
+    f0 = objective(d.X, d.group, Y[target:target + 1], X0[:1],
+                   *fitters._response_constants(
+                       d.group, d.n_groups, Y[target:target + 1]))[0][0]
+    assert plain.loglik[target] + f0 < 1e3
     calls, trials = [], []
 
     def failing(X, group, Yc, x, S, log_fact):
-        f, g = objective(X, group, Yc, x, S, log_fact)
+        f, g, H = objective(X, group, Yc, x, S, log_fact)
         row = np.all(Yc == Y[target], axis=1)
         if calls and row.any():     # the first call evaluates the starts
             f = f.copy()
             f[row] += 1e3
-            z = x[row][0].copy()
-            z[-1] = np.log1p(z[-1] / scale[target])
-            trials.append(z - z0[target])
+            trials.append(1)
         calls.append(1)
-        return f, g
+        return f, g, H
 
     monkeypatch.setattr(fitters, "_glmm_objective", failing)
-    fits = glmm_rows(d.X, d.group, Y, X0, H0)
-    assert not fits.errors
-    # 30 trials along the parent's quasi-Newton direction, then 30 along
-    # the steepest descent, and no more
-    assert len(trials) == 60
-    assert np.allclose(trials[0], -H0 @ g0[0], rtol=1e-12, atol=0.0)
-    assert np.allclose(trials[30], -g0[0] / np.linalg.norm(g0[0]),
-                       rtol=1e-12, atol=0.0)
-    assert np.array_equal(fits.beta[target], x0[:-1])
-    assert fits.loglik[target] == -f0[0]
+    fits = glmm_rows(d.X, d.group, Y, X0)
+    assert set(fits.errors) == {target}
+    error = fits.errors[target]
+    assert isinstance(error, NonConvergence)
+    assert str(error) == ("Newton found no finite optimum: its line search "
+                          "found no sufficient decrease")
+    assert len(trials) == 30
+    assert np.array_equal(error.beta, X0[target, :-1])
     others = [r for r in range(Y.shape[0]) if r != target]
     for field in ("beta", "eta", "loglik", "scale"):
         assert np.array_equal(getattr(fits, field)[others],
@@ -619,32 +680,33 @@ def test_glmm_failed_line_search_restarts_once_then_stops(monkeypatch):
 
 def test_glmm_objective_rows_out_of_range_alone():
     """In a batch where one row's linear predictors exceed 500, that row
-    gets +inf and a zero gradient, and the other rows equal a batch
-    without it, bit for bit."""
+    gets +inf and a zero gradient and Hessian, and the other rows equal a
+    batch without it, bit for bit."""
     m, Y = _glmm_refit_batch(0, B=4)
     d = m.dataset
     x = np.tile(np.append(m.beta, m.scale ** 2), (3, 1))
     x[1, 0] = 600.0
     S, log_fact = fitters._response_constants(d.group, d.n_groups, Y)
-    f, g = fitters._glmm_objective(d.X, d.group, Y, x, S, log_fact)
-    assert f[1] == np.inf and np.all(g[1] == 0.0)
+    f, g, H = fitters._glmm_objective(d.X, d.group, Y, x, S, log_fact)
+    assert f[1] == np.inf and np.all(g[1] == 0.0) and np.all(H[1] == 0.0)
     keep = [0, 2]
-    f2, g2 = fitters._glmm_objective(d.X, d.group, Y[keep], x[keep],
-                                     S[keep], log_fact[keep])
+    f2, g2, H2 = fitters._glmm_objective(d.X, d.group, Y[keep], x[keep],
+                                         S[keep], log_fact[keep])
     assert np.all(np.isfinite(f2))
     assert np.array_equal(f[keep], f2) and np.array_equal(g[keep], g2)
+    assert np.array_equal(H[keep], H2)
 
 
 @pytest.mark.parametrize("p", [1, 2])
 @pytest.mark.parametrize("G", [1, 5])
 def test_glmm_objective_row_is_the_same_alone_and_in_any_batch(G, p):
-    """Row r of the kernel is the same, bit for bit, alone, in a batch of
-    two and in the whole batch of 98, on a batch that mixes the series
-    about v = 0 (v = 0, and v > 0 small enough), the quadrature, and a
-    row whose linear predictors exceed 500: the node max and the node
-    and observation sums do not depend on the batch, with one column
-    (the intercept alone, where a single row's observation sum has no
-    other axis) or two."""
+    """Row r of the kernel, its value, gradient and Hessian, is the same,
+    bit for bit, alone, in a batch of two and in the whole batch of 98,
+    on a batch that mixes the series about v = 0 (v = 0, and v > 0 small
+    enough), the quadrature, and a row whose linear predictors exceed
+    500: the node max and the node and observation sums do not depend on
+    the batch, with one column (the intercept alone, where a single row's
+    observation sum has no other axis) or two."""
     rng = np.random.default_rng(23)
     n, R = 40, 98
     X = np.column_stack([np.ones(n), (np.arange(n) + 0.5) / n])[:, :p]
@@ -672,14 +734,15 @@ def test_glmm_objective_row_is_the_same_alone_and_in_any_batch(G, p):
     def same(a, b):
         return a.shape == b.shape and a.tobytes() == b.tobytes()
 
-    f, g = kernel(np.arange(R))
-    assert f[20] == np.inf and np.all(g[20] == 0.0)
+    f, g, H = kernel(np.arange(R))
+    assert f[20] == np.inf and np.all(g[20] == 0.0) and np.all(H[20] == 0.0)
     assert np.all(np.isfinite(np.delete(f, 20)))
     for r in range(R):
         for rows in ([r], [r, (r + 37) % R], [(r + 61) % R, r]):
-            fr, gr = kernel(np.array(rows))
+            fr, gr, Hr = kernel(np.array(rows))
             i = rows.index(r)
             assert same(fr[i], f[r]) and same(gr[i], g[r]), (r, rows)
+            assert same(Hr[i], H[r]), (r, rows)
 
 
 def test_glmm_rows_with_no_finite_start_fail_at_once():
@@ -690,22 +753,19 @@ def test_glmm_rows_with_no_finite_start_fail_at_once():
     d = m.dataset
     x0 = np.tile(np.append(m.beta, m.scale ** 2), (2, 1))
     x0[:, 0] = 600.0
-    for H0 in (None, np.eye(x0.shape[1])):
-        fits = glmm_rows(d.X, d.group, Y, x0, H0)
-        assert set(fits.errors) == {0, 1}
-        assert all(isinstance(e, NonConvergence)
-                   for e in fits.errors.values())
-        assert all(str(e) == "quasi-Newton found no finite optimum: the "
-                   "likelihood is not finite at its start"
-                   for e in fits.errors.values())
-        assert np.array_equal(fits.beta, x0[:, :-1])
-        assert np.all(fits.loglik == -np.inf)
+    fits = glmm_rows(d.X, d.group, Y, x0)
+    assert set(fits.errors) == {0, 1}
+    assert all(isinstance(e, NonConvergence) for e in fits.errors.values())
+    assert all(str(e) == "Newton found no finite optimum: the likelihood "
+               "is not finite at its start" for e in fits.errors.values())
+    assert np.array_equal(fits.beta, x0[:, :-1])
+    assert np.all(fits.loglik == -np.inf)
 
 
 def test_glmm_rows_stopped_by_the_iteration_cap_say_so(monkeypatch):
-    """A row that is still moving after 2 * _MAX_ITER iterations fails
-    with the message that names the cap, not the one of a start that is
-    not finite."""
+    """A row that is still moving after _MAX_ITER iterations fails with
+    the message that names the cap, not the one of a start that is not
+    finite."""
     m, Y = _glmm_refit_batch(0, B=9)
     d = m.dataset
     x0 = np.tile(np.append(m.beta, m.scale ** 2), (len(Y), 1))
@@ -714,14 +774,15 @@ def test_glmm_rows_stopped_by_the_iteration_cap_say_so(monkeypatch):
     assert fits.errors
     for e in fits.errors.values():
         assert isinstance(e, NonConvergence)
-        assert str(e) == "quasi-Newton found no finite optimum in 2 iterations"
+        assert str(e) == "Newton found no finite optimum in 1 iterations"
 
 
 def test_glmm_refit_kernel_calls_per_batch(monkeypatch):
     """``refit_many`` of the first five glmm-refit batches takes at most
-    30 kernel calls per batch on average: 14.4, against 17.0 when every
-    row's line search ended before any row moved on, and 38.2 before
-    rows with omega at the floor got there in one step."""
+    30 kernel calls per batch on average: 10.6 by Newton, against 14.4 by
+    the quasi-Newton search it replaced, 17.0 when every row's line
+    search ended before any row moved on, and 38.2 before rows with omega
+    at the floor got there in one step."""
     batches = [_glmm_refit_batch(dataset) for dataset in range(5)]
     calls = []
 
@@ -741,8 +802,9 @@ def test_glmm_refit_batch_takes_its_slowest_rows_kernel_calls(monkeypatch):
     """Each kernel call takes one trial of every row still moving, so
     ``refit_many`` of each of the first five glmm-refit batches takes
     exactly as many kernel calls as its slowest row refitted alone (a
-    batch whose line searches all end together took 19 / 15 / 16 / 17 /
-    18 calls against 16 / 14 / 14 / 14 / 14)."""
+    quasi-Newton batch whose line searches all ended together took 19 /
+    15 / 16 / 17 / 18 calls against 16 / 14 / 14 / 14 / 14; Newton takes
+    10 / 9 / 11 / 11 / 12)."""
     batches = [_glmm_refit_batch(dataset) for dataset in range(5)]
     calls = []
 
@@ -780,9 +842,10 @@ def test_glmm_kernel_does_not_overflow_where_the_curvature_does():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         value = glmm_marginal_loglik(beta, 1e-6, X, y, np.arange(n) % 5)
-        _, grad = _loglik_grad(np.append(beta, 1e-12)[None, :], X,
-                               y[None, :], np.arange(n) % 5)
+        _, grad, hess = _loglik_grad(np.append(beta, 1e-12)[None, :], X,
+                                     y[None, :], np.arange(n) % 5)
     assert np.isfinite(value) and np.all(np.isfinite(grad))
+    assert np.all(np.isfinite(hess))
 
 
 def test_glmm_kernel_uses_the_series_only_where_it_holds():
@@ -850,12 +913,14 @@ def test_glmm_underflowed_means_give_the_exact_mode_and_no_finite_value():
         warnings.simplefilter("error", RuntimeWarning)
         u, K = fitters._group_modes(S, E, omega[:1])
         x = np.column_stack([beta, omega ** 2])
-        value, grad = _loglik_grad(x, X, Y, group)
+        value, grad, hess = _loglik_grad(x, X, Y, group)
         alone = _loglik_grad(x[1:], X, Y[1:], group)
     assert np.array_equal(u, S * omega[0] ** 2)
     assert np.array_equal(K, np.full(S.shape, 1.0 / omega[0] ** 2))
     assert not np.isfinite(value[0]) and np.all(grad[0] == 0.0)
+    assert np.all(hess[0] == 0.0)
     assert value[1] == alone[0][0] and np.array_equal(grad[1], alone[1][0])
+    assert np.array_equal(hess[1], alone[2][0])
 
 
 def test_glmm_kernel_at_the_ceiling_with_every_node_overflowed():
@@ -869,8 +934,8 @@ def test_glmm_kernel_at_the_ceiling_with_every_node_overflowed():
     x = np.array([[-899.3042082689942, 173.61838669034208, 1e8]])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        f, g = _loglik_grad(x, X, y[None, :], np.arange(n) % 5)
-    assert f[0] == -np.inf and np.all(g[0] == 0.0)
+        f, g, H = _loglik_grad(x, X, y[None, :], np.arange(n) % 5)
+    assert f[0] == -np.inf and np.all(g[0] == 0.0) and np.all(H[0] == 0.0)
 
 
 def _lambert_w_of_exp(L):
@@ -990,8 +1055,9 @@ def test_glmm_constant_terms_outside_the_node_sums_keep_the_value():
 def test_glmm_fit_kernel_calls(monkeypatch):
     """``fit_model`` of the first 40 datasets of the glmm-refit stream
     takes at most 10 kernel calls on average, the one that evaluates the
-    start and its curvature included: 8.35, against 11.25 from the
-    identity start."""
+    start included: 5.53 by Newton, against 8.35 by the quasi-Newton
+    search it replaced (from a central-difference curvature) and 11.25
+    by that search from the identity."""
     spec = ScenarioSpec(model=ModelKind.GLMM_POISSON_RI,
                         violation=Violation.NULL_OK, n=40)
     datasets = [_stream_fit(spec, i)[0].dataset for i in range(40)]
@@ -1007,59 +1073,6 @@ def test_glmm_fit_kernel_calls(monkeypatch):
     for d in datasets:
         fit_model(d, ModelKind.GLMM_POISSON_RI)
     assert len(calls) / 40 <= 10, len(calls) / 40
-
-
-def test_glmm_fresh_rows_start_from_their_own_curvature():
-    """Without a parent, row r of a poisson-ri batch starts from the
-    inverse of the central-difference Hessian of its own objective at its
-    GLM estimates and v = 0.25, or from the identity where that Hessian
-    is not positive definite.  Dataset 7 of the glmm-refit stream has rows of
-    both kinds among its engine draws; a batch of them fits each row as
-    alone, as from its explicit start, and an identity row as from a zero
-    ``H0``."""
-    kind = ModelKind.GLMM_POISSON_RI
-    spec = ScenarioSpec(model=kind, violation=Violation.NULL_OK, n=40)
-    m, boot_seed = _stream_fit(spec, 7)
-    d = m.dataset
-    Y = simulate_response(m, 98 + 9, np.random.default_rng(boot_seed))[:98]
-    glm = glm_rows(d.X, Y)
-    assert not glm.errors
-    x0 = np.column_stack([glm.beta, np.full(Y.shape[0], 0.25)])
-    z0, _, evaluate = fitters._in_w(d.X, d.group, Y, x0)
-    f, _, H0 = fitters._curvature_start(evaluate, z0)
-    identity = ~H0.any(axis=(1, 2))
-    q = x0.shape[1]
-    for r in range(Y.shape[0]):
-        # the gradient in (beta, w), v = a expm1(w), a = G / sum exp(X beta)
-        a = d.n_groups / np.exp(d.X @ x0[r, :-1]).sum()
-
-        def grad(th):
-            x = np.append(th[:-1], a * np.expm1(th[-1]))
-            g = _loglik_grad(x[None, :], d.X, Y[r:r + 1], d.group)[1][0]
-            return np.append(g[:-1], g[-1] * (x[-1] + a))
-        hess = np.array([(grad(z0[r] + 1e-4 * e) - grad(z0[r] - 1e-4 * e))
-                         / 2e-4 for e in np.eye(q)])
-        lam = np.linalg.eigvalsh(-0.5 * (hess + hess.T))
-        assert identity[r] == (lam[0] <= 1e-8 * lam[-1]), (r, lam)
-        if not identity[r]:
-            assert np.allclose(H0[r] @ (-hess), np.eye(q), atol=1e-6)
-    assert 2 <= identity.sum() <= 10
-    rows = np.concatenate([np.flatnonzero(identity)[:3],
-                           np.flatnonzero(~identity)[:3]])
-    batch = fit_rows(kind, d, Y[rows])
-    explicit = glmm_rows(d.X, d.group, Y[rows], x0[rows], H0[rows])
-    from_identity = glmm_rows(d.X, d.group, Y[rows], x0[rows],
-                              np.zeros((q, q)))
-    assert not batch.errors
-    for i, r in enumerate(rows):
-        alone = fit_rows(kind, d, Y[r:r + 1])
-        assert np.array_equal(alone.beta[0], batch.beta[i])
-        assert alone.loglik[0] == batch.loglik[i]
-        assert np.array_equal(explicit.beta[i], batch.beta[i])
-        assert explicit.loglik[i] == batch.loglik[i]
-        if identity[r]:
-            assert np.array_equal(from_identity.beta[i], batch.beta[i])
-        assert batch.loglik[i] >= from_identity.loglik[i] - 1e-6
 
 
 def test_glmm_refit_all_zero_response_raises_separation():
@@ -1261,10 +1274,9 @@ def test_glm_rows_match_lstsq_irls_reference():
 
 def _glmm_refit_rows(m, Y):
     """``glmm_rows`` of the rows of ``Y`` from the start ``fit_rows``
-    gives every refit of ``m``."""
-    x0, H0 = _refit_start(m)
+    gives every refit of ``m``, its ``(beta, omega^2)``."""
     return glmm_rows(m.dataset.X, m.dataset.group, Y,
-                     np.tile(x0, (Y.shape[0], 1)), H0)
+                     np.tile(np.append(m.beta, m.scale ** 2), (len(Y), 1)))
 
 
 # spec of each class's stream (dataset 0 at seed 1) and its batch

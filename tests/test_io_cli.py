@@ -158,7 +158,7 @@ def test_fit_poisson_ri_with_no_finite_start_reports_an_error(tmp_path,
     assert main(["fit", "--data", p, "--model", "poisson-ri",
                  "--group", "site"]) == 1
     assert capsys.readouterr().err.startswith(
-        "envdiag: error: quasi-Newton found no finite optimum")
+        "envdiag: error: Newton found no finite optimum")
 
 
 def test_load_csv_empty_file(tmp_path):
