@@ -443,9 +443,10 @@ def _glmm_nodes(S: np.ndarray, E: np.ndarray, v: np.ndarray, A: np.ndarray
     p /= total
     g2y = f2 * y
     g1yy = f1 * y * y
-    if not y[-1].max(initial=0.0) < 700.0:   # e^y y^2 overflows, p = 0
-        zero = p == 0.0
-        f3[zero] = g2y[zero] = g1yy[zero] = 0.0
+    # a node whose weight underflowed carries no derivative, also where
+    # its terms overflowed (e^y y^2 does from y = 697, e^y from y = 710)
+    zero = p == 0.0
+    f3[zero] = g2y[zero] = g1yy[zero] = 0.0
     prods = np.empty((15, 6) + p.shape[1:])
     np.multiply(p, f3, out=prods[:, 0])
     np.multiply(p, g2y, out=prods[:, 1])
@@ -863,30 +864,33 @@ def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
     t = np.zeros(live.size)   # and next step
     stop = np.zeros(live.size, dtype=bool)
     while live.size:
-        # the Newton step of a row between searches, of beta alone where w
-        # is held or stepped below 0 against its gradient; where H is not
-        # positive definite, with w decoupled
+        # the Newton step of a row between searches (a searching row keeps
+        # its direction), of beta alone where w is held or stepped below 0
+        # against its gradient; where H is not positive definite, with w
+        # decoupled
         new = tries == 0
-        dn, pd = _newton_steps(g, H)
-        w, gw = x[:, -1], g[:, -1]
-        held = ((w <= 0.0) & (gw > 0.0)) | ((w >= w_ceil) & (gw < 0.0))
-        fixed = held | (new & ~(gw > 0.0) & (w + dn[:, -1] < 0.0))
+        gn, Hn = g[new], H[new]
+        dn, pd = _newton_steps(gn, Hn)
+        w, gw = x[new, -1], gn[:, -1]
+        held = ((w <= 0.0) & (gw > 0.0)) | ((w >= w_ceil[new]) & (gw < 0.0))
+        fixed = held | (~(gw > 0.0) & (w + dn[:, -1] < 0.0))
         redo = fixed | ~pd
         if redo.any():
-            gb, Hb, fb = g[redo], H[redo], fixed[redo]
+            gb, Hb, fb = gn[redo], Hn[redo], fixed[redo]
             gb[fb, -1] = Hb[:, -1, :-1] = Hb[:, :-1, -1] = 0.0
             Hb[:, -1, -1] = np.where(fb, 1.0, np.abs(Hb[:, -1, -1]))
             dn[redo], pdb = _newton_steps(gb, Hb)
             pd[redo] = pdb & fb
-        pg = g.copy()
-        pg[held, -1] = 0.0
-        # stop tests, with the decrease the step predicts, -pg'dn / 2
-        stop |= new & (~(np.abs(pg).max(axis=1) > 1e-7) | (pd & ~(
-            -(pg * dn).sum(axis=1) > 2.0 * _NEWTON_TOL * np.maximum(
-                np.abs(f), 1.0))))
+        gn[held, -1] = 0.0    # the projected gradient
+        # stop tests, with the decrease the step predicts, -gn'dn / 2
+        stop[new] |= ~(np.abs(gn).max(axis=1) > 1e-7) | (pd & ~(
+            -(gn * dn).sum(axis=1) > 2.0 * _NEWTON_TOL * np.maximum(
+                np.abs(f[new]), 1.0)))
         over = new & ~stop & (nit >= _MAX_ITER)
         stop |= over
         why.update((int(r), f" in {_MAX_ITER} iterations") for r in live[over])
+        nit += new
+        d[new], t[new] = dn, 1.0
         if stop.any():
             done = live[stop]
             x_out[done], f_out[done] = x[stop], f[stop]
@@ -894,14 +898,9 @@ def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
             live = live[keep]
             if live.size == 0:
                 break
-            x, f, g, H, w_ceil, nit, tries, d, t, new, dn = (
-                a[keep] for a in (x, f, g, H, w_ceil, nit, tries, d, t, new,
-                                  dn))
+            x, f, g, H, w_ceil, nit, tries, d, t = (
+                a[keep] for a in (x, f, g, H, w_ceil, nit, tries, d, t))
             stop = np.zeros(live.size, dtype=bool)
-        nit += new
-        # a searching row keeps its direction
-        d = np.where(new[:, None], dn, d)
-        t = np.where(new, 1.0, t)
 
         # one trial of every moving row, backtracking on sufficient
         # decrease (Armijo)

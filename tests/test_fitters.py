@@ -371,6 +371,8 @@ def test_glmm_gradient_matches_central_differences(rng):
         _check_kernel_derivatives(beta, v, X, y, group, v_step)
         points += 1
     assert points == 360
+
+
 def _dean_score(X, group, y, beta):
     """Poisson log-likelihood, score X'(y - mu) and Dean's (1992) score
     for the random-intercept variance, U = 1/2 sum_g [(S_g - E_g)^2 -
@@ -938,6 +940,41 @@ def test_glmm_kernel_at_the_ceiling_with_every_node_overflowed():
     assert f[0] == -np.inf and np.all(g[0] == 0.0) and np.all(H[0] == 0.0)
 
 
+def test_glmm_kernel_where_only_the_second_node_terms_overflow():
+    """At a group of zero counts with E_g = 7.5 and v about 1.5e5, the
+    widest node offset y from the mode is 698.5: e^y is finite there but
+    e^y y^2 is not, and the node's weight underflows to 0.  That node
+    carries no derivative, so the row's value, gradient and Hessian are
+    finite, and the same, bit for bit, alone and in a batch with a row
+    whose widest offset is 720 (where e^y overflows too);
+    ``glmm_marginal_loglik`` is finite there."""
+    n = 8
+    X = np.column_stack([np.ones(n), (np.arange(n) + 0.5) / n])
+    group = np.arange(n) % 2
+    y = np.array([0.0, 3.0, 0.0, 1.0, 0.0, 4.0, 0.0, 2.0])
+    beta = np.array([0.5, 0.3])
+    v = np.array([150599.8, 160784.3])
+    S = np.bincount(group, weights=y)
+    E = np.bincount(group, weights=np.exp(X @ beta))
+    # y = z_k / sqrt(K_g), K_g the curvature at the mode
+    K = fitters._group_modes(np.tile(S, (2, 1)), np.tile(E, (2, 1)),
+                             np.sqrt(v))[1]
+    widest = fitters._GH_Z.max() / np.sqrt(K.min(axis=1))
+    assert 697.0 < widest[0] < 700.0 and widest[1] >= 700.0, widest
+    x = np.column_stack([np.tile(beta, (2, 1)), v])
+    Y = np.tile(y, (2, 1))
+    f, g, H = _loglik_grad(x, X, Y, group)
+    assert np.all(np.isfinite(f)) and np.all(np.isfinite(g))
+    assert np.all(np.isfinite(H))
+    for rows in ([0], [1, 0]):
+        fr, gr, Hr = _loglik_grad(x[rows], X, Y[rows], group)
+        i = rows.index(0)
+        assert fr[i] == f[0] and np.array_equal(gr[i], g[0])
+        assert np.array_equal(Hr[i], H[0])
+    value = glmm_marginal_loglik(beta, math.sqrt(v[0]), X, y, group)
+    assert value == f[0]
+
+
 def _lambert_w_of_exp(L):
     """W(e^L) by an independent route: scipy's ``lambertw`` of e^L up to
     L = 700, above it 30 Newton steps on w + log w = L from L - log L."""
@@ -1050,6 +1087,46 @@ def test_glmm_constant_terms_outside_the_node_sums_keep_the_value():
     assert y.min() >= 100
     check(beta, np.array([0.3]), X, y[None, :], group)
     assert worst <= 1e-12, worst
+
+
+def test_glmm_fresh_rows_with_an_indefinite_start_fit_as_alone():
+    """Without a parent, a row starts from its GLM estimates and v = 0.25
+    with the kernel's Hessian there.  Of the 98 engine draws of dataset 7
+    of the glmm-refit stream, 2 to 10 have a start Hessian in (beta, w),
+    v = a (e^w - 1), a = G / sum exp(X beta), that is not positive
+    definite (4 of them), so :func:`glmm_rows` takes their first steps
+    with w decoupled.  Every row of the batch equals its fit alone, bit
+    for bit, and none ends more than 1e-6 below the L-BFGS-B optimum."""
+    kind = ModelKind.GLMM_POISSON_RI
+    spec = ScenarioSpec(model=kind, violation=Violation.NULL_OK, n=40)
+    m, boot_seed = _stream_fit(spec, 7)
+    d = m.dataset
+    Y = simulate_response(m, 98 + 9, np.random.default_rng(boot_seed))[:98]
+    glm = glm_rows(d.X, Y)
+    assert not glm.errors
+    v = 0.25
+    _, grad, hess = _loglik_grad(
+        np.column_stack([glm.beta, np.full(len(Y), v)]), d.X, Y, d.group)
+    # the negated log-likelihood's Hessian in (beta, w): dv/dw = d2v/dw2
+    # = v + a
+    J = v + d.n_groups / np.exp(fitters._rows_eta(d.X, glm.beta)).sum(axis=1)
+    H = -hess
+    H[:, -1] *= J[:, None]
+    H[:, :, -1] *= J[:, None]
+    H[:, -1, -1] -= grad[:, -1] * J
+    lam = np.linalg.eigvalsh(H)
+    indefinite = lam[:, 0] <= 1e-8 * np.abs(lam).max(axis=1)
+    assert 2 <= indefinite.sum() <= 10, np.flatnonzero(indefinite)
+    batch = fit_rows(kind, d, Y)
+    assert not batch.errors
+    worst = math.inf
+    for r, y in enumerate(Y):
+        alone = fit_rows(kind, d, Y[r:r + 1])
+        assert np.array_equal(alone.beta[0], batch.beta[r])
+        assert alone.loglik[0] == batch.loglik[r]
+        assert alone.scale[0] == batch.scale[r]
+        worst = min(worst, batch.loglik[r] - _lbfgsb_reference(m, y))
+    assert worst >= -1e-6, worst
 
 
 def test_glmm_fit_kernel_calls(monkeypatch):
