@@ -8,10 +8,13 @@ its fit alone raises.
 * Gaussian linear model, solved by least squares from one thin QR for
   every response of a batch, :func:`lm_rows`.
 * Poisson log-linear GLM, solved by iteratively reweighted least squares
-  with step halving (deviance is non-increasing by construction).  One
-  IRLS, :func:`glm_rows`, runs every response of a batch in lockstep,
-  each with its own step halving and stop, after one existence check,
+  (Newton's method, for the log link) with step halving.  One IRLS,
+  :func:`glm_rows`, runs every response of a batch in lockstep, each
+  with its own step halving and stop, after one existence check,
   :func:`_no_mle_rows`, has set aside the responses with no finite MLE.
+  A row stops by the rule of the random-intercept Newton below, where
+  its step predicts a tiny decrease, and takes that step.  A ``poisson``
+  refit starts from the parent fit, any other GLM fit from a flat start.
 * Poisson log-linear model with a random intercept per group, solved by
   Newton's method on an adaptive Gauss-Hermite approximation to the
   marginal likelihood (nodes recentred at each group's conditional mode,
@@ -86,13 +89,12 @@ class Separation(EnvdiagError):
         self.direction = direction
 
 
-# Iteration budget of the iterative fitters (IRLS, and the random-intercept
-# Newton) and the relative change in the deviance at which IRLS stops.
-# The Newton stops where its step predicts a decrease of at most
-# _NEWTON_TOL of the objective, about its remaining error: well below
-# the IRLS tolerance, and a decrease the line search can still see.
+# Iteration budget of the two Poisson Newton loops (IRLS, and the
+# random-intercept Newton), and their one stop rule: a row stops where its
+# step predicts a decrease of at most _NEWTON_TOL of the objective (of
+# |deviance| + 0.1 for IRLS, which then takes that step), about its
+# remaining error, and a decrease the search can still see.
 _MAX_ITER = 100
-_TOL = 1e-9
 _NEWTON_TOL = 1e-12
 
 # The 15-node Gauss-Hermite rule behind the random-intercept likelihood:
@@ -122,7 +124,17 @@ def _gaussian_loglik(y: np.ndarray, mean: np.ndarray, sigma):
 
 def _poisson_loglik(y: np.ndarray, eta: np.ndarray):
     """Poisson log-mass of ``y`` at means ``exp(eta)`` (or of each row)."""
-    return np.sum(y * eta - np.exp(eta) - gammaln(y + 1.0), axis=-1)
+    return np.sum(y * eta - np.exp(eta) - _log_factorials(y), axis=-1)
+
+
+def _log_factorials(Y: np.ndarray) -> np.ndarray:
+    """log y! of every count in ``Y``, from a table of log k! up to the
+    largest count where it has fewer entries than ``Y``: bit for bit
+    ``gammaln(Y + 1)``."""
+    top = Y.max(initial=0.0)
+    if top < Y.size:
+        return gammaln(np.arange(top + 1.0) + 1.0)[Y.astype(np.intp)]
+    return gammaln(Y + 1.0)
 
 
 def _check_counts(Y: np.ndarray) -> None:
@@ -278,16 +290,8 @@ def _group_modes(S: np.ndarray, E: np.ndarray, omega: np.ndarray
 def _response_constants(group: np.ndarray, G: int, Y: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Group totals (R, G) and sum log y! (R,) of every row of the counts
-    ``Y``: the parts of the kernel that depend on the response alone.
-    The log y! come from a table of log k! up to the largest count,
-    where it has fewer entries than ``Y`` (bit for bit ``gammaln(y +
-    1)``)."""
-    top = Y.max(initial=0.0)
-    if top < Y.size:
-        log_fact = gammaln(np.arange(top + 1.0) + 1.0)[Y.astype(np.intp)]
-    else:
-        log_fact = gammaln(Y + 1.0)
-    return _group_sums(group, G, Y), log_fact.sum(axis=1)
+    ``Y``: the parts of the kernel that depend on the response alone."""
+    return _group_sums(group, G, Y), _log_factorials(Y).sum(axis=1)
 
 
 def _node_sum(a: np.ndarray) -> np.ndarray:
@@ -545,14 +549,15 @@ def fit_rows(kind: ModelKind, d: Dataset, Y: np.ndarray,
     ``lm`` rows go to :func:`lm_rows`.  For both Poisson classes, one
     :func:`_no_mle_rows` check of the batch comes first: the rows with no
     finite estimate fail with its error and no kernel sees them.
-    ``poisson`` rows go to :func:`glm_rows`.  ``poisson-ri`` needs
-    grouping labels (ValueError otherwise), and its rows go to
-    :func:`glmm_rows`: a refit from the estimates ``(beta, omega^2)`` of
-    the parent fit ``start``; a fit, and a refit of a parent at omega = 0
+    ``poisson`` rows go to :func:`glm_rows`: a refit from the estimates
+    of the parent fit ``start``, a fit from :func:`_irls_start`.
+    ``poisson-ri`` needs grouping labels (ValueError otherwise), and its
+    rows go to :func:`glmm_rows`: a refit from the estimates ``(beta,
+    omega^2)`` of ``start``; a fit, and a refit of a parent at omega = 0
     (the exact GLM, whose bootstrap draws no intercepts: it says nothing
-    of where v lies), from each row's GLM fit, whose failure is the
-    row's, and v = 0.25, returning the better of its optimum and that
-    GLM fit.  Only ``poisson-ri`` reads ``start``.
+    of where v lies), from each row's GLM fit from :func:`_irls_start`,
+    whose failure is the row's, and v = 0.25, returning the better of
+    its optimum and that GLM fit.
     """
     X = d.X
     if kind is ModelKind.LM:
@@ -563,7 +568,11 @@ def fit_rows(kind: ModelKind, d: Dataset, Y: np.ndarray,
     errors = _no_mle_rows(X, Y)
     glm_start = start is None or start.scale == 0.0
     if kind is ModelKind.GLM_POISSON or glm_start:
-        glm = _on_live_rows(Y, p, errors, lambda live: glm_rows(X, Y[live]))
+        beta0 = (np.tile(start.beta, (len(Y), 1))
+                 if kind is ModelKind.GLM_POISSON and start is not None
+                 else _irls_start(Y, p))
+        glm = _on_live_rows(Y, p, errors,
+                            lambda live: glm_rows(X, Y[live], beta0[live]))
         if kind is ModelKind.GLM_POISSON:
             return glm
         errors = glm.errors
@@ -652,21 +661,20 @@ def _irls_start(Y: np.ndarray, p: int) -> np.ndarray:
     return beta
 
 
-def glm_rows(X: np.ndarray, Y: np.ndarray) -> Fits:
-    """Poisson log-linear fits of every row of ``Y`` (R, n) by IRLS in lockstep.
+def glm_rows(X: np.ndarray, Y: np.ndarray, beta0: np.ndarray) -> Fits:
+    """Poisson log-linear fits of every row of ``Y`` (R, n) by IRLS in
+    lockstep, row r from ``beta0[r]``.
 
-    Each row follows the rules of a single fit (McCullagh & Nelder 1989,
-    sec. 2.5) on its own: the start of :func:`_irls_start`; per iteration
-    a Newton step from the weighted normal equations X' diag(mu) X d =
-    X'(y - mu), then step halving (up to 30 trials, the last at 2^-29 of
-    the step) until the deviance does not rise.  A row stops once the
-    relative deviance change is below 1e-9, or when no trial goes
-    downhill (it is numerically at the optimum already), and is then
-    frozen.
-    A stopped row takes one polishing Newton step, kept only if the
-    deviance does not rise by more than 1e-9, so the estimate is
-    accurate to machine precision rather than to the stopping tolerance.
-    A row still moving after 100 iterations fails with
+    For the log link IRLS is Newton's method (McCullagh & Nelder 1989,
+    sec. 2.5), and each row runs it on its own: per iteration a step d
+    from the weighted normal equations X' diag(mu) X d = X'(y - mu).  A
+    row whose step predicts a deviance drop X'(y - mu) d (the squared
+    Newton decrement, Boyd & Vandenberghe 2004, sec. 9.5.1) of at most
+    ``_NEWTON_TOL`` (|deviance| + 0.1) takes it whole and stops: that
+    last step squares the error.  Any other step is halved (up to 30
+    trials, the last at 2^-29 of the step) until the deviance does not
+    rise, and a row with no such trial stops where it is.  A row still
+    moving after ``_MAX_ITER`` iterations fails with
     :class:`NonConvergence` carrying its last iterate.
 
     The normal equations of every row are built from elementwise row
@@ -683,18 +691,6 @@ def glm_rows(X: np.ndarray, Y: np.ndarray) -> Fits:
     XX = (Xt[:, None, :] * Xt).reshape(p * p, n)    # products X_j X_k
     tol = max(n, p) * _EPS
 
-    def newton(y, mu):
-        """Newton steps at means ``mu``, and the rows whose weighted
-        normal equations are singular (their step is 0)."""
-        A = (mu[:, None, :] * XX).sum(axis=2).reshape(-1, p, p)
-        score = ((y - mu)[:, None, :] * Xt).sum(axis=2)
-        lam = np.linalg.eigvalsh(A)
-        singular = lam[:, 0] <= tol * lam[:, -1]
-        if singular.any():
-            A[singular] = np.eye(p)
-            score[singular] = 0.0
-        return np.linalg.solve(A, score[:, :, None])[:, :, 0], singular
-
     def trial(y, c, beta):
         """Linear predictors, means and deviances at ``beta``; the
         deviance is inf where a mean overflows."""
@@ -704,52 +700,55 @@ def glm_rows(X: np.ndarray, Y: np.ndarray) -> Fits:
 
     # deviance 2 sum(y log(y/mu) - y + mu) = 2 (c - sum(y eta - mu))
     C = (xlogy(Y, Y) - Y).sum(axis=1)
-    beta = _irls_start(Y, p)
+    beta = np.array(beta0, dtype=float)
     errors = {}
     with np.errstate(over="ignore"):
         eta, mu, dev = trial(Y, C, beta)
-        # the state of the rows still iterating, ``live``: response,
-        # deviance constant, beta, eta, mu and deviance; compacted only
-        # when some row stops
+        # the rows still moving, packed: live[i] is the batch row of entry
+        # i, with its response, deviance constant, beta, eta, mu and
+        # deviance
         live = np.arange(R)
         y, c, b, e, m, d = Y, C, beta, eta, mu, dev
         for _ in range(_MAX_ITER):
-            step, singular = newton(y, m)
-            bt = b + step
-            et, mt, dt = trial(y, c, bt)
-            down = dt <= d
-            if not down.all():
-                halving = np.flatnonzero(~down)
-                for scale in 0.5 ** np.arange(1, 30):
-                    if halving.size == 0:
-                        break
-                    bh = b[halving] + scale * step[halving]
-                    eh, mh, dh = trial(y[halving], c[halving], bh)
-                    ok = dh <= d[halving]
-                    h = halving[ok]
-                    bt[h], et[h], mt[h], dt[h] = bh[ok], eh[ok], mh[ok], dh[ok]
-                    down[h] = True
-                    halving = halving[~ok]
-                # no downhill step: the row is at its optimum already
-                bt, et, mt = (np.where(down[:, None], new, old)
-                              for new, old in ((bt, b), (et, e), (mt, m)))
-                dt = np.where(down, dt, d)
-            # relative deviance change: d - dt >= 0, and 0 where no step
-            # went down or the step is 0 (singular rows)
-            stop = d - dt < _TOL * (np.abs(dt) + 0.1)
-            b, e, m, d = bt, et, mt, dt
-            if stop.any():
-                for r in live[singular]:    # a singular row always stops
+            A = (m[:, None, :] * XX).sum(axis=2).reshape(-1, p, p)
+            score = ((y - m)[:, None, :] * Xt).sum(axis=2)
+            lam = np.linalg.eigvalsh(A)
+            singular = lam[:, 0] <= tol * lam[:, -1]
+            if singular.any():    # its step is 0, so the row stops
+                for r in live[singular]:
                     errors[int(r)] = RankDeficient(
                         "weighted design lost rank during IRLS")
-                if stop.all():
-                    beta[live], eta[live], mu[live], dev[live] = b, e, m, d
+                A[singular] = np.eye(p)
+                score[singular] = 0.0
+            step = np.linalg.solve(A, score[:, :, None])[:, :, 0]
+            stop = ((score * step).sum(axis=1)
+                    <= _NEWTON_TOL * (np.abs(d) + 0.1))
+            bt = b + step
+            et, mt, dt = trial(y, c, bt)
+            # a stopping row takes its step whole; any other halves it
+            # until the deviance does not rise, and stops where it is if
+            # no trial does
+            halving = np.flatnonzero(~(stop | (dt <= d)))
+            for scale in 0.5 ** np.arange(1, 30):
+                if halving.size == 0:
                     break
+                bh = b[halving] + scale * step[halving]
+                eh, mh, dh = trial(y[halving], c[halving], bh)
+                ok = dh <= d[halving]
+                h = halving[ok]
+                bt[h], et[h], mt[h], dt[h] = bh[ok], eh[ok], mh[ok], dh[ok]
+                halving = halving[~ok]
+            if halving.size:
+                bt[halving], et[halving] = b[halving], e[halving]
+                stop[halving] = True
+            b, e, m, d = bt, et, mt, dt
+            if stop.any():
                 done = live[stop]
-                beta[done], eta[done], mu[done], dev[done] = (
-                    b[stop], e[stop], m[stop], d[stop])
+                beta[done], eta[done] = b[stop], e[stop]
                 keep = ~stop
                 live = live[keep]
+                if live.size == 0:
+                    break
                 y, c, b, e, m, d = (a[keep] for a in (y, c, b, e, m, d))
         else:
             beta[live] = b
@@ -757,21 +756,6 @@ def glm_rows(X: np.ndarray, Y: np.ndarray) -> Fits:
                 errors[int(r)] = NonConvergence(
                     f"IRLS did not converge in {_MAX_ITER} iterations",
                     beta=beta[r])
-
-        # one polishing Newton step of every converged row: quadratic
-        # convergence squares the error
-        if errors:
-            conv = np.flatnonzero([r not in errors for r in range(R)])
-            y, c, b, e, m, d = (a[conv] for a in (Y, C, beta, eta, mu, dev))
-        else:
-            conv = slice(None)
-            y, c, b, e, m, d = Y, C, beta, eta, mu, dev
-        step, _ = newton(y, m)
-        bt = b + step
-        et, _, dt = trial(y, c, bt)
-        better = (dt <= d + 1e-9)[:, None]
-        beta[conv] = np.where(better, bt, b)
-        eta[conv] = np.where(better, et, e)
     return Fits(beta, eta, _poisson_loglik(Y, eta), np.zeros(R), errors)
 
 
@@ -991,9 +975,9 @@ def refit(m: FittedModel, y_new: np.ndarray) -> FittedModel:
     The one-row case of :func:`fit_rows` from the parent ``m``, as
     :func:`~envdiag.residuals.refit_many` runs it on many rows, so the
     two give bit-identical estimates, log-likelihoods and residuals.  A
-    random-intercept refit starts from the parent's ``(beta, omega^2)``
-    instead of a GLM fit, unless omega = 0.  Raises as :func:`fit_model`
-    does.
+    ``poisson`` refit starts from the parent's estimates, a
+    random-intercept refit from the parent's ``(beta, omega^2)`` instead
+    of a GLM fit, unless omega = 0.  Raises as :func:`fit_model` does.
     """
     d = Dataset(y=np.asarray(y_new, dtype=float), X=m.dataset.X,
                 group=m.dataset.group)

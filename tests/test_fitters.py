@@ -244,7 +244,8 @@ def test_response_constants_take_log_factorials_from_a_table():
     """sum log y! of every row equals ``gammaln(y + 1).sum()`` bit for bit,
     from the table of log k! (a refit batch, and one row) and from
     ``gammaln`` where the largest count is not below the number of
-    counts."""
+    counts; so does the Poisson log-mass ``_poisson_loglik`` its
+    ``gammaln`` form, of a batch and of one response."""
     rng = np.random.default_rng(4)
     group = np.arange(40) % 5
     big = np.zeros((1, 40))
@@ -255,6 +256,11 @@ def test_response_constants_take_log_factorials_from_a_table():
         assert np.array_equal(log_fact, gammaln(Y + 1.0).sum(axis=1))
         assert np.array_equal(S, np.array(
             [np.bincount(group, weights=y, minlength=5) for y in Y]))
+        eta = rng.normal(1.0, 0.5, size=Y.shape)
+        for y, e in ((Y, eta), (Y[0], eta[0])):
+            assert np.array_equal(
+                fitters._poisson_loglik(y, e),
+                np.sum(y * e - np.exp(e) - gammaln(y + 1.0), axis=-1))
 
 
 def _loglik_grad(x, X, Y, group):
@@ -396,7 +402,7 @@ def test_glmm_kernel_at_zero_variance_is_the_glm_and_dean_score():
         m, Y = _glmm_refit_batch(dataset)
         d = m.dataset
         Y = np.vstack([d.y, Y])
-        glm = glm_rows(d.X, Y)
+        glm = _glm_fresh(d.X, Y)
         assert not glm.errors
         for betas in (glm.beta, np.tile(m.beta, (Y.shape[0], 1))):
             x = np.column_stack([betas, np.zeros(Y.shape[0])])
@@ -1102,7 +1108,7 @@ def test_glmm_fresh_rows_with_an_indefinite_start_fit_as_alone():
     m, boot_seed = _stream_fit(spec, 7)
     d = m.dataset
     Y = simulate_response(m, 98 + 9, np.random.default_rng(boot_seed))[:98]
-    glm = glm_rows(d.X, Y)
+    glm = _glm_fresh(d.X, Y)
     assert not glm.errors
     v = 0.25
     _, grad, hess = _loglik_grad(
@@ -1202,7 +1208,7 @@ def test_separation_with_positive_counts_on_one_covariate_level():
     """Design ``[1, 1{i >= 20}]`` with counts positive only where the
     indicator is 1: sending its coefficient to +inf and the intercept to
     -inf drives the zero rows' means to 0 and leaves the others fixed.
-    IRLS meets its deviance tolerance long before any mean underflows,
+    IRLS meets its stop rule long before any mean underflows,
     so only the exact rule catches this in the GLM, the random-intercept
     fit and a warm refit from a parent fitted on the same design."""
     n = 40
@@ -1330,10 +1336,17 @@ _POWER_CELL = ScenarioSpec(model=ModelKind.GLM_POISSON,
                            violation=Violation.MIXTURE, n=80)
 
 
+def _glm_fresh(X, Y):
+    """``glm_rows`` of the rows of ``Y`` from the start ``fit_rows``
+    gives a fit without a parent."""
+    return glm_rows(X, Y, fitters._irls_start(Y, X.shape[1]))
+
+
 def test_glm_rows_match_lstsq_irls_reference():
     """On the bootstrap draws of the first ten datasets of the
     poisson-power-cell stream, every lockstep estimate is within 1e-10 of
-    the per-response lstsq IRLS, and so is every top-level fit."""
+    the per-response lstsq IRLS, fitted afresh or refitted from the
+    parent, and so is every top-level fit."""
     worst = 0.0
     for dataset in range(10):
         m, boot_seed = _stream_fit(_POWER_CELL, dataset)
@@ -1341,11 +1354,13 @@ def test_glm_rows_match_lstsq_irls_reference():
         worst = max(worst, np.max(np.abs(
             m.beta - _irls_reference(X, m.dataset.y))))
         Y = _bootstrap_draws(m, boot_seed, 98)
-        rows = glm_rows(X, Y)
-        assert not rows.failed.any()
+        fresh = _glm_fresh(X, Y)
+        refits = fit_rows(m.kind, m.dataset, Y, start=m)
+        assert not fresh.failed.any() and not refits.failed.any()
         for r, y in enumerate(Y):
-            worst = max(worst, np.max(np.abs(
-                rows.beta[r] - _irls_reference(X, y))))
+            reference = _irls_reference(X, y)
+            worst = max(worst, np.max(np.abs(fresh.beta[r] - reference)),
+                        np.max(np.abs(refits.beta[r] - reference)))
     assert worst <= 1e-10, worst
 
 
@@ -1363,7 +1378,9 @@ _BATCH_CASES = {
         ScenarioSpec(model=ModelKind.LM, violation=Violation.NULL_OK, n=80),
         lambda m, Y: lm_rows(m.dataset.X, Y).beta),
     ModelKind.GLM_POISSON: (
-        _POWER_CELL, lambda m, Y: glm_rows(m.dataset.X, Y).beta),
+        _POWER_CELL,
+        lambda m, Y: glm_rows(m.dataset.X, Y,
+                              np.tile(m.beta, (len(Y), 1))).beta),
     ModelKind.GLMM_POISSON_RI: (
         ScenarioSpec(model=ModelKind.GLMM_POISSON_RI,
                      violation=Violation.NULL_OK, n=40),
@@ -1410,14 +1427,25 @@ def test_glm_rows_halve_steps_that_overshoot():
     X = np.column_stack([np.ones(x.size), x])
     Y = np.array([[1, 0, 2, 0, 4, 7, 5, 7, 78],
                   [1, 2, 1, 3, 2, 4, 3, 5, 6]], dtype=float)
-    rows = glm_rows(X, Y)
+    rows = _glm_fresh(X, Y)
     assert not rows.failed.any()
     for r, y in enumerate(Y):
         assert np.max(np.abs(rows.beta[r] - _irls_reference(X, y))) <= 1e-10
-        assert np.array_equal(glm_rows(X, Y[r:r + 1]).beta[0], rows.beta[r])
+        assert np.array_equal(_glm_fresh(X, Y[r:r + 1]).beta[0], rows.beta[r])
         assert np.array_equal(fit_model(Dataset(y=y, X=X),
                                         ModelKind.GLM_POISSON).beta,
                               rows.beta[r])
+
+
+def test_glm_refit_of_the_parents_own_response_takes_one_step(monkeypatch):
+    """A ``poisson`` refit starts from the parent's estimates, so a refit
+    of the parent's own response predicts a tiny deviance drop at once:
+    it takes that step and stops, within one iteration, where the parent
+    is."""
+    parents = [_stream_fit(_POWER_CELL, dataset)[0] for dataset in range(3)]
+    monkeypatch.setattr(fitters, "_MAX_ITER", 1)
+    for m in parents:
+        assert np.max(np.abs(refit(m, m.dataset.y).beta - m.beta)) <= 1e-12
 
 
 def _failure_case(case: str, monkeypatch):
@@ -1437,9 +1465,12 @@ def _failure_case(case: str, monkeypatch):
             scale=1.0 if lm else 0.0)
         return m, np.vstack([y, y]), [0, 1], RankDeficient
     if case == "glm-max-iter-1":
+        # a draw at intercept 0.5 and slope 2: one step from the parent's
+        # estimates, or from the flat start, does not reach its optimum
         m = fit_model(Dataset(y=y, X=X), ModelKind.GLM_POISSON)
+        far = np.random.default_rng(5).poisson(np.exp(0.5 + 2.0 * x))
         monkeypatch.setattr("envdiag.fitters._MAX_ITER", 1)
-        return m, np.vstack([y, y]), [0, 1], NonConvergence
+        return m, np.vstack([far, far]).astype(float), [0, 1], NonConvergence
     if case == "glm-separated":
         # every positive count at the largest x
         m = fit_model(Dataset(y=y, X=X), ModelKind.GLM_POISSON)
@@ -1457,7 +1488,8 @@ def test_glm_rows_flag_rank_loss_and_nonconvergence(case, monkeypatch):
     response alone raises, and ``refit_many`` marks exactly those rows.
     A duplicated column makes the design (lm) or the weighted design
     (poisson) singular; an iteration budget too short leaves IRLS
-    moving, and the error carries the last iterate; a count vector
+    moving, and the error carries the last iterate, of the refit from the
+    parent or of the fit from the flat start; a count vector
     whose positive counts all sit at the largest x, or an all-zero one
     under the random-intercept model, has no finite MLE."""
     m, Y, bad, error = _failure_case(case, monkeypatch)
@@ -1471,12 +1503,14 @@ def test_glm_rows_flag_rank_loss_and_nonconvergence(case, monkeypatch):
             fit_model(d, m.kind)
             continue
         assert type(fits.errors[r]) is error
-        for fit in (lambda: refit(m, y), lambda: fit_model(d, m.kind)):
+        fresh = fit_rows(m.kind, d, y[None])
+        for fit, batch in ((lambda: refit(m, y), fits.errors[r]),
+                           (lambda: fit_model(d, m.kind), fresh.errors[0])):
             with pytest.raises(error) as err:
                 fit()
             assert type(err.value) is error
             if error is NonConvergence:
-                assert np.array_equal(err.value.beta, fits.errors[r].beta)
+                assert np.array_equal(err.value.beta, batch.beta)
 
 
 # ------------------------------------------------------------------ #
