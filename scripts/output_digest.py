@@ -15,7 +15,14 @@ line then gives the dataset's calls of the ``poisson-ri`` likelihood
 kernel and the rows they evaluated (0 for ``lm`` and ``poisson``); the
 ``all`` line hashes the digests only.  Two versions of the library whose
 digests agree produced bit-identical outputs.  Digests of versions of
-this script that hashed fewer arrays are not comparable with these:
+this script that hashed fewer arrays are not comparable with these.
+
+After those lines come the verdict digests, ``verdict <i> <digest>`` per
+dataset and ``verdict all <digest>``: each hashes only the p-values and
+reject flags of the five methods (the four plots and the GOF baseline),
+or the error of a failed dataset.  Two versions whose outputs differ at
+rounding level but whose verdict digests agree reached the same verdict
+on every dataset:
 
     python3 scripts/output_digest.py --model lm --violation null --n 80 --B 199
     python3 scripts/output_digest.py --model poisson --violation mixture --n 80 --B 99
@@ -72,27 +79,31 @@ class KernelCount:
         return self._kernel(X, group, Y, *rest)
 
 
-def dataset_digest(spec: ScenarioSpec, index: int) -> str:
-    """Digest of one dataset's diagnose outputs."""
+def dataset_digest(spec: ScenarioSpec, index: int) -> tuple[str, str]:
+    """Digests of one dataset's diagnose outputs and of its verdicts."""
     data_ss, boot_seed = _dataset_seeds(spec, index)
     d = generate_dataset(spec, np.random.default_rng(data_ss))
-    h = hashlib.sha256()
+    h, v = hashlib.sha256(), hashlib.sha256()
     try:
         m = fit_model(d, spec.model)
         results, gof = diagnose_model(
             m, kinds=tuple(PlotKind), B=spec.B, alpha=spec.alpha,
             seed=boot_seed, m_grid=spec.m_grid, with_gof=True)
     except EnvdiagError as exc:
-        h.update(f"{type(exc).__name__}: {exc}".encode())
-        return h.hexdigest()
+        for x in (h, v):
+            x.update(f"{type(exc).__name__}: {exc}".encode())
+        return h.hexdigest(), v.hexdigest()
     for kind in PlotKind:
         r, env = results[kind], results[kind].envelope
         h.update(kind.value.encode())
+        v.update(kind.value.encode())
         _update(h, r.grid, r.observed, r.points, env.center, env.lower,
                 env.upper, env.stats, [env.critical], env.degenerate_points,
                 [r.p_value, float(r.reject)])
+        _update(v, [r.p_value, float(r.reject)])
     _update(h, [gof.p_value, float(gof.reject)])
-    return h.hexdigest()
+    _update(v, [gof.p_value, float(gof.reject)])
+    return h.hexdigest(), v.hexdigest()
 
 
 def main() -> int:
@@ -111,14 +122,20 @@ def main() -> int:
     spec = ScenarioSpec(model=ModelKind(args.model),
                         violation=Violation(args.violation), n=args.n,
                         n_datasets=args.datasets, B=args.B, seed=args.seed)
-    total = hashlib.sha256()
+    total, verdict_total = hashlib.sha256(), hashlib.sha256()
     count = KernelCount()
+    verdicts = []
     for i in range(args.datasets):
         count.calls = count.rows = 0
-        digest = dataset_digest(spec, i)
+        digest, verdict = dataset_digest(spec, i)
         total.update(digest.encode())
+        verdict_total.update(verdict.encode())
+        verdicts.append(verdict)
         print(f"{i} {digest} {count.calls} {count.rows}")
     print(f"all {total.hexdigest()}")
+    for i, verdict in enumerate(verdicts):
+        print(f"verdict {i} {verdict}")
+    print(f"verdict all {verdict_total.hexdigest()}")
     return 0
 
 
