@@ -66,8 +66,8 @@ class SmoothFit:
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        G = self._design.grid_design(x.ravel())
-        return _rows_eta(G, self.coefs[None, :])[0].reshape(x.shape)
+        return self._design._on_grid(self.coefs[None, :],
+                                     x.ravel())[0].reshape(x.shape)
 
 
 def _lead_sum(T: np.ndarray) -> np.ndarray:
@@ -368,12 +368,26 @@ class PSplineDesign:
             lam_at_bound=at_bound,
         )
 
-    def grid_design(self, grid: np.ndarray) -> np.ndarray:
-        """Basis design matrix at evaluation points (clipped to range)."""
+    def _on_grid(self, C: np.ndarray, grid: np.ndarray) -> np.ndarray:
+        """Coefficient rows ``C`` (R, basis_dim) evaluated at the grid
+        points (clipped to the data range), as (R, grid size).
+
+        Each point takes only its nonzero basis functions (the 4 cubic
+        B-splines of its knot interval, or 1 and x for the line), summed
+        in column order: the dense product's sum without its zero terms.
+        """
         pts = np.clip(np.asarray(grid, dtype=float), self.x_lo, self.x_hi)
         if self.fallback:
-            return np.column_stack([np.ones(pts.size), pts])
-        return BSpline.design_matrix(pts, self.t, 3, extrapolate=False).toarray()
+            cols = np.broadcast_to([0, 1], (pts.size, 2))
+            vals = np.column_stack([np.ones(pts.size), pts])
+        else:
+            G = BSpline.design_matrix(pts, self.t, 3, extrapolate=False)
+            cols, vals = G.indices.reshape(-1, 4), G.data.reshape(-1, 4)
+        # np.take keeps the rows C-contiguous, as the dense product's were
+        out = np.take(C, cols[:, 0], axis=1) * vals[:, 0]
+        for j in range(1, cols.shape[1]):
+            out += np.take(C, cols[:, j], axis=1) * vals[:, j]
+        return out
 
     def smooth_matrix(self, Y: np.ndarray, grid: np.ndarray) -> np.ndarray:
         """Fit every row of Y at its ML lambda (:meth:`coefs`) and evaluate
@@ -382,4 +396,4 @@ class PSplineDesign:
         Y = np.asarray(Y, dtype=float)
         if Y.ndim != 2 or Y.shape[1] != self.x.size:
             raise ValueError(f"Y must be B x {self.x.size}")
-        return _rows_eta(self.grid_design(grid), self.coefs(Y))
+        return self._on_grid(self.coefs(Y), grid)

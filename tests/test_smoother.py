@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import BSpline
 from scipy.optimize import minimize_scalar
 
 from envdiag import DegenerateX, PSplineDesign
@@ -141,7 +142,8 @@ def test_closed_form_coefs_match_stacked_least_squares(rng, n):
         rng.normal(0, 1.0, n),
         1.0 + 2.0 * x + rng.normal(0, 0.05, n),
     ])
-    G = design.grid_design(np.linspace(x.min(), x.max(), 64))
+    G = BSpline.design_matrix(np.linspace(x.min(), x.max(), 64), design.t,
+                              3, extrapolate=False).toarray()
     ml_lams = np.array([design.fit(y).lam for y in Y])
     for lams in [np.full(len(Y), lam) for lam in LAMBDAS] + [ml_lams]:
         C = design.coefs(Y, lams)
