@@ -12,16 +12,19 @@ equivalent Gaussian mixed model (penalized coefficient components as
 zero-mean random effects with variance sigma^2 / lambda), searched over
 log10 lambda in [-8, 8] by a grid pre-scan plus safeguarded Newton steps
 on the exact first and second derivatives of the profile (Wood 2011,
-JRSS-B 73:3-36; Ruppert, Wand & Carroll 2003, ch. 5).  Rows whose scan
-maximum is an end of the range with the profile rising out of it stop
-there; only the others take the Newton steps.
+JRSS-B 73:3-36; Ruppert, Wand & Carroll 2003, ch. 5).  The profile is
+taken in a projected basis: with the fixed effects (the penalty null
+space) projected out once per design, a row's residual sum of squares at
+any lambda is one weighted sum of q squares, with no per-lambda solve.
+Rows whose scan maximum is an end of the range with the profile rising
+out of it stop there; only the others take the Newton steps.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.interpolate import BSpline
@@ -81,16 +84,6 @@ def _lead_sum(T: np.ndarray) -> np.ndarray:
     for t in T[1:]:
         acc += t
     return acc
-
-
-class _Gls(NamedTuple):
-    """The 2x2 generalized least squares fit of the fixed effects."""
-
-    d: np.ndarray      # (q, ...) shrinkage s^2 / (lam + s^2) per component
-    A: np.ndarray      # (3, ...) entries a00, a01, a11 of Xf' V^-1 Xf
-    det: np.ndarray    # its determinant
-    beta: np.ndarray   # (2, ...) fixed effects A^-1 Xf' V^-1 y
-    rss: np.ndarray    # min over beta of (y - Xf beta)' V^-1 (y - Xf beta)
 
 
 class PSplineDesign:
@@ -161,112 +154,87 @@ class PSplineDesign:
             raise ValueError("penalty null space is not two-dimensional")
         U_null = V[:, :2]
         U_pen = V[:, 2:] / np.sqrt(w[2:])[None, :]
-        self.Xf = B @ U_null
+        Q, R = np.linalg.qr(B @ U_null)
         Z = B @ U_pen
-        U, s, Vt = np.linalg.svd(Z, full_matrices=False)
+        QZ = Q.T @ Z
+        # the penalized design with the fixed effects projected out
+        U, s, Vt = np.linalg.svd(Z - Q @ QZ, full_matrices=False)
         self._s = s
-        self._s2 = s * s
-        # a response enters only through its projections on U and Xf
-        self._proj = np.vstack([U.T, self.Xf.T])
-        a = U.T @ self.Xf
-        self._a = np.ascontiguousarray(a.T)           # (2, q): U'Xf
-        self._aa = np.column_stack([a[:, 0] * a[:, 0], a[:, 0] * a[:, 1],
-                                    a[:, 1] * a[:, 1]])   # (q, 3)
-        G = self.Xf.T @ self.Xf
-        self._G = np.array([G[0, 0], G[0, 1], G[1, 1]])
-        # coefficients from fixed effects and from scaled SVD components
-        self._coef_map = np.hstack([U_null, U_pen @ Vt.T])
+        # log|V| needs only the singular values z of Z itself
+        self._sz2 = np.concatenate(
+            [s * s, np.linalg.svd(Z, compute_uv=False) ** 2])
+        self._s2, self._z2 = self._sz2[:s.size], self._sz2[s.size:]
+        # a response enters only through its projections on U and Q
+        self._proj = np.vstack([U.T, Q.T])
+        # coefficients from g = diag(s / (s^2 + lambda)) U'y and Q'y:
+        # b = Vt' g, beta = R^-1 (Q'y - Q'Z b)
+        R_inv = np.linalg.inv(R)
+        self._coef_map = np.hstack([(U_pen - U_null @ R_inv @ QZ) @ Vt.T,
+                                    U_null @ R_inv])
 
     # -- profile likelihood ------------------------------------------
 
     def _profile_terms(self, Y: np.ndarray):
         """y-dependent pieces of the profile likelihood, rows batched:
-        U'y (q, B), Xf'y (2, B) and y'y (B,), each row by its own sums."""
-        P = np.stack([(Y * p).sum(axis=1) for p in self._proj])
-        return P[:-2], P[-2:], (Y * Y).sum(axis=1)
+        U'y (q, B), Q'y (2, B) and y'Py = y'y - |Q'y|^2 (B,), P the
+        projection off the fixed effects, each row by its own sums."""
+        T = np.stack([(Y * p).sum(axis=1) for p in self._proj])
+        f = T[-2:]
+        return T[:-2], f, (Y * Y).sum(axis=1) - f[0] * f[0] - f[1] * f[1]
 
-    def _gls(self, lam, Uy, Xy, yy) -> _Gls:
-        """Fixed effects and rss of every row at smoothing parameter lam.
-
-        ``Uy`` (q, ...), ``Xy`` (2, ...) and ``yy`` are the terms of
-        :meth:`_profile_terms`, and ``lam`` broadcasts against their
-        trailing shape.  With ``d = s^2 / (lam + s^2)``, ``V^-1 = I - U
-        diag(d) U'``, so every entry is an elementwise sum over the q
-        singular values, taken in a fixed order: a row's numbers do not
-        depend on its batch.
-        """
-        shape = (-1,) + (1,) * (Uy.ndim - 1)
-        s2 = self._s2.reshape(shape)
-        d = s2 / (lam + s2)
-        A = self._G.reshape((3,) + shape[1:]) - _lead_sum(
-            d[:, None] * self._aa.reshape((-1, 3) + shape[1:]))
-        # Xf'V^-1 y = Xf'y - sum_j a_j d_j u_j and y'V^-1 y = y'y - sum_j
-        # u_j d_j u_j as one reduction T[0] - T[1] - ... - T[q], which
-        # keeps the order of the singular values; the y'V^-1 y terms are
-        # stored negated, so that sum is 0 + t_1 + ... + t_q
-        T = np.empty((Uy.shape[0] + 1, 3)
-                     + np.broadcast_shapes(d.shape[1:], Uy.shape[1:]))
-        T[0, :2] = Xy
-        T[0, 2] = 0.0
-        dUy = np.multiply(d, Uy, out=T[1:, 2])
-        np.multiply(self._a.T.reshape((-1, 2) + shape[1:]), dUy[:, None],
-                    out=T[1:, :2])
-        dUy *= -Uy
-        r0, r1, yVy = np.subtract.reduce(T, axis=0)
-        det = A[0] * A[2] - A[1] * A[1]
-        b0 = (A[2] * r0 - A[1] * r1) / det
-        b1 = (A[0] * r1 - A[1] * r0) / det
-        rss = yy - yVy - (b0 * r0 + b1 * r1)
-        return _Gls(d, A, det, np.stack([b0, b1]), rss)
-
-    def _profile_at(self, u, Uy, Xy, yy) -> np.ndarray:
+    def _profile_at(self, u, u2, yPy) -> np.ndarray:
         """Profile log-likelihood of every row at log10-lambda u.
 
-        The fixed effects (penalty null space) and the error variance are
-        profiled out in closed form; the random-effect determinant stays
-        q-dimensional through the SVD of the penalized design.  ``u``
-        broadcasts like ``lam`` in :meth:`_gls`.
+        ``u2`` (q, ...) holds the squares of U'y and ``yPy`` y'Py
+        (:meth:`_profile_terms`); ``u`` broadcasts against their trailing
+        shape.  With the fixed effects projected out and the error
+        variance profiled, ``rss = y'Py - sum_j d_j u2_j``, ``d = s^2 /
+        (lambda + s^2)``, an elementwise sum over the q singular values in
+        a fixed order, so a row's value does not depend on its batch.  The
+        log-determinant of V = I + ZZ' / lambda is ``sum log1p(z^2 /
+        lambda)`` over the singular values z of the unprojected Z.
         """
         lam = 10.0 ** u
         n = self.x.size
-        sig2 = np.maximum(self._gls(lam, Uy, Xy, yy).rss, _RSS_FLOOR) / n
-        s2 = self._s2.reshape((-1,) + (1,) * (Uy.ndim - 1))
-        logdet_v = _lead_sum(np.log1p(s2 / lam))
+        shape = (-1,) + (1,) * (u2.ndim - 1)
+        s2, z2 = self._s2.reshape(shape), self._z2.reshape(shape)
+        rss = yPy - _lead_sum(s2 / (lam + s2) * u2)
+        sig2 = np.maximum(rss, _RSS_FLOOR) / n
+        logdet_v = _lead_sum(np.log1p(z2 / lam))
         return -0.5 * (n * (np.log(2.0 * math.pi * sig2) + 1.0) + logdet_v)
 
-    def _profile_slope(self, u: np.ndarray, Uy, Xy, yy):
-        """First and second derivatives of the profile in u = log10 lambda.
+    def _profile_slope(self, u: np.ndarray, u2, yPy):
+        """First and second derivatives of the profile in u = log10 lambda
+        at ``u`` (R,), for the rows of ``u2`` (q, R) and ``yPy``.
 
-        With ``c = U'(y - Xf beta)`` and ``w = d (1 - d)``, the envelope
-        theorem gives ``d rss/du = ln10 sum w c^2`` and
-        ``d^2 rss/du^2 = ln10^2 (sum w (2d - 1) c^2 - 2 h' A^-1 h)``,
-        ``h = sum w c U'Xf`` (the second term is beta moving with lambda);
-        the log-determinant has ``-ln10 sum d`` and ``ln10^2 sum w``.  A
-        row whose rss is at the floor is an exact fit: its ``n log(rss)``
-        is constant there, so only the determinant moves.
+        With ``w = d (1 - d)``, ``d rss/du = ln10 sum w u2`` and
+        ``d^2 rss/du^2 = ln10^2 sum w (2d - 1) u2``; the log-determinant
+        has ``-ln10 sum d`` and ``ln10^2 sum w`` over the z.  All five sums
+        are one ordered reduction.  A row whose rss is at the floor is an
+        exact fit: its ``n log(rss)`` is constant there, so only the
+        determinant moves.
         """
-        n = self.x.size
-        g = self._gls(10.0 ** u, Uy, Xy, yy)
-        a0, a1 = self._a[0][:, None], self._a[1][:, None]
-        c = Uy - a0 * g.beta[0] - a1 * g.beta[1]
-        w = g.d * (1.0 - g.d)
-        wc = w * c
-        r1, h0, h1, r2, sum_w, sum_d = _lead_sum(np.stack(
-            [wc * c, wc * a0, wc * a1, wc * c * (2.0 * g.d - 1.0), w, g.d],
-            axis=1))
-        A = g.A
-        hAh = (A[2] * h0 * h0 - 2.0 * A[1] * h0 * h1 + A[0] * h1 * h1) / g.det
-        exact = g.rss <= _RSS_FLOOR
-        rss = np.where(exact, 1.0, g.rss)
-        t1 = np.where(exact, 0.0, _LN10 * r1 / rss)
-        t2 = np.where(exact, 0.0, _LN10 ** 2 * (r2 - 2.0 * hAh) / rss)
-        d1 = -0.5 * (n * t1 - _LN10 * sum_d)
-        d2 = -0.5 * (n * (t2 - t1 * t1) + _LN10 ** 2 * sum_w)
+        n, q = self.x.size, u2.shape[0]
+        lam = 10.0 ** u
+        d = self._sz2[:, None] / (lam + self._sz2[:, None])   # s, then z
+        w = d * (1.0 - d)
+        T = np.empty((q, 5) + u.shape)
+        np.multiply(d[:q], u2, out=T[:, 0])
+        wu2 = np.multiply(w[:q], u2, out=T[:, 1])
+        np.multiply(wu2, 2.0 * d[:q] - 1.0, out=T[:, 2])
+        T[:, 3], T[:, 4] = d[q:], w[q:]
+        S = _lead_sum(T)
+        rss = yPy - S[0]
+        t1, t2 = np.divide(S[1:3], rss, out=np.zeros_like(S[1:3]),
+                           where=rss > _RSS_FLOOR)
+        d1 = 0.5 * _LN10 * (S[3] - n * t1)
+        d2 = -0.5 * _LN10 ** 2 * (n * (t2 - t1 * t1) + S[4])
         return d1, d2
 
-    def _select_lams(self, Uy, Xy, yy) -> tuple[np.ndarray, np.ndarray]:
-        """ML log10-lambda of every row of the :meth:`_profile_terms`, and
-        whether it sits at a search bound.
+    def _select_lams(self, u2, yPy) -> tuple[np.ndarray, np.ndarray]:
+        """ML log10-lambda of every row, given the squares ``u2`` of its
+        U'y and its y'Py (:meth:`_profile_terms`), and whether it sits at
+        a search bound.
 
         A 17-point scan over [-8, 8] picks each row's best point; its
         neighbours bracket the maximum, which guards against multimodal
@@ -282,10 +250,10 @@ class PSplineDesign:
         count is fixed and every operation acts on each row alone, so a
         row's lambda does not depend on its batch.
         """
-        scan = self._profile_at(_SCAN[:, None], Uy[:, None], Xy[:, None], yy)
+        scan = self._profile_at(_SCAN[:, None], u2[:, None], yPy)
         best = np.argmax(scan, axis=0)
         u = _SCAN[best]
-        d1, d2 = self._profile_slope(u, Uy, Xy, yy)
+        d1, d2 = self._profile_slope(u, u2, yPy)
         # strict signs: at d1 == 0 the steps can still leave the bound
         final = (((best == 0) & (d1 < 0))
                  | ((best == _SCAN.size - 1) & (d1 > 0)))
@@ -293,11 +261,11 @@ class PSplineDesign:
         if move.size:
             lo = _SCAN[np.maximum(best[move] - 1, 0)]
             hi = _SCAN[np.minimum(best[move] + 1, _SCAN.size - 1)]
-            Uy, Xy, yy = Uy[:, move], Xy[:, move], yy[move]
+            u2, yPy = u2[:, move], yPy[move]
             v, d1, d2 = u[move], d1[move], d2[move]
             for step in range(_NEWTON_STEPS):
                 if step:
-                    d1, d2 = self._profile_slope(v, Uy, Xy, yy)
+                    d1, d2 = self._profile_slope(v, u2, yPy)
                 lo = np.where(d1 > 0, v, lo)
                 hi = np.where(d1 < 0, v, hi)
                 newton = v + np.divide(d1, -d2, out=np.full_like(v, np.inf),
@@ -317,24 +285,22 @@ class PSplineDesign:
 
         Row b is fitted at smoothing parameter ``lams[b]``, or, if ``lams``
         is None, at its maximum-likelihood lambda (:meth:`_select_lams`),
-        in closed form in the mixed-model basis: the fixed effects are the
-        generalized least squares estimate, the random effects their ridge
-        solution ``Vt' diag(s / (s^2 + lambda)) U' (y - Xf beta)``.  The
-        linear fallback ignores ``lams`` and returns least squares
-        (intercept, slope) rows.  Row b does not depend on the other rows.
+        in closed form in the projected basis: the random effects are the
+        ridge solution ``b = Vt' g``, ``g = diag(s / (s^2 + lambda)) U'y``,
+        and the fixed effects ``R^-1 Q'(y - Z b)``, so the coefficients
+        are one fixed linear map of ``(g, Q'y)``.  The linear fallback
+        ignores ``lams`` and returns least squares (intercept, slope) rows.
+        Row b does not depend on the other rows.
         """
         Y = np.asarray(Y, dtype=float)
         if self.fallback:
             return lm_rows(self._line_design, Y)[0]
-        Uy, Xy, yy = self._profile_terms(Y)
+        Uy, Qy, yPy = self._profile_terms(Y)
         if lams is None:
-            lams = 10.0 ** self._select_lams(Uy, Xy, yy)[0]
+            lams = 10.0 ** self._select_lams(Uy * Uy, yPy)[0]
         lams = np.asarray(lams, dtype=float)
-        beta = self._gls(lams, Uy, Xy, yy).beta
-        shrink = self._s[:, None] / (self._s2[:, None] + lams)
-        b = shrink * (Uy - self._a[0][:, None] * beta[0]
-                      - self._a[1][:, None] * beta[1])
-        return _rows_eta(self._coef_map, np.vstack([beta, b]).T)
+        g = self._s[:, None] / (self._s2[:, None] + lams) * Uy
+        return _rows_eta(self._coef_map, np.vstack([g, Qy]).T)
 
     def fit(self, y: np.ndarray, lam: Optional[float] = None) -> SmoothFit:
         """Fit to a response vector; ``lam=None`` selects it by ML.
@@ -351,8 +317,8 @@ class PSplineDesign:
         if self.fallback:
             lams = np.full(1, math.nan)
         elif lam is None:
-            u_hat, bound_mask = self._select_lams(
-                *self._profile_terms(y[None, :]))
+            Uy, _, yPy = self._profile_terms(y[None, :])
+            u_hat, bound_mask = self._select_lams(Uy * Uy, yPy)
             lams = 10.0 ** u_hat
             at_bound = bool(bound_mask[0])
         elif LAM_LO <= lam <= LAM_HI:

@@ -58,11 +58,18 @@ def test_affine_reparameterization_invariance(rng):
     assert np.max(np.abs(fa(grid) - fb(5.0 + 2.0 * grid))) < 1e-6
 
 
+def _search_terms(design, Y):
+    """What the lambda search reads of the rows of Y: the squares of
+    their U'y, and their y'Py."""
+    Uy, _, yPy = design._profile_terms(Y)
+    return Uy * Uy, yPy
+
+
 def _profile_loglik(design, y, log10_lams):
     """Profile log-likelihood of one response at each log10 lambda: the
     per-row reference of the batched profile the lambda search uses."""
     u = np.atleast_1d(np.asarray(log10_lams, dtype=float))
-    return design._profile_at(u, *design._profile_terms(y[None, :]))
+    return design._profile_at(u, *_search_terms(design, y[None, :]))
 
 
 def test_profile_loglik_unimodal_on_fixtures(rng):
@@ -170,8 +177,8 @@ def _fixture_rows(x, rng):
 def test_profile_derivatives_match_central_differences(rng, u):
     x = np.sort(rng.uniform(0, 1, 60))
     design = PSplineDesign(x)
-    terms = design._profile_terms(_fixture_rows(x, rng))
-    at = np.full(terms[2].size, u)
+    terms = _search_terms(design, _fixture_rows(x, rng))
+    at = np.full(terms[1].size, u)
     d1, d2 = design._profile_slope(at, *terms)
 
     def prof(v):
@@ -188,7 +195,7 @@ def test_selected_profile_reaches_bounded_brent_maximum(rng):
     x = np.sort(rng.uniform(0, 1, 40))
     design = PSplineDesign(x)
     Y = _fixture_rows(x, rng)
-    u_hat, at_bound = design._select_lams(*design._profile_terms(Y))
+    u_hat, at_bound = design._select_lams(*_search_terms(design, Y))
     scan = np.linspace(-8.0, 8.0, 17)
     for y, u, bound in zip(Y, u_hat, at_bound):
         best = int(np.argmax(_profile_loglik(design, y, scan)))
@@ -209,7 +216,7 @@ def test_select_lams_independent_of_batch(rng):
     Y = np.vstack([_fixture_rows(x, rng) for _ in range(14)])[:200]
 
     def select(rows):
-        return design._select_lams(*design._profile_terms(rows))[0]
+        return design._select_lams(*_search_terms(design, rows))[0]
 
     u_all = select(Y)
     assert np.array_equal(select(Y[:7]), u_all[:7])
@@ -228,17 +235,17 @@ def test_zero_response_is_an_exact_fit_at_the_upper_bound(xgrid):
     assert np.all(f.coefs == 0.0)
 
 
-def _select_lams_all_rows(design, Uy, Xy, yy):
+def _select_lams_all_rows(design, u2, yPy):
     """The lambda search with every row taking all the Newton steps from
     its best scan point: the reference of the search in which rows final
     at a bound skip them."""
-    scan = design._profile_at(_SCAN[:, None], Uy[:, None], Xy[:, None], yy)
+    scan = design._profile_at(_SCAN[:, None], u2[:, None], yPy)
     best = np.argmax(scan, axis=0)
     u = _SCAN[best]
     lo = _SCAN[np.maximum(best - 1, 0)]
     hi = _SCAN[np.minimum(best + 1, _SCAN.size - 1)]
     for _ in range(_NEWTON_STEPS):
-        d1, d2 = design._profile_slope(u, Uy, Xy, yy)
+        d1, d2 = design._profile_slope(u, u2, yPy)
         lo = np.where(d1 > 0, u, lo)
         hi = np.where(d1 < 0, u, hi)
         newton = u + np.divide(d1, -d2, out=np.full_like(u, np.inf),
@@ -260,17 +267,46 @@ def _bound_rows(x, rng):
         + [_fixture_rows(x, rng)])
 
 
+def _dense_profile(design, y, lam):
+    """The profile log-likelihood of one response from its definition,
+    by dense linear algebra: fixed effects X = B U_null, random effects
+    Z = B U_pen with covariance sigma^2 / lam, so cov(y) = sigma^2 V with
+    V = I + ZZ' / lam; beta by generalized least squares and sigma^2 =
+    rss / n, with the library's floor on an exact fit's rss."""
+    w, E = np.linalg.eigh(design.D.T @ design.D)
+    X = design.B @ E[:, :2]
+    Z = design.B @ (E[:, 2:] / np.sqrt(w[2:]))
+    n = y.size
+    L = np.linalg.cholesky(np.eye(n) + Z @ Z.T / lam)
+    Xw, yw = np.linalg.solve(L, X), np.linalg.solve(L, y)
+    r = yw - Xw @ np.linalg.lstsq(Xw, yw, rcond=None)[0]
+    logdet_v = 2.0 * np.sum(np.log(np.diag(L)))
+    sig2 = max(r @ r, 1e-300) / n
+    return -0.5 * (n * (math.log(2.0 * math.pi * sig2) + 1.0) + logdet_v)
+
+
+def test_profile_matches_its_dense_definition(rng):
+    x = np.sort(rng.uniform(0, 1, 60))
+    design, Y_bound = _bound_rows(x, rng)
+    us = np.concatenate([_SCAN, [-5.5, -2.3, 0.7, 3.1, 6.4]])
+    for Y in (_fixture_rows(x, rng), Y_bound):
+        u2, yPy = _search_terms(design, Y)
+        prof = design._profile_at(us[:, None], u2[:, None], yPy)
+        for i, y in enumerate(Y):
+            ref = np.array([_dense_profile(design, y, 10.0 ** u) for u in us])
+            assert np.all(np.abs(prof[:, i] - ref) <= 1e-10 * np.abs(ref))
+
+
 def test_rows_final_at_a_bound_skip_the_newton_steps(rng, monkeypatch):
     x = np.sort(rng.uniform(0, 1, 60))
     design, Y = _bound_rows(x, rng)
-    terms = design._profile_terms(Y)
+    terms = _search_terms(design, Y)
     u, at_bound = design._select_lams(*terms)
     u_ref, at_bound_ref = _select_lams_all_rows(design, *terms)
     assert np.array_equal(u, u_ref) and np.array_equal(at_bound, at_bound_ref)
 
     # the batch holds every kind of row: final at each end, and interior
-    scan = design._profile_at(_SCAN[:, None], terms[0][:, None],
-                              terms[1][:, None], terms[2])
+    scan = design._profile_at(_SCAN[:, None], terms[0][:, None], terms[1])
     best = np.argmax(scan, axis=0)
     d1 = design._profile_slope(_SCAN[best], *terms)[0]
     upper = (best == _SCAN.size - 1) & (d1 > 0)
@@ -290,7 +326,7 @@ def test_rows_final_at_a_bound_skip_the_newton_steps(rng, monkeypatch):
 
     monkeypatch.setattr(design, "_profile_slope", counted)
     final = np.flatnonzero(upper | lower)
-    design._select_lams(*design._profile_terms(Y[final]))
+    design._select_lams(*_search_terms(design, Y[final]))
     assert calls == [final.size]
     calls.clear()
     design._select_lams(*terms)
@@ -305,7 +341,7 @@ def test_a_row_at_a_bound_with_zero_slope_takes_the_newton_steps(
     # midpoint of the one-unit bracket, off the bound
     x = np.sort(rng.uniform(0, 1, 60))
     design, Y = _bound_rows(x, rng)
-    terms = design._profile_terms(Y[row:row + 1])
+    terms = _search_terms(design, Y[row:row + 1])
     assert design._select_lams(*terms)[0][0] == end
     monkeypatch.setattr(design, "_profile_slope",
                         lambda u, *t: (np.zeros_like(u), np.zeros_like(u)))
