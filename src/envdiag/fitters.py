@@ -557,7 +557,8 @@ def fit_rows(kind: ModelKind, d: Dataset, Y: np.ndarray,
     (the exact GLM, whose bootstrap draws no intercepts: it says nothing
     of where v lies), from each row's GLM fit from :func:`_irls_start`,
     whose failure is the row's, and v = 0.25, returning the better of
-    its optimum and that GLM fit.
+    its optimum and that GLM fit, and the GLM fit wherever the optimum is
+    at v = 0, the same model.
     """
     X = d.X
     if kind is ModelKind.LM:
@@ -583,7 +584,9 @@ def fit_rows(kind: ModelKind, d: Dataset, Y: np.ndarray,
         Y, p, errors,
         lambda live: glmm_rows(X, d.group, Y[live], x0[live]))
     if glm_start:
-        glm_better = glm.loglik >= fits.loglik
+        # a row that ends at v = 0 is the GLM model: take the GLM fit, whose
+        # log-likelihood ties the Newton row's to the last bits
+        glm_better = (fits.scale == 0.0) | (glm.loglik >= fits.loglik)
         for whole, limit in zip(fits[:4], glm[:4]):
             whole[glm_better] = limit[glm_better]
     return fits

@@ -580,6 +580,33 @@ def test_glmm_refit_of_a_parent_at_zero_variance_starts_from_its_glm_fit():
     assert refit(m6, y6).scale > 0.5
 
 
+def test_glmm_rows_ending_at_zero_variance_return_their_glm_fit():
+    """A row started from its GLM fit whose Newton search ends at v = 0
+    has the GLM model, so it returns its GLM row bit for bit: the Newton
+    iterate's estimates lie up to about 1e-7 from it, and the kernel's
+    log-likelihood at v = 0 ties the GLM's to the last bits, so picking
+    the larger of the two flipped on rounding.  Dataset 22 of the n=10
+    poisson-ri null stream: its fit and refits of its draws from that
+    parent at omega = 0 end at v = 0 with the Newton iterate away from
+    the GLM row."""
+    spec = ScenarioSpec(model=ModelKind.GLMM_POISSON_RI,
+                        violation=Violation.NULL_OK, n=10)
+    m, boot_seed = _stream_fit(spec, 22)
+    assert m.scale == 0.0
+    d = m.dataset
+    Y = np.vstack([d.y[None, :], simulate_response(
+        m, 98 + 9, np.random.default_rng(boot_seed))[:30]])
+    fits = fit_rows(spec.model, d, Y, start=m)
+    live = ~fits.failed
+    glm = _glm_fresh(d.X, Y[live])
+    newton = glmm_rows(d.X, d.group, Y[live], np.column_stack(
+        [glm.beta, np.full(live.sum(), 0.25)]))
+    zero = newton.scale == 0.0
+    assert zero[0] and np.any(newton.beta[zero] != glm.beta[zero])
+    for whole, rows in zip(fits[:4], glm[:4]):
+        assert np.array_equal(whole[live][zero], rows[zero])
+
+
 def test_glmm_fit_is_at_least_its_glm_fit():
     """A fresh fit returns the better of its optimum and its GLM start,
     the model at omega = 0.  The observed fit of dataset 6 of the n=10
