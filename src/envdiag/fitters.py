@@ -157,13 +157,17 @@ def _no_mle_rows(X: np.ndarray, Y: np.ndarray) -> dict[int, EnvdiagError]:
     as ``numpy.linalg.matrix_rank`` counts it.  Only the rows of lower
     rank are looked at further.  A response with no positive count on a
     design with a column positive on every row is separated by minus
-    that column's unit vector.  Otherwise one linear program over the
-    null space N of the positive rows minimizes sum X_i N c over the zero
-    rows subject to -1 <= X_i N c <= 0.  Its optimum is 0 or at most -1
-    (scaling a separating direction reaches the bound); a negative
-    optimum gives :class:`Separation` with the direction N c, an LP that
-    fails :class:`NonConvergence`.  Raises ValueError unless every entry
-    of ``Y`` is a nonnegative integer (:func:`_check_counts`).
+    that column's unit vector.  Where the null space of the positive rows
+    is a line n0 (rank p - 1), b is a multiple of n0: the zero rows are
+    separated, by n0 or -n0, exactly when their X_i n0 all have one sign
+    and are not all 0, a value within the rank tolerance counting as 0.
+    Otherwise one linear program over the null space N of the positive
+    rows minimizes sum X_i N c over the zero rows subject to -1 <= X_i N
+    c <= 0.  Its optimum is 0 or at most -1 (scaling a separating
+    direction reaches the bound); a negative optimum gives
+    :class:`Separation` with the direction N c, an LP that fails
+    :class:`NonConvergence`.  Raises ValueError unless every entry of
+    ``Y`` is a nonnegative integer (:func:`_check_counts`).
     """
     _check_counts(Y)
     p = X.shape[1]
@@ -180,16 +184,27 @@ def _no_mle_rows(X: np.ndarray, Y: np.ndarray) -> dict[int, EnvdiagError]:
         else:
             null = np.linalg.svd(X[pos[r]])[2][rank[r]:].T  # of positive rows
             A = X[~pos[r]] @ null
-            lp = linprog(A.sum(axis=0), A_ub=np.vstack([A, -A]),
-                         b_ub=np.repeat([0.0, 1.0], len(A)),
-                         bounds=(None, None))
-            if lp.status != 0:
-                errors[int(r)] = NonConvergence(
-                    f"existence check failed: {lp.message}")
-                continue
-            if lp.fun >= -0.5:
-                continue
-            d = null @ lp.x
+            if null.shape[1] == 1:
+                a = np.where(np.abs(A[:, 0]) <= tol[r], 0.0, A[:, 0])
+                if not np.any(a):
+                    continue
+                if np.all(a <= 0.0):
+                    d = null[:, 0]
+                elif np.all(a >= 0.0):
+                    d = -null[:, 0]
+                else:
+                    continue
+            else:
+                lp = linprog(A.sum(axis=0), A_ub=np.vstack([A, -A]),
+                             b_ub=np.repeat([0.0, 1.0], len(A)),
+                             bounds=(None, None))
+                if lp.status != 0:
+                    errors[int(r)] = NonConvergence(
+                        f"existence check failed: {lp.message}")
+                    continue
+                if lp.fun >= -0.5:
+                    continue
+                d = null @ lp.x
         errors[int(r)] = Separation(
             "no finite maximum-likelihood estimate: the zero counts are "
             "separated; estimate on the boundary",

@@ -1,9 +1,10 @@
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
+from scipy.optimize import linprog, minimize
 from scipy.special import gammaln, lambertw, logsumexp, xlogy
 from scipy.stats import norm, poisson
 
@@ -1304,6 +1305,48 @@ def test_all_zero_response_is_separated_without_linprog(monkeypatch):
     with pytest.raises(Separation) as err:
         fit_model(Dataset(y=y, X=X), ModelKind.GLM_POISSON)
     assert_separation_certificate(X, y, err.value.direction)
+
+
+def test_line_null_space_is_decided_by_signs_without_linprog(monkeypatch):
+    """Where the positive rows have rank p - 1, their null space is a line
+    n0 and the existence check is the signs of X_i n0 on the zero rows,
+    with no LP: on designs [1, x] and [1, x, 1{x > 0.5}] with every x
+    value twice, every response positive on 1 to 3 rows of rank p - 1
+    gets the verdict of the LP over that null space, a separated one with
+    a certificate.  A zero row at a positive row's x has X_i n0 = 0 up
+    to rounding, which counts as 0."""
+    x = np.repeat(np.linspace(0.0, 1.0, 5), 2)
+    designs = (np.column_stack([np.ones(10), x]),
+               np.column_stack([np.ones(10), x, (x > 0.5).astype(float)]))
+    lps = []
+    for X in designs:
+        p = X.shape[1]
+        Y = []
+        for size in (1, 2, 3):
+            for rows in itertools.combinations(range(10), size):
+                if np.linalg.matrix_rank(X[list(rows)]) == p - 1:
+                    y = np.zeros(10)
+                    y[list(rows)] = np.arange(1.0, size + 1.0)
+                    Y.append(y)
+        Y = np.array(Y)
+        want = []
+        for y in Y:
+            null = np.linalg.svd(X[y > 0])[2][p - 1:].T
+            A = X[y == 0] @ null
+            lp = linprog(A.sum(axis=0), A_ub=np.vstack([A, -A]),
+                         b_ub=np.repeat([0.0, 1.0], len(A)),
+                         bounds=(None, None))
+            want.append(lp.status == 0 and lp.fun < -0.5)
+        with monkeypatch.context() as mp:
+            mp.setattr("envdiag.fitters.linprog",
+                       lambda *a, **k: lps.append(1))
+            errors = fitters._no_mle_rows(X, Y)
+        assert 0 < sum(want) < len(Y)
+        assert sorted(errors) == list(np.flatnonzero(want))
+        for r, err in errors.items():
+            assert isinstance(err, Separation)
+            assert_separation_certificate(X, Y[r], err.direction)
+    assert not lps
 
 
 # ------------------------------------------------------------------ #
