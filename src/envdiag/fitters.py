@@ -186,14 +186,9 @@ def _no_mle_rows(X: np.ndarray, Y: np.ndarray) -> dict[int, EnvdiagError]:
             A = X[~pos[r]] @ null
             if null.shape[1] == 1:
                 a = np.where(np.abs(A[:, 0]) <= tol[r], 0.0, A[:, 0])
-                if not np.any(a):
+                if not np.any(a) or (np.any(a < 0.0) and np.any(a > 0.0)):
                     continue
-                if np.all(a <= 0.0):
-                    d = null[:, 0]
-                elif np.all(a >= 0.0):
-                    d = -null[:, 0]
-                else:
-                    continue
+                d = -np.sign(a.sum()) * null[:, 0]
             else:
                 lp = linprog(A.sum(axis=0), A_ub=np.vstack([A, -A]),
                              b_ub=np.repeat([0.0, 1.0], len(A)),
