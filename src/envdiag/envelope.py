@@ -37,7 +37,9 @@ class FunctionEnsemble:
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        # C order: the column sums of the envelopes then take one order,
+        # whatever the layout of the values given
+        values = np.ascontiguousarray(self.values, dtype=float)
         if grid.ndim != 1:
             raise ValueError("grid must be one-dimensional")
         if values.ndim != 2 or values.shape[1] != grid.shape[0]:

@@ -11,7 +11,8 @@ its fit alone raises.
   (Newton's method, for the log link) with step halving.  One IRLS,
   :func:`glm_rows`, runs every response of a batch in lockstep, each
   with its own step halving and stop, after one existence check,
-  :func:`_no_mle_rows`, has set aside the responses with no finite MLE.
+  :func:`_no_mle_rows`, has set aside the responses with no finite MLE;
+  both Poisson optimizers pack failed rows out once, with those that stop.
   A row stops by the rule of the random-intercept Newton below, where
   its step predicts a tiny decrease, and takes that step.  A ``poisson``
   refit starts from the parent fit, any other GLM fit from a flat start.
@@ -39,7 +40,7 @@ capability contract consumed by the bootstrap engine.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.optimize import linprog
@@ -359,29 +360,26 @@ def _glmm_objective(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
     1/2)^2], the quadrature's F_vv at v = 0.  A row whose linear
     predictors exceed 500 (the range exp() can take, with room), or whose
     value, gradient or Hessian is not finite, gets +inf and a zero
-    gradient and Hessian.
+    gradient and Hessian, computed in place with the others.
 
     The node terms are laid out node first, (15, R, G); the node max is
     exact and the node sums take one fixed order (:func:`_node_sum`), so
     a row's result does not depend on the batch.
     """
-    R, q = x.shape
+    q = x.shape[1]
     eta = _rows_eta(X, x[:, :-1])
-    rows = slice(None)
-    if not eta.max(initial=-np.inf) <= 500.0:
-        rows = np.flatnonzero(eta.max(axis=1) <= 500.0)
-        x, Y, eta, S, log_fact = (a[rows] for a in (x, Y, eta, S, log_fact))
     v = x[:, -1]
     G = S.shape[1]
-    mu = np.exp(eta)
-    E = _group_sums(group, G, mu)
-    D = S - E
     A = (Y * eta).sum(axis=1) - log_fact
     # what overflows makes its row not finite, which the row pays for
-    # below: D_g^2 only at means far beyond any optimum (there U = inf, so
-    # the row is not finite at v = 0, 0 * inf), e^y only at nodes whose
-    # weight underflows (:func:`_glmm_nodes`)
+    # below: e^eta only at eta > 709 (past 500 a row is bad anyway), D_g^2
+    # only at means far beyond any optimum (there U = inf, so the row is
+    # not finite at v = 0, 0 * inf), e^y only at nodes whose weight
+    # underflows (:func:`_glmm_nodes`)
     with np.errstate(over="ignore", invalid="ignore"):
+        mu = np.exp(eta)
+        E = _group_sums(group, G, mu)
+        D = S - E
         D2 = D * D
         dl_dv = 0.5 * (D2 - E).sum(axis=1)    # U
         far = v * (D2 + E).max(axis=1) > _SERIES_MAX
@@ -415,16 +413,11 @@ def _glmm_objective(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
                * a[:, None, :, :]).sum(axis=3))
         H[:, -1, :-1] = H[:, :-1, -1] = -(F_Ev[:, None, :] * a).sum(axis=2)
         H[:, -1, -1] = -F_vv
-        bad = ~(np.isfinite(f) & np.isfinite(g).all(axis=1)
-                & np.isfinite(H).all(axis=(1, 2)))
+        bad = ~((eta.max(axis=1) <= 500.0) & np.isfinite(f)
+                & np.isfinite(g).all(axis=1) & np.isfinite(H).all(axis=(1, 2)))
     if bad.any():
         f[bad], g[bad], H[bad] = np.inf, 0.0, 0.0
-    if isinstance(rows, slice):
-        return f, g, H
-    out = np.full(R, np.inf), np.zeros((R, q)), np.zeros((R, q, q))
-    for whole, part in zip(out, (f, g, H)):
-        whole[rows] = part
-    return out
+    return f, g, H
 
 
 def _glmm_nodes(S: np.ndarray, E: np.ndarray, v: np.ndarray, A: np.ndarray
@@ -558,7 +551,8 @@ def fit_rows(kind: ModelKind, d: Dataset, Y: np.ndarray,
 
     ``lm`` rows go to :func:`lm_rows`.  For both Poisson classes, one
     :func:`_no_mle_rows` check of the batch comes first: the rows with no
-    finite estimate fail with its error and no kernel sees them.
+    finite estimate fail with its error, given to the kernel, which
+    never evaluates them.
     ``poisson`` rows go to :func:`glm_rows`: a refit from the estimates
     of the parent fit ``start``, a fit from :func:`_irls_start`.
     ``poisson-ri`` needs grouping labels (ValueError otherwise), and its
@@ -582,17 +576,14 @@ def fit_rows(kind: ModelKind, d: Dataset, Y: np.ndarray,
         beta0 = (np.tile(start.beta, (len(Y), 1))
                  if kind is ModelKind.GLM_POISSON and start is not None
                  else _irls_start(Y, p))
-        glm = _on_live_rows(Y, p, errors,
-                            lambda live: glm_rows(X, Y[live], beta0[live]))
+        glm = glm_rows(X, Y, beta0, errors)
         if kind is ModelKind.GLM_POISSON:
             return glm
         errors = glm.errors
         x0 = np.column_stack([glm.beta, np.full(len(Y), 0.25)])
     else:
         x0 = np.tile(np.append(start.beta, start.scale ** 2), (len(Y), 1))
-    fits = _on_live_rows(
-        Y, p, errors,
-        lambda live: glmm_rows(X, d.group, Y[live], x0[live]))
+    fits = glmm_rows(X, d.group, Y, x0, errors)
     if glm_start:
         # a row that ends at v = 0 is the GLM model: take the GLM fit, whose
         # log-likelihood ties the Newton row's to the last bits
@@ -600,33 +591,6 @@ def fit_rows(kind: ModelKind, d: Dataset, Y: np.ndarray,
         for whole, limit in zip(fits[:4], glm[:4]):
             whole[glm_better] = limit[glm_better]
     return fits
-
-
-def _on_live_rows(Y: np.ndarray, p: int, errors: dict[int, EnvdiagError],
-                  kernel: Callable[[np.ndarray], Fits]) -> Fits:
-    """Fits of every row of ``Y`` (R, n) on ``p`` columns, given the rows
-    that failed already, ``errors``: ``kernel(live)`` fits the rows
-    ``live`` of ``Y`` and is not called when every row failed.  Its rows
-    and errors are scattered back; the entries of a failed row are 0."""
-    R = Y.shape[0]
-    live = np.flatnonzero([r not in errors for r in range(R)])
-    if live.size == R:
-        return kernel(live)
-    fits = _failed_fits(Y, p, dict(errors))
-    if live.size:
-        part = kernel(live)
-        for whole, rows in zip(fits, part[:4]):
-            whole[live] = rows
-        fits.errors.update({int(live[i]): e for i, e in part.errors.items()})
-    return fits
-
-
-def _failed_fits(Y: np.ndarray, p: int,
-                 errors: dict[int, EnvdiagError]) -> Fits:
-    """Zero fits of every row of ``Y`` (R, n) on ``p`` columns."""
-    R = Y.shape[0]
-    return Fits(np.zeros((R, p)), np.zeros(Y.shape), np.zeros(R),
-                np.zeros(R), errors)
 
 
 def lm_rows(X: np.ndarray, Y: np.ndarray) -> Fits:
@@ -644,9 +608,10 @@ def lm_rows(X: np.ndarray, Y: np.ndarray) -> Fits:
     p = X.shape[1]
     rank = np.linalg.matrix_rank(X)
     if rank < p:
-        return _failed_fits(Y, p, {
-            r: RankDeficient(f"X has rank {rank} < p={p}")
-            for r in range(Y.shape[0])})
+        R = Y.shape[0]
+        error = f"X has rank {rank} < p={p}"
+        return Fits(np.zeros((R, p)), np.zeros(Y.shape), np.zeros(R),
+                    np.zeros(R), {r: RankDeficient(error) for r in range(R)})
     q, r = np.linalg.qr(X, mode="reduced")
     qt = np.ascontiguousarray(q.T)
     qty = (Y[:, None, :] * qt).sum(axis=2)
@@ -674,7 +639,8 @@ def _irls_start(Y: np.ndarray, p: int) -> np.ndarray:
     return beta
 
 
-def glm_rows(X: np.ndarray, Y: np.ndarray, beta0: np.ndarray) -> Fits:
+def glm_rows(X: np.ndarray, Y: np.ndarray, beta0: np.ndarray,
+             errors: dict[int, EnvdiagError]) -> Fits:
     """Poisson log-linear fits of every row of ``Y`` (R, n) by IRLS in
     lockstep, row r from ``beta0[r]``.
 
@@ -696,7 +662,9 @@ def glm_rows(X: np.ndarray, Y: np.ndarray, beta0: np.ndarray) -> Fits:
     whose normal equations have an eigenvalue at most ``max(n, p) eps``
     times their largest (the precision the eigenvalues of a Gram matrix
     carry) fails with :class:`~envdiag.data.RankDeficient`.  The scale
-    is 0.  The response is not checked: see :func:`_no_mle_rows`.
+    is 0.  The response is not checked: see :func:`_no_mle_rows`.  The
+    rows that failed already, ``errors``, keep their exceptions and are
+    never evaluated; if every row has, no iteration runs.
     """
     R, n = Y.shape
     p = X.shape[1]
@@ -711,18 +679,21 @@ def glm_rows(X: np.ndarray, Y: np.ndarray, beta0: np.ndarray) -> Fits:
         mu = np.exp(eta)
         return eta, mu, 2.0 * (c - (y * eta - mu).sum(axis=1))
 
-    # deviance 2 sum(y log(y/mu) - y + mu) = 2 (c - sum(y eta - mu))
-    C = (xlogy(Y, Y) - Y).sum(axis=1)
     beta = np.array(beta0, dtype=float)
-    errors = {}
+    eta = np.zeros((R, n))
+    errors = dict(errors)
+    # the rows still moving, packed: live[i] is the batch row of entry i,
+    # with its response, deviance constant, beta, eta, mu and deviance;
+    # deviance 2 sum(y log(y/mu) - y + mu) = 2 (c - sum(y eta - mu))
+    live = np.flatnonzero([r not in errors for r in range(R)])
+    y, b = Y[live], beta[live]
+    c = (xlogy(y, y) - y).sum(axis=1)
     with np.errstate(over="ignore"):
-        eta, mu, dev = trial(Y, C, beta)
-        # the rows still moving, packed: live[i] is the batch row of entry
-        # i, with its response, deviance constant, beta, eta, mu and
-        # deviance
-        live = np.arange(R)
-        y, c, b, e, m, d = Y, C, beta, eta, mu, dev
+        e, m, d = trial(y, c, b)
+        eta[live] = e
         for _ in range(_MAX_ITER):
+            if live.size == 0:
+                break
             A = (m[:, None, :] * XX).sum(axis=2).reshape(-1, p, p)
             score = ((y - m)[:, None, :] * Xt).sum(axis=2)
             lam = np.linalg.eigvalsh(A)
@@ -760,8 +731,6 @@ def glm_rows(X: np.ndarray, Y: np.ndarray, beta0: np.ndarray) -> Fits:
                 beta[done], eta[done] = b[stop], e[stop]
                 keep = ~stop
                 live = live[keep]
-                if live.size == 0:
-                    break
                 y, c, b, e, m, d = (a[keep] for a in (y, c, b, e, m, d))
         else:
             beta[live] = b
@@ -788,7 +757,7 @@ def _newton_steps(g: np.ndarray, H: np.ndarray
 
 
 def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
-              x0: np.ndarray) -> Fits:
+              x0: np.ndarray, errors: dict[int, EnvdiagError]) -> Fits:
     """Maximize the marginal likelihood of every row of ``Y`` in lockstep.
 
     One projected Newton per row from ``x0`` (R, p+1) = ``(beta, v)``, v
@@ -822,13 +791,17 @@ def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
     no sufficient decrease.  The scale is omega.
 
     The loop holds the state of the rows still moving only, packed
-    together; a row that stops leaves it, so a kernel call and the
-    bookkeeping around it see no stopped row.
+    together: a row that failed already (``errors``, kept) never enters
+    it, and a row that stops leaves it, so no kernel call sees either,
+    and none is made if every row failed.
     """
     R, q = x0.shape
     G = int(group.max()) + 1
     S, log_fact = _response_constants(group, G, Y)
-    a_w = G / np.exp(_rows_eta(X, x0[:, :-1])).sum(axis=1)
+    # the rows still moving, packed: live[i] is the batch row of entry i
+    live = np.flatnonzero([r not in errors for r in range(R)])
+    a_w = np.ones(R)    # the scale of w; 1 on a failed row
+    a_w[live] = G / np.exp(_rows_eta(X, x0[live, :-1])).sum(axis=1)
 
     def evaluate(rows, z):
         """The objective, gradient and Hessian in (beta, w) of the rows
@@ -844,16 +817,17 @@ def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
         g[:, -1] *= J[:, 0]
         return f, g, H
 
-    x = np.array(x0, dtype=float)
-    x[:, -1] = np.log1p(x0[:, -1] / a_w)
-    f, g, H = evaluate(slice(None), x)
-    x_out, f_out = x.copy(), f.copy()
-    why = {int(r): ": the likelihood is not finite at its start"
-           for r in np.flatnonzero(~np.isfinite(f))}
-
-    # the rows still moving, packed: live[i] is the batch row of entry i
-    live = np.flatnonzero(np.isfinite(f))
-    x, f, g, H = x[live], f[live], g[live], H[live]
+    x_out = np.array(x0, dtype=float)
+    x_out[:, -1] = np.log1p(x0[:, -1] / a_w)
+    f_out = np.full(R, np.inf)
+    why = {}
+    if live.size:
+        x = x_out[live]
+        f, g, H = evaluate(live, x)
+        start = np.isfinite(f)
+        why = {int(r): ": the likelihood is not finite at its start"
+               for r in live[~start]}
+        live, x, f, g, H = (a[start] for a in (live, x, f, g, H))
     w_ceil = np.log1p(_V_CEIL / a_w[live])
     nit = np.zeros(live.size, dtype=int)
     tries = np.zeros(live.size, dtype=int)   # trials of the current search
@@ -924,8 +898,9 @@ def glmm_rows(X: np.ndarray, group: np.ndarray, Y: np.ndarray,
         g = np.where(armijo[:, None], gt, g)
         H = np.where(armijo[:, None, None], Ht, H)
     beta = x_out[:, :-1]
-    errors = {r: NonConvergence("Newton found no finite optimum" + why[r],
-                                beta=beta[r]) for r in sorted(why)}
+    errors = dict(errors)
+    errors.update((r, NonConvergence("Newton found no finite optimum" + why[r],
+                                     beta=beta[r])) for r in sorted(why))
     return Fits(beta, _rows_eta(X, beta), -f_out,
                 np.sqrt(a_w * np.expm1(x_out[:, -1])), errors)
 

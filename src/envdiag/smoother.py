@@ -278,61 +278,59 @@ class PSplineDesign:
 
     # -- fitting -------------------------------------------------------
 
-    def coefs(self, Y: np.ndarray,
-              lams: Optional[np.ndarray] = None) -> np.ndarray:
-        """Penalized least squares coefficients of every row of Y, as
-        ``(rows, basis_dim)``: the one place where a response is smoothed.
+    def _fit_rows(self, Y: np.ndarray, lams: Optional[np.ndarray]
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Coefficients ``(rows, basis_dim)`` of every row of Y, its lambda
+        and whether that is an ML lambda at a search bound: the one place
+        where a response is smoothed.
 
-        Row b is fitted at smoothing parameter ``lams[b]``, or, if ``lams``
-        is None, at its maximum-likelihood lambda (:meth:`_select_lams`),
-        in closed form in the projected basis: the random effects are the
-        ridge solution ``b = Vt' g``, ``g = diag(s / (s^2 + lambda)) U'y``,
-        and the fixed effects ``R^-1 Q'(y - Z b)``, so the coefficients
-        are one fixed linear map of ``(g, Q'y)``.  The linear fallback
-        ignores ``lams`` and returns least squares (intercept, slope) rows.
-        Row b does not depend on the other rows.
+        Row b is fitted at ``lams[b]``, which must lie in [1e-8, 1e8]
+        (ValueError otherwise), or, if ``lams`` is None, at its ML lambda
+        (:meth:`_select_lams`), in closed form in the projected basis: the
+        random effects are the ridge solution ``b = Vt' g``, ``g = diag(s
+        / (s^2 + lambda)) U'y``, and the fixed effects ``R^-1 Q'(y - Z
+        b)``, one fixed linear map of ``(g, Q'y)``.  The linear fallback
+        gives least squares (intercept, slope) rows and lambda nan.  Row b
+        does not depend on the other rows.
         """
         Y = np.asarray(Y, dtype=float)
+        if lams is not None:
+            lams = np.asarray(lams, dtype=float)
+            if not all(LAM_LO <= v <= LAM_HI for v in lams.ravel().tolist()):
+                raise ValueError(f"lam must lie in [{LAM_LO}, {LAM_HI}]")
+        at_bound = np.zeros(Y.shape[0], dtype=bool)
         if self.fallback:
-            return lm_rows(self._line_design, Y)[0]
+            return (lm_rows(self._line_design, Y)[0],
+                    np.full(Y.shape[0], math.nan), at_bound)
         Uy, Qy, yPy = self._profile_terms(Y)
         if lams is None:
-            lams = 10.0 ** self._select_lams(Uy * Uy, yPy)[0]
-        lams = np.asarray(lams, dtype=float)
+            u, at_bound = self._select_lams(Uy * Uy, yPy)
+            lams = 10.0 ** u
         g = self._s[:, None] / (self._s2[:, None] + lams) * Uy
-        return _rows_eta(self._coef_map, np.vstack([g, Qy]).T)
+        return _rows_eta(self._coef_map, np.vstack([g, Qy]).T), lams, at_bound
+
+    def coefs(self, Y: np.ndarray,
+              lams: Optional[np.ndarray] = None) -> np.ndarray:
+        """Penalized least squares coefficients of every row of Y at
+        ``lams``, or at its ML lambda (:meth:`_fit_rows`)."""
+        return self._fit_rows(Y, lams)[0]
 
     def fit(self, y: np.ndarray, lam: Optional[float] = None) -> SmoothFit:
         """Fit to a response vector; ``lam=None`` selects it by ML.
 
-        The one-row case of :meth:`coefs`: evaluated on a grid, the fit
-        equals its row of :meth:`smooth_matrix` bit for bit.  With fewer
-        than 4 distinct x values the fit is the least squares straight
-        line, flagged ``fallback_linear``, and ``lam`` is nan.
+        The one-row case of :meth:`_fit_rows`: evaluated on a grid, the
+        fit equals its row of :meth:`smooth_matrix` bit for bit.  With
+        fewer than 4 distinct x values the fit is the least squares
+        straight line, flagged ``fallback_linear``, and ``lam`` is nan.
         """
         y = np.asarray(y, dtype=float)
         if y.shape != self.x.shape:
             raise ValueError("x and y must have the same length")
-        at_bound = False
-        if self.fallback:
-            lams = np.full(1, math.nan)
-        elif lam is None:
-            Uy, _, yPy = self._profile_terms(y[None, :])
-            u_hat, bound_mask = self._select_lams(Uy * Uy, yPy)
-            lams = 10.0 ** u_hat
-            at_bound = bool(bound_mask[0])
-        elif LAM_LO <= lam <= LAM_HI:
-            lams = np.full(1, float(lam))
-        else:
-            raise ValueError(f"lam must lie in [{LAM_LO}, {LAM_HI}]")
-
-        return SmoothFit(
-            coefs=self.coefs(y[None, :], lams)[0],
-            lam=float(lams[0]),
-            _design=self,
-            fallback_linear=self.fallback,
-            lam_at_bound=at_bound,
-        )
+        C, lams, at_bound = self._fit_rows(
+            y[None, :], None if lam is None else [lam])
+        return SmoothFit(coefs=C[0], lam=float(lams[0]), _design=self,
+                         fallback_linear=self.fallback,
+                         lam_at_bound=bool(at_bound[0]))
 
     def _on_grid(self, C: np.ndarray, grid: np.ndarray) -> np.ndarray:
         """Coefficient rows ``C`` (R, basis_dim) evaluated at the grid
@@ -356,10 +354,10 @@ class PSplineDesign:
         return out
 
     def smooth_matrix(self, Y: np.ndarray, grid: np.ndarray) -> np.ndarray:
-        """Fit every row of Y at its ML lambda (:meth:`coefs`) and evaluate
+        """Fit every row of Y at its ML lambda (:meth:`_fit_rows`) and evaluate
         each fit on the grid; row b equals ``fit(Y[b])(grid)`` bit for bit.
         This is the bootstrap hot path."""
         Y = np.asarray(Y, dtype=float)
         if Y.ndim != 2 or Y.shape[1] != self.x.size:
             raise ValueError(f"Y must be B x {self.x.size}")
-        return self._on_grid(self.coefs(Y), grid)
+        return self._on_grid(self._fit_rows(Y, None)[0], grid)

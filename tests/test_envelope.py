@@ -211,6 +211,18 @@ def test_null_exactness_rejection_rate(rng):
     assert rate <= 0.05 + 3 * np.sqrt(0.05 * 0.95 / reps)
 
 
+@pytest.mark.parametrize("envelope", [mad_envelope, studentized_mad_envelope])
+def test_envelope_does_not_depend_on_memory_layout(rng, envelope):
+    """C- and F-ordered copies of one 199 x 64 ensemble give the same
+    center, bands and statistics, bit for bit: the column sums take one
+    order whatever the layout of the values given."""
+    values = rng.normal(0.0, 1.0, (199, 64)) * np.linspace(0.5, 2.0, 64)
+    c = envelope(_ensemble(np.ascontiguousarray(values)), 0.05)
+    f = envelope(_ensemble(np.asfortranarray(values)), 0.05)
+    for field in ("center", "lower", "upper", "stats"):
+        assert np.array_equal(getattr(c, field), getattr(f, field)), field
+
+
 def test_rejects_nonfinite_and_malformed():
     with pytest.raises(ValueError):
         _ensemble([[np.nan, 0.0], [0.0, 1.0]])

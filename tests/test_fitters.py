@@ -601,7 +601,7 @@ def test_glmm_rows_ending_at_zero_variance_return_their_glm_fit():
     live = ~fits.failed
     glm = _glm_fresh(d.X, Y[live])
     newton = glmm_rows(d.X, d.group, Y[live], np.column_stack(
-        [glm.beta, np.full(live.sum(), 0.25)]))
+        [glm.beta, np.full(live.sum(), 0.25)]), {})
     zero = newton.scale == 0.0
     assert zero[0] and np.any(newton.beta[zero] != glm.beta[zero])
     for whole, rows in zip(fits[:4], glm[:4]):
@@ -679,7 +679,7 @@ def test_glmm_failed_line_search_fails_the_row(monkeypatch):
     m, Y = _glmm_refit_batch(0, B=6)
     d = m.dataset
     X0 = np.tile(np.append(m.beta, m.scale ** 2), (Y.shape[0], 1))
-    plain = glmm_rows(d.X, d.group, Y, X0)
+    plain = glmm_rows(d.X, d.group, Y, X0, {})
     assert not plain.errors
     target = 2
     objective = fitters._glmm_objective
@@ -700,7 +700,7 @@ def test_glmm_failed_line_search_fails_the_row(monkeypatch):
         return f, g, H
 
     monkeypatch.setattr(fitters, "_glmm_objective", failing)
-    fits = glmm_rows(d.X, d.group, Y, X0)
+    fits = glmm_rows(d.X, d.group, Y, X0, {})
     assert set(fits.errors) == {target}
     error = fits.errors[target]
     assert isinstance(error, NonConvergence)
@@ -714,14 +714,15 @@ def test_glmm_failed_line_search_fails_the_row(monkeypatch):
                               getattr(plain, field)[others]), field
 
 
-def test_glmm_objective_rows_out_of_range_alone():
+@pytest.mark.parametrize("offset", [600.0, 800.0])
+def test_glmm_objective_rows_out_of_range_alone(offset):
     """In a batch where one row's linear predictors exceed 500, that row
     gets +inf and a zero gradient and Hessian, and the other rows equal a
-    batch without it, bit for bit."""
+    batch without it, bit for bit.  At 800 its means overflow."""
     m, Y = _glmm_refit_batch(0, B=4)
     d = m.dataset
     x = np.tile(np.append(m.beta, m.scale ** 2), (3, 1))
-    x[1, 0] = 600.0
+    x[1, 0] = offset
     S, log_fact = fitters._response_constants(d.group, d.n_groups, Y)
     f, g, H = fitters._glmm_objective(d.X, d.group, Y, x, S, log_fact)
     assert f[1] == np.inf and np.all(g[1] == 0.0) and np.all(H[1] == 0.0)
@@ -789,7 +790,7 @@ def test_glmm_rows_with_no_finite_start_fail_at_once():
     d = m.dataset
     x0 = np.tile(np.append(m.beta, m.scale ** 2), (2, 1))
     x0[:, 0] = 600.0
-    fits = glmm_rows(d.X, d.group, Y, x0)
+    fits = glmm_rows(d.X, d.group, Y, x0, {})
     assert set(fits.errors) == {0, 1}
     assert all(isinstance(e, NonConvergence) for e in fits.errors.values())
     assert all(str(e) == "Newton found no finite optimum: the likelihood "
@@ -806,11 +807,94 @@ def test_glmm_rows_stopped_by_the_iteration_cap_say_so(monkeypatch):
     d = m.dataset
     x0 = np.tile(np.append(m.beta, m.scale ** 2), (len(Y), 1))
     monkeypatch.setattr(fitters, "_MAX_ITER", 1)
-    fits = glmm_rows(d.X, d.group, Y, x0)
+    fits = glmm_rows(d.X, d.group, Y, x0, {})
     assert fits.errors
     for e in fits.errors.values():
         assert isinstance(e, NonConvergence)
         assert str(e) == "Newton found no finite optimum in 1 iterations"
+
+
+def _row_counter(monkeypatch, name, arg):
+    """Rebinds ``fitters.<name>`` to record the rows of its argument
+    ``arg`` at each call; returns the list of those row counts."""
+    rows = []
+    inner = getattr(fitters, name)
+
+    def counted(*args):
+        rows.append(len(args[arg]))
+        return inner(*args)
+
+    monkeypatch.setattr(fitters, name, counted)
+    return rows
+
+
+@pytest.mark.parametrize("kernel", ["glm", "glmm"])
+def test_rows_failed_already_keep_their_errors_and_are_not_evaluated(
+        kernel, monkeypatch):
+    """Rows given to a Poisson kernel as failed come back with the same
+    exception objects and are never evaluated: the IRLS trials (their
+    linear predictors) or the likelihood kernel see as many calls and
+    rows as on the batch without them, and the other rows equal that
+    batch's, bit for bit.  The failed rows start where e^eta overflows,
+    so a kernel that used their start would warn."""
+    m, Y = _glmm_refit_batch(0, B=9)
+    d = m.dataset
+    given = {1: Separation("given", direction=np.array([-1.0, 0.0])),
+             5: NonConvergence("given")}
+    keep = [r for r in range(len(Y)) if r not in given]
+    if kernel == "glm":
+        x0 = np.tile(m.beta, (len(Y), 1))
+        rows = _row_counter(monkeypatch, "_rows_eta", 1)
+
+        def run(Yb, x0b, errors):
+            return glm_rows(d.X, Yb, x0b, errors)
+    else:
+        x0 = np.tile(np.append(m.beta, m.scale ** 2), (len(Y), 1))
+        rows = _row_counter(monkeypatch, "_glmm_objective", 2)
+
+        def run(Yb, x0b, errors):
+            return glmm_rows(d.X, d.group, Yb, x0b, errors)
+    x0[list(given), 0] = 800.0
+    fits = run(Y, x0, given)
+    counts = list(rows)
+    rows.clear()
+    plain = run(Y[keep], x0[keep], {})
+    assert counts and counts == rows
+    assert all(fits.errors[r] is e for r, e in given.items())
+    assert sorted(fits.errors) == sorted(
+        [*given, *(keep[i] for i in plain.errors)])
+    for field in ("beta", "eta", "loglik", "scale"):
+        assert np.array_equal(getattr(fits, field)[keep],
+                              getattr(plain, field)), field
+
+
+def test_a_batch_whose_rows_all_failed_takes_no_iteration(monkeypatch):
+    """Neither Poisson kernel iterates on a batch whose rows all failed:
+    no IRLS iteration (no weighted normal equations checked for rank) and
+    no likelihood kernel call, given the rows directly or as ``fit_rows``
+    finds them (all-zero responses, which have no finite estimate)."""
+    m, Y = _glmm_refit_batch(0, B=4)
+    d = m.dataset
+    given = {r: NonConvergence("given") for r in range(len(Y))}
+    kernel = _row_counter(monkeypatch, "_glmm_objective", 2)
+    iterations = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted_eigvalsh(A):
+        iterations.append(1)
+        return eigvalsh(A)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    glm = glm_rows(d.X, Y, np.tile(m.beta, (len(Y), 1)), given)
+    glmm = glmm_rows(d.X, d.group, Y, np.tile(
+        np.append(m.beta, m.scale ** 2), (len(Y), 1)), given)
+    assert glm.errors == given and glmm.errors == given
+    zeros = np.zeros((3, m.n))
+    for start in (None, m):
+        fits = fit_rows(m.kind, d, zeros, start=start)
+        assert sorted(fits.errors) == [0, 1, 2]
+        assert all(type(e) is Separation for e in fits.errors.values())
+    assert not iterations and not kernel
 
 
 def test_glmm_refit_kernel_calls_per_batch(monkeypatch):
@@ -1409,7 +1493,7 @@ _POWER_CELL = ScenarioSpec(model=ModelKind.GLM_POISSON,
 def _glm_fresh(X, Y):
     """``glm_rows`` of the rows of ``Y`` from the start ``fit_rows``
     gives a fit without a parent."""
-    return glm_rows(X, Y, fitters._irls_start(Y, X.shape[1]))
+    return glm_rows(X, Y, fitters._irls_start(Y, X.shape[1]), {})
 
 
 def test_glm_rows_match_lstsq_irls_reference():
@@ -1438,7 +1522,8 @@ def _glmm_refit_rows(m, Y):
     """``glmm_rows`` of the rows of ``Y`` from the start ``fit_rows``
     gives every refit of ``m``, its ``(beta, omega^2)``."""
     return glmm_rows(m.dataset.X, m.dataset.group, Y,
-                     np.tile(np.append(m.beta, m.scale ** 2), (len(Y), 1)))
+                     np.tile(np.append(m.beta, m.scale ** 2), (len(Y), 1)),
+                     {})
 
 
 # spec of each class's stream (dataset 0 at seed 1) and its batch
@@ -1450,7 +1535,7 @@ _BATCH_CASES = {
     ModelKind.GLM_POISSON: (
         _POWER_CELL,
         lambda m, Y: glm_rows(m.dataset.X, Y,
-                              np.tile(m.beta, (len(Y), 1))).beta),
+                              np.tile(m.beta, (len(Y), 1)), {}).beta),
     ModelKind.GLMM_POISSON_RI: (
         ScenarioSpec(model=ModelKind.GLMM_POISSON_RI,
                      violation=Violation.NULL_OK, n=40),

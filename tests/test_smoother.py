@@ -105,6 +105,39 @@ def test_too_short_input_raises():
         PSplineDesign(np.array([0.0, 1.0, 2.0])).fit(np.array([0.0, 1.0, 2.0]))
 
 
+def test_ml_fit_takes_the_profile_terms_once(rng, monkeypatch):
+    """``fit(y)`` projects its response once: the lambda search and the
+    coefficients read the same profile terms."""
+    x = np.sort(rng.uniform(0, 1, 40))
+    design = PSplineDesign(x)
+    calls = []
+    terms = design._profile_terms
+
+    def counted(Y):
+        calls.append(Y.shape[0])
+        return terms(Y)
+
+    monkeypatch.setattr(design, "_profile_terms", counted)
+    design.fit(np.sin(5 * x) + rng.normal(0, 0.2, 40))
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("lam", [-5.0, 0.0, 1e-9, 1e9, 1e30, math.nan])
+@pytest.mark.parametrize("n", [5, 40])
+def test_lambda_out_of_range_raises_on_every_design(rng, lam, n):
+    """A given lambda outside [1e-8, 1e8] is refused by ``fit`` and
+    ``coefs`` alike, on the straight-line fallback (n = 5) as on a spline
+    design, before any fit."""
+    x = np.sort(rng.uniform(0, 1, n))
+    design = PSplineDesign(x)
+    assert design.fallback == (n == 5)
+    Y = rng.normal(0, 1.0, (2, n))
+    with pytest.raises(ValueError, match="lam must lie in"):
+        design.fit(Y[0], lam=lam)
+    with pytest.raises(ValueError, match="lam must lie in"):
+        design.coefs(Y, lams=[1.0, lam])
+
+
 def test_basis_dimension_rule(rng):
     x = np.sort(rng.uniform(0, 1, 50))
     assert PSplineDesign(x).basis_dim == 10
